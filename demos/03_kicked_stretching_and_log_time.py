@@ -42,8 +42,9 @@ print(f"unstable direction slope dp/dq = {unstable.slope:.4f}")
 times = (1.0, 2.0, 3.0)
 psi0 = sw.initial_coherent_state(grid, hbar, (0.0, 0.0))
 exact = sw.exact_state(model, psi0, times[-1], sample_times=times)
-print(f"\nreference ladder: {exact.substeps} substeps per unit time, "
-      f"last delta {exact.ladder_delta:.1e}")
+print(f"\nreference: {exact.diagnostics['method']}, "
+      f"{exact.diagnostics['splits']} splits per segment, "
+      f"certificate (gap to half the splits) {exact.ladder_delta:.1e}")
 
 # phase-space mass inside a band around the unstable line: the state
 # collapses onto that line as it stretches

@@ -68,7 +68,10 @@ def _parse_grid(text: str) -> GridSpec:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 3:
         raise SemiwkbError(f"--grid wants LO,HI,N, got {text!r}")
-    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise SemiwkbError(f"--grid {text!r}: {exc}") from None
 
 
 def _slope(args) -> float:
@@ -78,6 +81,8 @@ def _slope(args) -> float:
 
 
 def _spec_for_args(args) -> ExperimentSpec:
+    if not args.hbar > 0:
+        raise SemiwkbError(f"--hbar must be positive, got {args.hbar}")
     params = {"free": (), "quartic": (("epsilon", args.epsilon),),
               "barrier": (("v0", args.v0),), "kho": (("k", args.k),)}
     return ExperimentSpec(name="cli", kind="exactness", model=args.model,
@@ -101,7 +106,15 @@ def _emit_state(out: Path, prefix: str, state, meta: dict) -> None:
         fh.write("\n")
 
 
+def _check_time(args) -> None:
+    if not args.t >= 0:
+        raise SemiwkbError(f"--t must be >= 0 (runs go forward in time), got {args.t}")
+    if args.model == "kho" and args.side == "plus" and args.t != round(args.t):
+        raise SemiwkbError(f"--side plus needs an integer --t, got {args.t}")
+
+
 def _cmd_propagate(args) -> int:
+    _check_time(args)
     spec = _spec_for_args(args)
     model = build_model(spec)
     grid = spec.grid
@@ -129,6 +142,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    _check_time(args)
     spec = _spec_for_args(args)
     model = build_model(spec)
     psi0 = initial_coherent_state(spec.grid, args.hbar, (args.p0, args.q0))
@@ -140,8 +154,11 @@ def _cmd_exact(args) -> int:
             "substeps": res.substeps, "ladder_delta": res.ladder_delta,
             "diagnostics": _jsonable(res.diagnostics)}
     _emit_state(out, args.prefix, res.state, meta)
+    diag = res.diagnostics
+    steps = (f" splits={diag['splits']}" if "splits" in diag
+             else f" substeps={res.substeps}")
     print(f"exact: wrote {out / (args.prefix + '_state.csv')}"
-          f" substeps={res.substeps} delta={res.ladder_delta:.3g}")
+          f" method={diag['method']}{steps} delta={res.ladder_delta:.3g}")
     return 0
 
 
@@ -268,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     _model_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--substeps", type=int, default=None,
-                   help="starting ladder rung per unit time")
+                   help="starting ladder rung per unit time; read only by "
+                        "ladder models, which no --model choice is")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--prefix", default="exact")

@@ -59,7 +59,9 @@ class ExperimentSpec:
     methods: tuple = ("extwkb", "exact")
     cases: tuple = (Case("center", 0.0, (0.0, 0.0)),)
     outdir: str | None = None
-    # starting rung for the reference ladder; None lets the ladder pick
+    # starting rung for the reference ladder; None lets the ladder pick.
+    # Only ladder models read it: no builtin model does, since the barrier
+    # and kicked references are metaplectic and the momentum models exact
     exact_start_substeps: int | None = None
 
     def validate(self) -> None:
@@ -216,7 +218,7 @@ def _phase_derivative(u, vals, floor: float = 0.1):
 
 
 def _exact_by_center(spec, model, record):
-    """One reference ladder per distinct case center, sampled at spec.times."""
+    """One exact reference per distinct case center, sampled at spec.times."""
     states = {}
     for case in spec.cases:
         key = case.center
@@ -224,11 +226,8 @@ def _exact_by_center(spec, model, record):
             continue
         psi0 = initial_coherent_state(spec.grid, spec.hbar, key)
         t0 = time.perf_counter()
-        kwargs = {}
-        if spec.exact_start_substeps is not None:
-            kwargs["substeps"] = spec.exact_start_substeps
-        res = exact_state(model, psi0, spec.times[-1],
-                          sample_times=spec.times, **kwargs)
+        res = exact_state(model, psi0, spec.times[-1], sample_times=spec.times,
+                          substeps=spec.exact_start_substeps)
         record[f"exact@{case.label}"] = time.perf_counter() - t0
         states[key] = res
     return states
@@ -329,11 +328,9 @@ def _run_barrier_sweep(spec, model, outdir, record):
         psi0 = initial_coherent_state(spec.grid, spec.hbar, case.center)
         t0 = time.perf_counter()
         with _stage(f"reference {case.label}"):
-            kwargs = {}
-            if spec.exact_start_substeps is not None:
-                kwargs["substeps"] = spec.exact_start_substeps
             res = exact_state(model, psi0, spec.times[-1],
-                              sample_times=spec.times[:-1], **kwargs)
+                              sample_times=spec.times[:-1],
+                              substeps=spec.exact_start_substeps)
         record[f"exact@{case.label}"] = time.perf_counter() - t0
         series = [(float(t), res.samples[float(t)]) for t in spec.times[:-1]]
         series.append((float(spec.times[-1]), res.state))
@@ -379,11 +376,8 @@ def _run_backward_profiles(spec, model, outdir, record):
 
     t0 = time.perf_counter()
     with _stage("reference"):
-        kwargs = {}
-        if spec.exact_start_substeps is not None:
-            kwargs["substeps"] = spec.exact_start_substeps
         ref = exact_state(model, psi0, spec.times[-1], sample_times=spec.times,
-                          **kwargs)
+                          substeps=spec.exact_start_substeps)
     record["exact"] = time.perf_counter() - t0
 
     fid_rows = []
@@ -630,7 +624,6 @@ def builtin_specs() -> list:
             hbar=0.02, times=(1.0, 2.0, te_barrier + 1.0),
             grid=GridSpec(-16.0, 16.0, 8192),
             methods=("exact",),
-            exact_start_substeps=4096,
             cases=(
                 Case("reflected", 1.0, (0.3, -0.5)),
                 Case("critical", 1.0, (0.5, -0.5)),

@@ -1,10 +1,15 @@
 """Numerically exact grid propagation used as ground truth.
 
-Split-operator Strang stepping for kinetic-plus-potential models, a single
-exact Fourier multiplier for momentum-only models, and a kick-and-rotate
-stepper for the kicked oscillator that shares the classical kick schedule
-(integer end times mean "just before the kick").  Convergence is enforced
-by doubling substeps until the final state stops moving in L2.
+Linear flows (the inverted parabola and the harmonic segments of the kicked
+oscillator) run on the metaplectic path: each segment is split into equal
+pieces and every piece is the exact three-shear product Q(a) P(b) Q(a) of a
+position chirp and a momentum multiplier, with the kicks as multipliers on
+the classical kick schedule (integer end times mean "just before the kick").
+The path is certified by the L2 gap between n and 2n pieces and by guards
+on boundary mass and on chirps and kicks driving momentum past Nyquist.
+Momentum-only models take a single exact Fourier multiplier.  Any other
+kinetic-plus-potential model runs split-operator stepping, converged by
+doubling substeps until the final state stops moving in L2.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryMassError, GridMismatchError, StepSizeError
+from .errors import BandwidthError, BoundaryMassError, GridMismatchError, StepSizeError
 from .dynamics import kick_times
-from .grids import GridSpec, WaveFunction, edge_mass_fraction, overlap, spectral_edge_fraction
-from .hamiltonians import FreeParticle, IntegrableMomentum, KickedHarmonic
+from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
+                    overlap, spectral_edge_fraction)
+from .hamiltonians import FreeParticle, IntegrableMomentum, KickedHarmonic, ParabolicBarrier
 
 __all__ = [
     "PropagationConfig",
@@ -27,20 +33,17 @@ __all__ = [
     "momentum_evolve",
     "kho_step",
     "kho_evolve",
+    "metaplectic_evolve",
     "exact_state",
     "fidelity",
     "fidelity_series",
     "expectation_q",
     "expectation_p",
-    "kho_default_grid",
 ]
 
 EDGE_MASS_TOL = 1e-12
-
-
-def kho_default_grid() -> GridSpec:
-    """Fallback grid for kicked-oscillator runs when none is given."""
-    return GridSpec(-8.0, 8.0, 8192)
+CHIRP_EDGE_TOL = 1e-8   # spectrum at the Nyquist edge, relative to its peak
+MAX_SPLITS = 64         # shear pieces per segment before BandwidthError
 
 
 def _max_kinetic(model, grid: GridSpec, hbar: float) -> float:
@@ -169,8 +172,12 @@ def momentum_evolve(model, psi: WaveFunction, t: float) -> WaveFunction:
     return WaveFunction(psi.grid, vals, psi.hbar)
 
 
+def _kick_phase(k: float, grid: GridSpec, hbar: float) -> np.ndarray:
+    return -k * np.cos(grid.x) / hbar
+
+
 def _kick_multiplier(k: float, grid: GridSpec, hbar: float) -> np.ndarray:
-    return np.exp(-1j * k * np.cos(grid.x) / hbar)
+    return np.exp(1j * _kick_phase(k, grid, hbar))
 
 
 def kho_step(k: float, psi: WaveFunction, substeps: int) -> WaveFunction:
@@ -262,8 +269,122 @@ def kho_evolve(k: float, psi: WaveFunction, t: float, substeps: int, *,
     return final, samples
 
 
+def _shear_pair(model, s: float) -> tuple:
+    """(a, b) with Q(a) P(b) Q(a) equal to the flow of one piece of length s.
+
+    Q(a) = exp(-i a x^2/2hbar) maps (q, p) to (q, p - a q) and
+    P(b) = exp(-i b xi^2/2hbar) maps it to (q + b p, p); matching the product
+    to the piece's linear flow fixes a and b.  Both operator families start
+    at the identity, so the product also carries the right global phase.
+    """
+    if isinstance(model, ParabolicBarrier):
+        lam = model.lam
+        return -lam * math.tanh(0.5 * lam * s), math.sinh(lam * s) / lam
+    return math.tan(0.5 * s), math.sin(s)
+
+
+def _multiplier(phase: np.ndarray) -> tuple:
+    """exp(i phase) with the phase step between neighbouring samples."""
+    return np.exp(1j * phase), np.diff(phase)
+
+
+def _apply_checked(vals: np.ndarray, multiplier) -> np.ndarray:
+    """vals * exp(i phase), refused where the product passes Nyquist.
+
+    The phase step of vals between neighbouring samples is its local
+    momentum times dx/hbar, inside (-pi, pi) for a resolved state.  Adding
+    the multiplier's own step gives the product's local momentum, which must
+    stay under Nyquist wherever vals has mass (density above EDGE_MASS_TOL
+    of the peak); a product past it would fold cleanly onto the other side
+    of the spectrum, out of reach of any edge probe.
+    """
+    mult, dphase = multiplier
+    dens = np.abs(vals) ** 2
+    live = np.minimum(dens[1:], dens[:-1]) > EDGE_MASS_TOL * dens.max()
+    step = np.abs(np.angle(vals[1:] * np.conj(vals[:-1])) + dphase)[live]
+    if step.size and step.max() >= math.pi:
+        raise BandwidthError(
+            f"a multiplier drives the local momentum to {step.max() / math.pi:.3g} "
+            "times the Nyquist momentum")
+    return vals * mult
+
+
+def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
+                       side: str = "minus", sample_times=()):
+    """Exact evolution of a linear flow in one pass along the kick schedule.
+
+    Every segment between consecutive stops (kicks, sample times, the end)
+    is cut into ``splits`` equal pieces, each applied as Q(a) P(b) Q(a).
+    Kicked-oscillator kicks are multipliers fired at their stop after the
+    pre-kick state is sampled.  Returns (final_state, samples) like
+    kho_evolve.  Raises BoundaryMassError when a stop finds mass at the
+    domain edges, and BandwidthError when a chirp or kick pushes the local
+    momentum past Nyquist or a chirped spectrum reaches the Nyquist edge,
+    where the momentum multiplier would alias.
+    """
+    if t < 0:
+        raise ValueError("the reference runs forward in time only")
+    grid, hbar = psi.grid, psi.hbar
+    kicked = isinstance(model, KickedHarmonic)
+    kicks = [float(n) for n in kick_times(t, side)] if kicked else []
+    want = sorted({float(s) for s in sample_times})
+    for s in want:
+        if s < 0 or s > t + 1e-9:
+            raise ValueError(f"sample time {s} outside [0, {t}]")
+    x2, xi2 = grid.x ** 2, grid.xi(hbar) ** 2
+    kick = _multiplier(_kick_phase(model.k, grid, hbar)) if kicked else None
+    shears = {}
+
+    def segment(vals, s):
+        key = round(s, 12)
+        if key not in shears:
+            a, b = _shear_pair(model, s / splits)
+            shears[key] = (_multiplier(-0.5 * a * x2 / hbar),
+                           np.exp(-0.5j * b * xi2 / hbar))
+        q, p = shears[key]
+        for _ in range(splits):
+            hat = np.fft.fft(_apply_checked(vals, q))
+            edge = edge_amplitude_fraction(WaveFunction(grid, np.fft.fftshift(hat), hbar))
+            if edge > CHIRP_EDGE_TOL:
+                raise BandwidthError(
+                    f"chirped spectrum reaches the Nyquist edge ({edge:.2e} > "
+                    f"{CHIRP_EDGE_TOL}) with {splits} pieces per segment")
+            vals = _apply_checked(np.fft.ifft(p * hat), q)
+        return vals
+
+    samples = {}
+    vals = psi.values.copy()
+    prev = 0.0
+    for stop in sorted({*kicks, *want, float(t)}):
+        if stop - prev > 1e-12:
+            vals = segment(vals, stop - prev)
+            prev = stop
+        m = edge_mass_fraction(WaveFunction(grid, vals, hbar))
+        if m > EDGE_MASS_TOL:
+            raise BoundaryMassError(
+                f"boundary mass {m:.2e} at t={stop:g} exceeds {EDGE_MASS_TOL}")
+        if abs(stop - t) > 1e-9:
+            for s in want:
+                if abs(s - stop) <= 1e-9:
+                    samples[s] = WaveFunction(grid, vals.copy(), hbar)
+        if stop in kicks:
+            vals = _apply_checked(vals, kick)
+    final = WaveFunction(grid, vals, hbar)
+    for s in want:
+        samples.setdefault(s, final)
+    return final, samples
+
+
 @dataclass(eq=False)
 class ExactResult:
+    """Reference state, its samples and its certificate.
+
+    ``ladder_delta`` is the L2 gap behind the certificate: between the last
+    two substep rungs (``substeps`` set, method "strang-ladder") or between
+    n and 2n shear pieces (``substeps`` None, ``diagnostics["splits"]`` = 2n,
+    method "metaplectic-shear"); momentum multipliers are exact and record 0.
+    """
+
     state: WaveFunction
     samples: dict
     substeps: int | None
@@ -278,19 +399,25 @@ def _l2_diff(a: WaveFunction, b: WaveFunction) -> float:
 def exact_state(model, psi: WaveFunction, t: float, *, substeps: int | None = None,
                 tol: float = 1e-9, max_doublings: int = 4, side: str = "minus",
                 sample_times=(), order: int = 4) -> ExactResult:
-    """Ground-truth evolution with substeps doubled until the final state
-    moves by less than tol in L2.  Momentum-only models skip the ladder
-    (the multiplier is exact)."""
+    """Ground-truth evolution of psi over [0, t], sampled at sample_times.
+
+    Momentum-only models take the exact multiplier.  The barrier and the
+    kicked oscillator take metaplectic_evolve with n and 2n pieces per
+    segment, n doubling from 1 while a bandwidth guard refuses a pass; the
+    largest L2 gap between the two runs (final state and samples) must be
+    under tol.  Other models run the substep ladder from
+    ``substeps`` per unit time at splitting ``order``, doubling until the
+    final state moves by less than tol in L2.
+    """
     if isinstance(model, (FreeParticle, IntegrableMomentum)):
         final = momentum_evolve(model, psi, t)
         samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}
         return ExactResult(final, samples, None, 0.0,
                            {"method": "momentum-multiplier"})
+    if isinstance(model, (ParabolicBarrier, KickedHarmonic)):
+        return _shear_reference(model, psi, t, tol, side, sample_times)
 
     def run(n):
-        if isinstance(model, KickedHarmonic):
-            return kho_evolve(model.k, psi, t, n, side=side,
-                              sample_times=sample_times, order=order)
         out = split_operator_evolve(model, psi, t, order=order,
                                     n_substeps=max(1, int(round(n * t))))
         samples = {float(s): split_operator_evolve(
@@ -317,6 +444,35 @@ def exact_state(model, psi: WaveFunction, t: float, *, substeps: int | None = No
     raise StepSizeError(
         f"substep ladder did not converge below {tol} (last delta {delta:.2e} "
         f"at {substeps} substeps per unit time)")
+
+
+def _shear_reference(model, psi, t, tol, side, sample_times) -> ExactResult:
+    # passes at 1, 2, 4, ... pieces per segment until two in a row clear the
+    # bandwidth guards; their gap is the certificate
+    coarse, n = None, 1
+    while True:
+        try:
+            fine = metaplectic_evolve(model, psi, t, splits=n, side=side,
+                                      sample_times=sample_times)
+        except BandwidthError:
+            if n >= MAX_SPLITS:
+                raise
+            coarse = None
+        else:
+            if coarse is not None:
+                break
+            coarse = fine
+        n *= 2
+    (final, samples), (prev_final, prev_samples) = fine, coarse
+    delta = max([_l2_diff(final, prev_final)]
+                + [_l2_diff(samples[s], prev_samples[s]) for s in samples])
+    if not delta < tol:
+        raise StepSizeError(
+            f"{n // 2} and {n} shear pieces per segment differ by {delta:.2e} "
+            f"in L2, not below {tol}")
+    return ExactResult(final, samples, None, delta,
+                       {"method": "metaplectic-shear", "splits": n,
+                        "spectral_edge_fraction": spectral_edge_fraction(final)})
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-The two expensive reference propagations (kicked model over four periods,
-inverted parabola over twice its packet-spreading time) are session scoped
-so the acceptance tests and the module tests share one converged run each.
+The two reference propagations (kicked model over four periods, inverted
+parabola over twice its packet-spreading time) are session scoped so the
+acceptance tests and the module tests share one certified run each.
 """
 import math
 
@@ -28,7 +28,7 @@ def kho_model():
 
 @pytest.fixture(scope="session")
 def kho_reference(kho_model):
-    """Converged ladder for the kicked model, sampled each period."""
+    """Certified reference for the kicked model, sampled each period."""
     psi0 = sw.initial_coherent_state(KHO_GRID, KHO_HBAR, (0.0, 0.0))
     res = sw.exact_state(kho_model, psi0, 4.0, sample_times=KHO_TIMES)
     assert res.ladder_delta < 1e-9
@@ -37,11 +37,11 @@ def kho_reference(kho_model):
 
 @pytest.fixture(scope="session")
 def barrier_reference():
-    """Converged reference for the inverted parabola on the unstable line."""
+    """Certified reference for the inverted parabola on the unstable line."""
     model = sw.ParabolicBarrier(1.0)
     t = 2.0 * sw.ehrenfest_time(1.0, BARRIER_HBAR)
     psi0 = sw.initial_coherent_state(BARRIER_GRID, BARRIER_HBAR, BARRIER_CENTER)
-    res = sw.exact_state(model, psi0, t, substeps=3072)
+    res = sw.exact_state(model, psi0, t)
     assert res.ladder_delta < 1e-9
     return res
 

@@ -151,3 +151,43 @@ def test_bad_grid_exits_2(tmp_path, capsys):
          "--grid=-6,6", "--t", "0.5", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "error:" in err and "LO,HI,N" in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "exact"])
+def test_nonpositive_hbar_exits_2(tmp_path, capsys, command):
+    code, _, err = run_cli(
+        [command, "--model", "free", "--hbar=-0.05", "--grid=-6,6,1024",
+         "--t", "0.5", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "--hbar" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "exact"])
+def test_non_power_of_two_grid_exits_2(tmp_path, capsys, command):
+    code, _, err = run_cli(
+        [command, "--model", "free", "--hbar", "0.05", "--grid=-6,6,1000",
+         "--t", "0.5", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "power of two" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "exact"])
+def test_negative_time_exits_2(tmp_path, capsys, command):
+    code, _, err = run_cli(
+        [command, "--model", "kho", "--hbar", "0.05", "--grid=-4,4,1024",
+         "--t=-1", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "--t" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "exact"])
+def test_side_plus_at_fractional_time_exits_2(tmp_path, capsys, command):
+    code, _, err = run_cli(
+        [command, "--model", "kho", "--hbar", "0.05", "--grid=-4,4,1024",
+         "--t", "1.5", "--side", "plus", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "--side plus" in err
+    assert "Traceback" not in err

@@ -1,18 +1,21 @@
-"""Split-operator reference: unitarity, convergence orders, scheduling,
-guard rails, and quantum-classical qualification checks."""
+"""Reference propagation: the metaplectic shear path against the
+split-operator ladder, unitarity, convergence orders, scheduling, guard
+rails, and quantum-classical qualification checks."""
 import math
 
 import numpy as np
 import pytest
 
 import semiwkb as sw
-from semiwkb.errors import BoundaryMassError, GridMismatchError, StepSizeError
+from semiwkb.errors import (BandwidthError, BoundaryMassError, GridMismatchError,
+                            StepSizeError)
 from semiwkb.metaplectic import propagate_thawed_gaussian
 from semiwkb.reference import (
     PropagationConfig,
     aliasing_limit,
     kho_evolve,
     kho_step,
+    metaplectic_evolve,
     momentum_evolve,
     split_operator_evolve,
     split_operator_step,
@@ -104,6 +107,89 @@ def test_momentum_models_skip_the_ladder():
     assert l2_distance(ex.state, momentum_evolve(model, psi0, 2.0)) == 0.0
 
 
+def test_shear_rotation_by_two_pi_is_minus_identity():
+    # every oscillator level picks up exp(-i (n + 1/2) 2 pi) = -1, so the
+    # three-shear product must carry the metaplectic sign, not only |psi|
+    grid = sw.GridSpec(-8.0, 8.0, 512)
+    psi0 = sw.initial_coherent_state(grid, HBAR, (0.3, 0.5))
+    minus = sw.WaveFunction(grid, -psi0.values, HBAR)
+    rotated, _ = metaplectic_evolve(sw.KickedHarmonic(0.0), psi0, 2 * math.pi,
+                                    splits=4)
+    assert l2_distance(rotated, minus) < 1e-12
+    ex = sw.exact_state(sw.KickedHarmonic(0.0), psi0, 2 * math.pi)
+    assert l2_distance(ex.state, minus) < 1e-12
+
+
+def test_shear_barrier_matches_yoshida_ladder():
+    model = sw.ParabolicBarrier(1.0)
+    grid = sw.GridSpec(-8.0, 8.0, 512)
+    psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
+    ex = sw.exact_state(model, psi0, 1.0, sample_times=(0.5,))
+    assert ex.diagnostics["method"] == "metaplectic-shear"
+    assert ex.substeps is None
+    assert ex.ladder_delta < 1e-12
+    ladder = {t: split_operator_evolve(model, psi0, t, n_substeps=int(2048 * t),
+                                       order=4) for t in (0.5, 1.0)}
+    assert l2_distance(ex.state, ladder[1.0]) < 1e-9
+    assert l2_distance(ex.samples[0.5], ladder[0.5]) < 1e-9
+
+
+def test_shear_kicked_oscillator_matches_yoshida_ladder():
+    grid = sw.GridSpec(-8.0, 8.0, 512)
+    psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.5))
+    times = (1.0, 2.0, 2.5)
+    ex = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.5, sample_times=times)
+    assert ex.diagnostics["method"] == "metaplectic-shear"
+    assert ex.ladder_delta < 1e-12
+    final, ladder = kho_evolve(2.0, psi0, 2.5, 2048, sample_times=times, order=4)
+    assert l2_distance(ex.state, final) < 1e-9
+    for t in times:
+        assert l2_distance(ex.samples[t], ladder[t]) < 1e-9
+    plus = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.0, side="plus")
+    final, _ = kho_evolve(2.0, psi0, 2.0, 2048, side="plus", order=4)
+    assert l2_distance(plus.state, final) < 1e-9
+
+
+def _chirp_probe(center):
+    # Nyquist momentum 1.608; a unit rotation as one piece chirps the
+    # momentum to p - tan(1/2) q, up to 1.14 times the orbit radius
+    hbar = 1e-4
+    grid = sw.GridSpec(-1.6, 1.6, 16384)
+    return sw.initial_coherent_state(grid, hbar, center), hbar
+
+
+def test_chirp_guard_splits_further():
+    # orbit radius 1.5 stays under Nyquist, one piece's chirp reaches 1.71
+    center = (1.5 / math.hypot(1.0, math.tan(0.5)),
+              -1.5 * math.tan(0.5) / math.hypot(1.0, math.tan(0.5)))
+    psi0, hbar = _chirp_probe(center)
+    model = sw.KickedHarmonic(0.0)
+    with pytest.raises(BandwidthError):
+        metaplectic_evolve(model, psi0, 1.0, splits=1)
+    ex = sw.exact_state(model, psi0, 1.0)
+    assert ex.diagnostics["splits"] == 4
+    p0, q0 = center
+    rotated = (p0 * math.cos(1.0) - q0 * math.sin(1.0),
+               q0 * math.cos(1.0) + p0 * math.sin(1.0))
+    target = sw.initial_coherent_state(psi0.grid, hbar, rotated)
+    assert sw.fidelity(ex.state, target) > 1.0 - 1e-10
+
+
+def test_chirp_guard_raises_when_splitting_cannot_help():
+    # the orbit itself passes Nyquist (radius 1.70 near t = pi/4)
+    psi0, _ = _chirp_probe((1.2, -1.2))
+    with pytest.raises(BandwidthError):
+        sw.exact_state(sw.KickedHarmonic(0.0), psi0, 1.0)
+
+
+def test_chirp_guard_sees_a_spectrum_straddling_nyquist():
+    # local momentum 1.55 sits under Nyquist, but the packet's momentum
+    # spread reaches the edge, where the local-momentum test cannot see it
+    psi0, _ = _chirp_probe((1.55, 0.0))
+    with pytest.raises(BandwidthError, match="Nyquist edge"):
+        sw.exact_state(sw.KickedHarmonic(0.0), psi0, 1.0)
+
+
 def test_exact_state_ladder_reports_failure():
     model = sw.ParabolicBarrier(1.0)
     grid = sw.GridSpec(-8.0, 8.0, 256)
@@ -174,16 +260,14 @@ def test_kho_sample_time_validation():
 
 
 def test_reference_is_grid_converged():
-    # doubling the spatial grid moves the converged barrier state by less
-    # than 1e-8 in L2 (measured 3.4e-12), so dx is not the accuracy limit
+    # doubling the spatial grid moves the certified barrier state by less
+    # than 1e-8 in L2 (measured 6.3e-16), so dx is not the accuracy limit
     model = sw.ParabolicBarrier(1.0)
     coarse = sw.GridSpec(-8.0, 8.0, 2048)
     fine = sw.GridSpec(-8.0, 8.0, 4096)
     t = 1.5
-    pa = sw.exact_state(model, sw.initial_coherent_state(coarse, HBAR, (0.2, 0.2)),
-                        t, substeps=9216)
-    pb = sw.exact_state(model, sw.initial_coherent_state(fine, HBAR, (0.2, 0.2)),
-                        t, substeps=9216)
+    pa = sw.exact_state(model, sw.initial_coherent_state(coarse, HBAR, (0.2, 0.2)), t)
+    pb = sw.exact_state(model, sw.initial_coherent_state(fine, HBAR, (0.2, 0.2)), t)
     diff = math.sqrt(float(np.sum(np.abs(pb.state.values[::2] - pa.state.values) ** 2)
                            * coarse.dx))
     assert diff < 1e-8
@@ -239,7 +323,7 @@ def test_stretched_state_lies_along_the_unstable_line(kho_reference):
 
 
 def test_kho_reference_ladder_metadata(kho_reference):
-    assert kho_reference.diagnostics["method"] == "strang-ladder"
+    assert kho_reference.diagnostics["method"] == "metaplectic-shear"
     assert kho_reference.ladder_delta < 1e-9
     assert kho_reference.diagnostics["spectral_edge_fraction"] < 1e-8
     assert set(kho_reference.samples) == {1.0, 2.0, 3.0, 4.0}
