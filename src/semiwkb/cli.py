@@ -146,8 +146,7 @@ def _cmd_exact(args) -> int:
     spec = _spec_for_args(args)
     model = build_model(spec)
     psi0 = initial_coherent_state(spec.grid, args.hbar, (args.p0, args.q0))
-    res = exact_state(model, psi0, args.t, substeps=args.substeps,
-                      tol=args.tol, side=args.side)
+    res = exact_state(model, psi0, args.t, tol=args.tol, side=args.side)
     out = _outdir(args)
     meta = {"method": "exact", "model": args.model, "t": args.t,
             "hbar": args.hbar, "center": [args.p0, args.q0],
@@ -155,8 +154,7 @@ def _cmd_exact(args) -> int:
             "diagnostics": _jsonable(res.diagnostics)}
     _emit_state(out, args.prefix, res.state, meta)
     diag = res.diagnostics
-    steps = (f" splits={diag['splits']}" if "splits" in diag
-             else f" substeps={res.substeps}")
+    steps = f" splits={diag['splits']}" if "splits" in diag else ""
     print(f"exact: wrote {out / (args.prefix + '_state.csv')}"
           f" method={diag['method']}{steps} delta={res.ladder_delta:.3g}")
     return 0
@@ -284,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="grid reference propagation")
     _model_args(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--substeps", type=int, default=None,
-                   help="starting ladder rung per unit time; read only by "
-                        "ladder models, which no --model choice is")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--prefix", default="exact")

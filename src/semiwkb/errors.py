@@ -21,6 +21,8 @@ __all__ = [
     "ConvergenceError",
     "StepSizeError",
     "UnsupportedOracleError",
+    "SpecError",
+    "SpecNotFoundError",
 ]
 
 
@@ -85,3 +87,11 @@ class StepSizeError(SemiwkbError):
 
 class UnsupportedOracleError(SemiwkbError):
     """No closed form is available for the requested model/quantity pair."""
+
+
+class SpecError(SemiwkbError, ValueError):
+    """An experiment spec or spec file is malformed."""
+
+
+class SpecNotFoundError(SpecError, FileNotFoundError):
+    """A spec file cannot be read."""

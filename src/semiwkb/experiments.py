@@ -9,13 +9,13 @@ entry, which records wall-clock seconds and is documented volatile.
 """
 from __future__ import annotations
 
+import configparser
 import csv
 import json
 import math
 import os
 import time
 from collections import namedtuple
-from configparser import ConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ehrenfest_time, flow, lyapunov_exponent, period_tangent
+from .errors import SpecError, SpecNotFoundError
 from .grids import GridSpec, WaveFunction, band_mass
 from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
                            ParabolicBarrier, PhasePoint, QuadraticPhase)
@@ -59,28 +60,28 @@ class ExperimentSpec:
     methods: tuple = ("extwkb", "exact")
     cases: tuple = (Case("center", 0.0, (0.0, 0.0)),)
     outdir: str | None = None
-    # starting rung for the reference ladder; None lets the ladder pick.
-    # Only ladder models read it: no builtin model does, since the barrier
-    # and kicked references are metaplectic and the momentum models exact
-    exact_start_substeps: int | None = None
 
     def validate(self) -> None:
         if self.kind not in _ANALYSES:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise SpecError(f"unknown experiment kind {self.kind!r}")
         if self.model not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.model!r}")
+            raise SpecError(f"unknown model {self.model!r}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
-            raise ValueError(f"unimplemented methods {bad}")
+            raise SpecError(f"unimplemented methods {bad}")
+        if not self.hbar > 0:
+            raise SpecError(f"hbar must be positive, got {self.hbar}")
         if not self.times:
-            raise ValueError("spec needs at least one time")
-        if list(self.times) != sorted(self.times):
-            raise ValueError("times must be sorted ascending")
+            raise SpecError("spec needs at least one time")
+        if not (self.times[0] >= 0 and list(self.times) == sorted(self.times)):
+            raise SpecError("times must be >= 0 and sorted ascending")
         if not self.cases:
-            raise ValueError("spec needs at least one case")
+            raise SpecError("spec needs at least one case")
         labels = [c.label for c in self.cases]
         if len(set(labels)) != len(labels):
-            raise ValueError("case labels must be unique")
+            raise SpecError("case labels must be unique")
+        if self.kind == "slope-sweep" and all(c.slope != 0.0 for c in self.cases):
+            raise SpecError("slope sweep needs a slope-zero reference case")
 
     def params(self) -> dict:
         return dict(self.model_params)
@@ -189,7 +190,6 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
         "methods": list(spec.methods),
         "cases": [{"label": c.label, "slope": c.slope,
                    "center": list(c.center)} for c in spec.cases],
-        "exact_start_substeps": spec.exact_start_substeps,
     }
 
 
@@ -226,8 +226,7 @@ def _exact_by_center(spec, model, record):
             continue
         psi0 = initial_coherent_state(spec.grid, spec.hbar, key)
         t0 = time.perf_counter()
-        res = exact_state(model, psi0, spec.times[-1], sample_times=spec.times,
-                          substeps=spec.exact_start_substeps)
+        res = exact_state(model, psi0, spec.times[-1], sample_times=spec.times)
         record[f"exact@{case.label}"] = time.perf_counter() - t0
         states[key] = res
     return states
@@ -329,8 +328,7 @@ def _run_barrier_sweep(spec, model, outdir, record):
         t0 = time.perf_counter()
         with _stage(f"reference {case.label}"):
             res = exact_state(model, psi0, spec.times[-1],
-                              sample_times=spec.times[:-1],
-                              substeps=spec.exact_start_substeps)
+                              sample_times=spec.times[:-1])
         record[f"exact@{case.label}"] = time.perf_counter() - t0
         series = [(float(t), res.samples[float(t)]) for t in spec.times[:-1]]
         series.append((float(spec.times[-1]), res.state))
@@ -376,8 +374,7 @@ def _run_backward_profiles(spec, model, outdir, record):
 
     t0 = time.perf_counter()
     with _stage("reference"):
-        ref = exact_state(model, psi0, spec.times[-1], sample_times=spec.times,
-                          substeps=spec.exact_start_substeps)
+        ref = exact_state(model, psi0, spec.times[-1], sample_times=spec.times)
     record["exact"] = time.perf_counter() - t0
 
     fid_rows = []
@@ -457,8 +454,6 @@ def _run_slope_sweep(spec, model, outdir, record):
     base = load_baselines().get("kicked_harmonic", {})
     t_final = spec.times[-1]
     reference_case = [c for c in spec.cases if c.slope == 0.0]
-    if not reference_case:
-        raise ValueError("slope sweep needs a slope-zero reference case")
 
     with _stage("reference"):
         exact = _exact_by_center(spec, model, record)
@@ -671,45 +666,50 @@ def load_spec_file(path) -> ExperimentSpec:
     """Read an ExperimentSpec from a key = value config file.
 
     Sections: [experiment] with name, kind, model, hbar, times, grid,
-    methods and optional outdir / exact_start_substeps; optional [model]
-    with numeric model parameters; one [case NAME] section per case with
-    p0, q0 and either slope or theta_over_halfpi.
+    methods and optional outdir; optional [model] with numeric model
+    parameters; one [case NAME] section per case with p0, q0 and either
+    slope or theta_over_halfpi.  A file that cannot be read raises
+    SpecNotFoundError; any other defect raises SpecError.
     """
-    cp = ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(f"cannot read config {path!r}")
-    if "experiment" not in cp:
-        raise ValueError("config needs an [experiment] section")
-    exp = cp["experiment"]
-    lo, hi, n = [s.strip() for s in exp["grid"].split(",")]
-    cases = []
-    for section in cp.sections():
-        if not section.startswith("case "):
-            continue
-        sec = cp[section]
-        label = section[len("case "):].strip()
-        if "theta_over_halfpi" in sec:
-            slope = math.tan(sec.getfloat("theta_over_halfpi") * math.pi / 2.0)
-        else:
-            slope = sec.getfloat("slope", 0.0)
-        cases.append(Case(label, slope,
-                          (sec.getfloat("p0", 0.0), sec.getfloat("q0", 0.0))))
-    params = ()
-    if "model" in cp:
-        params = tuple(sorted((k, float(v)) for k, v in cp["model"].items()))
-    spec = ExperimentSpec(
-        name=exp["name"],
-        kind=exp["kind"],
-        model=exp["model"],
-        model_params=params,
-        hbar=exp.getfloat("hbar"),
-        times=tuple(float(s) for s in exp["times"].split(",")),
-        grid=GridSpec(float(lo), float(hi), int(n)),
-        methods=tuple(s.strip() for s in exp.get("methods", "extwkb, exact").split(",")),
-        cases=tuple(cases),
-        outdir=exp.get("outdir", None),
-        exact_start_substeps=exp.getint("exact_start_substeps", None),
-    )
+    cp = configparser.ConfigParser()
+    try:
+        if not cp.read(path):
+            raise SpecNotFoundError(f"cannot read config {str(path)!r}")
+        if "experiment" not in cp:
+            raise SpecError("config needs an [experiment] section")
+        exp = cp["experiment"]
+        lo, hi, n = [s.strip() for s in exp["grid"].split(",")]
+        cases = []
+        for section in cp.sections():
+            if not section.startswith("case "):
+                continue
+            sec = cp[section]
+            label = section[len("case "):].strip()
+            if "theta_over_halfpi" in sec:
+                slope = math.tan(sec.getfloat("theta_over_halfpi") * math.pi / 2.0)
+            else:
+                slope = sec.getfloat("slope", 0.0)
+            cases.append(Case(label, slope,
+                              (sec.getfloat("p0", 0.0), sec.getfloat("q0", 0.0))))
+        params = ()
+        if "model" in cp:
+            params = tuple(sorted((k, float(v)) for k, v in cp["model"].items()))
+        spec = ExperimentSpec(
+            name=exp["name"],
+            kind=exp["kind"],
+            model=exp["model"],
+            model_params=params,
+            hbar=float(exp["hbar"]),
+            times=tuple(float(s) for s in exp["times"].split(",")),
+            grid=GridSpec(float(lo), float(hi), int(n)),
+            methods=tuple(s.strip() for s in exp.get("methods", "extwkb, exact").split(",")),
+            cases=tuple(cases),
+            outdir=exp.get("outdir", None),
+        )
+    except SpecError:
+        raise
+    except (configparser.Error, KeyError, ValueError) as exc:
+        what = f"no key {exc}" if isinstance(exc, KeyError) else " ".join(str(exc).split())
+        raise SpecError(f"config {str(path)!r}: {what}") from None
     spec.validate()
     return spec

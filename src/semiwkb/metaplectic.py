@@ -32,7 +32,6 @@ from .dynamics import flow, kick_times
 from .grids import GridSpec, WaveFunction, hbar_fourier_transform, spectral_edge_fraction
 from .hamiltonians import KickedHarmonic, PhasePoint, QuadraticPhase
 from .transport import (
-    TransportMap,
     evolved_phase,
     refined_transport_map,
     transport_operator,
@@ -50,7 +49,6 @@ __all__ = [
     "dispersed_gaussian",
     "apply_L",
     "apply_L_adjoint",
-    "accumulate_kernel",
     "center_kernel",
     "apply_metaplectic",
     "mass_quantile_window",
@@ -211,18 +209,6 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float, *,
     return total
 
 
-def accumulate_kernel(tmap: TransportMap, q: float, t: float,
-                      quadrature_dt: float = 0.25, *,
-                      hbar: float = math.nan) -> MetaplecticKernel:
-    """Kernel for the map's initial data, caustic-guarded by the map itself."""
-    bundle = tmap.bundle
-    w_lo, w_hi = tmap.seed_window
-    if not w_lo <= q <= w_hi:
-        raise ValueError(f"q={q} lies outside the seeded window [{w_lo}, {w_hi}]")
-    c_t = center_kernel(bundle.model, bundle.phase0, q, t, quadrature_dt=quadrature_dt)
-    return MetaplecticKernel(c_t, q, hbar)
-
-
 def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
     """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar))."""
     if not math.isnan(kernel.hbar) and not math.isclose(kernel.hbar, amplitude.hbar,
@@ -300,8 +286,8 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
                            t: float, grid: GridSpec, *, window=None,
                            n_seeds: int = 65, oversample: int = 8,
                            quadrature_dt: float = 0.25, refine_tol: float = 1e-8,
-                           deficit_tol: float = 1e-10, side: str = "minus",
-                           flow_method: str = "auto") -> PropagationResult:
+                           deficit_tol: float = 1e-10,
+                           side: str = "minus") -> PropagationResult:
     """Full pipeline: scale, dispersion-correct, transport, rephase.
 
     Returns the state together with the diagnostics the scheme is obliged
@@ -325,8 +311,7 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
         if deficit <= deficit_tol:
             tmap = refined_transport_map(model, phase0, win, [t], dispersed,
                                          n_seeds=n_seeds, tol=refine_tol,
-                                         oversample=oversample, side=side,
-                                         method=flow_method)
+                                         oversample=oversample, side=side)
             break
         if window is not None or attempt == 2:
             raise BoundaryMassError(
@@ -445,8 +430,7 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
                       t: float, grid: GridSpec, psi_exact: WaveFunction, *,
                       window=None, n_seeds: int = 65, oversample: int = 8,
                       quadrature_dt: float = 0.25, refine_tol: float = 1e-8,
-                      side: str = "minus",
-                      flow_method: str = "auto") -> BackwardTestResult:
+                      side: str = "minus") -> BackwardTestResult:
     """Undo transport and phase on an exactly propagated state and compare
     the surviving profile with the dispersion-corrected initial profile.
 
@@ -462,8 +446,7 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     win = window if window is not None else mass_quantile_window(dispersed)
     tmap = refined_transport_map(model, phase0, win, [t], dispersed,
                                  n_seeds=n_seeds, tol=refine_tol,
-                                 oversample=oversample, side=side,
-                                 method=flow_method)
+                                 oversample=oversample, side=side)
 
     x = grid.x
     img_lo, img_hi = tmap.image_interval(t)

@@ -191,3 +191,41 @@ def test_side_plus_at_fractional_time_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error:") and "--side plus" in err
     assert "Traceback" not in err
+
+
+SPEC_CONFIG = """\
+[experiment]
+name = cli-spec
+kind = exactness
+model = free
+hbar = 0.05
+times = 0.5
+grid = -6, 6, 1024
+
+[case flat]
+p0 = 0.4
+"""
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace("1024", "1000"), "power of two"),
+    (lambda text: text.replace("exactness", "sideways"), "unknown experiment kind"),
+    (lambda text: text.replace("[experiment]", "[experiments]"), "[experiment] section"),
+    (None, "cannot read config"),
+], ids=["grid-count", "kind", "no-experiment-section", "missing-file"])
+def test_run_config_errors_exit_2(tmp_path, capsys, edit, message):
+    cfg = tmp_path / "spec.ini"
+    if edit is not None:
+        cfg.write_text(edit(SPEC_CONFIG))
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_run_config_runs(tmp_path, capsys):
+    cfg = tmp_path / "spec.ini"
+    cfg.write_text(SPEC_CONFIG)
+    code, out, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    assert "cli-spec" in out

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.errors import BandwidthError
+from semiwkb.errors import BandwidthError, SemiwkbError
 from semiwkb.experiments import (
     Case,
     ExperimentSpec,
+    MODEL_NAMES,
     OUTDIR_ENV,
     builtin_specs,
     get_builtin_spec,
@@ -76,7 +78,6 @@ hbar = 0.01
 times = 0.5, 1.0
 grid = -10, 14, 4096
 methods = extwkb, exact
-exact_start_substeps = 64
 
 [model]
 epsilon = 0.25
@@ -98,7 +99,6 @@ theta_over_halfpi = 0.5
     assert spec.times == (0.5, 1.0)
     assert spec.grid == sw.GridSpec(-10.0, 14.0, 4096)
     assert spec.methods == ("extwkb", "exact")
-    assert spec.exact_start_substeps == 64
     labels = {c.label: c for c in spec.cases}
     assert labels["flat"].slope == 0.0
     assert labels["flat"].center == (1.0, 0.0)
@@ -112,6 +112,78 @@ def test_load_spec_file_rejections(tmp_path):
     bare.write_text("[model]\nepsilon = 0.1\n")
     with pytest.raises(ValueError, match="experiment"):
         load_spec_file(bare)
+
+
+VALID_CONFIG = {
+    "experiment": {"name": "demo", "kind": "exactness", "model": "quartic",
+                   "hbar": "0.01", "times": "0.5, 1.0", "grid": "-10, 14, 4096"},
+    "model": {"epsilon": "0.25"},
+    "case flat": {"p0": "1.0", "q0": "0.0"},
+}
+BAD_VALUES = {
+    "hbar": ["-0.01", "0", "nan", "small", "", "5%"],
+    "times": ["1.0, 0.5", "-1.0, 1.0", "", "soon"],
+    "grid": ["-10, 14, 4000", "14, -10, 4096", "-10, 14", "-10, 14, 4096.0", "a, b, c"],
+    "methods": ["extwkb, variational"],
+}
+
+
+def _config_text(sections, extra=""):
+    lines = []
+    for name, keys in sections.items():
+        lines.append(f"[{name}]")
+        lines.extend(f"{k} = {v}" for k, v in keys.items())
+    return "\n".join(lines) + "\n" + extra
+
+
+def _with(section, key, value):
+    sections = {name: dict(keys) for name, keys in VALID_CONFIG.items()}
+    if value is None:
+        del sections[section][key]
+    else:
+        sections[section][key] = value
+    return _config_text(sections)
+
+
+_word = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12)
+MALFORMED_CONFIGS = st.one_of(
+    st.sampled_from(["name", "kind", "model", "hbar", "times", "grid"]).map(
+        lambda key: _with("experiment", key, None)),
+    st.sampled_from(sorted(BAD_VALUES)).flatmap(
+        lambda key: st.sampled_from(BAD_VALUES[key]).map(
+            lambda v: _with("experiment", key, v))),
+    _word.filter(lambda w: w not in ("exactness", "barrier-sweep", "backward-profiles",
+                                     "slope-sweep", "lyapunov")).map(
+        lambda w: _with("experiment", "kind", w)),
+    _word.filter(lambda w: w not in MODEL_NAMES).map(
+        lambda w: _with("experiment", "model", w)),
+    st.sampled_from(["p0", "q0", "slope", "theta_over_halfpi"]).map(
+        lambda key: _with("case flat", key, "far")),
+    st.just(_with("model", "epsilon", "tiny")),
+    st.just(_config_text({k: v for k, v in VALID_CONFIG.items() if k != "experiment"})),
+    _word.map(lambda w: _config_text(VALID_CONFIG, extra=f"{w}\n")),
+    st.just(_config_text(VALID_CONFIG, extra="[case flat]\np0 = 0.5\n")),
+    st.just("name = demo\n" + _config_text(VALID_CONFIG)),
+    st.just(_with("experiment", "kind", "slope-sweep").replace("[case flat]",
+                                                               "[case flat]\nslope = 0.5")),
+)
+
+
+def test_valid_config_text_loads(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_config_text(VALID_CONFIG))
+    assert load_spec_file(cfg).grid == sw.GridSpec(-10.0, 14.0, 4096)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(MALFORMED_CONFIGS)
+def test_malformed_config_raises_semiwkb_error(tmp_path_factory, text):
+    cfg = tmp_path_factory.mktemp("spec") / "exp.ini"
+    cfg.write_text(text)
+    with pytest.raises(SemiwkbError) as info:
+        load_spec_file(cfg)
+    assert isinstance(info.value, ValueError)
+    assert "\n" not in str(info.value)
 
 
 def test_resolve_outdir_precedence(tmp_path, monkeypatch):

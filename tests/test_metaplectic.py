@@ -10,7 +10,6 @@ from semiwkb.errors import BandwidthError, BoundaryMassError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 from semiwkb.metaplectic import (
     MetaplecticKernel,
-    accumulate_kernel,
     apply_L,
     apply_L_adjoint,
     apply_metaplectic,
@@ -23,7 +22,6 @@ from semiwkb.metaplectic import (
     propagate_extended_wkb,
     propagate_thawed_gaussian,
 )
-from semiwkb.transport import build_transport_map
 
 HBAR = 0.05
 GRID = sw.GridSpec(-8.0, 8.0, 2048)
@@ -152,17 +150,6 @@ def test_kicked_kernel_saturates():
     increments = np.diff([got[t] for t in sorted(got)])
     assert np.all(increments > 0)
     assert np.all(increments[1:] / increments[:-1] < 0.3)
-
-
-def test_accumulate_kernel_uses_map_window():
-    model = sw.ParabolicBarrier(1.0)
-    ph = QuadraticPhase(0.0, 0.0, 0.0)
-    tmap = build_transport_map(model, ph, (-1.0, 1.0), 65, [1.5])
-    kernel = accumulate_kernel(tmap, 0.0, 1.5, hbar=HBAR)
-    assert kernel.c_t == pytest.approx(center_kernel(model, ph, 0.0, 1.5), abs=1e-10)
-    assert kernel.hbar == HBAR
-    with pytest.raises(ValueError):
-        accumulate_kernel(tmap, 1.5, 1.5)
 
 
 def test_mass_quantile_window_properties():

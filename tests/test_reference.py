@@ -1,26 +1,22 @@
 """Reference propagation: the metaplectic shear path against the
-split-operator ladder, unitarity, convergence orders, scheduling, guard
-rails, and quantum-classical qualification checks."""
+split-operator ladder, the shared stop schedule, unitarity, convergence
+order, guard rails, and quantum-classical qualification checks."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.errors import (BandwidthError, BoundaryMassError, GridMismatchError,
-                            StepSizeError)
+from semiwkb.errors import BandwidthError, BoundaryMassError, StepSizeError
 from semiwkb.metaplectic import propagate_thawed_gaussian
 from semiwkb.reference import (
-    PropagationConfig,
     aliasing_limit,
-    kho_evolve,
-    kho_step,
     metaplectic_evolve,
     momentum_evolve,
     split_operator_evolve,
-    split_operator_step,
 )
-from semiwkb.reference import _kick_multiplier
+from semiwkb.reference import _W0
 
 from conftest import KHO_GRID, KHO_HBAR, l2_distance
 
@@ -30,12 +26,16 @@ QUARTIC = dict(
     h_prime=lambda p: p + 0.4 * p ** 3,
     h_double_prime=lambda p: 1.0 + 1.2 * p ** 2,
 )
+# a non-linear flow, so exact_state runs it on the split-operator ladder
+ANHARMONIC = sw.StandardPotential(
+    lambda q: 0.5 * q ** 2 + 0.25 * q ** 4, lambda q: q + q ** 3,
+    lambda q: 1.0 + 3.0 * q ** 2)
 
 
 def test_split_step_is_unitary():
     grid = sw.GridSpec(-8.0, 8.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.1))
-    out = split_operator_step(sw.ParabolicBarrier(1.0), psi, 1e-3)
+    out, _ = split_operator_evolve(sw.ParabolicBarrier(1.0), psi, 1e-3, n_substeps=1)
     assert abs(out.norm - psi.norm) < 1e-12
 
 
@@ -43,31 +43,23 @@ def test_free_split_equals_momentum_multiplier():
     # with zero potential the splitting is exact at any step size
     grid = sw.GridSpec(-8.0, 8.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.6, -0.2))
-    split = split_operator_evolve(sw.FreeParticle(), psi, 0.9, n_substeps=128)
+    split, _ = split_operator_evolve(sw.FreeParticle(), psi, 0.9, n_substeps=128)
     direct = momentum_evolve(sw.FreeParticle(), psi, 0.9)
     assert l2_distance(split, direct) < 1e-12
 
 
-@pytest.mark.parametrize("order,rate,window", [(2, 4.0, 0.4), (4, 16.0, 1.0)])
-def test_splitting_convergence_order(order, rate, window):
+def test_splitting_convergence_order():
     # the thawed Gaussian is exact for the quadratic barrier, giving an
-    # independent reference for the step-doubling error ratio
+    # independent reference for the step-doubling error ratio (order 4: 16)
     model = sw.ParabolicBarrier(1.0)
     grid = sw.GridSpec(-8.0, 8.0, 256)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
     ref = propagate_thawed_gaussian(model, sw.PhasePoint(0.2, 0.2), 1j, HBAR,
                                     0.5, grid).state
-    errs = [l2_distance(split_operator_evolve(model, psi0, 0.5, n_substeps=n, order=order),
-                        ref) for n in (32, 64, 128)]
+    errs = [l2_distance(split_operator_evolve(model, psi0, 0.5, n_substeps=n)[0], ref)
+            for n in (32, 64, 128)]
     for a, b in zip(errs, errs[1:]):
-        assert a / b == pytest.approx(rate, abs=window)
-
-
-def test_split_rejects_unknown_order():
-    grid = sw.GridSpec(-8.0, 8.0, 256)
-    psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        split_operator_evolve(sw.ParabolicBarrier(1.0), psi, 0.5, n_substeps=64, order=3)
+        assert a / b == pytest.approx(16.0, abs=1.0)
 
 
 def test_harmonic_recurrence_after_one_period():
@@ -128,9 +120,9 @@ def test_shear_barrier_matches_yoshida_ladder():
     assert ex.diagnostics["method"] == "metaplectic-shear"
     assert ex.substeps is None
     assert ex.ladder_delta < 1e-12
-    ladder = {t: split_operator_evolve(model, psi0, t, n_substeps=int(2048 * t),
-                                       order=4) for t in (0.5, 1.0)}
-    assert l2_distance(ex.state, ladder[1.0]) < 1e-9
+    final, ladder = split_operator_evolve(model, psi0, 1.0, n_substeps=2048,
+                                          sample_times=(0.5,))
+    assert l2_distance(ex.state, final) < 1e-9
     assert l2_distance(ex.samples[0.5], ladder[0.5]) < 1e-9
 
 
@@ -141,12 +133,14 @@ def test_shear_kicked_oscillator_matches_yoshida_ladder():
     ex = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.5, sample_times=times)
     assert ex.diagnostics["method"] == "metaplectic-shear"
     assert ex.ladder_delta < 1e-12
-    final, ladder = kho_evolve(2.0, psi0, 2.5, 2048, sample_times=times, order=4)
+    final, ladder = split_operator_evolve(sw.KickedHarmonic(2.0), psi0, 2.5,
+                                          n_substeps=5120, sample_times=times)
     assert l2_distance(ex.state, final) < 1e-9
     for t in times:
         assert l2_distance(ex.samples[t], ladder[t]) < 1e-9
     plus = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.0, side="plus")
-    final, _ = kho_evolve(2.0, psi0, 2.0, 2048, side="plus", order=4)
+    final, _ = split_operator_evolve(sw.KickedHarmonic(2.0), psi0, 2.0,
+                                     n_substeps=4096, side="plus")
     assert l2_distance(plus.state, final) < 1e-9
 
 
@@ -191,11 +185,12 @@ def test_chirp_guard_sees_a_spectrum_straddling_nyquist():
 
 
 def test_exact_state_ladder_reports_failure():
-    model = sw.ParabolicBarrier(1.0)
+    # both certificates refuse a gap they cannot bring under tol
     grid = sw.GridSpec(-8.0, 8.0, 256)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
-    with pytest.raises(StepSizeError):
-        sw.exact_state(model, psi0, 0.5, tol=0.0, max_doublings=1)
+    for model in (sw.ParabolicBarrier(1.0), ANHARMONIC):
+        with pytest.raises(StepSizeError):
+            sw.exact_state(model, psi0, 0.5, tol=0.0, max_doublings=1)
 
 
 def test_aliasing_guard():
@@ -205,58 +200,145 @@ def test_aliasing_guard():
     nyq = grid.nyquist_momentum(HBAR)
     assert limit == pytest.approx(math.pi * HBAR / (0.5 * nyq ** 2), rel=1e-12)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
+    # the longest kinetic sub-step of a Yoshida step is |w0| dt
+    coarsest = int(abs(_W0) / limit)
     with pytest.raises(StepSizeError):
-        split_operator_step(model, psi, 2.0 * limit)
-    cfg = PropagationConfig(grid, HBAR, n_substeps_per_unit=int(0.5 / limit))
+        split_operator_evolve(model, psi, 1.0, n_substeps=coarsest)
     with pytest.raises(StepSizeError):
-        cfg.validate(model)
-    PropagationConfig(grid, HBAR, n_substeps_per_unit=2 * int(1.0 / limit)).validate(model)
+        split_operator_evolve(model, psi, 2.0, n_substeps=2 * coarsest,
+                              sample_times=(1.0,))
+    split_operator_evolve(model, psi, 1.0, n_substeps=coarsest + 1)
+    with pytest.raises(ValueError):
+        split_operator_evolve(model, psi, 1.0, n_substeps=0)
 
 
-def test_propagation_config_rejections():
-    grid = sw.GridSpec(-8.0, 8.0, 256)
-    with pytest.raises(ValueError):
-        PropagationConfig(grid, -1.0, 100)
-    with pytest.raises(ValueError):
-        PropagationConfig(grid, HBAR, 0)
-    cfg = PropagationConfig(grid, HBAR, 100)
-    edgy = sw.initial_coherent_state(grid, HBAR, (0.0, -7.9))
-    with pytest.raises(BoundaryMassError):
-        cfg.check_state(edgy)
+def _steppers(per_unit):
+    """The two segment propagators on the shared stop schedule, the ladder
+    at per_unit steps per unit time."""
+    return (lambda model, psi, t, **kw: metaplectic_evolve(model, psi, t, **kw),
+            lambda model, psi, t, **kw: split_operator_evolve(
+                model, psi, t, n_substeps=max(1, round(per_unit * t)), **kw))
+
+
+STEPPERS = _steppers(1024)  # under the aliasing limit of [-4, 4] / 512
 
 
 def test_kicked_schedule_boundary_mass_guard():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     edgy = sw.initial_coherent_state(grid, HBAR, (0.0, 3.9))
-    with pytest.raises(BoundaryMassError):
-        kho_evolve(2.0, edgy, 1.0, 1024)
+    rim = sw.initial_coherent_state(grid, HBAR, (3.9, 0.0))  # swings to q = 3.9 sin t
+    for evolve in STEPPERS:
+        for kw in ({}, {"sample_times": (0.5,)}):
+            with pytest.raises(BoundaryMassError):
+                evolve(sw.KickedHarmonic(2.0), edgy, 1.0, **kw)
+        # the first stop that finds the swinging packet at the rim refuses:
+        # a sample time, a kick, the end time
+        for samples, t, stop in (((0.3, 0.9), 2.0, "t=0.9 "), ((0.3,), 2.0, "t=1 "),
+                                 ((0.3,), 0.9, "t=0.9 ")):
+            with pytest.raises(BoundaryMassError, match=stop):
+                evolve(sw.KickedHarmonic(0.0), rim, t, sample_times=samples)
 
 
 def test_kho_step_reduces_to_harmonic_without_kick():
+    # at k = 0 the kicks are identity multipliers, so one period on the
+    # kick schedule is one period of the plain harmonic well
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.2))
-    stepped = kho_step(0.0, psi, 1024)
-    plain = split_operator_evolve(sw.KickedHarmonic(0.0), psi, 1.0, n_substeps=1024)
-    assert l2_distance(stepped, plain) == 0.0
+    harmonic = sw.StandardPotential(
+        lambda q: 0.5 * q ** 2, lambda q: np.asarray(q, dtype=float),
+        lambda q: np.ones_like(np.asarray(q, dtype=float)))
+    stepped, _ = split_operator_evolve(sw.KickedHarmonic(0.0), psi, 1.0,
+                                       n_substeps=1024, side="plus")
+    plain, _ = split_operator_evolve(harmonic, psi, 1.0, n_substeps=1024)
+    assert l2_distance(stepped, plain) < 1e-14
     assert abs(stepped.norm - psi.norm) < 1e-10
 
 
 def test_post_kick_state_is_kicked_pre_kick_state():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    minus, _ = kho_evolve(2.0, psi, 1.0, 1024, side="minus")
-    plus, _ = kho_evolve(2.0, psi, 1.0, 1024, side="plus")
-    kicked = minus.values * _kick_multiplier(2.0, grid, HBAR)
-    assert np.max(np.abs(plus.values - kicked)) == 0.0
+    for evolve in STEPPERS:
+        minus, _ = evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="minus")
+        plus, _ = evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="plus")
+        kicked = minus.values * np.exp(-2.0j * np.cos(grid.x) / HBAR)
+        assert np.max(np.abs(plus.values - kicked)) < 1e-14
 
 
 def test_kho_sample_time_validation():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        kho_evolve(2.0, psi, 2.0, 1024, sample_times=(1.5,))
-    with pytest.raises(ValueError):
-        kho_evolve(2.0, psi, 2.0, 1024, sample_times=(3.0,))
+    for evolve in STEPPERS:
+        for bad in ((3.0,), (-0.5,), (1.0, 2.5)):
+            with pytest.raises(ValueError, match="outside"):
+                evolve(sw.KickedHarmonic(2.0), psi, 2.0, sample_times=bad)
+        with pytest.raises(ValueError):
+            evolve(sw.KickedHarmonic(2.0), psi, -1.0)
+
+
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+WALK_GRID = sw.GridSpec(-8.0, 8.0, 512)
+WALK_STEPPERS = _steppers(256)
+# model, start and end time, short enough for one-piece segments
+WALK_STARTS = {"kicked": (sw.KickedHarmonic(2.0), (0.2, 0.5), 2.5),
+               "barrier": (sw.ParabolicBarrier(1.0), (0.2, 0.2), 1.0)}
+KICKS = st.sampled_from([0.0, 0.7, 2.0])
+
+
+@PROPERTY
+@example("kicked", [0.4 + 4e-12])  # just past the kick at 1: still before it
+@given(st.sampled_from(sorted(WALK_STARTS)),
+       st.lists(st.one_of(st.sampled_from([0.0, 0.4, 0.8, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4))
+def test_one_pass_shear_samples_match_fresh_runs(name, fractions):
+    # fractions 0.4 and 0.8 of the kicked run are the kicks at 1 and 2; a
+    # sample taken there before the kick is the end state of a fresh run
+    model, center, t = WALK_STARTS[name]
+    times = [f * t for f in fractions]
+    psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, center)
+    _, samples = metaplectic_evolve(model, psi0, t, splits=2, sample_times=times)
+    for s in times:
+        fresh, _ = metaplectic_evolve(model, psi0, s, splits=2)
+        assert l2_distance(samples[s], fresh) < 1e-12
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 128), min_size=1, max_size=4))
+def test_one_pass_ladder_samples_match_fresh_runs(steps):
+    # stops on the step lattice of 128 steps over [0, 1] leave every step
+    # unchanged, so a sample is the fresh run with that many steps
+    grid = sw.GridSpec(-6.0, 6.0, 256)
+    psi0 = sw.initial_coherent_state(grid, HBAR, (0.3, 0.4))
+    times = [k / 128 for k in steps]
+    _, samples = split_operator_evolve(ANHARMONIC, psi0, 1.0, n_substeps=128,
+                                       sample_times=times)
+    for k, s in zip(steps, times):
+        fresh, _ = split_operator_evolve(ANHARMONIC, psi0, s, n_substeps=max(k, 1))
+        assert l2_distance(samples[s], fresh) < 1e-12
+
+
+@PROPERTY
+@given(KICKS, st.floats(0.0, 2.0))
+def test_steppers_are_unitary(k, t):
+    psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
+    for model, end in ((sw.KickedHarmonic(k), t), (sw.ParabolicBarrier(1.0), 0.4 * t)):
+        for evolve in WALK_STEPPERS:
+            final, _ = evolve(model, psi0, end, sample_times=(0.5 * end,))
+            assert abs(final.norm - psi0.norm) < 1e-12
+    final, _ = WALK_STEPPERS[1](ANHARMONIC, psi0, t)
+    assert abs(final.norm - psi0.norm) < 1e-12
+
+
+@PROPERTY
+@given(KICKS, st.integers(0, 3))
+def test_side_plus_is_the_kicked_minus_state(k, t):
+    psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
+    kick = np.exp(-1j * k * np.cos(WALK_GRID.x) / HBAR)
+    for evolve in WALK_STEPPERS:
+        minus, _ = evolve(sw.KickedHarmonic(k), psi0, t)
+        plus, samples = evolve(sw.KickedHarmonic(k), psi0, t, side="plus",
+                               sample_times=(t,))
+        assert np.max(np.abs(plus.values - minus.values * kick)) < 1e-13
+        assert samples[t] is plus
 
 
 def test_reference_is_grid_converged():
@@ -278,10 +360,6 @@ def test_fidelity_helpers():
     a = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
     b = sw.WaveFunction(grid, a.values * np.exp(1j * 0.7), HBAR)
     assert sw.fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
-    series = sw.fidelity_series([a, b], [b, a])
-    assert series == [pytest.approx(1.0, abs=1e-12)] * 2
-    with pytest.raises(GridMismatchError):
-        sw.fidelity_series([a], [a, b])
 
 
 def test_expectation_values_of_coherent_state():
