@@ -21,6 +21,7 @@ __all__ = [
     "ConvergenceError",
     "StepSizeError",
     "UnsupportedOracleError",
+    "InvalidInputError",
     "SpecError",
     "SpecNotFoundError",
 ]
@@ -87,6 +88,10 @@ class StepSizeError(SemiwkbError):
 
 class UnsupportedOracleError(SemiwkbError):
     """No closed form is available for the requested model/quantity pair."""
+
+
+class InvalidInputError(SemiwkbError, ValueError):
+    """An argument lies outside the domain the computation accepts."""
 
 
 class SpecError(SemiwkbError, ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import BandwidthError, GridMismatchError
+from .errors import BandwidthError, GridMismatchError, InvalidInputError
 
 __all__ = [
     "GridSpec",
@@ -64,9 +64,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
-            raise ValueError(f"empty domain [{self.x_min}, {self.x_max}]")
+            raise InvalidInputError(f"empty domain [{self.x_min}, {self.x_max}]")
         if not _is_power_of_two(self.n_points):
-            raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
+            raise InvalidInputError(f"n_points must be a power of two >= 2, got {self.n_points}")
 
     @property
     def length(self) -> float:

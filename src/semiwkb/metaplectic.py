@@ -7,7 +7,9 @@ The scheme factors the propagated state as
 where L_q rescales a smooth profile to width sqrt(hbar) around q, M_q(t)
 is a unitary Fourier multiplier exp(-i C_t xi^2 / (2 hbar)) with C_t the
 time-accumulated inverse-square map derivative along the center trajectory,
-and T(t) transports along the manifold map.  M_q is applied before T(t);
+and T(t) transports along the manifold map.  C_t has the closed form
+M_qp(t) / dphi(t) in the tangent flow M, valid on a path that is certified
+free of caustics (see center_kernel).  M_q is applied before T(t);
 the commuted variant is deliberately not offered.
 
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
@@ -21,23 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BandwidthError,
-    BoundaryMassError,
-    BranchError,
-    CausticError,
-    ConvergenceError,
-)
-from .dynamics import flow, kick_times
+from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
+                     InvalidInputError)
+from .dynamics import flow, flow_bundle, kick_times
 from .grids import GridSpec, WaveFunction, hbar_fourier_transform, spectral_edge_fraction
-from .hamiltonians import KickedHarmonic, PhasePoint, QuadraticPhase
-from .transport import (
-    evolved_phase,
-    refined_transport_map,
-    transport_operator,
-    transport_operator_adjoint,
-    window_mass_deficit,
-)
+from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
+                           ParabolicBarrier, PhasePoint, QuadraticPhase)
+from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
+                        transport_operator_adjoint, window_mass_deficit)
 
 __all__ = [
     "ScaledAmplitude",
@@ -115,9 +108,9 @@ class MetaplecticKernel:
 
     def __post_init__(self):
         if self.c_t < -1e-12:
-            raise ValueError(f"accumulated kernel must be nonnegative, got {self.c_t}")
+            raise InvalidInputError(f"accumulated kernel must be nonnegative, got {self.c_t}")
         if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+            raise InvalidInputError("hbar must be positive")
 
 
 def _check_resolution(grid: GridSpec, hbar: float) -> None:
@@ -143,70 +136,69 @@ def apply_L_adjoint(amplitude: WaveFunction, q: float, hbar: float) -> ScaledAmp
     return ScaledAmplitude(u, hbar**0.25 * amplitude.values.copy(), q, hbar)
 
 
-def _kernel_integrand(model, phase0: QuadraticPhase, q: float):
-    p0 = float(phase0.grad(q))
-    alpha = phase0.alpha
-    start = PhasePoint(p0, q)
-
-    def integrand(s: float) -> float:
-        fr = flow(model, start, s)
-        dphi = fr.tangent[1, 0] * alpha + fr.tangent[1, 1]
-        if dphi < 1e-6:
-            raise CausticError(s, q)
-        hpp = float(model.hess(fr.end_point.p, fr.end_point.q)[0, 0])
-        return hpp / dphi**2
-
-    return integrand
+# Hessian constant on each kick-free piece of a path; others flow by RK4
+_CONSTANT_HESSIAN = (FreeParticle, IntegrableMomentum, ParabolicBarrier, KickedHarmonic)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth <= 0:
-            raise ConvergenceError("adaptive Simpson recursion exhausted")
-        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, max_depth)
+def _interior_minimum(f: float, g: float, kappa: float, length: float):
+    """(value, time) of a minimum inside (0, length) of y'' = -kappa*y with
+    y(0) = f, y'(0) = g, or None.  Only kappa < 0 can hide one from the end
+    checks: y is linear for kappa = 0, and for kappa > 0 (the kicked
+    oscillator, kappa = 1) an interior minimum lies inside a negative
+    stretch of length pi, which a piece of length <= 1 cannot contain."""
+    lam = math.sqrt(max(-kappa, 0.0))
+    if lam == 0.0 or abs(g) >= lam * f:
+        return None
+    r = g / (lam * f)
+    s = math.atanh(-r) / lam
+    return (f * math.sqrt(1.0 - r * r), s) if 0.0 < s < length else None
 
 
-def center_kernel(model, phase0: QuadraticPhase, q: float, t: float, *,
-                  quadrature_dt: float = 0.25, tol: float = 1e-9) -> float:
-    """Accumulated kernel along the trajectory seeded at q, by quadrature.
+def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> None:
+    """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t].
 
-    The integrand is H_pp along the trajectory divided by the squared map
-    derivative; it is continuous across kicks (kicks leave the position row
-    of the tangent alone) but kinked there, so integration is split at the
-    kick times.
+    One time series carries w = M (alpha, 1), with dphi = w_q, piece by
+    piece.  Constant-Hessian paths are cut at the integers, where kicks
+    fall; on each piece dphi'' = -det(H) dphi, so its minimum follows
+    exactly from dphi and dphi' = H_pp w_p + H_pq w_q at the piece's end.
+    Other paths are sampled 64 times per unit time.
+    """
+    exact = isinstance(model, _CONSTANT_HESSIAN)
+    if exact:
+        stops = [float(n) for n in kick_times(t) if 0 < n < t] + [t]
+    else:
+        stops = np.linspace(0.0, t, max(1, math.ceil(64 * t)) + 1)[1:]
+    z, w, prev = start, np.array([alpha, 1.0]), 0.0
+    for s in stops:
+        fr = flow(model, z, float(s - prev))
+        z, w = fr.end_point, fr.tangent @ w
+        low, at = w[1], float(s)
+        if exact:  # the piece run backwards from its end
+            h = model.hess(z.p, z.q)
+            dip = _interior_minimum(w[1], -(h[0, 0] * w[0] + h[0, 1] * w[1]),
+                                    h[0, 0] * h[1, 1] - h[0, 1] ** 2, s - prev)
+            if dip is not None:
+                low, at = dip[0], float(s - dip[1])
+        if low < CAUSTIC_THRESHOLD:
+            raise CausticError(at, start.q)
+        prev = s
+
+
+def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
+    """C_t = int_0^t H_pp / dphi(s)^2 ds along the trajectory seeded at q, in
+    closed form: C_t = M_qp(t) / dphi(t), dphi = M_qp alpha + M_qq, from one
+    flow.  With u = M e_p and w = M (alpha, 1), d/ds (u_q / w_q) =
+    H_pp omega(u, w) / w_q^2, and omega(u, w) = 1 is conserved by the tangent
+    flow (Littlejohn, Phys. Rep. 138, 193 (1986)); kicks leave the q row
+    alone.  The integral exists only while dphi stays positive, so the whole
+    path [0, t] is first certified free of caustics.
     """
     if t < 0:
-        raise ValueError("kernel accumulates forward in time")
-    if t == 0:
-        return 0.0
-    f = _kernel_integrand(model, phase0, q)
-    cuts = [0.0]
-    if isinstance(model, KickedHarmonic):
-        cuts.extend(float(n) for n in kick_times(t) if 0.0 < n < t)
-    cuts.append(t)
-    total = 0.0
-    n_panels = sum(max(1, int(math.ceil((b - a) / quadrature_dt)))
-                   for a, b in zip(cuts[:-1], cuts[1:]))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(math.ceil((b - a) / quadrature_dt)))
-        edges = np.linspace(a, b, m + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += _adaptive_simpson(f, float(lo), float(hi), tol / n_panels)
-    return total
+        raise InvalidInputError(f"kernel accumulates forward in time, got t={t}")
+    start = PhasePoint(float(phase0.grad(q)), q)
+    _certify_caustic_free(model, start, phase0.alpha, t)
+    m = flow(model, start, t).tangent
+    return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
 
 
 def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
@@ -239,17 +231,14 @@ def _curvature_gradient_scale(model, phase0: QuadraticPhase, q: float, t: float)
     """max over sampled s of |d/dx (map derivative)^-2| near q, for the
     remainder diagnostic."""
     delta = math.sqrt(1e-7)
-    alpha = phase0.alpha
+    x = np.array([q - delta, q + delta])
     worst = 0.0
     for s in np.linspace(0.0, t, 9)[1:]:
-        vals = []
-        for x in (q - delta, q + delta):
-            fr = flow(model, PhasePoint(float(phase0.grad(x)), x), float(s))
-            dphi = fr.tangent[1, 0] * alpha + fr.tangent[1, 1]
-            if dphi < 1e-6:
-                raise CausticError(float(s), x)
-            vals.append(dphi**-2)
-        worst = max(worst, abs(vals[1] - vals[0]) / (2 * delta))
+        m = flow_bundle(model, phase0.grad(x), x, float(s)).tangent
+        dphi = m[:, 1, 0] * phase0.alpha + m[:, 1, 1]
+        if np.min(dphi) < CAUSTIC_THRESHOLD:
+            raise CausticError(float(s), float(x[np.argmin(dphi)]))
+        worst = max(worst, abs(dphi[1]**-2 - dphi[0]**-2) / (2 * delta))
     return worst
 
 
@@ -285,8 +274,7 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
                            t: float, grid: GridSpec, *, window=None,
                            n_seeds: int = 65, oversample: int = 8,
-                           quadrature_dt: float = 0.25, refine_tol: float = 1e-8,
-                           deficit_tol: float = 1e-10,
+                           refine_tol: float = 1e-8, deficit_tol: float = 1e-10,
                            side: str = "minus") -> PropagationResult:
     """Full pipeline: scale, dispersion-correct, transport, rephase.
 
@@ -297,14 +285,12 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     """
     q = phase0.q0
     a0 = apply_L(profile_a, q, hbar, grid)
-    c_t = center_kernel(model, phase0, q, t, quadrature_dt=quadrature_dt)
-    kernel = MetaplecticKernel(c_t, q, hbar)
-    dispersed = apply_metaplectic(kernel, a0)
+    c_t = center_kernel(model, phase0, q, t)
+    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
 
     win = window if window is not None else mass_quantile_window(dispersed)
-    tmap = None
+    x = grid.x
     for attempt in range(3):
-        x = grid.x
         outside = (x < win[0]) | (x > win[1])
         deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
         deficit /= dispersed.norm_sq
@@ -324,9 +310,7 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
         raise BoundaryMassError(
             f"transported window [{img_lo:.4g}, {img_hi:.4g}] exceeds the grid domain")
 
-    moved = transport_operator(tmap, t, dispersed, oversample=oversample)
-    vals = moved.values.copy()
-    x = grid.x
+    vals = tmap.transported[0].values.copy()
     inside = (x >= img_lo) & (x <= img_hi)
     phases = evolved_phase(tmap, t, x[inside])
     vals[inside] = vals[inside] * np.exp(1j * phases / hbar)
@@ -429,8 +413,7 @@ class BackwardTestResult:
 def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
                       t: float, grid: GridSpec, psi_exact: WaveFunction, *,
                       window=None, n_seeds: int = 65, oversample: int = 8,
-                      quadrature_dt: float = 0.25, refine_tol: float = 1e-8,
-                      side: str = "minus") -> BackwardTestResult:
+                      refine_tol: float = 1e-8, side: str = "minus") -> BackwardTestResult:
     """Undo transport and phase on an exactly propagated state and compare
     the surviving profile with the dispersion-corrected initial profile.
 
@@ -439,9 +422,8 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     """
     q = phase0.q0
     a0 = apply_L(profile_a, q, hbar, grid)
-    c_t = center_kernel(model, phase0, q, t, quadrature_dt=quadrature_dt)
-    kernel = MetaplecticKernel(c_t, q, hbar)
-    dispersed = apply_metaplectic(kernel, a0)
+    c_t = center_kernel(model, phase0, q, t)
+    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
 
     win = window if window is not None else mass_quantile_window(dispersed)
     tmap = refined_transport_map(model, phase0, win, [t], dispersed,

@@ -156,6 +156,7 @@ class TransportMap:
             self._s_center.append(center)
         # populated by refined_transport_map
         self.refinement_residual = None
+        self.transported = None
 
     @property
     def times(self) -> np.ndarray:
@@ -258,12 +259,14 @@ def _amplitude_interpolator(amplitude: WaveFunction, oversample: int):
 
 
 def transport_operator(tmap: TransportMap, t: float, amplitude: WaveFunction, *,
-                       oversample: int = 8) -> WaveFunction:
+                       oversample: int = 8, interpolant=None) -> WaveFunction:
     """Pull the amplitude back along the map with the unitary Jacobian factor.
 
     Grid points outside the image of the seeded window get amplitude zero;
     callers are responsible for keeping the corresponding mass deficit
-    negligible (see window_mass_deficit).
+    negligible (see window_mass_deficit).  A caller moving one amplitude
+    along several maps builds its ``interpolant`` once and passes it, as
+    refined_transport_map does.
     """
     tmap = _as_map(tmap)
     k = tmap.time_index(t)
@@ -274,7 +277,7 @@ def transport_operator(tmap: TransportMap, t: float, amplitude: WaveFunction, *,
     inside = (x >= lo) & (x <= hi)
     if inside.any():
         x_pre = _invert_on_index(tmap, k, x[inside])
-        interp = _amplitude_interpolator(amplitude, oversample)
+        interp = interpolant or _amplitude_interpolator(amplitude, oversample)
         jac = tmap._phi_prime[k](x_pre)
         out[inside] = interp(x_pre) / np.sqrt(jac)
     return WaveFunction(grid, out, amplitude.hbar)
@@ -339,24 +342,28 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, times,
     """Halve the seed spacing until the transported amplitude settles.
 
     The convergence measure is the largest L2 change of the transported
-    amplitude across the sample times, relative to the amplitude norm.
+    amplitude across the sample times, relative to the amplitude norm.  The
+    returned map carries the converged round's transported amplitudes as
+    ``transported``, one per time.  The amplitude interpolant serves every
+    round and is released on return.
     """
+    times = np.atleast_1d(times)
     n = max(n_seeds, 33)
     tmap = build_transport_map(model, phase0, x_window, n, times, **flow_kwargs)
+    interp = _amplitude_interpolator(amplitude, oversample)
     ref = amplitude.norm
-    prev = [transport_operator(tmap, t, amplitude, oversample=oversample)
-            for t in np.atleast_1d(times)]
+    prev = [transport_operator(tmap, t, amplitude, interpolant=interp) for t in times]
     for _ in range(max_rounds):
         n = 2 * n - 1
         finer = build_transport_map(model, phase0, x_window, n, times, **flow_kwargs)
-        cur = [transport_operator(finer, t, amplitude, oversample=oversample)
-               for t in np.atleast_1d(times)]
+        cur = [transport_operator(finer, t, amplitude, interpolant=interp) for t in times]
         residual = max(
             float(np.sqrt(np.sum(np.abs(c.values - p.values) ** 2) * c.grid.dx)) / ref
             for c, p in zip(cur, prev)
         )
         if residual < tol:
             finer.refinement_residual = residual
+            finer.transported = cur
             return finer
         tmap, prev = finer, cur
     raise ConvergenceError(

@@ -65,6 +65,15 @@ def test_console_script_is_installed(tmp_path):
     assert "kho-fig2" in proc.stdout
 
 
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "semiwkb", "list-specs"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "kho-fig2" in proc.stdout
+
+
 def test_propagate_and_exact_outputs_diff(tmp_path, capsys):
     base = FREE_ARGS + ["--t", "0.5", "--p0", "0.4", "--alpha", "0.3",
                         "--out", str(tmp_path)]

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.errors import BandwidthError, BoundaryMassError
+from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 from semiwkb.metaplectic import (
     MetaplecticKernel,
@@ -100,6 +101,46 @@ def test_dispersed_gaussian_widens_and_keeps_mass():
     assert var_wide == pytest.approx(0.5 * (1.0 + 4.0), abs=1e-10)
 
 
+def quadrature_kernel(model, phase0: QuadraticPhase, q: float, t: float, *,
+                      panel: float = 0.25, tol: float = 1e-9) -> float:
+    """C_t = int_0^t H_pp / dphi(s)^2 ds by adaptive Simpson, every node
+    flowed afresh from s = 0 and checked against the caustic threshold.
+    Panels are cut at the integers, where the kicked model's integrand kinks."""
+    start = sw.PhasePoint(float(phase0.grad(q)), q)
+
+    def f(s):
+        fr = sw.flow(model, start, s)
+        dphi = fr.tangent[1, 0] * phase0.alpha + fr.tangent[1, 1]
+        if dphi < 1e-6:
+            raise CausticError(s, q)
+        return float(model.hess(fr.end_point.p, fr.end_point.q)[0, 0]) / dphi**2
+
+    def simpson(a, b, fa, fm, fb, whole, tol, depth=28):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        assert depth > 0, "adaptive Simpson recursion exhausted"
+        return (simpson(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+                + simpson(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+
+    if t == 0:
+        return 0.0
+    cuts = sorted({0.0, float(t), *(float(n) for n in range(1, math.ceil(t)))})
+    edges = np.unique(np.concatenate([
+        np.linspace(a, b, max(1, math.ceil((b - a) / panel)) + 1)
+        for a, b in zip(cuts[:-1], cuts[1:])]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+        total += simpson(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb),
+                         tol / (edges.size - 1))
+    return total
+
+
 CLOSED_FORM_CASES = [
     (sw.FreeParticle(), 0.0, 2.0, 2.0),
     (sw.FreeParticle(), 0.5, 2.0, 1.0),
@@ -138,8 +179,90 @@ def test_center_kernel_edge_cases():
         center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0)
 
 
+def test_invalid_inputs_raise_a_typed_library_error():
+    for bad in (lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0),
+                lambda: MetaplecticKernel(-0.1, 0.0, HBAR),
+                lambda: MetaplecticKernel(0.5, 0.0, 0.0),
+                lambda: sw.GridSpec(-1.0, 1.0, 1000)):
+        with pytest.raises(sw.InvalidInputError) as info:
+            bad()
+        assert isinstance(info.value, sw.SemiwkbError)
+        assert isinstance(info.value, ValueError)
+
+
+def test_free_kernel_is_exact():
+    ph = QuadraticPhase(0.3, 0.0, 0.5)
+    assert center_kernel(sw.FreeParticle(), ph, 0.0, 1.2) == 1.2 / (1.0 + 0.5 * 1.2)
+
+
+KERNEL_MODELS = {
+    "free": (sw.FreeParticle(), st.floats(0.0, 3.0)),
+    "barrier": (sw.ParabolicBarrier(1.0), st.floats(-0.9, 3.0)),
+    "kicked": (sw.KickedHarmonic(2.0),
+               st.floats(-0.3, 0.65).map(lambda th: math.tan(th * math.pi / 2))),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(KERNEL_MODELS)), st.data(), st.floats(0.0, 4.0),
+       st.floats(-1.0, 1.0))
+def test_closed_form_kernel_matches_quadrature(name, data, t, q):
+    # slopes stay clear of caustics on [0, 4]: free alpha >= 0, barrier
+    # alpha > -lam, and the kicked slopes of the acceptance sweep
+    model, slopes = KERNEL_MODELS[name]
+    ph = QuadraticPhase(0.3 * q, q, data.draw(slopes))
+    got = center_kernel(model, ph, q, t)
+    assert got == pytest.approx(quadrature_kernel(model, ph, q, t), rel=1e-10, abs=1e-300)
+
+
+def test_caustic_inside_the_path_is_refused():
+    # dphi = cos s is negative on (pi/2, 3 pi/2) and back at cos 5 > 0 by t
+    model, ph, t = sw.KickedHarmonic(0.0), QuadraticPhase(0.0, 0.0, 0.0), 5.0
+    assert sw.flow(model, sw.PhasePoint(0.0, 0.0), t).tangent[1, 1] > 0.2
+    with pytest.raises(CausticError) as info:
+        center_kernel(model, ph, 0.0, t)
+    assert math.pi / 2 <= info.value.t <= 3 * math.pi / 2
+    with pytest.raises(CausticError):
+        quadrature_kernel(model, ph, 0.0, t)
+
+
+def test_barrier_dip_between_stops_is_refused():
+    # dphi = cosh s + alpha sinh s bottoms out at sqrt(1 - alpha^2) < 1e-6
+    # at s = atanh(-alpha) = 14.52, stays above 1e-6 at the stops 14 and 15
+    # and grows again to about (1 + alpha) e^t / 2; the quadrature would
+    # drown in its 1/dphi^2 spike long before it sampled the dip
+    alpha, t = -(1.0 - 4.9e-13), 35.0
+
+    def dphi(s):
+        return 0.5 * (1.0 + alpha) * math.exp(s) + 0.5 * (1.0 - alpha) * math.exp(-s)
+
+    assert math.sqrt(1.0 - alpha**2) < 1e-6 < min(dphi(14.0), dphi(15.0), dphi(t))
+    with pytest.raises(CausticError) as info:
+        center_kernel(sw.ParabolicBarrier(1.0), QuadraticPhase(0.0, 0.0, alpha), 0.0, t)
+    assert info.value.t == pytest.approx(math.atanh(-alpha), abs=1e-3)
+    assert dphi(info.value.t) < 1e-6
+
+
+def test_rk4_kernel_and_its_sampled_certificate():
+    # a harmonic well flowed by RK4 against the rotation's closed form
+    # sin t / (alpha sin t + cos t), then a stiff well (omega = 4) whose
+    # map derivative cos 4s dips negative on (pi/8, 3 pi/8) and recovers
+    well = sw.StandardPotential(lambda q: 0.5 * q**2, lambda q: q,
+                                lambda q: np.ones_like(q))
+    alpha, t = 0.3, 0.5
+    got = center_kernel(well, QuadraticPhase(0.0, 0.0, alpha), 0.0, t)
+    assert got == pytest.approx(math.sin(t) / (alpha * math.sin(t) + math.cos(t)),
+                                rel=1e-9)
+    stiff = sw.StandardPotential(lambda q: 8.0 * q**2, lambda q: 16.0 * q,
+                                 lambda q: 16.0 * np.ones_like(q))
+    with pytest.raises(CausticError) as info:
+        center_kernel(stiff, QuadraticPhase(0.0, 0.0, 0.0), 0.0, 1.5)
+    assert math.pi / 8 <= info.value.t <= math.pi / 8 + 1.0 / 64
+
+
 def test_kicked_kernel_saturates():
-    # frozen quadrature values; increments shrink like the squared stable
+    # values frozen from the former quadrature, which the closed form
+    # matches to 1e-10; increments shrink like the squared stable
     # multiplier, so the kernel saturates within a few periods
     model = sw.KickedHarmonic(2.0)
     ph = QuadraticPhase(0.0, 0.0, 0.0)
