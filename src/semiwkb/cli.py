@@ -317,8 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once, on import: every build spends milliseconds in argparse's
+# gettext lookups, and the first one also imports locale
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SemiwkbError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLinesError, NotHyperbolicError, StepSizeError
+from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError, StepSizeError
 from .hamiltonians import (
     FreeParticle,
     IntegrableMomentum,
@@ -124,7 +124,7 @@ def kick_times(t: float, side: str = "minus") -> list:
     also applies the kick at t, which then must be an integer >= 0.
     """
     if t < 0:
-        raise ValueError("kicked flows run forward only")
+        raise InvalidInputError(f"kicked flows run forward only, got t={t}")
     if side not in ("minus", "plus"):
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))
@@ -291,7 +291,7 @@ def flow_bundle(model, p, q, t, *, dt_max: float = 1e-3, method: str = "auto",
     if p.shape != q.shape:
         raise ValueError("p and q batches must have matching shapes")
     if method not in ("auto", "analytic", "rk4"):
-        raise ValueError(f"unknown flow method {method!r}")
+        raise InvalidInputError(f"unknown flow method {method!r}")
 
     if isinstance(model, KickedHarmonic):
         if method == "rk4":

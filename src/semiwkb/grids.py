@@ -1,4 +1,4 @@
-"""Grids, wave functions, the hbar-scaled Fourier transform and Wigner tools.
+"""Grids, wave functions, the hbar-scaled Fourier transform and band masses.
 
 Conventions
 -----------
@@ -20,18 +20,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import BandwidthError, GridMismatchError, InvalidInputError
 
 __all__ = [
     "GridSpec",
     "WaveFunction",
-    "WignerField",
     "conjugate_grid",
     "hbar_fourier_transform",
     "overlap",
-    "wigner_function",
     "band_mass",
     "refine_wavefunction",
     "embed_wavefunction",
@@ -82,7 +79,7 @@ class GridSpec:
 
     def xi(self, hbar: float) -> np.ndarray:
         """Conjugate momenta in FFT ordering."""
-        return 2.0 * math.pi * hbar * sp_fft.fftfreq(self.n_points, d=self.dx)
+        return 2.0 * math.pi * hbar * np.fft.fftfreq(self.n_points, d=self.dx)
 
     def nyquist_momentum(self, hbar: float) -> float:
         """Largest momentum magnitude representable on this grid."""
@@ -117,7 +114,7 @@ class WaveFunction:
                 f"{self.grid.n_points} points"
             )
         if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+            raise InvalidInputError(f"hbar must be positive, got {self.hbar}")
 
     @property
     def norm_sq(self) -> float:
@@ -194,11 +191,11 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
     if direction == "forward":
         grid = psi.grid
         xi = grid.xi(psi.hbar)
-        vals = sp_fft.fft(psi.values)
+        vals = np.fft.fft(psi.values)
         vals *= grid.dx * np.exp(-1j * grid.x_min * xi / psi.hbar)
         return WaveFunction(
             conjugate_grid(grid, psi.hbar),
-            sp_fft.fftshift(vals),
+            np.fft.fftshift(vals),
             psi.hbar,
             conjugate_origin=grid.x_min,
         )
@@ -213,101 +210,24 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
         x_min = psi.conjugate_origin
         pos_grid = GridSpec(x_min, x_min + length, n)
         xi = pos_grid.xi(psi.hbar)
-        vals = sp_fft.ifftshift(psi.values) * np.exp(1j * x_min * xi / psi.hbar)
-        vals = sp_fft.ifft(vals) / dx
+        vals = np.fft.ifftshift(psi.values) * np.exp(1j * x_min * xi / psi.hbar)
+        vals = np.fft.ifft(vals) / dx
         return WaveFunction(pos_grid, vals, psi.hbar)
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-@dataclass(eq=False)
-class WignerField:
-    """Wigner samples ``values[i, j] = W(q_i, p_j)`` on rectangular axes."""
+def _padded_spectrum(values: np.ndarray, factor: int) -> np.ndarray:
+    """Spectrum of ``values`` zero-padded to ``factor`` times the points.
 
-    q: np.ndarray
-    p: np.ndarray
-    values: np.ndarray
-    hbar: float
-
-    def total_mass(self) -> float:
-        dq = self.q[1] - self.q[0] if len(self.q) > 1 else 1.0
-        dp = self.p[1] - self.p[0] if len(self.p) > 1 else 1.0
-        return float(np.sum(self.values) * dq * dp)
-
-    def q_marginal(self) -> np.ndarray:
-        dp = self.p[1] - self.p[0] if len(self.p) > 1 else 1.0
-        return np.sum(self.values, axis=1) * dp
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(f"# hbar={self.hbar!r}\n")
-            f.write("q,p,w\n")
-            for i, qi in enumerate(self.q):
-                for j, pj in enumerate(self.p):
-                    f.write(f"{qi:.17g},{pj:.17g},{self.values[i, j]:.17g}\n")
-
-
-def wigner_function(
-    psi: WaveFunction,
-    p_grid: np.ndarray | None = None,
-    q_indices: np.ndarray | None = None,
-    _chunk: int = 256,
-) -> WignerField:
-    """Wigner distribution of ``psi``.
-
-    For each fixed grid point q the cross correlation ``psi(q+u)*conj(psi(q-u))``
-    is transformed in u on the grid's own lattice.  The default momentum axis
-    is the conjugate grid of that lattice at half the usual spacing,
-    ``p_k = pi*hbar*k/(x_max - x_min)``; an explicit ``p_grid`` may not exceed
-    the Nyquist bound ``pi*hbar/(2*dx)``.
-
-    Out-of-range correlation samples are treated as zero (no periodic wrap),
-    which is exact for states with negligible boundary mass.
+    Returned in FFT ordering and scaled so that its inverse FFT samples the
+    trigonometric interpolant of the periodic extension on the ``factor``
+    times finer grid.
     """
-    grid = psi.grid
-    n = grid.n_points
-    dx = grid.dx
-    hbar = psi.hbar
-    if q_indices is None:
-        q_indices = np.arange(n)
-    else:
-        q_indices = np.asarray(q_indices, dtype=int)
-
-    p_nyquist = math.pi * hbar / (2.0 * dx)
-    if p_grid is not None:
-        p_grid = np.asarray(p_grid, dtype=float)
-        if np.max(np.abs(p_grid)) > p_nyquist * (1 + 1e-12):
-            raise BandwidthError(
-                f"requested |p| up to {np.max(np.abs(p_grid)):.6g} exceeds the "
-                f"Wigner Nyquist bound {p_nyquist:.6g}"
-            )
-
-    m = np.arange(-n // 2, n // 2)  # correlation offsets, in units of dx
-    default_p = sp_fft.fftshift(2.0 * math.pi * hbar * sp_fft.fftfreq(n, d=2.0 * dx))
-    values = np.empty((len(q_indices), n if p_grid is None else len(p_grid)))
-
-    vals = psi.values
-    for start in range(0, len(q_indices), _chunk):
-        rows = q_indices[start : start + _chunk]
-        jp = rows[:, None] + m[None, :]
-        jm = rows[:, None] - m[None, :]
-        valid = (jp >= 0) & (jp < n) & (jm >= 0) & (jm < n)
-        corr = np.zeros((len(rows), n), dtype=np.complex128)
-        np.copyto(
-            corr,
-            vals[np.clip(jp, 0, n - 1)] * np.conj(vals[np.clip(jm, 0, n - 1)]),
-            where=valid,
-        )
-        if p_grid is None:
-            # exp(-2i p m dx / hbar) on the default axis is a plain DFT in m
-            block = sp_fft.fft(sp_fft.ifftshift(corr, axes=1), axis=1)
-            block = sp_fft.fftshift(block, axes=1)
-        else:
-            kernel = np.exp(-2j * np.outer(m, p_grid) * dx / hbar)
-            block = corr @ kernel
-        values[start : start + len(rows)] = block.real * (dx / (math.pi * hbar))
-
-    p_axis = default_p if p_grid is None else p_grid
-    return WignerField(grid.x[q_indices], p_axis, values, hbar)
+    n = values.size
+    spec = np.fft.fftshift(np.fft.fft(values))
+    pad = (factor - 1) * n // 2
+    spec = np.concatenate([np.zeros(pad, complex), spec, np.zeros(pad, complex)])
+    return np.fft.ifftshift(spec) * factor
 
 
 def refine_wavefunction(psi: WaveFunction, factor: int) -> WaveFunction:
@@ -320,13 +240,9 @@ def refine_wavefunction(psi: WaveFunction, factor: int) -> WaveFunction:
     if factor == 1:
         return psi
     if factor < 1 or factor & (factor - 1):
-        raise ValueError("refinement factor must be a power of two >= 1")
-    n = psi.grid.n_points
-    spec = sp_fft.fftshift(sp_fft.fft(psi.values))
-    pad = (factor - 1) * n // 2
-    spec = np.concatenate([np.zeros(pad, complex), spec, np.zeros(pad, complex)])
-    fine_vals = sp_fft.ifft(sp_fft.ifftshift(spec)) * factor
-    fine_grid = GridSpec(psi.grid.x_min, psi.grid.x_max, n * factor)
+        raise InvalidInputError(f"refinement factor must be a power of two >= 1, got {factor}")
+    fine_vals = np.fft.ifft(_padded_spectrum(psi.values, factor))
+    fine_grid = GridSpec(psi.grid.x_min, psi.grid.x_max, psi.grid.n_points * factor)
     return WaveFunction(fine_grid, fine_vals, psi.hbar)
 
 

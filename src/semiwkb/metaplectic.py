@@ -259,10 +259,11 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     total = w.sum()
     if total == 0.0:
         raise ValueError("cannot size a window for the zero function")
-    cum = np.cumsum(w)
-    lo_idx = int(np.searchsorted(cum, tail_mass * total))
-    hi_idx = min(int(np.searchsorted(cum, (1.0 - tail_mass) * total)),
-                 psi.grid.n_points - 1)
+    # each tail is summed from its own end: a running sum compared with
+    # (1 - tail_mass) * total would pick the upper edge by its rounding
+    lo_idx = int(np.searchsorted(np.cumsum(w), tail_mass * total))
+    upper_tails = np.cumsum(w[::-1])
+    hi_idx = w.size - 1 - int(np.searchsorted(upper_tails, tail_mass * total, side="right"))
     x = psi.grid.x
     x_lo, x_hi = float(x[lo_idx]), float(x[hi_idx])
     pad = pad_fraction * (x_hi - x_lo)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandwidthError, BoundaryMassError, StepSizeError
+from .errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
 from .dynamics import kick_times
 from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
                     overlap, spectral_edge_fraction)
@@ -90,7 +90,7 @@ def _evolve(model, psi: WaveFunction, t: float, segment, side: str, sample_times
     final state, post-kick when side="plus".
     """
     if t < 0:
-        raise ValueError("the reference runs forward in time only")
+        raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
     grid, hbar = psi.grid, psi.hbar
     kicked = isinstance(model, KickedHarmonic)
     kicks = [float(n) for n in kick_times(t, side)] if kicked else []
@@ -249,7 +249,7 @@ class ExactResult:
 
     ``ladder_delta`` is the largest L2 gap, over the final state and every
     sample, behind the certificate: between the last two substep rungs
-    (``substeps`` set, method "strang-ladder") or between n and 2n shear
+    (``substeps`` set, method "yoshida-ladder") or between n and 2n shear
     pieces (``substeps`` None, ``diagnostics["splits"]`` = 2n, method
     "metaplectic-shear"); momentum multipliers are exact and record 0.
     """
@@ -282,6 +282,8 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     gap between the last two passes (final state and samples) must fall
     under tol.
     """
+    if t < 0:
+        raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
     if isinstance(model, (FreeParticle, IntegrableMomentum)):
         final = momentum_evolve(model, psi, t)
         samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}
@@ -305,7 +307,7 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
         if delta < tol:
             final, samples = fine
             return ExactResult(final, samples, substeps, delta,
-                               {"method": "strang-ladder",
+                               {"method": "yoshida-ladder",
                                 "spectral_edge_fraction": spectral_edge_fraction(final)})
         coarse = fine
     raise StepSizeError(

@@ -74,6 +74,23 @@ def test_python_dash_m_runs_the_cli():
     assert "kho-fig2" in proc.stdout
 
 
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: importing it would cost every CLI
+    # call most of its start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import semiwkb, semiwkb.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    with (src.parent / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+
+
 def test_propagate_and_exact_outputs_diff(tmp_path, capsys):
     base = FREE_ARGS + ["--t", "0.5", "--p0", "0.4", "--alpha", "0.3",
                         "--out", str(tmp_path)]

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, GridMismatchError
 from semiwkb.grids import conjugate_grid
+from wigner import wigner_function
 
 HBAR = 0.05
 
@@ -40,6 +42,23 @@ def test_fourier_round_trip_below_1e12():
         sw.hbar_fourier_transform(psi, "forward"), "inverse")
     err = np.max(np.abs(back.values - psi.values))
     assert err < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-10.0, 10.0), st.floats(1.0, 20.0), st.sampled_from([2, 16, 256, 2048]),
+       st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
+def test_fourier_round_trip_property(x_min, length, n, hbar, seed):
+    grid = sw.GridSpec(x_min, x_min + length, n)
+    rng = np.random.default_rng(seed)
+    psi = sw.WaveFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n), hbar)
+    spec = sw.hbar_fourier_transform(psi, "forward")
+    back = sw.hbar_fourier_transform(spec, "inverse")
+    assert back.grid.x_min == grid.x_min
+    assert back.grid.x_max == pytest.approx(grid.x_max, rel=1e-14, abs=1e-14)
+    # the origin phase exp(-i x_min xi/hbar) is rounded in both directions
+    turns = abs(x_min) * grid.nyquist_momentum(hbar) / hbar
+    peak = np.max(np.abs(psi.values))
+    assert np.max(np.abs(back.values - psi.values)) < 1e-15 * (64 + turns) * peak
 
 
 def test_fourier_parseval():
@@ -80,7 +99,7 @@ def test_overlap_requires_matching_grids():
 def test_wigner_of_coherent_state():
     g = sw.GridSpec(-6.0, 6.0, 512)
     psi = coherent(g, HBAR, p0=0.5, q0=-0.25)
-    w = sw.wigner_function(psi)
+    w = wigner_function(psi)
     assert w.total_mass() == pytest.approx(1.0, abs=1e-6)
     # the marginal over p reproduces |psi|^2
     marg = w.q_marginal()

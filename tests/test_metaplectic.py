@@ -180,10 +180,18 @@ def test_center_kernel_edge_cases():
 
 
 def test_invalid_inputs_raise_a_typed_library_error():
+    psi = sw.initial_coherent_state(GRID, HBAR, (0.0, 0.0))
     for bad in (lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0),
                 lambda: MetaplecticKernel(-0.1, 0.0, HBAR),
                 lambda: MetaplecticKernel(0.5, 0.0, 0.0),
-                lambda: sw.GridSpec(-1.0, 1.0, 1000)):
+                lambda: sw.GridSpec(-1.0, 1.0, 1000),
+                lambda: sw.WaveFunction(GRID, psi.values, 0.0),
+                lambda: sw.WaveFunction(GRID, psi.values, -HBAR),
+                lambda: sw.exact_state(sw.FreeParticle(), psi, -1.0),
+                lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, -1.0),
+                lambda: sw.kick_times(-1.0),
+                lambda: sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], 1.0, method="verlet"),
+                lambda: sw.refine_wavefunction(psi, 3)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
@@ -207,11 +215,18 @@ KERNEL_MODELS = {
 @given(st.sampled_from(sorted(KERNEL_MODELS)), st.data(), st.floats(0.0, 4.0),
        st.floats(-1.0, 1.0))
 def test_closed_form_kernel_matches_quadrature(name, data, t, q):
-    # slopes stay clear of caustics on [0, 4]: free alpha >= 0, barrier
-    # alpha > -lam, and the kicked slopes of the acceptance sweep
+    # slopes stay clear of caustics on [0, 4] near the centre: free
+    # alpha >= 0, barrier alpha > -lam, and the kicked slopes of the
+    # acceptance sweep; kicked orbits far off centre (q = 1, alpha = 0,
+    # t = 2) do fold, and then both sides must refuse
     model, slopes = KERNEL_MODELS[name]
     ph = QuadraticPhase(0.3 * q, q, data.draw(slopes))
-    got = center_kernel(model, ph, q, t)
+    try:
+        got = center_kernel(model, ph, q, t)
+    except CausticError:
+        with pytest.raises(CausticError):
+            quadrature_kernel(model, ph, q, t)
+        return
     assert got == pytest.approx(quadrature_kernel(model, ph, q, t), rel=1e-10, abs=1e-300)
 
 
@@ -287,6 +302,24 @@ def test_mass_quantile_window_properties():
         mass_quantile_window(sw.initial_coherent_state(GRID, HBAR, (0.0, -7.95)))
     with pytest.raises(ValueError):
         mass_quantile_window(sw.WaveFunction(GRID, np.zeros(GRID.n_points), HBAR))
+
+
+def test_window_edges_ignore_rounding_level_perturbations():
+    # an upper tail 0.1% off tail_mass * total is 1e-16 of the total away
+    # from the edge: inside the rounding of a running sum over the grid,
+    # far outside that of the tail summed from its own end
+    grid = sw.GridSpec(-6.0, 6.0, 2048)
+    psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.0))
+    w = np.abs(psi.values) ** 2
+    tails = np.array([math.fsum(w[i:]) for i in range(w.size)]) / math.fsum(w)
+    edge = int(np.argmax(tails < 1e-13))
+    rng = np.random.default_rng(5)
+    for tail_mass in (1.001 * tails[edge], 0.999 * tails[edge]):
+        window = mass_quantile_window(psi, tail_mass)
+        for _ in range(20):
+            noise = 1.0 + 1e-15 * rng.standard_normal(grid.n_points)
+            noisy = sw.WaveFunction(grid, psi.values * noise, HBAR)
+            assert mass_quantile_window(noisy, tail_mass) == window
 
 
 EXTWKB_META_KEYS = {

@@ -70,7 +70,7 @@ def test_harmonic_recurrence_after_one_period():
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.5, 0.3))
     ex = sw.exact_state(model, psi0, 2 * math.pi)
     assert sw.fidelity(ex.state, psi0) > 1.0 - 1e-6
-    assert ex.diagnostics["method"] == "strang-ladder"
+    assert ex.diagnostics["method"] == "yoshida-ladder"
     assert ex.ladder_delta < 1e-9
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
@@ -18,7 +19,13 @@ from semiwkb.transport import (
     transport_operator,
     transport_operator_adjoint,
     window_mass_deficit,
+    _Hermite,
+    _amplitude_interpolator,
+    _monotone_inverse,
+    _piecewise_derivative_min,
 )
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +166,118 @@ def test_kicked_transport_uses_kick_schedule():
         fr = analytic_oracle(model, "flow", t=1.0, p=float(ph.grad(x)), q=float(x))
         assert bundle.q_t[0][i] == pytest.approx(fr.end.q, abs=1e-12)
         assert bundle.p_t[0][i] == pytest.approx(fr.end.p, abs=1e-12)
+
+
+def trigonometric_interpolant(psi, x):
+    """Direct sum of the trigonometric interpolant of the grid samples."""
+    grid, n = psi.grid, psi.grid.n_points
+    coeffs = np.fft.fftshift(np.fft.fft(psi.values)) / n
+    k = np.arange(-n // 2, n // 2)
+    return np.exp(2j * np.pi * np.outer(x - grid.x_min, k) / grid.length) @ coeffs
+
+
+@PROPERTY
+@given(st.sampled_from([1024, 2048]), st.floats(16.0, 32.0), st.floats(-0.1, 0.1),
+       st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi), st.integers(0, 2**32 - 1))
+def test_amplitude_interpolant_matches_trigonometric_sum(n, cells, shift, k_width, angle,
+                                                         seed):
+    # two resolved packets, negligible at the periodic seam; the spectral
+    # Hermite error is h^4 max|a^(4)|/384 on the 8x finer spacing h
+    grid = sw.GridSpec(-4.0, 4.0, n)
+    width = cells * grid.dx
+    x = grid.x
+    vals = sum(np.exp(-((x - q) / width) ** 2 / 2 + 1j * k_width * x / width) * c
+               for q, c in ((shift * grid.length, 1.0),
+                            (shift * grid.length + 1.5 * width, 0.5 * np.exp(1j * angle))))
+    psi = sw.WaveFunction(grid, vals, 1.0)
+    interp = _amplitude_interpolator(psi, 8)
+    probe = np.random.default_rng(seed).uniform(grid.x_min, grid.x_max, 200)
+    peak = np.max(np.abs(vals))
+    assert np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe))) < 1e-10 * peak
+    assert np.max(np.abs(interp(x) - vals)) < 1e-13 * peak
+
+
+def test_amplitude_interpolant_closes_the_periodic_seam():
+    grid = sw.GridSpec(-1.0, 1.0, 64)
+    psi = sw.WaveFunction(grid, np.exp(1j * math.pi * grid.x) + 0.3, 1.0)
+    interp = _amplitude_interpolator(psi, 1)
+    edge = np.array([grid.x_max - 0.25 * grid.dx, grid.x_max])
+    assert np.max(np.abs(interp(edge) - trigonometric_interpolant(psi, edge))) < 1e-6
+    assert abs(interp(grid.x_max) - psi.values[0]) < 1e-14
+
+
+# model, seeded window, grid and hbar: the amplitude sits well inside the
+# window and each map stays caustic-free over the drawn slopes and times
+TRANSPORT_CASES = {
+    "free": (sw.FreeParticle(), (-2.5, 2.5), sw.GridSpec(-8.0, 8.0, 2048), 0.04),
+    "barrier": (sw.ParabolicBarrier(1.0), (-2.5, 2.5), sw.GridSpec(-12.0, 12.0, 4096), 0.04),
+    "kicked": (sw.KickedHarmonic(2.0), (-0.5, 0.5), sw.GridSpec(-4.0, 4.0, 4096), 0.0017),
+}
+
+
+def _transport_case(name, alpha, t, offset):
+    model, window, grid, hbar = TRANSPORT_CASES[name]
+    tmap = build_transport_map(model, QuadraticPhase(0.0, 0.0, alpha), window, 129, [t])
+    amp = apply_L(gaussian_profile, offset * window[1], hbar, grid)
+    return tmap, amp, grid
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TRANSPORT_CASES)), st.floats(-0.3, 1.0), st.floats(0.05, 1.5),
+       st.floats(-0.2, 0.2), st.floats(-0.3, 0.3), st.floats(-3.0, 3.0))
+def test_transport_is_unitary_and_adjoint_is_its_transpose(name, alpha, t, offset,
+                                                           probe_at, probe_k):
+    tmap, amp, grid = _transport_case(name, alpha, t, offset)
+    assert window_mass_deficit(tmap, amp) < 1e-14
+    out = transport_operator(tmap, t, amp)
+    assert abs(out.norm - amp.norm) < 1e-10 * amp.norm
+    # a smooth probe whose image under the map stays inside the grid
+    scale = tmap.bundle.seeds[-1]
+    probe = sw.WaveFunction(grid, np.exp(-((grid.x - probe_at * scale) / (0.3 * scale)) ** 2
+                                         + 1j * probe_k * grid.x), amp.hbar)
+    lhs = sw.overlap(out, probe)
+    rhs = sw.overlap(amp, transport_operator_adjoint(tmap, t, probe))
+    assert abs(lhs - rhs) < 1e-10 * amp.norm * probe.norm
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TRANSPORT_CASES)), st.floats(-0.3, 1.0), st.floats(0.05, 1.5),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_invert_transport_round_trip_property(name, alpha, t, fractions):
+    tmap, _, _ = _transport_case(name, alpha, t, 0.0)
+    lo, hi = tmap.seed_window
+    x = lo + (hi - lo) * np.asarray(fractions)
+    y = tmap.map_values(t, x)
+    back = invert_transport(tmap, t, y)
+    assert np.all(np.abs(tmap.map_values(t, back) - y) < 1e-10 * (1.0 + np.abs(y)))
+    assert np.max(np.abs(back - x)) < 1e-10 * (1.0 + np.max(np.abs(y)))
+
+
+def test_inversion_bisects_where_newton_leaves_the_bracket():
+    # on an arctan-shaped map, Newton from the flat left end of the window
+    # jumps far past its right end; only the bisection safeguard keeps the
+    # iterates bracketed and brings them to the roots
+    nodes = np.linspace(-3.0, 3.0, 121)
+    phi = _Hermite(nodes, np.arctan(5 * nodes), 5 / (1 + 25 * nodes ** 2))
+    assert _piecewise_derivative_min(nodes, phi.y, phi.d) > 0  # a certified map
+    roots = np.linspace(-2.9, 2.9, 41)
+    y = phi(roots)
+    start = np.full(y.shape, -3.0)
+    newton = start - (phi(start) - y) / phi(start, 1)
+    assert np.all(newton[roots > -1.0] > 3.0)
+    back = _monotone_inverse(phi, y, -3.0, 3.0, start)
+    assert np.all(np.abs(phi(back) - y) < 1e-10 * (1.0 + np.abs(y)))
+    assert np.all(np.abs(back - roots) * phi(roots, 1) < 2e-10 * (1.0 + np.abs(y)))
+
+
+def test_hermite_reproduces_cubics_and_their_slopes():
+    nodes = np.array([-1.0, -0.3, 0.2, 1.5])
+    cubic = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0])
+    spline = _Hermite(nodes, cubic(nodes), cubic.deriv()(nodes))
+    x = np.linspace(-1.2, 1.7, 31)  # extrapolates past both ends
+    assert np.allclose(spline(x), cubic(x), rtol=0, atol=1e-12)
+    assert np.allclose(spline(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
+    lattice_nodes = np.linspace(-1.0, 1.0, 9)
+    lattice = _Hermite(-1.0, cubic(lattice_nodes), cubic.deriv()(lattice_nodes), 0.25)
+    assert np.allclose(lattice(x), cubic(x), rtol=0, atol=1e-12)
+    assert np.allclose(lattice(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
