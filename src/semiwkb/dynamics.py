@@ -1,10 +1,11 @@
 """Classical flows with tangent (variational) dynamics and shear maps.
 
 Flows return the end point, the 2x2 tangent matrix of the flow in (p, q)
-ordering, and the accumulated action integral of p*dq - H dt.  Catalogue
-models use vectorized closed forms; a fixed-step RK4 route with automatic
-step halving is available for everything smooth and doubles as the
-cross-check for the analytic path.
+ordering, and the accumulated action integral of p*dq - H dt.  One walker
+serves every model: it fires the model's kicks and runs the model's
+closed-form segment flow between them, or, for models without one, a
+fixed-step RK4 route with automatic step halving, which also serves as the
+cross-check for the closed forms.
 
 Kick convention for the kicked oscillator: a flow over [0, t] applies kicks
 at the integers strictly inside (0, t), so integer t means "just before the
@@ -13,21 +14,14 @@ kick at t".  Pass side="plus" to include the kick at an integer end time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError, StepSizeError
-from .hamiltonians import (
-    FreeParticle,
-    IntegrableMomentum,
-    KickedHarmonic,
-    ParabolicBarrier,
-    PhasePoint,
-    QuadraticPhase,
-    StandardPotential,
-)
+from .hamiltonians import PhasePoint, kick_times
 
 __all__ = [
     "FlowResult",
@@ -41,10 +35,10 @@ __all__ = [
     "ehrenfest_time",
     "hyperbolic_subspaces",
     "shear_from_lagrangians",
-    "shear_p_pq",
 ]
 
 _OMEGA_TOL = 1e-12
+_RK4_DT = 1e-3  # first RK4 step; halved until the flow settles
 
 
 @dataclass(frozen=True)
@@ -115,59 +109,20 @@ class LagrangianLine:
         return dp / dq
 
 
-def kick_times(t: float, side: str = "minus") -> list:
-    """Integer kick times a flow over [0, t] must apply, in order.
-
-    The kick at integer n belongs to the start of the interval (n, n+1], so
-    any forward evolution fires the kick at 0 first and an integer end time
-    samples just before that instant's kick ("t = n minus").  side="plus"
-    also applies the kick at t, which then must be an integer >= 0.
-    """
-    if t < 0:
-        raise InvalidInputError(f"kicked flows run forward only, got t={t}")
-    if side not in ("minus", "plus"):
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))
-    if side == "plus":
-        r = round(t)
-        if abs(t - r) > 1e-9 or r < 0:
-            raise ValueError(f"side='plus' needs an integer end time, got t={t}")
-        kicks.append(int(r))
-    return kicks
-
-
 def _grad_fields(model, p, q):
     hp, hq = model.grad(p, q)
     return np.asarray(hp, dtype=float), np.asarray(hq, dtype=float)
 
 
-def _hess_fields(model, p, q):
-    """(H_pp, H_pq, H_qq) as arrays broadcast against the seed batch."""
-    one = np.ones_like(p)
-    zero = np.zeros_like(p)
-    if isinstance(model, FreeParticle):
-        return one, zero, zero
-    if isinstance(model, IntegrableMomentum):
-        return np.asarray(model.h_double_prime(p), dtype=float) * one, zero, zero
-    if isinstance(model, ParabolicBarrier):
-        return one, zero, -model.v0 * one
-    if isinstance(model, StandardPotential):
-        return one, zero, np.asarray(model.v_double_prime(q), dtype=float) * one
-    if isinstance(model, KickedHarmonic):
-        return one, zero, one
-    raise TypeError(f"no Hessian fields for {type(model).__name__}")
-
-
-def _rk4_run(model, t: float, p0, q0, n_steps: int):
-    p = p0.copy()
-    q = q0.copy()
+def _rk4_run(model, t: float, p, q, n_steps: int) -> tuple:
     m = np.tile(np.eye(2), (p.size, 1, 1))
     action = np.zeros_like(p)
     dt = t / n_steps
 
     def rhs(p, q, m):
         hp, hq = _grad_fields(model, p, q)
-        hpp, hpq, hqq = _hess_fields(model, p, q)
+        h = model.hess(p, q)
+        hpp, hpq, hqq = h[0, 0], h[0, 1], h[1, 1]
         dm = np.empty_like(m)
         dm[:, 0, 0] = -hpq * m[:, 0, 0] - hqq * m[:, 1, 0]
         dm[:, 0, 1] = -hpq * m[:, 0, 1] - hqq * m[:, 1, 1]
@@ -185,147 +140,92 @@ def _rk4_run(model, t: float, p0, q0, n_steps: int):
         q = q + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         m = m + (dt / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         action = action + (dt / 6) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return FlowBundle(p, q, m, action)
+    return p, q, m, action
 
 
-def _rk4_bundle(model, t: float, p0, q0, dt_max: float) -> FlowBundle:
-    """Fixed-step RK4, steps halved until the result stops moving."""
-    if t == 0:
-        return FlowBundle(p0.copy(), q0.copy(), np.tile(np.eye(2), (p0.size, 1, 1)), np.zeros_like(p0))
-    n = max(1, int(math.ceil(abs(t) / dt_max)))
-    prev = _rk4_run(model, t, p0, q0, n)
+def _rk4_flow(model, t: float, p, q) -> tuple:
+    """Fixed-step RK4 from steps of _RK4_DT, halved until the result stops moving."""
+    n = max(1, int(math.ceil(abs(t) / _RK4_DT)))
+    prev = _rk4_run(model, t, p, q, n)
     for _ in range(8):
         n *= 2
-        cur = _rk4_run(model, t, p0, q0, n)
-        move = max(
-            float(np.max(np.abs(cur.p - prev.p))),
-            float(np.max(np.abs(cur.q - prev.q))),
-            float(np.max(np.abs(cur.action - prev.action))),
-        )
-        m_move = float(np.max(np.abs(cur.tangent - prev.tangent)))
-        m_scale = 1.0 + float(np.max(np.abs(cur.tangent)))
+        cur = _rk4_run(model, t, p, q, n)
+        move = max(float(np.max(np.abs(cur[i] - prev[i]))) for i in (0, 1, 3))
+        m_move = float(np.max(np.abs(cur[2] - prev[2])))
+        m_scale = 1.0 + float(np.max(np.abs(cur[2])))
         if move < 1e-10 and m_move < 1e-10 * m_scale:
             return cur
         prev = cur
     raise StepSizeError(f"flow integration did not settle below 1e-10 by n={n} steps")
 
 
-def _free_bundle(t, p, q):
-    tangent = np.tile(np.array([[1.0, 0.0], [t, 1.0]]), (p.size, 1, 1))
-    return FlowBundle(p.copy(), q + t * p, tangent, 0.5 * p * p * t)
+def _advance(fb: FlowBundle, segment) -> None:
+    """Compose a segment's (p, q, tangent, action) onto the bundle; while the
+    bundle's tangent is still the identity (None) it takes the segment's."""
+    fb.p, fb.q, tangent, action = segment
+    if fb.tangent is None:
+        fb.tangent = np.tile(tangent, (fb.p.size, 1, 1)) if tangent.ndim == 2 else tangent
+    else:
+        sub = "ab,nbc->nac" if tangent.ndim == 2 else "nab,nbc->nac"
+        fb.tangent = np.einsum(sub, tangent, fb.tangent)
+    fb.action += action
 
 
-def _integrable_bundle(model, t, p, q):
-    hp = np.asarray(model.h_prime(p), dtype=float)
-    h2 = np.asarray(model.h_double_prime(p), dtype=float)
-    tangent = np.tile(np.eye(2), (p.size, 1, 1))
-    tangent[:, 1, 0] = t * h2
-    action = (p * hp - np.asarray(model.h(p), dtype=float)) * t
-    return FlowBundle(p.copy(), q + t * hp, tangent, action)
+def _kick(model, fb: FlowBundle) -> None:
+    if fb.tangent is None:
+        fb.tangent = np.tile(np.eye(2), (fb.p.size, 1, 1))
+    fb.p, slope, jump = model.kick(fb.p, fb.q)
+    fb.action += jump
+    fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
+    fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
 
 
-def _barrier_bundle(model, t, p, q):
-    lam = model.lam
-    ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-    mat = np.array([[ch, lam * sh], [sh / lam, ch]])
-    action = (p * p + lam * lam * q * q) * math.sinh(2 * lam * t) / (4 * lam) + p * q * sh * sh
-    return FlowBundle(
-        mat[0, 0] * p + mat[0, 1] * q,
-        mat[1, 0] * p + mat[1, 1] * q,
-        np.tile(mat, (p.size, 1, 1)),
-        action,
-    )
-
-
-def _rotate_bundle(t_seg: float, fb: FlowBundle) -> None:
-    c, s = math.cos(t_seg), math.sin(t_seg)
-    p, q = fb.p, fb.q
-    fb.action += 0.25 * (p * p - q * q) * math.sin(2 * t_seg) - p * q * math.sin(t_seg) ** 2
-    fb.p, fb.q = c * p - s * q, s * p + c * q
-    rot = np.array([[c, -s], [s, c]])
-    fb.tangent = np.einsum("ab,nbc->nac", rot, fb.tangent)
-
-
-def _kick_bundle(model: KickedHarmonic, fb: FlowBundle) -> None:
-    kc = model.k * np.cos(fb.q)
-    fb.action += model.kick_phase_jump(fb.q)
-    fb.tangent[:, 0, 0] += kc * fb.tangent[:, 1, 0]
-    fb.tangent[:, 0, 1] += kc * fb.tangent[:, 1, 1]
-    fb.p = fb.p + model.kick_impulse(fb.q)
-
-
-def _kho_bundle(model, t, p, q, side: str, segment) -> FlowBundle:
-    fb = FlowBundle(p.copy(), q.copy(), np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p))
-    prev = 0.0
-    for n in kick_times(t, side):
-        seg = n - prev
-        if seg > 0:
-            segment(seg, fb)
-        _kick_bundle(model, fb)
-        prev = float(n)
-    if t - prev > 0:
-        segment(t - prev, fb)
-    return fb
-
-
-def _rk4_segment(model, dt_max):
-    def segment(t_seg: float, fb: FlowBundle) -> None:
-        out = _rk4_bundle(model, t_seg, fb.p, fb.q, dt_max)
-        fb.p, fb.q = out.p, out.q
-        fb.tangent = np.einsum("nab,nbc->nac", out.tangent, fb.tangent)
-        fb.action += out.action
-
-    return segment
-
-
-def flow_bundle(model, p, q, t, *, dt_max: float = 1e-3, method: str = "auto",
-                side: str = "minus") -> FlowBundle:
+def flow_bundle(model, p, q, t, *, method: str = "auto", side: str = "minus") -> FlowBundle:
     """Flow a batch of seeds for time t.
 
-    method "auto" takes the closed form where one exists, "rk4" forces the
-    integrator (kicks are still applied exactly for the kicked model), and
-    "analytic" refuses models without a closed form.
+    The walk fires the model's kicks at its kick times and runs the smooth
+    flow between them: the model's closed form where it has one (method
+    "auto"), else RK4; method "rk4" forces the integrator.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if p.shape != q.shape:
-        raise ValueError("p and q batches must have matching shapes")
-    if method not in ("auto", "analytic", "rk4"):
+        raise InvalidInputError(f"p and q batches differ in shape: {p.shape} and {q.shape}")
+    if method not in ("auto", "rk4"):
         raise InvalidInputError(f"unknown flow method {method!r}")
+    segment = model.segment_flow
+    if segment is None or method == "rk4":
+        segment = functools.partial(_rk4_flow, model)
 
-    if isinstance(model, KickedHarmonic):
-        if method == "rk4":
-            return _kho_bundle(model, t, p, q, side, _rk4_segment(model, dt_max))
-        return _kho_bundle(model, t, p, q, side, lambda seg, fb: _rotate_bundle(seg, fb))
-
-    if method == "rk4":
-        return _rk4_bundle(model, t, p, q, dt_max)
-    if isinstance(model, FreeParticle):
-        return _free_bundle(t, p, q)
-    if isinstance(model, IntegrableMomentum):
-        return _integrable_bundle(model, t, p, q)
-    if isinstance(model, ParabolicBarrier):
-        return _barrier_bundle(model, t, p, q)
-    if method == "analytic":
-        raise ValueError(f"no closed-form flow for {type(model).__name__}")
-    return _rk4_bundle(model, t, p, q, dt_max)
+    fb = FlowBundle(p.copy(), q.copy(), None, np.zeros_like(p))
+    prev = 0.0
+    for n in model.kick_times(t, side):
+        if n > prev:
+            _advance(fb, segment(n - prev, fb.p, fb.q))
+        _kick(model, fb)
+        prev = float(n)
+    if t != prev:
+        _advance(fb, segment(t - prev, fb.p, fb.q))
+    if fb.tangent is None:
+        fb.tangent = np.tile(np.eye(2), (p.size, 1, 1))
+    return fb
 
 
-def flow(model, start: PhasePoint, t, *, dt_max: float = 1e-3, method: str = "auto",
+def flow(model, start: PhasePoint, t, *, method: str = "auto",
          side: str = "minus") -> FlowResult:
-    fb = flow_bundle(model, [start.p], [start.q], t, dt_max=dt_max, method=method, side=side)
+    fb = flow_bundle(model, [start.p], [start.q], t, method=method, side=side)
     return fb.at(0)
 
 
-def period_tangent(model, fixed_point: PhasePoint, period: float = 1.0, *,
-                   dt_max: float = 1e-3) -> np.ndarray:
+def period_tangent(model, fixed_point: PhasePoint, period: float = 1.0) -> np.ndarray:
     """One-period tangent map at a fixed point; for kicked models the period
     opens with its kick, so sampling at t=period stays just before the next."""
-    fr = flow(model, fixed_point, period, dt_max=dt_max, side="minus")
+    fr = flow(model, fixed_point, period, side="minus")
     drift = math.hypot(fr.end_point.p - fixed_point.p, fr.end_point.q - fixed_point.q)
     scale = 1.0 + math.hypot(fixed_point.p, fixed_point.q)
     if drift > 1e-8 * scale:
-        raise ValueError(f"({fixed_point.p}, {fixed_point.q}) is not a period-{period} fixed point")
+        raise InvalidInputError(
+            f"({fixed_point.p}, {fixed_point.q}) is not a period-{period} fixed point")
     return fr.tangent
 
 
@@ -338,10 +238,10 @@ def lyapunov_exponent(model, fixed_point: PhasePoint, period: float = 1.0) -> fl
 
 
 def ehrenfest_time(lambda_exp: float, hbar: float) -> float:
-    if lambda_exp <= 0:
-        raise ValueError("lambda_exp must be positive")
+    if not lambda_exp > 0:
+        raise InvalidInputError(f"lambda_exp must be positive, got {lambda_exp}")
     if not 0 < hbar <= 1:
-        raise ValueError("hbar must lie in (0, 1]")
+        raise InvalidInputError(f"hbar must lie in (0, 1], got {hbar}")
     return math.log(1.0 / hbar) / (2.0 * lambda_exp)
 
 
@@ -388,23 +288,3 @@ def shear_from_lagrangians(l1: LagrangianLine, l2: LagrangianLine,
         raise DegenerateLinesError("target line is parallel to the fixed line l1")
     shear = np.array([[1.0, a / b], [0.0, 1.0]])
     return basis @ shear @ np.linalg.inv(basis)
-
-
-def shear_p_pq(model, phase0: QuadraticPhase, base: PhasePoint, t, *,
-               dt_max: float = 1e-3, side: str = "minus") -> np.ndarray:
-    """Shear relating the flow tangent to its vertical-preserving part.
-
-    The returned map is the identity on the manifold tangent at `base` and
-    sends the pullback of the vertical at the evolved point back to the
-    vertical at `base`.  For hyperbolic dynamics it converges as the
-    pulled-back vertical settles onto the stable direction.
-    """
-    if abs(base.p - float(phase0.grad(base.q))) > 1e-9 * (1.0 + abs(base.p)):
-        raise ValueError("base point does not lie on the initial manifold")
-    fr = flow(model, base, t, dt_max=dt_max, side=side)
-    pullback = np.linalg.solve(fr.tangent, np.array([1.0, 0.0]))
-    l1 = LagrangianLine.from_slope(phase0.alpha, base)
-    l2 = LagrangianLine.vertical(base)
-    l_pull = LagrangianLine(base, (pullback[0], pullback[1]))
-    w = shear_from_lagrangians(l1, l2, l_pull)
-    return np.linalg.inv(w)

@@ -31,7 +31,6 @@ __all__ = [
     "overlap",
     "band_mass",
     "refine_wavefunction",
-    "embed_wavefunction",
     "edge_amplitude_fraction",
     "edge_mass_fraction",
     "spectral_edge_fraction",
@@ -279,26 +278,6 @@ def band_mass(
     inside = np.abs(xi) <= width
     mass = np.sum(np.abs(spec.values[inside]) ** 2) * spec.grid.dx / (2.0 * math.pi * psi.hbar)
     return float(mass)
-
-
-def embed_wavefunction(psi: WaveFunction, grid: GridSpec) -> WaveFunction:
-    """Copy a state into a containing grid with the same spacing, zero-padded.
-
-    The target lattice must contain the source points exactly (same dx, offset
-    an integer number of cells); anything else raises GridMismatchError.
-    """
-    src = psi.grid
-    if grid.x_min > src.x_min + 1e-12 or grid.x_max < src.x_max - 1e-12:
-        raise GridMismatchError("target grid does not contain the source domain")
-    if abs(grid.dx - src.dx) > 1e-15 * max(grid.dx, src.dx):
-        raise GridMismatchError("target grid spacing differs from the source")
-    shift = (src.x_min - grid.x_min) / grid.dx
-    offset = int(round(shift))
-    if abs(shift - offset) > 1e-9:
-        raise GridMismatchError("source lattice is not aligned with the target")
-    vals = np.zeros(grid.n_points, complex)
-    vals[offset:offset + src.n_points] = psi.values
-    return WaveFunction(grid, vals, psi.hbar)
 
 
 def edge_amplitude_fraction(psi: WaveFunction, n_edge: int = 4) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CausticDomainError, UnsupportedOracleError
+from .errors import CausticDomainError, InvalidInputError, UnsupportedOracleError
 
 __all__ = [
     "PhasePoint",
@@ -30,7 +30,7 @@ __all__ = [
     "KickedHarmonic",
     "FlowOracle",
     "analytic_oracle",
-    "validate_momentum_window",
+    "kick_times",
 ]
 
 
@@ -74,10 +74,59 @@ class QuadraticPhase:
         return PhasePoint(self.p0, self.q0)
 
 
+def kick_times(t: float, side: str = "minus") -> list:
+    """Integer kick times a flow over [0, t] must apply, in order.
+
+    The kick at integer n belongs to the start of the interval (n, n+1], so
+    any forward evolution fires the kick at 0 first and an integer end time
+    samples just before that instant's kick ("t = n minus").  side="plus"
+    also applies the kick at t, which then must be an integer >= 0.
+    """
+    if t < 0:
+        raise InvalidInputError(f"kicked flows run forward only, got t={t}")
+    if side not in ("minus", "plus"):
+        raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
+    kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))
+    if side == "plus":
+        r = round(t)
+        if abs(t - r) > 1e-9 or r < 0:
+            raise InvalidInputError(f"side='plus' needs an integer end time, got t={t}")
+        kicks.append(int(r))
+    return kicks
+
+
+def _hessian(p, q, hpp=1.0, hpq=0.0, hqq=0.0) -> np.ndarray:
+    """[[H_pp, H_pq], [H_pq, H_qq]] over the broadcast shape of p and q:
+    (2, 2) for a point, (2, 2, n) for a batch of n."""
+    h = np.empty((2, 2) + np.broadcast(p, q).shape)
+    h[0, 0], h[0, 1], h[1, 0], h[1, 1] = hpp, hpq, hpq, hqq
+    return h
+
+
 class HamiltonianModel:
-    """Shared protocol: energy/grad/hess plus split kinetic/potential parts."""
+    """Shared protocol: energy/grad/hess plus split kinetic/potential parts.
+
+    A model also decides how the package propagates it:
+
+    - ``segment_flow(t, p, q)`` is the closed-form flow of the smooth part
+      over a kick-free stretch of length t, returning (p, q, tangent,
+      action) for a batch of seeds; the tangent is one (2, 2) matrix when it
+      does not depend on the seed, else (n, 2, 2).  The Hessian must stay
+      constant along each such stretch of a trajectory, which the caustic
+      certificate relies on.  None means the flow is integrated by RK4.
+    - ``kick_times(t, side)`` lists the impulsive kicks a flow over [0, t]
+      fires, at integer times, and ``kick(p, q)`` gives the momentum after
+      one kick, its slope dp/dq and the phase jump; ``kick_phase_jump`` is
+      the kick as a multiplier phase.  Models without kicks list none.
+    - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
+      for models diagonal in momentum, ``"metaplectic-shear"`` for linear
+      flows, which then give ``shear_pair(s)``, and ``"yoshida-ladder"``
+      for any other kinetic-plus-potential model.
+    """
 
     name = "model"
+    segment_flow = None
+    exact_path = "yoshida-ladder"
 
     def energy(self, p, q):
         raise NotImplementedError
@@ -87,7 +136,8 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def hess(self, p, q) -> np.ndarray:
-        """[[H_pp, H_pq], [H_qp, H_qq]]."""
+        """[[H_pp, H_pq], [H_qp, H_qq]], stacked over a batch along the
+        trailing axis."""
         raise NotImplementedError
 
     def kinetic_energy(self, xi):
@@ -96,11 +146,26 @@ class HamiltonianModel:
     def potential_energy(self, q):
         raise NotImplementedError
 
+    def kick_times(self, t: float, side: str = "minus") -> list:
+        return []
+
+    def shear_pair(self, s: float) -> tuple:
+        """(a, b) with Q(a) P(b) Q(a) equal to the flow of one piece of length s.
+
+        Q(a) = exp(-i a x^2/2hbar) maps (q, p) to (q, p - a q) and
+        P(b) = exp(-i b xi^2/2hbar) maps it to (q + b p, p); matching the
+        product to the piece's linear flow fixes a and b.  Both operator
+        families start at the identity, so the product also carries the
+        right global phase.
+        """
+        raise InvalidInputError(f"{self.name} has no linear flow to factor into shears")
+
 
 class FreeParticle(HamiltonianModel):
     """H = p^2 / 2."""
 
     name = "free"
+    exact_path = "momentum-multiplier"
 
     def energy(self, p, q):
         return 0.5 * np.asarray(p) ** 2
@@ -109,7 +174,7 @@ class FreeParticle(HamiltonianModel):
         return np.asarray(p, dtype=float), np.zeros_like(np.asarray(q, dtype=float))
 
     def hess(self, p, q):
-        return np.array([[1.0, 0.0], [0.0, 0.0]])
+        return _hessian(p, q)
 
     def kinetic_energy(self, xi):
         return 0.5 * np.asarray(xi) ** 2
@@ -117,11 +182,15 @@ class FreeParticle(HamiltonianModel):
     def potential_energy(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
+    def segment_flow(self, t, p, q):
+        return p, q + t * p, np.array([[1.0, 0.0], [t, 1.0]]), 0.5 * p * p * t
+
 
 class IntegrableMomentum(HamiltonianModel):
     """H = h(p) for a user-supplied convex increasing h."""
 
     name = "integrable"
+    exact_path = "momentum-multiplier"
 
     def __init__(self, h: Callable, h_prime: Callable, h_double_prime: Callable):
         self.h = h
@@ -136,7 +205,7 @@ class IntegrableMomentum(HamiltonianModel):
         return self.h_prime(p), np.zeros_like(p)
 
     def hess(self, p, q):
-        return np.array([[float(self.h_double_prime(p)), 0.0], [0.0, 0.0]])
+        return _hessian(p, q, self.h_double_prime(np.asarray(p, dtype=float)))
 
     def kinetic_energy(self, xi):
         return self.h(np.asarray(xi, dtype=float))
@@ -144,15 +213,23 @@ class IntegrableMomentum(HamiltonianModel):
     def potential_energy(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
+    def segment_flow(self, t, p, q):
+        hp = np.asarray(self.h_prime(p), dtype=float)
+        tangent = np.tile(np.eye(2), (p.size, 1, 1))
+        tangent[:, 1, 0] = t * np.asarray(self.h_double_prime(p), dtype=float)
+        action = (p * hp - np.asarray(self.h(p), dtype=float)) * t
+        return p, q + t * hp, tangent, action
+
 
 class ParabolicBarrier(HamiltonianModel):
     """H = p^2/2 - v0*q^2/2 with hyperbolic rate lam = sqrt(v0)."""
 
     name = "barrier"
+    exact_path = "metaplectic-shear"
 
     def __init__(self, v0: float):
         if not v0 > 0:
-            raise ValueError("v0 must be positive")
+            raise InvalidInputError(f"v0 must be positive, got {v0}")
         self.v0 = float(v0)
 
     @property
@@ -166,13 +243,24 @@ class ParabolicBarrier(HamiltonianModel):
         return np.asarray(p, dtype=float), -self.v0 * np.asarray(q, dtype=float)
 
     def hess(self, p, q):
-        return np.array([[1.0, 0.0], [0.0, -self.v0]])
+        return _hessian(p, q, hqq=-self.v0)
 
     def kinetic_energy(self, xi):
         return 0.5 * np.asarray(xi) ** 2
 
     def potential_energy(self, q):
         return -0.5 * self.v0 * np.asarray(q) ** 2
+
+    def segment_flow(self, t, p, q):
+        lam = self.lam
+        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
+        mat = np.array([[ch, lam * sh], [sh / lam, ch]])
+        action = (p * p + lam * lam * q * q) * math.sinh(2 * lam * t) / (4 * lam) + p * q * sh * sh
+        return mat[0, 0] * p + mat[0, 1] * q, mat[1, 0] * p + mat[1, 1] * q, mat, action
+
+    def shear_pair(self, s):
+        lam = self.lam
+        return -lam * math.tanh(0.5 * lam * s), math.sinh(lam * s) / lam
 
 
 class StandardPotential(HamiltonianModel):
@@ -192,7 +280,7 @@ class StandardPotential(HamiltonianModel):
         return np.asarray(p, dtype=float), self.v_prime(np.asarray(q, dtype=float))
 
     def hess(self, p, q):
-        return np.array([[1.0, 0.0], [0.0, float(self.v_double_prime(q))]])
+        return _hessian(p, q, hqq=self.v_double_prime(np.asarray(q, dtype=float)))
 
     def kinetic_energy(self, xi):
         return 0.5 * np.asarray(xi) ** 2
@@ -212,6 +300,7 @@ class KickedHarmonic(HamiltonianModel):
 
     name = "kho"
     period = 1.0
+    exact_path = "metaplectic-shear"
 
     def __init__(self, k: float):
         self.k = float(k)
@@ -223,7 +312,7 @@ class KickedHarmonic(HamiltonianModel):
         return np.asarray(p, dtype=float), np.asarray(q, dtype=float)
 
     def hess(self, p, q):
-        return np.array([[1.0, 0.0], [0.0, 1.0]])
+        return _hessian(p, q, hqq=1.0)
 
     def kinetic_energy(self, xi):
         return 0.5 * np.asarray(xi) ** 2
@@ -231,11 +320,23 @@ class KickedHarmonic(HamiltonianModel):
     def potential_energy(self, q):
         return 0.5 * np.asarray(q) ** 2
 
+    def segment_flow(self, t, p, q):
+        # a rotation by t; the action is the integral of p^2 - H along it
+        c, s = math.cos(t), math.sin(t)
+        action = 0.25 * (p * p - q * q) * math.sin(2 * t) - p * q * math.sin(t) ** 2
+        return c * p - s * q, s * p + c * q, np.array([[c, -s], [s, c]]), action
+
+    def shear_pair(self, s):
+        return math.tan(0.5 * s), math.sin(s)
+
+    def kick_times(self, t, side="minus"):
+        return kick_times(t, side)
+
+    def kick(self, p, q):
+        return p + self.kick_impulse(q), self.k * np.cos(q), self.kick_phase_jump(q)
+
     def kick_impulse(self, q):
         return self.k * np.sin(np.asarray(q, dtype=float))
-
-    def kick_tangent(self, q) -> np.ndarray:
-        return np.array([[1.0, self.k * math.cos(q)], [0.0, 1.0]])
 
     def kick_phase_jump(self, q):
         return -self.k * np.cos(np.asarray(q, dtype=float))
@@ -413,16 +514,3 @@ def analytic_oracle(model, kind: str, **kwargs):
     if kind == "metaplectic_kernel":
         return _kernel_oracle(model, kwargs["phase0"], kwargs["t"])
     raise ValueError(f"unknown oracle kind {kind!r}")
-
-
-def validate_momentum_window(model: IntegrableMomentum, p_lo: float, p_hi: float, n: int = 129):
-    """Check h' > 0 and h'' >= 0 by sampling the working momentum window."""
-    ps = np.linspace(p_lo, p_hi, n)
-    h1 = np.asarray(model.h_prime(ps), dtype=float)
-    h2 = np.asarray(model.h_double_prime(ps), dtype=float)
-    if np.any(h1 <= 0):
-        bad = ps[np.argmin(h1)]
-        raise ValueError(f"h'({bad:.6g}) <= 0 on the working momentum window")
-    if np.any(h2 < 0):
-        bad = ps[np.argmin(h2)]
-        raise ValueError(f"h''({bad:.6g}) < 0 on the working momentum window")

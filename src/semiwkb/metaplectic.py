@@ -26,9 +26,9 @@ import numpy as np
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
 from .dynamics import flow, flow_bundle, kick_times
-from .grids import GridSpec, WaveFunction, hbar_fourier_transform, spectral_edge_fraction
-from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
-                           ParabolicBarrier, PhasePoint, QuadraticPhase)
+from .grids import (GridSpec, WaveFunction, edge_mass_fraction, hbar_fourier_transform,
+                    spectral_edge_fraction)
+from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
                         transport_operator_adjoint, window_mass_deficit)
 
@@ -39,7 +39,6 @@ __all__ = [
     "BackwardTestResult",
     "gaussian_profile",
     "profile_for_slope",
-    "dispersed_gaussian",
     "apply_L",
     "apply_L_adjoint",
     "center_kernel",
@@ -68,17 +67,6 @@ def profile_for_slope(alpha: float):
         return np.pi**-0.25 * np.exp(-gamma * np.asarray(u) ** 2 / 2)
 
     return a
-
-
-def dispersed_gaussian(u, c_t: float, gamma: complex = 1.0 + 0.0j):
-    """Closed form of the multiplier acting on exp(-gamma u^2/2) profiles.
-
-    The factor (1 + i*C*gamma) stays in the upper half plane for C >= 0, so
-    the principal square root is the branch continuous from +1 at C=0.
-    """
-    u = np.asarray(u)
-    denom = 1.0 + 1j * c_t * gamma
-    return np.pi**-0.25 * denom**-0.5 * np.exp(-(gamma / denom) * u**2 / 2)
 
 
 @dataclass(eq=False)
@@ -136,18 +124,20 @@ def apply_L_adjoint(amplitude: WaveFunction, q: float, hbar: float) -> ScaledAmp
     return ScaledAmplitude(u, hbar**0.25 * amplitude.values.copy(), q, hbar)
 
 
-# Hessian constant on each kick-free piece of a path; others flow by RK4
-_CONSTANT_HESSIAN = (FreeParticle, IntegrableMomentum, ParabolicBarrier, KickedHarmonic)
-
-
 def _interior_minimum(f: float, g: float, kappa: float, length: float):
     """(value, time) of a minimum inside (0, length) of y'' = -kappa*y with
-    y(0) = f, y'(0) = g, or None.  Only kappa < 0 can hide one from the end
-    checks: y is linear for kappa = 0, and for kappa > 0 (the kicked
-    oscillator, kappa = 1) an interior minimum lies inside a negative
-    stretch of length pi, which a piece of length <= 1 cannot contain."""
-    lam = math.sqrt(max(-kappa, 0.0))
-    if lam == 0.0 or abs(g) >= lam * f:
+    y(0) = f > 0, y'(0) = g, or None.  y is linear for kappa = 0.  For
+    kappa > 0, y = R cos(omega s - delta) first bottoms out at -R where
+    omega s = pi + delta; the kicked oscillator's pieces (omega = 1, length
+    <= 1) are too short to reach it, a stiffer well's need not be."""
+    if f <= 0.0 or kappa == 0.0:
+        return None
+    if kappa > 0.0:
+        omega = math.sqrt(kappa)
+        s = (math.pi + math.atan2(g / omega, f)) / omega
+        return (-math.hypot(f, g / omega), s) if s < length else None
+    lam = math.sqrt(-kappa)
+    if abs(g) >= lam * f:
         return None
     r = g / (lam * f)
     s = math.atanh(-r) / lam
@@ -158,12 +148,13 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> N
     """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t].
 
     One time series carries w = M (alpha, 1), with dphi = w_q, piece by
-    piece.  Constant-Hessian paths are cut at the integers, where kicks
-    fall; on each piece dphi'' = -det(H) dphi, so its minimum follows
+    piece.  Paths of models with a closed-form segment flow, whose Hessian
+    is constant on each kick-free piece, are cut at the integers, where
+    kicks fall; on each piece dphi'' = -det(H) dphi, so its minimum follows
     exactly from dphi and dphi' = H_pp w_p + H_pq w_q at the piece's end.
     Other paths are sampled 64 times per unit time.
     """
-    exact = isinstance(model, _CONSTANT_HESSIAN)
+    exact = model.segment_flow is not None
     if exact:
         stops = [float(n) for n in kick_times(t) if 0 < n < t] + [t]
     else:
@@ -252,7 +243,7 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     Mass sitting in the outermost grid cells means the state has wrapped
     around, so the grid (not the window) is too small; that raises.
     """
-    if _edge_mass(psi) > 1e-12:
+    if edge_mass_fraction(psi) > 1e-12:
         raise BoundaryMassError(
             "state carries mass at the grid edge (wraparound); enlarge the grid")
     w = np.abs(psi.values) ** 2
@@ -272,6 +263,31 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     return x_lo, x_hi
 
 
+def _dispersed(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
+               grid: GridSpec, window) -> tuple:
+    """Front half of both pipelines: scale the profile to the packet width,
+    disperse it by the center kernel and choose the seed window (the mass
+    quantiles of the dispersed amplitude unless a window is given).
+    Returns (a0, c_t, dispersed, window)."""
+    q = phase0.q0
+    a0 = apply_L(profile_a, q, hbar, grid)
+    c_t = center_kernel(model, phase0, q, t)
+    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
+    win = window if window is not None else mass_quantile_window(dispersed)
+    return a0, c_t, dispersed, (float(win[0]), float(win[1]))
+
+
+def _map_metadata(c_t: float, window, tmap, t: float) -> dict:
+    """Diagnostics both pipelines report about the kernel and the map."""
+    return {
+        "c_t": c_t,
+        "window": window,
+        "n_seeds": tmap.bundle.n_seeds,
+        "non_contraction_certificate": tmap.non_contraction_certificate,
+        "caustic_margin": float(np.min(tmap.bundle.dphi_t[tmap.time_index(t)])),
+    }
+
+
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
                            t: float, grid: GridSpec, *, window=None,
                            n_seeds: int = 65, oversample: int = 8,
@@ -282,29 +298,19 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     Returns the state together with the diagnostics the scheme is obliged
     to report: accumulated kernel, non-contraction certificate, caustic
     margin, window mass deficit, norm defect, and the sqrt(hbar) remainder
-    indicator.
+    indicator.  Raises BoundaryMassError when more than ``deficit_tol`` of
+    the dispersed mass lies outside the seed window.
     """
-    q = phase0.q0
-    a0 = apply_L(profile_a, q, hbar, grid)
-    c_t = center_kernel(model, phase0, q, t)
-    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
-
-    win = window if window is not None else mass_quantile_window(dispersed)
+    a0, c_t, dispersed, win = _dispersed(model, phase0, profile_a, hbar, t, grid, window)
     x = grid.x
-    for attempt in range(3):
-        outside = (x < win[0]) | (x > win[1])
-        deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
-        deficit /= dispersed.norm_sq
-        if deficit <= deficit_tol:
-            tmap = refined_transport_map(model, phase0, win, [t], dispersed,
-                                         n_seeds=n_seeds, tol=refine_tol,
-                                         oversample=oversample, side=side)
-            break
-        if window is not None or attempt == 2:
-            raise BoundaryMassError(
-                f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
-        win = (max(grid.x_min, q + (win[0] - q) * 1.2),
-               min(grid.x_max - grid.dx, q + (win[1] - q) * 1.2))
+    outside = (x < win[0]) | (x > win[1])
+    deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
+    deficit /= dispersed.norm_sq
+    if deficit > deficit_tol:
+        raise BoundaryMassError(
+            f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
+    tmap = refined_transport_map(model, phase0, win, [t], dispersed, n_seeds=n_seeds,
+                                 tol=refine_tol, oversample=oversample, side=side)
 
     img_lo, img_hi = tmap.image_interval(t)
     if img_lo < grid.x_min or img_hi > grid.x_max:
@@ -321,30 +327,17 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     if norm_defect > 1e-6 * a0.norm:
         raise BoundaryMassError(
             f"pipeline lost norm beyond tolerance (defect {norm_defect:.2e})")
-    k = tmap.time_index(t)
-    metadata = {
-        "c_t": c_t,
-        "window": (float(win[0]), float(win[1])),
-        "n_seeds": tmap.bundle.n_seeds,
+    metadata = _map_metadata(c_t, win, tmap, t)
+    metadata.update({
         "refinement_residual": tmap.refinement_residual,
-        "non_contraction_certificate": tmap.non_contraction_certificate,
-        "caustic_margin": float(np.min(tmap.bundle.dphi_t[k])),
         "window_mass_deficit": window_mass_deficit(tmap, dispersed),
         "norm_defect": norm_defect,
-        "boundary_mass": _edge_mass(state),
+        "boundary_mass": edge_mass_fraction(state),
         "remainder_indicator": math.sqrt(hbar) * (
-            1.0 + _curvature_gradient_scale(model, phase0, q, t)
+            1.0 + _curvature_gradient_scale(model, phase0, phase0.q0, t)
             * (win[1] - win[0]) / 2.0),
-    }
+    })
     return PropagationResult(state, metadata)
-
-
-def _edge_mass(psi: WaveFunction, n_edge: int = 4) -> float:
-    v = psi.values
-    dx = psi.grid.dx
-    edge = float((np.sum(np.abs(v[:n_edge]) ** 2) + np.sum(np.abs(v[-n_edge:]) ** 2)) * dx)
-    total = psi.norm_sq
-    return edge / total if total > 0 else 0.0
 
 
 def _tracked_sqrt(samples: np.ndarray) -> complex:
@@ -421,15 +414,9 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     Both profiles live in the blown-up coordinate u; the distance is their
     L2 difference divided by the profile norm.
     """
-    q = phase0.q0
-    a0 = apply_L(profile_a, q, hbar, grid)
-    c_t = center_kernel(model, phase0, q, t)
-    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
-
-    win = window if window is not None else mass_quantile_window(dispersed)
-    tmap = refined_transport_map(model, phase0, win, [t], dispersed,
-                                 n_seeds=n_seeds, tol=refine_tol,
-                                 oversample=oversample, side=side)
+    _, c_t, dispersed, win = _dispersed(model, phase0, profile_a, hbar, t, grid, window)
+    tmap = refined_transport_map(model, phase0, win, [t], dispersed, n_seeds=n_seeds,
+                                 tol=refine_tol, oversample=oversample, side=side)
 
     x = grid.x
     img_lo, img_hi = tmap.image_interval(t)
@@ -440,19 +427,11 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     pulled = transport_operator_adjoint(tmap, t, WaveFunction(grid, stripped, hbar),
                                         oversample=oversample)
 
-    exact_prof = apply_L_adjoint(pulled, q, hbar)
-    meta_prof = apply_L_adjoint(dispersed, q, hbar)
+    exact_prof = apply_L_adjoint(pulled, phase0.q0, hbar)
+    meta_prof = apply_L_adjoint(dispersed, phase0.q0, hbar)
     du = float(exact_prof.u[1] - exact_prof.u[0])
     diff = exact_prof.values - meta_prof.values
     ref = meta_prof.norm
     l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * du)) / ref
-    k = tmap.time_index(t)
-    metadata = {
-        "c_t": c_t,
-        "window": (float(win[0]), float(win[1])),
-        "n_seeds": tmap.bundle.n_seeds,
-        "non_contraction_certificate": tmap.non_contraction_certificate,
-        "caustic_margin": float(np.min(tmap.bundle.dphi_t[k])),
-    }
     return BackwardTestResult(exact_prof.u, exact_prof.values, meta_prof.values,
-                              l2, metadata)
+                              l2, _map_metadata(c_t, win, tmap, t))

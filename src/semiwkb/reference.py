@@ -1,17 +1,18 @@
 """Numerically exact grid propagation used as ground truth.
 
-Every grid reference walks one stop schedule: the stops are the classical
-kick times (kicked oscillator only), the sample times and the end time.  At
-each stop the walk checks the mass at the domain edges, takes the samples
-(integer times are "just before the kick"), then fires the kick as a
-multiplier.  Between stops a segment propagator runs:
+Every grid reference walks one stop schedule: the stops are the model's
+kick times (none for models without kicks), the sample times and the end
+time.  At each stop the walk checks the mass at the domain edges, takes the
+samples (integer times are "just before the kick"), then fires the kick as
+a multiplier.  Between stops runs the segment propagator that the model's
+``exact_path`` names:
 
 - linear flows (the inverted parabola and the harmonic segments of the
   kicked oscillator) take the metaplectic path: each segment is split into
   equal pieces and every piece is the exact three-shear product
-  Q(a) P(b) Q(a) of a position chirp and a momentum multiplier, certified
-  by the L2 gap between n and 2n pieces and by guards on chirps and kicks
-  driving momentum past Nyquist;
+  Q(a) P(b) Q(a), from the model's shear pair, of a position chirp and a
+  momentum multiplier, certified by the L2 gap between n and 2n pieces and
+  by guards on chirps and kicks driving momentum past Nyquist;
 - any other kinetic-plus-potential model takes fourth-order split stepping
   (Yoshida triple jump), converged by doubling the substeps until the final
   state and the samples stop moving in L2.
@@ -27,10 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
-from .dynamics import kick_times
 from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
                     overlap, spectral_edge_fraction)
-from .hamiltonians import FreeParticle, IntegrableMomentum, KickedHarmonic, ParabolicBarrier
 
 __all__ = [
     "ExactResult",
@@ -83,7 +82,7 @@ def _apply_checked(vals: np.ndarray, multiplier) -> np.ndarray:
 def _evolve(model, psi: WaveFunction, t: float, segment, side: str, sample_times):
     """Walk [0, t] stop by stop; ``segment(vals, s)`` propagates over length s.
 
-    The stops are the kick times (kicked models only), the sample times and
+    The stops are the model's kick times, the sample times and
     t.  At each stop the edge mass is checked, the samples are taken, then
     the kick fires.  Like kick_times, a sample up to 1e-9 past a kick counts
     as before it.  Returns (final_state, samples); a sample at t is the
@@ -92,15 +91,14 @@ def _evolve(model, psi: WaveFunction, t: float, segment, side: str, sample_times
     if t < 0:
         raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
     grid, hbar = psi.grid, psi.hbar
-    kicked = isinstance(model, KickedHarmonic)
-    kicks = [float(n) for n in kick_times(t, side)] if kicked else []
+    kicks = [float(n) for n in model.kick_times(t, side)]
     want = sorted({float(s) for s in sample_times})
     for s in want:
         if s < 0 or s > t + 1e-9:
             raise ValueError(f"sample time {s} outside [0, {t}]")
     early = [s for s in want if s < t]
     late = {s for s in early for n in kicks if n < s <= n + 1e-9}
-    kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicked else None
+    kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicks else None
 
     samples = {}
     vals = psi.values.copy()
@@ -193,20 +191,6 @@ def momentum_evolve(model, psi: WaveFunction, t: float) -> WaveFunction:
     return WaveFunction(psi.grid, vals, psi.hbar)
 
 
-def _shear_pair(model, s: float) -> tuple:
-    """(a, b) with Q(a) P(b) Q(a) equal to the flow of one piece of length s.
-
-    Q(a) = exp(-i a x^2/2hbar) maps (q, p) to (q, p - a q) and
-    P(b) = exp(-i b xi^2/2hbar) maps it to (q + b p, p); matching the product
-    to the piece's linear flow fixes a and b.  Both operator families start
-    at the identity, so the product also carries the right global phase.
-    """
-    if isinstance(model, ParabolicBarrier):
-        lam = model.lam
-        return -lam * math.tanh(0.5 * lam * s), math.sinh(lam * s) / lam
-    return math.tan(0.5 * s), math.sin(s)
-
-
 def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
                        side: str = "minus", sample_times=()):
     """Exact evolution of a linear flow in one pass along the kick schedule.
@@ -226,7 +210,7 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     def segment(vals, s):
         key = round(s, 12)
         if key not in shears:
-            a, b = _shear_pair(model, s / splits)
+            a, b = model.shear_pair(s / splits)
             shears[key] = (_multiplier(-0.5 * a * x2 / hbar),
                            np.exp(-0.5j * b * xi2 / hbar))
         q, p = shears[key]
@@ -274,8 +258,9 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
                 sample_times=()) -> ExactResult:
     """Ground-truth evolution of psi over [0, t], sampled at sample_times.
 
-    Momentum-only models take the exact multiplier.  The barrier and the
-    kicked oscillator take metaplectic_evolve with n and 2n pieces per
+    The model's ``exact_path`` picks the route.  Momentum-only models take
+    the exact multiplier.  Linear flows (the barrier and the kicked
+    oscillator) take metaplectic_evolve with n and 2n pieces per
     segment, n doubling from 1 while a bandwidth guard refuses a pass.
     Other models run split_operator_evolve from the rung the aliasing limit
     allows, doubling the substeps per unit time.  Either way the largest L2
@@ -284,12 +269,12 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     """
     if t < 0:
         raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
-    if isinstance(model, (FreeParticle, IntegrableMomentum)):
+    if model.exact_path == "momentum-multiplier":
         final = momentum_evolve(model, psi, t)
         samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}
         return ExactResult(final, samples, None, 0.0,
                            {"method": "momentum-multiplier"})
-    if isinstance(model, (ParabolicBarrier, KickedHarmonic)):
+    if model.exact_path == "metaplectic-shear":
         return _shear_reference(model, psi, t, tol, side, sample_times)
 
     def run(n):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticError, ConvergenceError, OutOfDomainError
+from .errors import CausticError, ConvergenceError, InvalidInputError, OutOfDomainError
 from .dynamics import flow_bundle
 from .grids import WaveFunction, _padded_spectrum
 from .hamiltonians import QuadraticPhase
@@ -40,7 +40,6 @@ __all__ = [
     "evolved_phase",
     "transport_operator",
     "transport_operator_adjoint",
-    "curvature_matrix_A",
     "window_mass_deficit",
 ]
 
@@ -72,18 +71,18 @@ class TrajectoryBundle:
 
 
 def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, times, *,
-                 dt_max: float = 1e-3, method: str = "auto",
-                 side: str = "minus") -> TrajectoryBundle:
+                 method: str = "auto", side: str = "minus") -> TrajectoryBundle:
     """Flow a uniform fan of seeds on the initial manifold through `times`.
 
     Raises CausticError carrying the earliest offending (t, x) if the map
     derivative drops below the caustic threshold at any sample time.
     """
     if n_seeds < 33:
-        raise ValueError("need at least 33 seeds for a trustworthy tabulation")
+        raise InvalidInputError(
+            f"need at least 33 seeds for a trustworthy tabulation, got {n_seeds}")
     lo, hi = float(x_window[0]), float(x_window[1])
     if not hi > lo:
-        raise ValueError("x_window must be a nonempty interval")
+        raise InvalidInputError(f"x_window must be a nonempty interval, got ({lo}, {hi})")
     seeds = np.linspace(lo, hi, n_seeds)
     p_seed = np.asarray(phase0.grad(seeds), dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -95,7 +94,7 @@ def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, times, *
     dphi_t = np.empty_like(q_t)
     tangent_t = np.empty((times.size, n_seeds, 2, 2))
     for k, t in enumerate(times):
-        fb = flow_bundle(model, p_seed, seeds, t, dt_max=dt_max, method=method, side=side)
+        fb = flow_bundle(model, p_seed, seeds, t, method=method, side=side)
         q_t[k] = fb.q
         p_t[k] = fb.p
         action_t[k] = fb.action
@@ -349,25 +348,6 @@ def transport_operator_adjoint(tmap: TransportMap, t: float, amplitude: WaveFunc
                         interp(np.clip(phi_x, grid.x_min, grid.x_max)), 0.0)
         out[inside] = np.sqrt(jac) * vals
     return WaveFunction(grid, out, amplitude.hbar)
-
-
-def curvature_matrix_A(tmap: TransportMap, t: float, x):
-    """Inverse squared map derivative (the 1D curvature symbol)."""
-    tmap = _as_map(tmap)
-    k = tmap.time_index(t)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    w_lo, w_hi = tmap.seed_window
-    edge = 1e-9 * (1.0 + max(abs(w_lo), abs(w_hi)))
-    if np.any(x_arr < w_lo - edge) or np.any(x_arr > w_hi + edge):
-        raise OutOfDomainError(f"position outside the seeded window [{w_lo:.6g}, {w_hi:.6g}]")
-    d = tmap._phi[k](np.clip(x_arr, w_lo, w_hi), 1)
-    if np.min(np.abs(d)) < CAUSTIC_THRESHOLD:
-        i = int(np.argmin(np.abs(d)))
-        raise CausticError(float(t), float(x_arr[i]))
-    vals = d**-2
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals[0])
-    return vals
 
 
 def window_mass_deficit(tmap: TransportMap, amplitude: WaveFunction) -> float:

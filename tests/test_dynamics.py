@@ -3,11 +3,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.dynamics import FlowBundle, kick_times
+from semiwkb.dynamics import LagrangianLine, kick_times
 from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
-from semiwkb.hamiltonians import QuadraticPhase
+from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
+
+
+def shear_p_pq(model, phase0: QuadraticPhase, base: sw.PhasePoint, t) -> np.ndarray:
+    """Shear relating the flow tangent to its vertical-preserving part.
+
+    The returned map is the identity on the manifold tangent at `base` and
+    sends the pullback of the vertical at the evolved point back to the
+    vertical at `base`.  For hyperbolic dynamics it converges as the
+    pulled-back vertical settles onto the stable direction.
+    """
+    if abs(base.p - float(phase0.grad(base.q))) > 1e-9 * (1.0 + abs(base.p)):
+        raise ValueError("base point does not lie on the initial manifold")
+    fr = sw.flow(model, base, t)
+    pullback = np.linalg.solve(fr.tangent, np.array([1.0, 0.0]))
+    w = sw.shear_from_lagrangians(LagrangianLine.from_slope(phase0.alpha, base),
+                                  LagrangianLine.vertical(base),
+                                  LagrangianLine(base, (pullback[0], pullback[1])))
+    return np.linalg.inv(w)
 
 
 def test_kick_schedule():
@@ -97,12 +116,52 @@ def test_bundle_matches_scalar_flow():
 def test_flow_bundle_rejections():
     with pytest.raises(ValueError):
         sw.flow_bundle(sw.FreeParticle(), [0.0, 1.0], [0.0], 1.0)
-    with pytest.raises(ValueError):
-        sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], 1.0, method="verlet")
-    rough = sw.StandardPotential(
-        lambda x: 0.25 * x ** 4, lambda x: x ** 3, lambda x: 3 * x ** 2)
-    with pytest.raises(ValueError):
-        sw.flow_bundle(rough, [0.0], [0.5], 1.0, method="analytic")
+    for method in ("verlet", "analytic"):
+        with pytest.raises(ValueError):
+            sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], 1.0, method=method)
+
+
+WALK_MODELS = {
+    "free": sw.FreeParticle(),
+    "quartic": sw.IntegrableMomentum(lambda p: 0.5 * p ** 2 + 0.1 * p ** 4,
+                                     lambda p: p + 0.4 * p ** 3,
+                                     lambda p: 1.0 + 1.2 * p ** 2),
+    "barrier": sw.ParabolicBarrier(1.3),
+    "kicked": sw.KickedHarmonic(2.0),
+    "potential": sw.StandardPotential(np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q)),
+}
+# any t on the minus side, integer t on either side
+WALK_TIMES = st.one_of(
+    st.tuples(st.floats(0.0, 1.2), st.just("minus")),
+    st.tuples(st.integers(0, 2).map(float), st.sampled_from(["minus", "plus"])))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@example("kicked", (2.0, "plus"))
+@example("kicked", (1.7, "minus"))
+@example("kicked", (0.0, "plus"))
+@example("quartic", (1.2, "minus"))
+@given(st.sampled_from(sorted(WALK_MODELS)), WALK_TIMES)
+def test_flow_walker_is_symplectic_and_matches_rk4(name, t_side):
+    # the walker with each model's closed-form segments against forced RK4
+    # between the same kicks, to the tolerances of the oracle-vs-RK4 test
+    model, (t, side) = WALK_MODELS[name], t_side
+    p, q = np.array([0.45, -0.2, 0.1]), np.array([-0.35, 0.6, 1.1])
+    fb = sw.flow_bundle(model, p, q, t, side=side)
+    assert np.max(np.abs(np.linalg.det(fb.tangent) - 1.0)) < 1e-10
+    if model.segment_flow is None:
+        return  # the walker already runs RK4
+    if side == "minus":  # the independent oracle, which knows no post-kick side
+        for i in range(p.size):
+            oracle = analytic_oracle(model, "flow", t=t, p=p[i], q=q[i])
+            assert abs(fb.p[i] - oracle.end.p) + abs(fb.q[i] - oracle.end.q) < 1e-10
+            assert np.max(np.abs(fb.tangent[i] - oracle.tangent)) < 1e-10
+            assert abs(fb.action[i] - oracle.action) < 1e-10
+    num = sw.flow_bundle(model, p, q, t, method="rk4", side=side)
+    assert np.max(np.abs(num.p - fb.p)) < 1e-9
+    assert np.max(np.abs(num.q - fb.q)) < 1e-9
+    assert np.max(np.abs(num.tangent - fb.tangent)) < 1e-8
+    assert np.max(np.abs(num.action - fb.action)) < 1e-8
 
 
 def kho_period_matrix(k: float) -> np.ndarray:
@@ -226,10 +285,10 @@ def test_shear_p_pq_free_flat_manifold():
     model = sw.FreeParticle()
     ph = QuadraticPhase(0.0, 0.0, 0.0)
     for t in (0.4, 0.7, 1.9):
-        s = sw.shear_p_pq(model, ph, sw.PhasePoint(0.0, 0.5), t)
+        s = shear_p_pq(model, ph, sw.PhasePoint(0.0, 0.5), t)
         assert np.allclose(s, [[1.0, 0.0], [t, 1.0]], atol=1e-9)
     with pytest.raises(ValueError):
-        sw.shear_p_pq(model, ph, sw.PhasePoint(0.3, 0.5), 1.0)  # off the manifold
+        shear_p_pq(model, ph, sw.PhasePoint(0.3, 0.5), 1.0)  # off the manifold
 
 
 @pytest.mark.parametrize("model,rate", [
@@ -239,7 +298,7 @@ def test_shear_p_pq_free_flat_manifold():
 def test_shear_p_pq_settles_geometrically(model, rate):
     ph = QuadraticPhase(0.0, 0.0, 0.0)
     base = sw.PhasePoint(0.0, 0.0)
-    mats = [sw.shear_p_pq(model, ph, base, float(t)) for t in (2, 3, 4, 5)]
+    mats = [shear_p_pq(model, ph, base, float(t)) for t in (2, 3, 4, 5)]
     diffs = [float(np.max(np.abs(b - a))) for a, b in zip(mats, mats[1:])]
     contraction = math.exp(-2.0 * rate)
     assert diffs[1] < 2.0 * contraction * diffs[0]

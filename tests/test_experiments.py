@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, SemiwkbError
@@ -176,6 +176,8 @@ def test_valid_config_text_loads(tmp_path):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(_config_text(VALID_CONFIG, extra="stray\n"))  # a bare word is no key = value
+@example(_with("experiment", "kind", "exact"))
 @given(MALFORMED_CONFIGS)
 def test_malformed_config_raises_semiwkb_error(tmp_path_factory, text):
     cfg = tmp_path_factory.mktemp("spec") / "exp.ini"

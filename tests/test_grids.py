@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, GridMismatchError
@@ -45,6 +45,8 @@ def test_fourier_round_trip_below_1e12():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@example(-10.0, 20.0, 2048, 1e-4, 0)  # the most turns of the origin phase
+@example(0.0, 1.0, 2, 1.0, 0)
 @given(st.floats(-10.0, 10.0), st.floats(1.0, 20.0), st.sampled_from([2, 16, 256, 2048]),
        st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
 def test_fourier_round_trip_property(x_min, length, n, hbar, seed):
@@ -150,22 +152,6 @@ def test_refine_preserves_values_and_norm():
     assert fine.norm == pytest.approx(psi.norm, abs=1e-12)
     # band-limited interpolation reproduces the original samples
     assert np.max(np.abs(fine.values[::4] - psi.values)) < 1e-12
-
-
-def test_embed_zero_pads_and_checks_alignment():
-    g = sw.GridSpec(-4.0, 4.0, 512)
-    big = sw.GridSpec(-8.0, 8.0, 1024)
-    psi = coherent(g, HBAR)
-    emb = sw.embed_wavefunction(psi, big)
-    assert emb.norm == pytest.approx(psi.norm, abs=1e-14)
-    assert np.count_nonzero(emb.values) == np.count_nonzero(psi.values)
-    with pytest.raises(GridMismatchError):
-        sw.embed_wavefunction(psi, sw.GridSpec(-8.0, 8.0, 2048))  # dx differs
-    with pytest.raises(GridMismatchError):
-        sw.embed_wavefunction(psi, sw.GridSpec(0.0, 16.0, 1024))  # does not contain
-    off = 0.4 * g.dx
-    with pytest.raises(GridMismatchError):
-        sw.embed_wavefunction(psi, sw.GridSpec(-8.0 - off, 8.0 - off, 1024))  # lattice offset
 
 
 def test_edge_fractions_flag_wraparound_risk():

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 import semiwkb as sw
 from semiwkb.errors import CausticDomainError, UnsupportedOracleError
-from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle, validate_momentum_window
+from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 
 QUARTIC = dict(
     h=lambda p: 0.5 * p ** 2 + 0.1 * p ** 4,
@@ -93,7 +93,10 @@ def test_kick_trio_consistency():
     for q in (-1.3, 0.0, 0.9):
         imp = float(model.kick_impulse(q))
         assert imp == pytest.approx(2.0 * math.sin(q))
-        tan = model.kick_tangent(q)
+        # the flow of length 0 past the kick at 0 is the kick alone
+        kicked = sw.flow(model, sw.PhasePoint(0.4, q), 0.0, side="plus")
+        assert kicked.end_point == sw.PhasePoint(0.4 + imp, q)
+        tan = kicked.tangent
         # d(impulse)/dq sits in the p-q slot; the kick leaves q untouched
         assert tan[0, 1] == pytest.approx(2.0 * math.cos(q))
         assert np.allclose(np.diag(tan), 1.0)
@@ -216,14 +219,3 @@ def test_unsupported_oracles_raise():
                         x=np.zeros(1))
     with pytest.raises(ValueError):
         analytic_oracle(sw.FreeParticle(), "nonsense")
-
-
-def test_momentum_window_validation():
-    model = sw.IntegrableMomentum(**QUARTIC)
-    validate_momentum_window(model, 0.5, 2.0)  # fine: h' > 0, h'' > 0 there
-    with pytest.raises(ValueError):
-        validate_momentum_window(model, -2.0, -0.5)  # h' < 0
-    concave = sw.IntegrableMomentum(h=np.sqrt, h_prime=lambda p: 0.5 / np.sqrt(p),
-                                    h_double_prime=lambda p: -0.25 * p ** -1.5)
-    with pytest.raises(ValueError):
-        validate_momentum_window(concave, 0.5, 2.0)

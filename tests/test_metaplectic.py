@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
@@ -16,7 +16,6 @@ from semiwkb.metaplectic import (
     apply_metaplectic,
     backward_wkb_test,
     center_kernel,
-    dispersed_gaussian,
     gaussian_profile,
     mass_quantile_window,
     profile_for_slope,
@@ -26,6 +25,17 @@ from semiwkb.metaplectic import (
 
 HBAR = 0.05
 GRID = sw.GridSpec(-8.0, 8.0, 2048)
+
+
+def dispersed_gaussian(u, c_t: float, gamma: complex = 1.0 + 0.0j):
+    """Closed form of the multiplier acting on exp(-gamma u^2/2) profiles.
+
+    The factor (1 + i*C*gamma) stays in the upper half plane for C >= 0, so
+    the principal square root is the branch continuous from +1 at C=0.
+    """
+    u = np.asarray(u)
+    denom = 1.0 + 1j * c_t * gamma
+    return np.pi**-0.25 * denom**-0.5 * np.exp(-(gamma / denom) * u**2 / 2)
 
 
 def test_gaussian_profile_is_normalized():
@@ -190,7 +200,18 @@ def test_invalid_inputs_raise_a_typed_library_error():
                 lambda: sw.exact_state(sw.FreeParticle(), psi, -1.0),
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, -1.0),
                 lambda: sw.kick_times(-1.0),
+                lambda: sw.kick_times(2.0, "both"),
+                lambda: sw.kick_times(3.5, "plus"),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], 1.0, method="verlet"),
+                lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, 1.0], [0.0], 1.0),
+                lambda: sw.period_tangent(sw.KickedHarmonic(2.0), sw.PhasePoint(0.2, 0.3)),
+                lambda: sw.ehrenfest_time(0.0, 0.1),
+                lambda: sw.ehrenfest_time(1.0, 1.5),
+                lambda: sw.ParabolicBarrier(0.0),
+                lambda: sw.build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                        (-1.0, 1.0), 17, [1.0]),
+                lambda: sw.build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                        (1.0, 1.0), 65, [1.0]),
                 lambda: sw.refine_wavefunction(psi, 3)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
@@ -212,15 +233,20 @@ KERNEL_MODELS = {
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(KERNEL_MODELS)), st.data(), st.floats(0.0, 4.0),
-       st.floats(-1.0, 1.0))
-def test_closed_form_kernel_matches_quadrature(name, data, t, q):
+@example(("kicked", 0.0), 2.0, 1.0)  # an off-centre kicked orbit that folds
+@example(("barrier", -0.9), 4.0, 0.0)  # the slope nearest -lam, the longest path
+@example(("free", 0.0), 0.0, 0.5)
+@given(st.sampled_from(sorted(KERNEL_MODELS)).flatmap(
+           lambda name: st.tuples(st.just(name), KERNEL_MODELS[name][1])),
+       st.floats(0.0, 4.0), st.floats(-1.0, 1.0))
+def test_closed_form_kernel_matches_quadrature(model_slope, t, q):
     # slopes stay clear of caustics on [0, 4] near the centre: free
     # alpha >= 0, barrier alpha > -lam, and the kicked slopes of the
     # acceptance sweep; kicked orbits far off centre (q = 1, alpha = 0,
     # t = 2) do fold, and then both sides must refuse
-    model, slopes = KERNEL_MODELS[name]
-    ph = QuadraticPhase(0.3 * q, q, data.draw(slopes))
+    name, alpha = model_slope
+    model = KERNEL_MODELS[name][0]
+    ph = QuadraticPhase(0.3 * q, q, alpha)
     try:
         got = center_kernel(model, ph, q, t)
     except CausticError:

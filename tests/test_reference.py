@@ -286,6 +286,7 @@ KICKS = st.sampled_from([0.0, 0.7, 2.0])
 
 @PROPERTY
 @example("kicked", [0.4 + 4e-12])  # just past the kick at 1: still before it
+@example("barrier", [0.0, 1.0])
 @given(st.sampled_from(sorted(WALK_STARTS)),
        st.lists(st.one_of(st.sampled_from([0.0, 0.4, 0.8, 1.0]), st.floats(0.0, 1.0)),
                 min_size=1, max_size=4))
@@ -302,6 +303,7 @@ def test_one_pass_shear_samples_match_fresh_runs(name, fractions):
 
 
 @PROPERTY
+@example([0, 128])
 @given(st.lists(st.integers(0, 128), min_size=1, max_size=4))
 def test_one_pass_ladder_samples_match_fresh_runs(steps):
     # stops on the step lattice of 128 steps over [0, 1] leave every step
@@ -317,6 +319,8 @@ def test_one_pass_ladder_samples_match_fresh_runs(steps):
 
 
 @PROPERTY
+@example(2.0, 2.0)
+@example(0.0, 0.0)
 @given(KICKS, st.floats(0.0, 2.0))
 def test_steppers_are_unitary(k, t):
     psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
@@ -329,6 +333,7 @@ def test_steppers_are_unitary(k, t):
 
 
 @PROPERTY
+@example(2.0, 3)
 @given(KICKS, st.integers(0, 3))
 def test_side_plus_is_the_kicked_minus_state(k, t):
     psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))

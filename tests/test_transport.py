@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
@@ -12,7 +12,6 @@ from semiwkb.metaplectic import apply_L, gaussian_profile
 from semiwkb.transport import (
     build_bundle,
     build_transport_map,
-    curvature_matrix_A,
     evolved_phase,
     invert_transport,
     refined_transport_map,
@@ -26,6 +25,19 @@ from semiwkb.transport import (
 )
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+def curvature_matrix_A(tmap, t: float, x):
+    """Inverse squared map derivative (the 1D curvature symbol)."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    w_lo, w_hi = tmap.seed_window
+    edge = 1e-9 * (1.0 + max(abs(w_lo), abs(w_hi)))
+    if np.any(x_arr < w_lo - edge) or np.any(x_arr > w_hi + edge):
+        raise OutOfDomainError(f"position outside the seeded window [{w_lo:.6g}, {w_hi:.6g}]")
+    vals = tmap.map_derivative(t, np.clip(x_arr, w_lo, w_hi)) ** -2
+    if np.ndim(x) == 0:
+        return float(vals[0])
+    return vals
 
 
 @pytest.fixture(scope="module")
@@ -177,12 +189,15 @@ def trigonometric_interpolant(psi, x):
 
 
 @PROPERTY
+@example(1024, 16.0, 0.0, 2.0, 0.0, 0)  # the narrowest, fastest-turning packets
 @given(st.sampled_from([1024, 2048]), st.floats(16.0, 32.0), st.floats(-0.1, 0.1),
        st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi), st.integers(0, 2**32 - 1))
 def test_amplitude_interpolant_matches_trigonometric_sum(n, cells, shift, k_width, angle,
                                                          seed):
     # two resolved packets, negligible at the periodic seam; the spectral
-    # Hermite error is h^4 max|a^(4)|/384 on the 8x finer spacing h
+    # Hermite error is at most h^4 max|a^(4)|/384 on the 8x finer spacing h,
+    # with a^(4) taken spectrally; its maximum over the samples may sit a
+    # little under the continuous one, hence the 10% margin
     grid = sw.GridSpec(-4.0, 4.0, n)
     width = cells * grid.dx
     x = grid.x
@@ -193,7 +208,10 @@ def test_amplitude_interpolant_matches_trigonometric_sum(n, cells, shift, k_widt
     interp = _amplitude_interpolator(psi, 8)
     probe = np.random.default_rng(seed).uniform(grid.x_min, grid.x_max, 200)
     peak = np.max(np.abs(vals))
-    assert np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe))) < 1e-10 * peak
+    k = 2.0 * np.pi * np.fft.fftfreq(n, grid.dx)
+    bound = (grid.dx / 8) ** 4 / 384 * np.max(np.abs(np.fft.ifft(k ** 4 * np.fft.fft(vals))))
+    err = np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe)))
+    assert err < 1.1 * bound + 1e-13 * peak
     assert np.max(np.abs(interp(x) - vals)) < 1e-13 * peak
 
 
@@ -223,6 +241,8 @@ def _transport_case(name, alpha, t, offset):
 
 
 @PROPERTY
+@example("kicked", -0.3, 1.5, 0.2, 0.3, 3.0)
+@example("barrier", 1.0, 1.5, -0.2, -0.3, -3.0)
 @given(st.sampled_from(sorted(TRANSPORT_CASES)), st.floats(-0.3, 1.0), st.floats(0.05, 1.5),
        st.floats(-0.2, 0.2), st.floats(-0.3, 0.3), st.floats(-3.0, 3.0))
 def test_transport_is_unitary_and_adjoint_is_its_transpose(name, alpha, t, offset,
@@ -241,6 +261,8 @@ def test_transport_is_unitary_and_adjoint_is_its_transpose(name, alpha, t, offse
 
 
 @PROPERTY
+@example("kicked", -0.3, 1.5, [0.0, 1.0])
+@example("barrier", 1.0, 1.5, [0.0, 0.5, 1.0])
 @given(st.sampled_from(sorted(TRANSPORT_CASES)), st.floats(-0.3, 1.0), st.floats(0.05, 1.5),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_invert_transport_round_trip_property(name, alpha, t, fractions):
