@@ -86,7 +86,7 @@ class LagrangianLine:
         dp, dq = float(self.direction[0]), float(self.direction[1])
         norm = math.hypot(dp, dq)
         if norm == 0.0:
-            raise ValueError("direction must be nonzero")
+            raise InvalidInputError("direction must be nonzero")
         object.__setattr__(self, "direction", (dp / norm, dq / norm))
 
     @classmethod

@@ -102,7 +102,7 @@ def build_model(spec: ExperimentSpec):
         return ParabolicBarrier(p.get("v0", 1.0))
     if spec.model == "kho":
         return KickedHarmonic(p.get("k", 2.0))
-    raise ValueError(f"unknown model {spec.model!r}")
+    raise SpecError(f"unknown model {spec.model!r}")
 
 
 def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:

@@ -108,7 +108,7 @@ class WaveFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.grid.n_points,):
-            raise ValueError(
+            raise InvalidInputError(
                 f"values shape {self.values.shape} does not match grid with "
                 f"{self.grid.n_points} points"
             )
@@ -126,7 +126,7 @@ class WaveFunction:
     def normalized(self) -> "WaveFunction":
         n = self.norm
         if n == 0.0:
-            raise ValueError("cannot normalize the zero function")
+            raise InvalidInputError("cannot normalize the zero function")
         return replace(self, values=self.values / n)
 
     def to_csv(self, path) -> None:
@@ -148,21 +148,21 @@ class WaveFunction:
         with open(path) as f:
             meta_line = f.readline().strip()
             if not meta_line.startswith("#"):
-                raise ValueError(f"{path}: missing metadata header")
+                raise InvalidInputError(f"{path}: missing metadata header")
             meta = {}
             for token in meta_line[1:].split():
                 key, _, val = token.partition("=")
                 meta[key] = val
             header = f.readline().strip()
             if header != "x,re,im":
-                raise ValueError(f"{path}: unexpected column header {header!r}")
+                raise InvalidInputError(f"{path}: unexpected column header {header!r}")
             rows = np.loadtxt(f, delimiter=",")
         grid = GridSpec(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_points"]))
         values = rows[:, 1] + 1j * rows[:, 2]
         origin = float(meta["conjugate_origin"]) if "conjugate_origin" in meta else None
         wf = cls(grid, values, float(meta["hbar"]), conjugate_origin=origin)
         if not np.allclose(rows[:, 0], grid.x, rtol=0, atol=1e-12 * max(1.0, abs(grid.x_max))):
-            raise ValueError(f"{path}: x column inconsistent with grid metadata")
+            raise InvalidInputError(f"{path}: x column inconsistent with grid metadata")
         return wf
 
 
@@ -200,7 +200,7 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
         )
     if direction == "inverse":
         if psi.conjugate_origin is None:
-            raise ValueError("inverse transform needs conjugate_origin metadata")
+            raise InvalidInputError("inverse transform needs conjugate_origin metadata")
         xi_grid = psi.grid
         n = xi_grid.n_points
         dxi = xi_grid.dx
@@ -212,7 +212,7 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
         vals = np.fft.ifftshift(psi.values) * np.exp(1j * x_min * xi / psi.hbar)
         vals = np.fft.ifft(vals) / dx
         return WaveFunction(pos_grid, vals, psi.hbar)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def _padded_spectrum(values: np.ndarray, factor: int) -> np.ndarray:

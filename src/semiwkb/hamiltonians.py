@@ -59,7 +59,7 @@ class QuadraticPhase:
     def from_theta(cls, theta: float, p0: float = 0.0, q0: float = 0.0) -> "QuadraticPhase":
         """Slope parametrised as alpha = tan(theta); theta = +-pi/2 is vertical."""
         if abs(abs(theta) - math.pi / 2) < 1e-12 or abs(theta) > math.pi / 2:
-            raise ValueError(f"theta={theta} does not define a transversal slope")
+            raise InvalidInputError(f"theta={theta} does not define a transversal slope")
         return cls(p0=p0, q0=q0, alpha=math.tan(theta))
 
     def phase(self, x):

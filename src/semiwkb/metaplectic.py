@@ -30,7 +30,7 @@ from .grids import (GridSpec, WaveFunction, edge_mass_fraction, hbar_fourier_tra
                     spectral_edge_fraction)
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
-                        transport_operator_adjoint, window_mass_deficit)
+                        transport_operator_adjoint)
 
 __all__ = [
     "ScaledAmplitude",
@@ -95,10 +95,11 @@ class MetaplecticKernel:
     hbar: float
 
     def __post_init__(self):
-        if self.c_t < -1e-12:
-            raise InvalidInputError(f"accumulated kernel must be nonnegative, got {self.c_t}")
-        if self.hbar <= 0:
-            raise InvalidInputError("hbar must be positive")
+        if not (math.isfinite(self.c_t) and self.c_t >= -1e-12):
+            raise InvalidInputError(
+                f"accumulated kernel must be finite and nonnegative, got {self.c_t}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidInputError(f"hbar must be finite and positive, got {self.hbar}")
 
 
 def _check_resolution(grid: GridSpec, hbar: float) -> None:
@@ -194,9 +195,8 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
 
 def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
     """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar))."""
-    if not math.isnan(kernel.hbar) and not math.isclose(kernel.hbar, amplitude.hbar,
-                                                        rel_tol=1e-12):
-        raise ValueError("kernel and amplitude disagree on hbar")
+    if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
+        raise InvalidInputError("kernel and amplitude disagree on hbar")
     edge = spectral_edge_fraction(amplitude)
     if edge > 1e-8:
         raise BandwidthError(
@@ -249,7 +249,7 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     w = np.abs(psi.values) ** 2
     total = w.sum()
     if total == 0.0:
-        raise ValueError("cannot size a window for the zero function")
+        raise InvalidInputError("cannot size a window for the zero function")
     # each tail is summed from its own end: a running sum compared with
     # (1 - tail_mass) * total would pick the upper edge by its rounding
     lo_idx = int(np.searchsorted(np.cumsum(w), tail_mass * total))
@@ -263,35 +263,52 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     return x_lo, x_hi
 
 
-def _dispersed(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
-               grid: GridSpec, window) -> tuple:
-    """Front half of both pipelines: scale the profile to the packet width,
-    disperse it by the center kernel and choose the seed window (the mass
-    quantiles of the dispersed amplitude unless a window is given).
-    Returns (a0, c_t, dispersed, window)."""
+def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
+                   grid: GridSpec, window, side: str, deficit_tol=None) -> tuple:
+    """The chain both pipelines share.  Scale the profile to the packet
+    width, disperse it by the center kernel, choose the seed window (the mass
+    quantiles of the dispersed amplitude unless a window is given), refine
+    the map on it, and evaluate the evolved phase on the grid points inside
+    the map's image.  With a ``deficit_tol``, more than that fraction of the
+    dispersed mass outside the window raises BoundaryMassError before any
+    map is built.
+
+    Returns (a0, dispersed, deficit, tmap, inside, phases, metadata); the
+    deficit is None without a ``deficit_tol``, and the metadata holds the
+    diagnostics both pipelines report about the kernel and the map.
+    """
     q = phase0.q0
     a0 = apply_L(profile_a, q, hbar, grid)
     c_t = center_kernel(model, phase0, q, t)
     dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
     win = window if window is not None else mass_quantile_window(dispersed)
-    return a0, c_t, dispersed, (float(win[0]), float(win[1]))
-
-
-def _map_metadata(c_t: float, window, tmap, t: float) -> dict:
-    """Diagnostics both pipelines report about the kernel and the map."""
-    return {
+    win = (float(win[0]), float(win[1]))
+    x = grid.x
+    deficit = None
+    if deficit_tol is not None:
+        outside = (x < win[0]) | (x > win[1])
+        deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
+        deficit /= dispersed.norm_sq
+        if deficit > deficit_tol:
+            raise BoundaryMassError(
+                f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
+    tmap = refined_transport_map(model, phase0, win, t, dispersed, side=side)
+    img_lo, img_hi = tmap.image_interval
+    inside = (x >= img_lo) & (x <= img_hi)
+    phases = evolved_phase(tmap, x[inside])
+    metadata = {
         "c_t": c_t,
-        "window": window,
+        "window": win,
         "n_seeds": tmap.bundle.n_seeds,
         "non_contraction_certificate": tmap.non_contraction_certificate,
-        "caustic_margin": float(np.min(tmap.bundle.dphi_t[tmap.time_index(t)])),
+        "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
     }
+    return a0, dispersed, deficit, tmap, inside, phases, metadata
 
 
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
                            t: float, grid: GridSpec, *, window=None,
-                           n_seeds: int = 65, oversample: int = 8,
-                           refine_tol: float = 1e-8, deficit_tol: float = 1e-10,
+                           deficit_tol: float = 1e-10,
                            side: str = "minus") -> PropagationResult:
     """Full pipeline: scale, dispersion-correct, transport, rephase.
 
@@ -299,27 +316,17 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     to report: accumulated kernel, non-contraction certificate, caustic
     margin, window mass deficit, norm defect, and the sqrt(hbar) remainder
     indicator.  Raises BoundaryMassError when more than ``deficit_tol`` of
-    the dispersed mass lies outside the seed window.
+    the dispersed mass lies outside the seed window, or when the map's
+    image leaves the grid.
     """
-    a0, c_t, dispersed, win = _dispersed(model, phase0, profile_a, hbar, t, grid, window)
-    x = grid.x
-    outside = (x < win[0]) | (x > win[1])
-    deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
-    deficit /= dispersed.norm_sq
-    if deficit > deficit_tol:
-        raise BoundaryMassError(
-            f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
-    tmap = refined_transport_map(model, phase0, win, [t], dispersed, n_seeds=n_seeds,
-                                 tol=refine_tol, oversample=oversample, side=side)
-
-    img_lo, img_hi = tmap.image_interval(t)
+    a0, _, deficit, tmap, inside, phases, metadata = _semiclassical(
+        model, phase0, profile_a, hbar, t, grid, window, side, deficit_tol)
+    img_lo, img_hi = tmap.image_interval
     if img_lo < grid.x_min or img_hi > grid.x_max:
         raise BoundaryMassError(
             f"transported window [{img_lo:.4g}, {img_hi:.4g}] exceeds the grid domain")
 
-    vals = tmap.transported[0].values.copy()
-    inside = (x >= img_lo) & (x <= img_hi)
-    phases = evolved_phase(tmap, t, x[inside])
+    vals = tmap.transported.values.copy()
     vals[inside] = vals[inside] * np.exp(1j * phases / hbar)
     state = WaveFunction(grid, vals, hbar)
 
@@ -327,10 +334,10 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     if norm_defect > 1e-6 * a0.norm:
         raise BoundaryMassError(
             f"pipeline lost norm beyond tolerance (defect {norm_defect:.2e})")
-    metadata = _map_metadata(c_t, win, tmap, t)
+    win = metadata["window"]
     metadata.update({
         "refinement_residual": tmap.refinement_residual,
-        "window_mass_deficit": window_mass_deficit(tmap, dispersed),
+        "window_mass_deficit": deficit,
         "norm_defect": norm_defect,
         "boundary_mass": edge_mass_fraction(state),
         "remainder_indicator": math.sqrt(hbar) * (
@@ -367,7 +374,7 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
     Valid while the reported indicator sqrt(hbar)*||dPhi|| stays small.
     """
     if b0.imag <= 0:
-        raise ValueError("initial width must have positive imaginary part")
+        raise InvalidInputError("initial width must have positive imaginary part")
     n_samples = max(2, int(math.ceil(t / dt_sample)) + 1)
     ts = np.linspace(0.0, t, n_samples)
     w_path = np.empty(n_samples, dtype=np.complex128)
@@ -406,26 +413,18 @@ class BackwardTestResult:
 
 def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
                       t: float, grid: GridSpec, psi_exact: WaveFunction, *,
-                      window=None, n_seeds: int = 65, oversample: int = 8,
-                      refine_tol: float = 1e-8, side: str = "minus") -> BackwardTestResult:
+                      window=None, side: str = "minus") -> BackwardTestResult:
     """Undo transport and phase on an exactly propagated state and compare
     the surviving profile with the dispersion-corrected initial profile.
 
     Both profiles live in the blown-up coordinate u; the distance is their
     L2 difference divided by the profile norm.
     """
-    _, c_t, dispersed, win = _dispersed(model, phase0, profile_a, hbar, t, grid, window)
-    tmap = refined_transport_map(model, phase0, win, [t], dispersed, n_seeds=n_seeds,
-                                 tol=refine_tol, oversample=oversample, side=side)
-
-    x = grid.x
-    img_lo, img_hi = tmap.image_interval(t)
-    inside = (x >= img_lo) & (x <= img_hi)
+    _, dispersed, _, tmap, inside, phases, metadata = _semiclassical(
+        model, phase0, profile_a, hbar, t, grid, window, side)
     stripped = np.zeros_like(psi_exact.values)
-    phases = evolved_phase(tmap, t, x[inside])
     stripped[inside] = psi_exact.values[inside] * np.exp(-1j * phases / hbar)
-    pulled = transport_operator_adjoint(tmap, t, WaveFunction(grid, stripped, hbar),
-                                        oversample=oversample)
+    pulled = transport_operator_adjoint(tmap, WaveFunction(grid, stripped, hbar))
 
     exact_prof = apply_L_adjoint(pulled, phase0.q0, hbar)
     meta_prof = apply_L_adjoint(dispersed, phase0.q0, hbar)
@@ -434,4 +433,4 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     ref = meta_prof.norm
     l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * du)) / ref
     return BackwardTestResult(exact_prof.u, exact_prof.values, meta_prof.values,
-                              l2, _map_metadata(c_t, win, tmap, t))
+                              l2, metadata)

@@ -95,7 +95,7 @@ def _evolve(model, psi: WaveFunction, t: float, segment, side: str, sample_times
     want = sorted({float(s) for s in sample_times})
     for s in want:
         if s < 0 or s > t + 1e-9:
-            raise ValueError(f"sample time {s} outside [0, {t}]")
+            raise InvalidInputError(f"sample time {s} outside [0, {t}]")
     early = [s for s in want if s < t]
     late = {s for s in early for n in kicks if n < s <= n + 1e-9}
     kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicks else None
@@ -164,7 +164,7 @@ def split_operator_evolve(model, psi: WaveFunction, t: float, *, n_substeps: int
     sub-step reaches the aliasing limit.
     """
     if n_substeps < 1:
-        raise ValueError(f"need at least one substep, got {n_substeps}")
+        raise InvalidInputError(f"need at least one substep, got {n_substeps}")
     grid, hbar = psi.grid, psi.hbar
     limit = aliasing_limit(model, grid, hbar) / abs(_W0)
     phases = {}

@@ -1,17 +1,21 @@
 """Manifold transport: the position-space map induced by flowing a
-Lagrangian line, the evolved phase on its image, and the transport operator
-that rearranges amplitudes along it.
+Lagrangian line for a time t, the evolved phase on its image, and the
+transport operator that rearranges amplitudes along it.
 
-A bundle flows a fan of seeds (grad S0(x_i), x_i) and records everything
-needed downstream.  The map derivative at a seed comes from the tangent
-matrix applied to the manifold tangent (1, alpha), never from differencing
-neighbouring trajectories.  Interpolation between nodes is cubic Hermite
+A bundle flows a fan of seeds (grad S0(x_i), x_i) to one time t and records
+everything needed downstream; a map tabulates that one time.  Nothing is
+shared between times: the pipelines' dispersion kernel and seed window
+both depend on t, so each time gets its own bundle and map.
+
+The map derivative at a seed comes from the tangent matrix applied to the
+manifold tangent (1, alpha), never from differencing neighbouring
+trajectories.  Interpolation between nodes is cubic Hermite
 with those exact derivatives, so the tabulated map and its inverse agree
 with the flow to interpolation order and monotonicity can be certified one
 interval at a time (the derivative of each cubic piece is a quadratic).
 
 The amplitude moved along the map is interpolated the same way, on a grid
-``oversample`` times finer than its own.  One FFT of its samples,
+OVERSAMPLE times finer than its own.  One FFT of its samples,
 zero-padded as in refine_wavefunction, gives the trigonometric interpolant
 on the fine grid twice over: its values, and (times i*k) its exact
 derivatives.  A cubic Hermite piece between fine nodes, located by direct
@@ -44,6 +48,10 @@ __all__ = [
 ]
 
 CAUSTIC_THRESHOLD = 1e-6
+FIRST_SEEDS = 65     # seeds of the first refinement round; each round halves the spacing
+REFINE_TOL = 1e-8    # relative L2 change of the transported amplitude that ends refinement
+MAX_ROUNDS = 6
+OVERSAMPLE = 8       # the amplitude interpolant's grid is this many times finer
 
 
 @dataclass(eq=False, frozen=True)
@@ -51,31 +59,25 @@ class TrajectoryBundle:
     model: object
     phase0: QuadraticPhase
     seeds: np.ndarray        # initial positions, uniform, increasing
-    times: np.ndarray
+    t: float
     p_seed: np.ndarray       # grad S0 at the seeds
-    q_t: np.ndarray          # (n_times, n_seeds)
+    q_t: np.ndarray          # the seeds' positions at time t
     p_t: np.ndarray
     action_t: np.ndarray
-    tangent_t: np.ndarray    # (n_times, n_seeds, 2, 2)
+    tangent_t: np.ndarray    # (n_seeds, 2, 2)
     dphi_t: np.ndarray       # derivative of the map along the manifold
 
     @property
     def n_seeds(self) -> int:
         return self.seeds.size
 
-    def time_index(self, t: float) -> int:
-        hit = np.nonzero(np.abs(self.times - t) <= 1e-9 * (1.0 + abs(t)))[0]
-        if hit.size == 0:
-            raise ValueError(f"t={t} is not among the bundle sample times {self.times}")
-        return int(hit[0])
 
+def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float, *,
+                 side: str = "minus") -> TrajectoryBundle:
+    """Flow a uniform fan of seeds on the initial manifold to time t.
 
-def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, times, *,
-                 method: str = "auto", side: str = "minus") -> TrajectoryBundle:
-    """Flow a uniform fan of seeds on the initial manifold through `times`.
-
-    Raises CausticError carrying the earliest offending (t, x) if the map
-    derivative drops below the caustic threshold at any sample time.
+    Raises CausticError carrying (t, x) at the seed whose map derivative
+    is smallest if it drops below the caustic threshold.
     """
     if n_seeds < 33:
         raise InvalidInputError(
@@ -85,26 +87,13 @@ def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, times, *
         raise InvalidInputError(f"x_window must be a nonempty interval, got ({lo}, {hi})")
     seeds = np.linspace(lo, hi, n_seeds)
     p_seed = np.asarray(phase0.grad(seeds), dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-
-    alpha = phase0.alpha
-    q_t = np.empty((times.size, n_seeds))
-    p_t = np.empty_like(q_t)
-    action_t = np.empty_like(q_t)
-    dphi_t = np.empty_like(q_t)
-    tangent_t = np.empty((times.size, n_seeds, 2, 2))
-    for k, t in enumerate(times):
-        fb = flow_bundle(model, p_seed, seeds, t, method=method, side=side)
-        q_t[k] = fb.q
-        p_t[k] = fb.p
-        action_t[k] = fb.action
-        tangent_t[k] = fb.tangent
-        dphi_t[k] = fb.tangent[:, 1, 0] * alpha + fb.tangent[:, 1, 1]
-        if np.min(dphi_t[k]) < CAUSTIC_THRESHOLD:
-            i = int(np.argmin(dphi_t[k]))
-            raise CausticError(float(t), float(seeds[i]))
-    return TrajectoryBundle(model, phase0, seeds, times, p_seed,
-                            q_t, p_t, action_t, tangent_t, dphi_t)
+    t = float(t)
+    fb = flow_bundle(model, p_seed, seeds, t, side=side)
+    dphi = fb.tangent[:, 1, 0] * phase0.alpha + fb.tangent[:, 1, 1]
+    if np.min(dphi) < CAUSTIC_THRESHOLD:
+        raise CausticError(t, float(seeds[np.argmin(dphi)]))
+    return TrajectoryBundle(model, phase0, seeds, t, p_seed,
+                            fb.q, fb.p, fb.action, fb.tangent, dphi)
 
 
 def _piecewise_derivative_min(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
@@ -161,7 +150,7 @@ class _Hermite:
 
 
 class TransportMap:
-    """Per-time monotone tabulation of the manifold map with phase data.
+    """Monotone tabulation of one time's manifold map, with phase data.
 
     Immutable after construction; all queries are read-only.  The phase is
     stored relative to the central trajectory so spline values stay small;
@@ -170,65 +159,42 @@ class TransportMap:
 
     def __init__(self, bundle: TrajectoryBundle):
         self.bundle = bundle
-        self._phi = []
-        self._s_rel = []
-        self._s_center = []
-        mid = bundle.n_seeds // 2
-        s0 = np.asarray(bundle.phase0.phase(bundle.seeds), dtype=float)
-        for k, t in enumerate(bundle.times):
-            dmin = _piecewise_derivative_min(bundle.seeds, bundle.q_t[k], bundle.dphi_t[k])
-            if dmin <= 0.0:
-                i = int(np.argmin(bundle.dphi_t[k]))
-                raise CausticError(float(t), float(bundle.seeds[i]),
-                                   f"interpolated map loses monotonicity at t={t}; "
-                                   "refine the seed fan")
-            self._phi.append(_Hermite(bundle.seeds, bundle.q_t[k], bundle.dphi_t[k]))
-            s_nodes = s0 + bundle.action_t[k]
-            center = float(s_nodes[mid])
-            self._s_rel.append(_Hermite(bundle.q_t[k], s_nodes - center, bundle.p_t[k]))
-            self._s_center.append(center)
+        if _piecewise_derivative_min(bundle.seeds, bundle.q_t, bundle.dphi_t) <= 0.0:
+            i = int(np.argmin(bundle.dphi_t))
+            raise CausticError(bundle.t, float(bundle.seeds[i]),
+                               f"interpolated map loses monotonicity at t={bundle.t}; "
+                               "refine the seed fan")
+        self._phi = _Hermite(bundle.seeds, bundle.q_t, bundle.dphi_t)
+        s_nodes = np.asarray(bundle.phase0.phase(bundle.seeds), dtype=float) + bundle.action_t
+        self._s_center = float(s_nodes[bundle.n_seeds // 2])
+        self._s_rel = _Hermite(bundle.q_t, s_nodes - self._s_center, bundle.p_t)
         # populated by refined_transport_map
         self.refinement_residual = None
         self.transported = None
 
     @property
-    def times(self) -> np.ndarray:
-        return self.bundle.times
-
-    @property
     def seed_window(self):
         return float(self.bundle.seeds[0]), float(self.bundle.seeds[-1])
 
-    def time_index(self, t: float) -> int:
-        return self.bundle.time_index(t)
-
-    def image_interval(self, t: float):
-        k = self.time_index(t)
-        return float(self.bundle.q_t[k][0]), float(self.bundle.q_t[k][-1])
+    @property
+    def image_interval(self):
+        return float(self.bundle.q_t[0]), float(self.bundle.q_t[-1])
 
     @property
     def non_contraction_certificate(self) -> float:
-        """Smallest tabulated |map derivative| over all times and seeds."""
+        """Smallest tabulated |map derivative| over the seeds."""
         return float(np.min(np.abs(self.bundle.dphi_t)))
 
-    def map_values(self, t: float, x):
-        k = self.time_index(t)
-        return self._phi[k](x)
+    def map_values(self, x):
+        return self._phi(x)
 
-    def map_derivative(self, t: float, x):
-        k = self.time_index(t)
-        return self._phi[k](x, 1)
+    def map_derivative(self, x):
+        return self._phi(x, 1)
 
 
-def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int, times,
-                        **flow_kwargs) -> TransportMap:
-    return TransportMap(build_bundle(model, phase0, x_window, n_seeds, times, **flow_kwargs))
-
-
-def _as_map(bundle_or_map) -> TransportMap:
-    if isinstance(bundle_or_map, TransportMap):
-        return bundle_or_map
-    return TransportMap(bundle_or_map)
+def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float, *,
+                        side: str = "minus") -> TransportMap:
+    return TransportMap(build_bundle(model, phase0, x_window, n_seeds, t, side=side))
 
 
 def _monotone_inverse(phi: _Hermite, y: np.ndarray, lo: float, hi: float,
@@ -257,47 +223,41 @@ def _monotone_inverse(phi: _Hermite, y: np.ndarray, lo: float, hi: float,
     raise ConvergenceError(f"map inversion left a residual {worst:.3g} times its tolerance")
 
 
-def _invert_on_index(tmap: TransportMap, k: int, y: np.ndarray) -> np.ndarray:
+def _invert(tmap: TransportMap, y: np.ndarray) -> np.ndarray:
     # the map is certified increasing on the seed window, so the window
     # brackets every preimage
     seeds = tmap.bundle.seeds
-    start = np.interp(y, tmap.bundle.q_t[k], seeds)
-    return _monotone_inverse(tmap._phi[k], y, seeds[0], seeds[-1], start)
+    start = np.interp(y, tmap.bundle.q_t, seeds)
+    return _monotone_inverse(tmap._phi, y, seeds[0], seeds[-1], start)
 
 
-def invert_transport(tmap: TransportMap, t: float, y):
+def _on_image(tmap: TransportMap, y) -> np.ndarray:
+    """``y`` as an array clipped to the map's image; OutOfDomainError if it
+    lies beyond the image by more than rounding."""
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    lo, hi = tmap.image_interval
+    edge = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    if np.any(y_arr < lo - edge) or np.any(y_arr > hi + edge):
+        raise OutOfDomainError(
+            f"position outside the image [{lo:.6g}, {hi:.6g}] at t={tmap.bundle.t}")
+    return np.clip(y_arr, lo, hi)
+
+
+def invert_transport(tmap: TransportMap, y):
     """Preimage under the manifold map, to 1e-10*(1+|y|) in residual."""
-    tmap = _as_map(tmap)
-    k = tmap.time_index(t)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi = tmap.bundle.q_t[k][0], tmap.bundle.q_t[k][-1]
-    edge = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    if np.any(y_arr < lo - edge) or np.any(y_arr > hi + edge):
-        raise OutOfDomainError(f"position outside the image [{lo:.6g}, {hi:.6g}] at t={t}")
-    x = _invert_on_index(tmap, k, np.clip(y_arr, lo, hi))
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(x[0])
-    return x
+    x = _invert(tmap, _on_image(tmap, y))
+    return float(x[0]) if np.ndim(y) == 0 else x
 
 
-def evolved_phase(bundle_or_map, t: float, y):
+def evolved_phase(tmap: TransportMap, y):
     """Phase S(t, y) on the image of the transported manifold."""
-    tmap = _as_map(bundle_or_map)
-    k = tmap.time_index(t)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi = tmap.bundle.q_t[k][0], tmap.bundle.q_t[k][-1]
-    edge = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    if np.any(y_arr < lo - edge) or np.any(y_arr > hi + edge):
-        raise OutOfDomainError(f"position outside the image [{lo:.6g}, {hi:.6g}] at t={t}")
-    vals = tmap._s_rel[k](np.clip(y_arr, lo, hi)) + tmap._s_center[k]
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(vals[0])
-    return vals
+    vals = tmap._s_rel(_on_image(tmap, y)) + tmap._s_center
+    return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
-def _amplitude_interpolator(amplitude: WaveFunction, oversample: int) -> _Hermite:
+def _amplitude_interpolator(amplitude: WaveFunction, factor: int = OVERSAMPLE) -> _Hermite:
     grid = amplitude.grid
-    spec = _padded_spectrum(amplitude.values, oversample)
+    spec = _padded_spectrum(amplitude.values, factor)
     h = grid.length / spec.size
     vals = np.fft.ifft(spec)
     slopes = np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec)
@@ -305,8 +265,8 @@ def _amplitude_interpolator(amplitude: WaveFunction, oversample: int) -> _Hermit
     return _Hermite(grid.x_min, np.append(vals, vals[0]), np.append(slopes, slopes[0]), h)
 
 
-def transport_operator(tmap: TransportMap, t: float, amplitude: WaveFunction, *,
-                       oversample: int = 8, interpolant=None) -> WaveFunction:
+def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
+                       interpolant=None) -> WaveFunction:
     """Pull the amplitude back along the map with the unitary Jacobian factor.
 
     Grid points outside the image of the seeded window get amplitude zero;
@@ -315,35 +275,30 @@ def transport_operator(tmap: TransportMap, t: float, amplitude: WaveFunction, *,
     along several maps builds its ``interpolant`` once and passes it, as
     refined_transport_map does.
     """
-    tmap = _as_map(tmap)
-    k = tmap.time_index(t)
     grid = amplitude.grid
     x = grid.x
-    lo, hi = tmap.bundle.q_t[k][0], tmap.bundle.q_t[k][-1]
+    lo, hi = tmap.image_interval
     out = np.zeros(grid.n_points, dtype=np.complex128)
     inside = (x >= lo) & (x <= hi)
     if inside.any():
-        x_pre = _invert_on_index(tmap, k, x[inside])
-        interp = interpolant or _amplitude_interpolator(amplitude, oversample)
-        jac = tmap._phi[k](x_pre, 1)
+        x_pre = _invert(tmap, x[inside])
+        interp = interpolant or _amplitude_interpolator(amplitude)
+        jac = tmap._phi(x_pre, 1)
         out[inside] = interp(x_pre) / np.sqrt(jac)
     return WaveFunction(grid, out, amplitude.hbar)
 
 
-def transport_operator_adjoint(tmap: TransportMap, t: float, amplitude: WaveFunction, *,
-                               oversample: int = 8) -> WaveFunction:
+def transport_operator_adjoint(tmap: TransportMap, amplitude: WaveFunction) -> WaveFunction:
     """Adjoint: push forward along the map, (T* B)(x) = sqrt(phi') B(phi(x))."""
-    tmap = _as_map(tmap)
-    k = tmap.time_index(t)
     grid = amplitude.grid
     x = grid.x
     w_lo, w_hi = tmap.seed_window
     out = np.zeros(grid.n_points, dtype=np.complex128)
     inside = (x >= w_lo) & (x <= w_hi)
     if inside.any():
-        phi_x = tmap._phi[k](x[inside])
-        jac = tmap._phi[k](x[inside], 1)
-        interp = _amplitude_interpolator(amplitude, oversample)
+        phi_x = tmap._phi(x[inside])
+        jac = tmap._phi(x[inside], 1)
+        interp = _amplitude_interpolator(amplitude)
         vals = np.where((phi_x >= grid.x_min) & (phi_x <= grid.x_max),
                         interp(np.clip(phi_x, grid.x_min, grid.x_max)), 0.0)
         out[inside] = np.sqrt(jac) * vals
@@ -352,7 +307,6 @@ def transport_operator_adjoint(tmap: TransportMap, t: float, amplitude: WaveFunc
 
 def window_mass_deficit(tmap: TransportMap, amplitude: WaveFunction) -> float:
     """Fraction of the amplitude's mass outside the seeded window."""
-    tmap = _as_map(tmap)
     w_lo, w_hi = tmap.seed_window
     x = amplitude.grid.x
     outside = (x < w_lo) | (x > w_hi)
@@ -363,37 +317,31 @@ def window_mass_deficit(tmap: TransportMap, amplitude: WaveFunction) -> float:
     return lost / total
 
 
-def refined_transport_map(model, phase0: QuadraticPhase, x_window, times,
-                          amplitude: WaveFunction, *, n_seeds: int = 65,
-                          tol: float = 1e-8, max_rounds: int = 6,
-                          oversample: int = 8, **flow_kwargs) -> TransportMap:
+def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
+                          amplitude: WaveFunction, *, side: str = "minus") -> TransportMap:
     """Halve the seed spacing until the transported amplitude settles.
 
-    The convergence measure is the largest L2 change of the transported
-    amplitude across the sample times, relative to the amplitude norm.  The
-    returned map carries the converged round's transported amplitudes as
-    ``transported``, one per time.  The amplitude interpolant serves every
-    round and is released on return.
+    The convergence measure is the L2 change of the transported amplitude
+    between rounds, relative to the amplitude norm.  The returned map
+    carries the converged round's transported amplitude as ``transported``.
+    The amplitude interpolant serves every round and is released on return.
     """
-    times = np.atleast_1d(times)
-    n = max(n_seeds, 33)
-    tmap = build_transport_map(model, phase0, x_window, n, times, **flow_kwargs)
-    interp = _amplitude_interpolator(amplitude, oversample)
+    n = FIRST_SEEDS
+    interp = _amplitude_interpolator(amplitude)
     ref = amplitude.norm
-    prev = [transport_operator(tmap, t, amplitude, interpolant=interp) for t in times]
-    for _ in range(max_rounds):
+    prev = transport_operator(build_transport_map(model, phase0, x_window, n, t, side=side),
+                              amplitude, interpolant=interp)
+    for _ in range(MAX_ROUNDS):
         n = 2 * n - 1
-        finer = build_transport_map(model, phase0, x_window, n, times, **flow_kwargs)
-        cur = [transport_operator(finer, t, amplitude, interpolant=interp) for t in times]
-        residual = max(
-            float(np.sqrt(np.sum(np.abs(c.values - p.values) ** 2) * c.grid.dx)) / ref
-            for c, p in zip(cur, prev)
-        )
-        if residual < tol:
-            finer.refinement_residual = residual
-            finer.transported = cur
-            return finer
-        tmap, prev = finer, cur
+        tmap = build_transport_map(model, phase0, x_window, n, t, side=side)
+        cur = transport_operator(tmap, amplitude, interpolant=interp)
+        residual = float(np.sqrt(np.sum(np.abs(cur.values - prev.values) ** 2)
+                                 * cur.grid.dx)) / ref
+        if residual < REFINE_TOL:
+            tmap.refinement_residual = residual
+            tmap.transported = cur
+            return tmap
+        prev = cur
     raise ConvergenceError(
-        f"transport map did not settle below {tol} after {max_rounds} refinements "
+        f"transport map did not settle below {REFINE_TOL} after {MAX_ROUNDS} refinements "
         f"(last n_seeds={n})")

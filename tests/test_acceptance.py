@@ -151,8 +151,8 @@ def test_7_structural_invariants(rng):
     grid = sw.GridSpec(-6.0, 6.0, 2048)
     amp = apply_L(gaussian_profile, 0.0, 1.0, grid)
     tmap = refined_transport_map(sw.FreeParticle(), QuadraticPhase(0.0, 0.0, 0.3),
-                                 (-5.0, 5.0), [0.5], amp)
-    moved = transport_operator(tmap, 0.5, amp)
+                                 (-5.0, 5.0), 0.5, amp)
+    moved = transport_operator(tmap, amp)
     unit_defect = abs(moved.norm - amp.norm)
 
     shear_worst = 0.0
@@ -171,9 +171,9 @@ def test_7_structural_invariants(rng):
         checked += 1
 
     folding = QuadraticPhase(0.0, 0.0, -1.0)
-    build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 129, [0.999])
+    build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 129, 0.999)
     with pytest.raises(CausticError):
-        build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 129, [1.001])
+        build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 129, 1.001)
 
     ok = (det_worst < 1e-9 and ft_err < 1e-12 and unit_defect < 1e-6
           and shear_worst < 1e-10)

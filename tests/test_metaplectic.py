@@ -189,11 +189,29 @@ def test_center_kernel_edge_cases():
         center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0)
 
 
-def test_invalid_inputs_raise_a_typed_library_error():
+def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
     psi = sw.initial_coherent_state(GRID, HBAR, (0.0, 0.0))
+    zero = sw.WaveFunction(GRID, np.zeros(GRID.n_points), HBAR)
+    headless = tmp_path / "headless.csv"
+    headless.write_text("x,re,im\n0.0,1.0,0.0\n")
     for bad in (lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0),
                 lambda: MetaplecticKernel(-0.1, 0.0, HBAR),
                 lambda: MetaplecticKernel(0.5, 0.0, 0.0),
+                lambda: MetaplecticKernel(math.nan, 0.0, HBAR),
+                lambda: MetaplecticKernel(0.5, 0.0, math.nan),
+                lambda: apply_metaplectic(MetaplecticKernel(0.5, 0.0, 2 * HBAR), psi),
+                lambda: mass_quantile_window(zero),
+                lambda: propagate_thawed_gaussian(sw.FreeParticle(), sw.PhasePoint(0, 0),
+                                                  1.0 - 0.5j, HBAR, 1.0, GRID),
+                lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, 1.0, sample_times=(2.0,)),
+                lambda: sw.split_operator_evolve(sw.FreeParticle(), psi, 1.0, n_substeps=0),
+                lambda: QuadraticPhase.from_theta(math.pi / 2),
+                lambda: sw.LagrangianLine(sw.PhasePoint(0.0, 0.0), (0.0, 0.0)),
+                lambda: sw.WaveFunction(GRID, psi.values[:-1], HBAR),
+                lambda: zero.normalized(),
+                lambda: sw.WaveFunction.from_csv(headless),
+                lambda: sw.hbar_fourier_transform(psi, "sideways"),
+                lambda: sw.hbar_fourier_transform(psi, "inverse"),
                 lambda: sw.GridSpec(-1.0, 1.0, 1000),
                 lambda: sw.WaveFunction(GRID, psi.values, 0.0),
                 lambda: sw.WaveFunction(GRID, psi.values, -HBAR),
@@ -209,14 +227,17 @@ def test_invalid_inputs_raise_a_typed_library_error():
                 lambda: sw.ehrenfest_time(1.0, 1.5),
                 lambda: sw.ParabolicBarrier(0.0),
                 lambda: sw.build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
-                                        (-1.0, 1.0), 17, [1.0]),
+                                        (-1.0, 1.0), 17, 1.0),
                 lambda: sw.build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
-                                        (1.0, 1.0), 65, [1.0]),
+                                        (1.0, 1.0), 65, 1.0),
                 lambda: sw.refine_wavefunction(psi, 3)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
         assert isinstance(info.value, ValueError)
+    # a spec that skipped validation names its unknown model as a spec error
+    with pytest.raises(sw.SpecError):
+        sw.build_model(sw.ExperimentSpec("odd", "slope-sweep", "pendulum"))
 
 
 def test_free_kernel_is_exact():
@@ -379,6 +400,27 @@ def test_extended_wkb_free_particle_is_numerically_exact():
     assert result.metadata["boundary_mass"] < 1e-12
     assert result.metadata["remainder_indicator"] == pytest.approx(math.sqrt(HBAR), rel=1e-6)
     assert result.grid == GRID
+
+
+def test_pipeline_gates_the_window_forward_only():
+    # 0.197 of the dispersed mass lies outside this window: the forward run
+    # refuses it, the backward test still reports on it
+    ph = QuadraticPhase(0.3, 0.0, 0.5)
+    t, window = 1.2, (-0.2, 0.2)
+    with pytest.raises(BoundaryMassError, match="deficit 1.97e-01"):
+        propagate_extended_wkb(sw.FreeParticle(), ph, profile_for_slope(0.5), HBAR, t,
+                               GRID, window=window)
+    psi0 = sw.initial_coherent_state(GRID, HBAR, (0.3, 0.0))
+    exact = sw.exact_state(sw.FreeParticle(), psi0, t)
+    back = backward_wkb_test(sw.FreeParticle(), ph, profile_for_slope(0.5), HBAR, t, GRID,
+                             exact.state, window=window)
+    assert back.metadata["window"] == window
+
+
+def test_pipeline_refuses_an_image_beyond_the_grid():
+    with pytest.raises(BoundaryMassError, match="exceeds the grid domain"):
+        propagate_extended_wkb(sw.FreeParticle(), QuadraticPhase(4.0, 0.0, 0.0),
+                               profile_for_slope(0.0), HBAR, 1.9, GRID)
 
 
 def test_thawed_gaussian_barrier_is_exact():

@@ -27,14 +27,14 @@ from semiwkb.transport import (
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
 
-def curvature_matrix_A(tmap, t: float, x):
+def curvature_matrix_A(tmap, x):
     """Inverse squared map derivative (the 1D curvature symbol)."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     w_lo, w_hi = tmap.seed_window
     edge = 1e-9 * (1.0 + max(abs(w_lo), abs(w_hi)))
     if np.any(x_arr < w_lo - edge) or np.any(x_arr > w_hi + edge):
         raise OutOfDomainError(f"position outside the seeded window [{w_lo:.6g}, {w_hi:.6g}]")
-    vals = tmap.map_derivative(t, np.clip(x_arr, w_lo, w_hi)) ** -2
+    vals = tmap.map_derivative(np.clip(x_arr, w_lo, w_hi)) ** -2
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals
@@ -46,90 +46,88 @@ def free_map():
     grid = sw.GridSpec(-6.0, 6.0, 2048)
     amp = apply_L(gaussian_profile, 0.0, 1.0, grid)
     tmap = refined_transport_map(sw.FreeParticle(), QuadraticPhase(0.0, 0.0, 0.3),
-                                 (-5.0, 5.0), [0.5], amp)
+                                 (-5.0, 5.0), 0.5, amp)
     return tmap, amp, grid
 
 
 def test_bundle_matches_free_closed_form():
     ph = QuadraticPhase(0.4, -0.1, 0.6)
-    bundle = build_bundle(sw.FreeParticle(), ph, (-2.0, 2.0), 65, [0.3, 0.9])
-    for k, t in enumerate((0.3, 0.9)):
+    for t in (0.3, 0.9):
+        bundle = build_bundle(sw.FreeParticle(), ph, (-2.0, 2.0), 65, t)
         phi, dphi = analytic_oracle(sw.FreeParticle(), "transport_map",
                                     phase0=ph, t=t, x=bundle.seeds)
-        assert np.max(np.abs(bundle.q_t[k] - phi)) < 1e-12
-        assert np.max(np.abs(bundle.dphi_t[k] - dphi)) < 1e-12
-        assert np.max(np.abs(bundle.p_t[k] - ph.grad(bundle.seeds))) < 1e-12
+        assert np.max(np.abs(bundle.q_t - phi)) < 1e-12
+        assert np.max(np.abs(bundle.dphi_t - dphi)) < 1e-12
+        assert np.max(np.abs(bundle.p_t - ph.grad(bundle.seeds))) < 1e-12
 
 
 def test_bundle_seed_minimum():
     with pytest.raises(ValueError):
-        build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0), (-1.0, 1.0), 32, [0.5])
+        build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0), (-1.0, 1.0), 32, 0.5)
     with pytest.raises(ValueError):
-        build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0), (1.0, -1.0), 65, [0.5])
+        build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0), (1.0, -1.0), 65, 0.5)
 
 
 def test_map_values_match_oracle():
     barrier = sw.ParabolicBarrier(1.0)
     ph = QuadraticPhase(0.2, 0.0, 0.5)
-    tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, [0.8])
+    tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, 0.8)
     x = np.linspace(-1.4, 1.4, 41)
     phi, dphi = analytic_oracle(barrier, "transport_map", phase0=ph, t=0.8, x=x)
-    assert np.max(np.abs(tmap.map_values(0.8, x) - phi)) < 1e-10
-    assert np.max(np.abs(tmap.map_derivative(0.8, x) - dphi)) < 1e-8
+    assert np.max(np.abs(tmap.map_values(x) - phi)) < 1e-10
+    assert np.max(np.abs(tmap.map_derivative(x) - dphi)) < 1e-8
     assert tmap.non_contraction_certificate > 1.0  # expanding, no contraction
 
 
 def test_evolved_phase_matches_oracle():
     barrier = sw.ParabolicBarrier(1.0)
     ph = QuadraticPhase(0.2, 0.0, 0.5)
-    tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, [0.8])
-    lo, hi = tmap.image_interval(0.8)
+    tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, 0.8)
+    lo, hi = tmap.image_interval
     y = np.linspace(lo, hi, 31)
     oracle = analytic_oracle(barrier, "phase", phase0=ph, t=0.8, x=y)
-    assert np.max(np.abs(evolved_phase(tmap, 0.8, y) - oracle)) < 1e-9
+    assert np.max(np.abs(evolved_phase(tmap, y) - oracle)) < 1e-9
 
 
-def test_map_queries_reject_unknown_time_and_domain():
+def test_map_queries_reject_positions_off_the_domain():
     tmap = build_transport_map(sw.FreeParticle(), QuadraticPhase(0, 0, 0.3),
-                               (-2.0, 2.0), 65, [0.5])
-    with pytest.raises(ValueError):
-        tmap.time_index(0.7)
-    lo, hi = tmap.image_interval(0.5)
+                               (-2.0, 2.0), 65, 0.5)
+    lo, hi = tmap.image_interval
+    with pytest.raises(OutOfDomainError, match="at t=0.5"):
+        invert_transport(tmap, hi + 0.5)
+    with pytest.raises(OutOfDomainError, match="at t=0.5"):
+        evolved_phase(tmap, lo - 0.5)
     with pytest.raises(OutOfDomainError):
-        invert_transport(tmap, 0.5, hi + 0.5)
-    with pytest.raises(OutOfDomainError):
-        evolved_phase(tmap, 0.5, lo - 0.5)
-    with pytest.raises(OutOfDomainError):
-        curvature_matrix_A(tmap, 0.5, 2.5)
+        curvature_matrix_A(tmap, 2.5)
 
 
 def test_invert_round_trip(free_map):
     tmap, _, _ = free_map
     x = np.linspace(-4.5, 4.5, 37)
-    y = tmap.map_values(0.5, x)
-    back = invert_transport(tmap, 0.5, y)
+    y = tmap.map_values(x)
+    back = invert_transport(tmap, y)
     assert np.max(np.abs(back - x)) < 1e-9
 
 
 def test_transport_preserves_norm(free_map):
     tmap, amp, _ = free_map
-    out = transport_operator(tmap, 0.5, amp)
+    out = transport_operator(tmap, amp)
     assert abs(out.norm - amp.norm) < 1e-10
 
 
 def test_transport_adjoint_identity(free_map):
     tmap, amp, grid = free_map
-    out = transport_operator(tmap, 0.5, amp)
+    out = transport_operator(tmap, amp)
     probe = sw.WaveFunction(grid, np.exp(-(grid.x - 0.4) ** 2).astype(complex), 1.0)
     lhs = sw.overlap(out, probe)
-    rhs = sw.overlap(amp, transport_operator_adjoint(tmap, 0.5, probe))
+    rhs = sw.overlap(amp, transport_operator_adjoint(tmap, probe))
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_transport_round_trip(free_map):
     tmap, amp, grid = free_map
-    out = transport_operator(tmap, 0.5, amp)
-    back = transport_operator_adjoint(tmap, 0.5, out)
+    out = transport_operator(tmap, amp)
+    back = transport_operator_adjoint(tmap, out)
     err = math.sqrt(float(np.sum(np.abs(back.values - amp.values) ** 2) * grid.dx))
     assert err < 1e-5  # limited by the oversampled spline, not the map
 
@@ -145,7 +143,7 @@ def test_window_mass_deficit_measures_truncation():
     grid = sw.GridSpec(-6.0, 6.0, 2048)
     amp = apply_L(gaussian_profile, 0.0, 1.0, grid)
     tmap = build_transport_map(sw.FreeParticle(), QuadraticPhase(0, 0, 0.0),
-                               (-1.0, 1.0), 65, [0.5])
+                               (-1.0, 1.0), 65, 0.5)
     # |a|^2 = pi^(-1/2) exp(-x^2), so the mass outside |x| > 1 is erfc(1)
     expect = math.erfc(1.0)
     assert window_mass_deficit(tmap, amp) == pytest.approx(expect, abs=1e-3)
@@ -153,19 +151,19 @@ def test_window_mass_deficit_measures_truncation():
 
 def test_curvature_is_inverse_squared_stretch():
     ph = QuadraticPhase(0.0, 0.0, 0.3)
-    tmap = build_transport_map(sw.FreeParticle(), ph, (-2.0, 2.0), 65, [0.5])
+    tmap = build_transport_map(sw.FreeParticle(), ph, (-2.0, 2.0), 65, 0.5)
     x = np.linspace(-1.5, 1.5, 11)
-    assert np.allclose(curvature_matrix_A(tmap, 0.5, x), (1.0 + 0.3 * 0.5) ** -2,
+    assert np.allclose(curvature_matrix_A(tmap, x), (1.0 + 0.3 * 0.5) ** -2,
                        atol=1e-10)
-    assert isinstance(curvature_matrix_A(tmap, 0.5, 0.25), float)
+    assert isinstance(curvature_matrix_A(tmap, 0.25), float)
 
 
 def test_caustic_detection_brackets_the_fold():
     # alpha = -1 folds the free-particle map exactly at t = 1
     folding = QuadraticPhase(0.0, 0.0, -1.0)
-    build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 65, [0.999])
+    build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 65, 0.999)
     with pytest.raises(CausticError) as info:
-        build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 65, [1.001])
+        build_transport_map(sw.FreeParticle(), folding, (-1.0, 1.0), 65, 1.001)
     assert info.value.t == pytest.approx(1.001)
 
 
@@ -173,11 +171,11 @@ def test_kicked_transport_uses_kick_schedule():
     # across one period the seeded fan agrees with the flow oracle
     model = sw.KickedHarmonic(2.0)
     ph = QuadraticPhase(0.0, 0.0, 0.0)
-    bundle = build_bundle(model, ph, (-0.4, 0.4), 33, [1.0])
+    bundle = build_bundle(model, ph, (-0.4, 0.4), 33, 1.0)
     for i, x in enumerate(bundle.seeds):
         fr = analytic_oracle(model, "flow", t=1.0, p=float(ph.grad(x)), q=float(x))
-        assert bundle.q_t[0][i] == pytest.approx(fr.end.q, abs=1e-12)
-        assert bundle.p_t[0][i] == pytest.approx(fr.end.p, abs=1e-12)
+        assert bundle.q_t[i] == pytest.approx(fr.end.q, abs=1e-12)
+        assert bundle.p_t[i] == pytest.approx(fr.end.p, abs=1e-12)
 
 
 def trigonometric_interpolant(psi, x):
@@ -235,7 +233,7 @@ TRANSPORT_CASES = {
 
 def _transport_case(name, alpha, t, offset):
     model, window, grid, hbar = TRANSPORT_CASES[name]
-    tmap = build_transport_map(model, QuadraticPhase(0.0, 0.0, alpha), window, 129, [t])
+    tmap = build_transport_map(model, QuadraticPhase(0.0, 0.0, alpha), window, 129, t)
     amp = apply_L(gaussian_profile, offset * window[1], hbar, grid)
     return tmap, amp, grid
 
@@ -249,14 +247,14 @@ def test_transport_is_unitary_and_adjoint_is_its_transpose(name, alpha, t, offse
                                                            probe_at, probe_k):
     tmap, amp, grid = _transport_case(name, alpha, t, offset)
     assert window_mass_deficit(tmap, amp) < 1e-14
-    out = transport_operator(tmap, t, amp)
+    out = transport_operator(tmap, amp)
     assert abs(out.norm - amp.norm) < 1e-10 * amp.norm
     # a smooth probe whose image under the map stays inside the grid
     scale = tmap.bundle.seeds[-1]
     probe = sw.WaveFunction(grid, np.exp(-((grid.x - probe_at * scale) / (0.3 * scale)) ** 2
                                          + 1j * probe_k * grid.x), amp.hbar)
     lhs = sw.overlap(out, probe)
-    rhs = sw.overlap(amp, transport_operator_adjoint(tmap, t, probe))
+    rhs = sw.overlap(amp, transport_operator_adjoint(tmap, probe))
     assert abs(lhs - rhs) < 1e-10 * amp.norm * probe.norm
 
 
@@ -269,9 +267,9 @@ def test_invert_transport_round_trip_property(name, alpha, t, fractions):
     tmap, _, _ = _transport_case(name, alpha, t, 0.0)
     lo, hi = tmap.seed_window
     x = lo + (hi - lo) * np.asarray(fractions)
-    y = tmap.map_values(t, x)
-    back = invert_transport(tmap, t, y)
-    assert np.all(np.abs(tmap.map_values(t, back) - y) < 1e-10 * (1.0 + np.abs(y)))
+    y = tmap.map_values(x)
+    back = invert_transport(tmap, y)
+    assert np.all(np.abs(tmap.map_values(back) - y) < 1e-10 * (1.0 + np.abs(y)))
     assert np.max(np.abs(back - x)) < 1e-10 * (1.0 + np.max(np.abs(y)))
 
 
