@@ -21,10 +21,10 @@ import numpy as np
 
 from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
 from .errors import SemiwkbError
-from .experiments import (ExperimentSpec, OUTDIR_ENV, build_model,
-                          builtin_specs, get_builtin_spec,
-                          initial_coherent_state, load_spec_file,
-                          resolve_outdir, run_experiment, write_table)
+from .experiments import (MODEL_NAMES, OUTDIR_ENV, build_model, builtin_specs,
+                          get_builtin_spec, initial_coherent_state,
+                          load_spec_file, resolve_outdir, run_experiment,
+                          write_table)
 from .grids import GridSpec
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .metaplectic import (profile_for_slope, propagate_extended_wkb,
@@ -42,8 +42,7 @@ _DESCRIPTIONS = {
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True,
-                   choices=("free", "quartic", "barrier", "kho"))
+    p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--k", type=float, default=2.0,
                    help="kick strength (kho)")
     p.add_argument("--v0", type=float, default=1.0,
@@ -80,14 +79,12 @@ def _slope(args) -> float:
     return args.alpha if args.alpha is not None else 0.0
 
 
-def _spec_for_args(args) -> ExperimentSpec:
+def _model_and_grid(args):
     if not args.hbar > 0:
         raise SemiwkbError(f"--hbar must be positive, got {args.hbar}")
-    params = {"free": (), "quartic": (("epsilon", args.epsilon),),
-              "barrier": (("v0", args.v0),), "kho": (("k", args.k),)}
-    return ExperimentSpec(name="cli", kind="exactness", model=args.model,
-                          model_params=params[args.model], hbar=args.hbar,
-                          times=(args.t,), grid=_parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
+    # the model reads its own parameters (--k, --v0, --epsilon) from args
+    return build_model(args.model, vars(args)), grid
 
 
 def _outdir(args) -> Path:
@@ -115,9 +112,7 @@ def _check_time(args) -> None:
 
 def _cmd_propagate(args) -> int:
     _check_time(args)
-    spec = _spec_for_args(args)
-    model = build_model(spec)
-    grid = spec.grid
+    model, grid = _model_and_grid(args)
     alpha = _slope(args)
     out = _outdir(args)
     if args.method == "extwkb":
@@ -143,9 +138,8 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_exact(args) -> int:
     _check_time(args)
-    spec = _spec_for_args(args)
-    model = build_model(spec)
-    psi0 = initial_coherent_state(spec.grid, args.hbar, (args.p0, args.q0))
+    model, grid = _model_and_grid(args)
+    psi0 = initial_coherent_state(grid, args.hbar, (args.p0, args.q0))
     res = exact_state(model, psi0, args.t, tol=args.tol, side=args.side)
     out = _outdir(args)
     meta = {"method": "exact", "model": args.model, "t": args.t,
@@ -161,8 +155,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
-    spec = _spec_for_args(args)
-    model = build_model(spec)
+    model, _ = _model_and_grid(args)
     alpha = _slope(args)
     lo, hi = (float(s) for s in args.window.split(","))
     seeds = np.linspace(lo, hi, args.n_seeds)
@@ -188,14 +181,9 @@ def _cmd_manifold(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    params = {"kho": (("k", args.k),), "barrier": (("v0", args.v0),)}
-    spec = ExperimentSpec(name="cli", kind="lyapunov", model=args.model,
-                          model_params=params.get(args.model, ()),
-                          hbar=args.hbars[0], times=(args.period,),
-                          grid=GridSpec(-4.0, 4.0, 64))
-    model = build_model(spec)
+    model = build_model(args.model, vars(args))
     if args.model == "barrier":
-        lam = math.sqrt(args.v0)
+        lam = model.lam
     else:
         lam = lyapunov_exponent(model, PhasePoint(0.0, 0.0), args.period)
     lines = [f"lambda = {lam:.9f}"]
@@ -221,7 +209,7 @@ def _breaches(node, path="report"):
             here = f"{path}.{key}"
             if val is False and (key.endswith("_ok") or key in
                                  ("sign_match", "matches_baseline",
-                                  "degradation_ok", "final_beats_thawed")):
+                                  "final_beats_thawed")):
                 found.append(here)
             else:
                 found.extend(_breaches(val, here))

@@ -1,8 +1,10 @@
 """Named batch experiments with deterministic CSV/JSON artifacts.
 
 Each experiment is an ExperimentSpec naming a model, an initial family
-(slope cases around a common Gaussian envelope), times, a grid, and the
-propagation methods to compare.  run_experiment writes plot-ready CSV
+(slope cases around a common Gaussian envelope), times, a grid and its
+methods.  The kinds that compare take one exact reference per case center
+and run extended WKB against it at each time; "thawed" among the methods
+adds the thawed Gaussian.  run_experiment writes plot-ready CSV
 files plus a report.json and returns the report as a dict.  Reruns of
 the same spec are byte-identical except for the report's "runtimes"
 entry, which records wall-clock seconds and is documented volatile.
@@ -42,7 +44,24 @@ __all__ = [
 
 OUTDIR_ENV = "SEMIWKB_OUTDIR"
 METHODS = ("extwkb", "thawed", "exact")
-MODEL_NAMES = ("free", "quartic", "barrier", "kho")
+
+
+def _quartic(epsilon: float) -> IntegrableMomentum:
+    return IntegrableMomentum(
+        lambda xi: 0.5 * xi ** 2 + epsilon * xi ** 4,
+        lambda xi: xi + 4.0 * epsilon * xi ** 3,
+        lambda xi: 1.0 + 12.0 * epsilon * xi ** 2,
+    )
+
+
+# model name -> model from its parameters; a parameter left out takes its default
+_MODELS = {
+    "free": lambda p: FreeParticle(),
+    "quartic": lambda p: _quartic(p.get("epsilon", 0.1)),
+    "barrier": lambda p: ParabolicBarrier(p.get("v0", 1.0)),
+    "kho": lambda p: KickedHarmonic(p.get("k", 2.0)),
+}
+MODEL_NAMES = tuple(_MODELS)
 
 # label, manifold slope at the center, center as (p, q)
 Case = namedtuple("Case", "label slope center")
@@ -82,27 +101,16 @@ class ExperimentSpec:
             raise SpecError("case labels must be unique")
         if self.kind == "slope-sweep" and all(c.slope != 0.0 for c in self.cases):
             raise SpecError("slope sweep needs a slope-zero reference case")
+        if self.kind == "backward-profiles" and len(self.cases) > 1:
+            raise SpecError("backward profiles take exactly one case")
 
-    def params(self) -> dict:
-        return dict(self.model_params)
 
-
-def build_model(spec: ExperimentSpec):
-    p = spec.params()
-    if spec.model == "free":
-        return FreeParticle()
-    if spec.model == "quartic":
-        eps = p.get("epsilon", 0.1)
-        return IntegrableMomentum(
-            lambda xi: 0.5 * xi ** 2 + eps * xi ** 4,
-            lambda xi: xi + 4.0 * eps * xi ** 3,
-            lambda xi: 1.0 + 12.0 * eps * xi ** 2,
-        )
-    if spec.model == "barrier":
-        return ParabolicBarrier(p.get("v0", 1.0))
-    if spec.model == "kho":
-        return KickedHarmonic(p.get("k", 2.0))
-    raise SpecError(f"unknown model {spec.model!r}")
+def build_model(name: str, params=()):
+    """The model named ``name``; ``params`` maps parameter names to values
+    (a dict or (name, value) pairs) and may hold names the model ignores."""
+    if name not in _MODELS:
+        raise SpecError(f"unknown model {name!r}")
+    return _MODELS[name](dict(params))
 
 
 def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
@@ -137,7 +145,10 @@ def resolve_outdir(spec: ExperimentSpec, outdir=None) -> Path:
 
 
 def write_table(path, header, rows) -> None:
-    """CSV with \\n line endings and floats at full round-trip precision."""
+    """CSV with \\n line endings and floats at full round-trip precision.
+
+    None, a value no method produced, is written as nan.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -162,6 +173,8 @@ def read_table(path):
 
 
 def _cell(v):
+    if v is None:
+        v = math.nan
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -220,66 +233,65 @@ def _phase_derivative(u, vals, floor: float = 0.1):
 def _exact_by_center(spec, model, record):
     """One exact reference per distinct case center, sampled at spec.times."""
     states = {}
-    for case in spec.cases:
-        key = case.center
-        if key in states:
-            continue
-        psi0 = initial_coherent_state(spec.grid, spec.hbar, key)
-        t0 = time.perf_counter()
-        res = exact_state(model, psi0, spec.times[-1], sample_times=spec.times)
-        record[f"exact@{case.label}"] = time.perf_counter() - t0
-        states[key] = res
+    with _stage("reference"):
+        for case in spec.cases:
+            if case.center in states:
+                continue
+            psi0 = initial_coherent_state(spec.grid, spec.hbar, case.center)
+            t0 = time.perf_counter()
+            states[case.center] = exact_state(model, psi0, spec.times[-1],
+                                              sample_times=spec.times)
+            record[f"exact@{case.label}"] = time.perf_counter() - t0
     return states
+
+
+def _compare(spec, model, case, t, exact_t, thawed):
+    """Extended WKB, and the thawed Gaussian when ``thawed``, against the
+    exact state at t.  Returns the extended-WKB result and the report entry
+    the comparison kinds share."""
+    with _stage(f"extwkb {case.label} t={t:g}"):
+        r = propagate_extended_wkb(
+            model, QuadraticPhase(case.center[0], case.center[1], case.slope),
+            profile_for_slope(case.slope), spec.hbar, t, spec.grid)
+    fid_thawed = None
+    if thawed:
+        with _stage(f"thawed {case.label} t={t:g}"):
+            tg = propagate_thawed_gaussian(model, PhasePoint(*case.center), 1j,
+                                           spec.hbar, t, spec.grid)
+        fid_thawed = fidelity(tg.state, exact_t)
+    md = r.metadata
+    return r, {
+        "t": t, "fidelity": fidelity(r.state, exact_t), "thawed_fidelity": fid_thawed,
+        "c_t": md["c_t"], "window": list(md["window"]),
+        "caustic_margin": md["caustic_margin"],
+        "non_contraction_certificate": md["non_contraction_certificate"],
+    }
 
 
 # ---------------------------------------------------------------------------
 # analysis routines, one per experiment kind
 
 def _run_exactness(spec, model, outdir, record):
-    with _stage("reference"):
-        exact = _exact_by_center(spec, model, record)
-
+    exact = _exact_by_center(spec, model, record)
     rows = []
     case_reports = []
     finals = {}
     for case in spec.cases:
-        ref = exact[case.center]
-        phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
-        profile = profile_for_slope(case.slope)
         per_time = []
         for t in spec.times:
-            e = ref.samples[float(t)]
-            with _stage(f"extwkb {case.label} t={t:g}"):
-                r = propagate_extended_wkb(model, phase0, profile, spec.hbar,
-                                           t, spec.grid)
-            fid = fidelity(r.state, e)
+            e = exact[case.center].samples[float(t)]
+            r, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods)
             diff = r.state.values - e.values
-            l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx))
-            fid_thawed = math.nan
-            if "thawed" in spec.methods:
-                with _stage(f"thawed {case.label} t={t:g}"):
-                    tg = propagate_thawed_gaussian(
-                        model, PhasePoint(*case.center), 1j, spec.hbar, t,
-                        spec.grid)
-                fid_thawed = fidelity(tg.state, e)
-            diag = _ehrenfest_diagnostic(model, case.center, t, spec.hbar)
-            md = r.metadata
-            rows.append([case.label, case.slope, t, fid, fid_thawed, l2,
-                         md["caustic_margin"], md["non_contraction_certificate"],
-                         md["c_t"], diag])
-            per_time.append({
-                "t": t, "fidelity": fid,
-                "thawed_fidelity": None if math.isnan(fid_thawed) else fid_thawed,
-                "l2_distance": l2,
-                "caustic_margin": md["caustic_margin"],
-                "non_contraction_certificate": md["non_contraction_certificate"],
-                "c_t": md["c_t"],
-                "window": list(md["window"]),
-                "remainder_indicator": md["remainder_indicator"],
-                "ehrenfest_diagnostic": diag,
-            })
-            if t == spec.times[-1]:
-                finals[case.label] = r.state
+            entry.update(
+                l2_distance=math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx)),
+                remainder_indicator=r.metadata["remainder_indicator"],
+                ehrenfest_diagnostic=_ehrenfest_diagnostic(model, case.center, t,
+                                                           spec.hbar))
+            rows.append([case.label, case.slope] + [entry[k] for k in (
+                "t", "fidelity", "thawed_fidelity", "l2_distance", "caustic_margin",
+                "non_contraction_certificate", "c_t", "ehrenfest_diagnostic")])
+            per_time.append(entry)
+        finals[case.label] = r.state
         case_reports.append({"label": case.label, "slope": case.slope,
                              "center": list(case.center),
                              "per_time": per_time})
@@ -318,24 +330,19 @@ def _run_exactness(spec, model, outdir, record):
 def _run_barrier_sweep(spec, model, outdir, record):
     lam = model.lam
     half_band = 3.0 * math.sqrt(spec.hbar)
+    exact = _exact_by_center(spec, model, record)
     rows = []
     case_reports = []
     band_mass_critical = None
     for case in spec.cases:
+        res = exact[case.center]
         p0, q0 = case.center
         offset = p0 + lam * q0
-        psi0 = initial_coherent_state(spec.grid, spec.hbar, case.center)
-        t0 = time.perf_counter()
-        with _stage(f"reference {case.label}"):
-            res = exact_state(model, psi0, spec.times[-1],
-                              sample_times=spec.times[:-1])
-        record[f"exact@{case.label}"] = time.perf_counter() - t0
-        series = [(float(t), res.samples[float(t)]) for t in spec.times[:-1]]
-        series.append((float(spec.times[-1]), res.state))
         q_series = []
-        for t, state in series:
-            q_series.append((t, expectation_q(state), expectation_p(state)))
-            rows.append([case.label, t, q_series[-1][1], q_series[-1][2]])
+        for t in spec.times:
+            state = res.samples[float(t)]
+            q_series.append((float(t), expectation_q(state), expectation_p(state)))
+            rows.append([case.label, *q_series[-1]])
         final_q = q_series[-1][1]
         entry = {
             "label": case.label, "center": list(case.center),
@@ -369,21 +376,18 @@ def _run_backward_profiles(spec, model, outdir, record):
     base = load_baselines().get("kicked_harmonic", {})
     case = spec.cases[0]
     phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
-    profile = profile_for_slope(case.slope)
-    psi0 = initial_coherent_state(spec.grid, spec.hbar, case.center)
-
-    t0 = time.perf_counter()
-    with _stage("reference"):
-        ref = exact_state(model, psi0, spec.times[-1], sample_times=spec.times)
-    record["exact"] = time.perf_counter() - t0
+    ref = _exact_by_center(spec, model, record)[case.center]
 
     fid_rows = []
     per_time = []
     for t in spec.times:
         e = ref.samples[float(t)]
+        fwd, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods)
+        # the map diagnostics in entry are the backward test's too: both runs
+        # build them from the same inputs
         with _stage(f"backward t={t:g}"):
-            back = backward_wkb_test(model, phase0, profile, spec.hbar, t,
-                                     spec.grid, e)
+            back = backward_wkb_test(model, phase0, profile_for_slope(case.slope),
+                                     spec.hbar, t, spec.grid, e)
         dphi_exact = _phase_derivative(back.u, back.exact_profile)
         dphi_meta = _phase_derivative(back.u, back.metaplectic_profile)
         write_table(outdir / f"backward_profile_t{t:g}.csv",
@@ -392,31 +396,14 @@ def _run_backward_profiles(spec, model, outdir, record):
                     zip(back.u, np.abs(back.exact_profile), dphi_exact,
                         np.abs(back.metaplectic_profile), dphi_meta))
 
-        with _stage(f"extwkb t={t:g}"):
-            fwd = propagate_extended_wkb(model, phase0, profile, spec.hbar,
-                                         t, spec.grid)
-        fid = fidelity(fwd.state, e)
         diff = fwd.state.values - e.values
         peak = float(np.abs(e.values).max())
         mask = np.abs(e.values) > 0.1 * peak
         pointwise = float(np.abs(diff[mask]).max() / peak) if mask.any() else 0.0
-        fid_thawed = math.nan
-        if "thawed" in spec.methods:
-            with _stage(f"thawed t={t:g}"):
-                tg = propagate_thawed_gaussian(model, PhasePoint(*case.center),
-                                               1j, spec.hbar, t, spec.grid)
-            fid_thawed = fidelity(tg.state, e)
-
         key = str(float(t))
         l2_bound = base.get("backward_l2_bound", {}).get(key)
         pw_bound = base.get("pointwise_peak_bound", {}).get(key)
-        md = back.metadata
-        fid_rows.append([t, fid, fid_thawed, back.l2_distance, pointwise,
-                         md["c_t"], md["caustic_margin"]])
-        per_time.append({
-            "t": t,
-            "fidelity": fid,
-            "thawed_fidelity": None if math.isnan(fid_thawed) else fid_thawed,
+        entry.update({
             "backward_l2": back.l2_distance,
             "backward_l2_bound": l2_bound,
             "backward_l2_ok": None if l2_bound is None
@@ -425,13 +412,13 @@ def _run_backward_profiles(spec, model, outdir, record):
             "pointwise_peak_bound": pw_bound,
             "pointwise_peak_ok": None if pw_bound is None
             else bool(pointwise <= pw_bound),
-            "c_t": md["c_t"],
-            "window": list(md["window"]),
-            "caustic_margin": md["caustic_margin"],
-            "non_contraction_certificate": md["non_contraction_certificate"],
             "ehrenfest_diagnostic": _ehrenfest_diagnostic(
                 model, case.center, t, spec.hbar),
         })
+        fid_rows.append([entry[k] for k in (
+            "t", "fidelity", "thawed_fidelity", "backward_l2", "pointwise_peak",
+            "c_t", "caustic_margin")])
+        per_time.append(entry)
     write_table(outdir / "fidelity_series.csv",
                 ["t", "fidelity_extwkb", "fidelity_thawed", "backward_l2",
                  "pointwise_peak", "c_t", "caustic_margin"], fid_rows)
@@ -453,38 +440,21 @@ def _run_backward_profiles(spec, model, outdir, record):
 def _run_slope_sweep(spec, model, outdir, record):
     base = load_baselines().get("kicked_harmonic", {})
     t_final = spec.times[-1]
-    reference_case = [c for c in spec.cases if c.slope == 0.0]
+    exact = _exact_by_center(spec, model, record)
 
-    with _stage("reference"):
-        exact = _exact_by_center(spec, model, record)
-
-    fids = {}
-    meta = {}
-    for case in spec.cases:
-        phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
-        with _stage(f"extwkb {case.label}"):
-            r = propagate_extended_wkb(model, phase0,
-                                       profile_for_slope(case.slope),
-                                       spec.hbar, t_final, spec.grid)
-        fids[case.label] = fidelity(r.state,
-                                    exact[case.center].samples[float(t_final)])
-        meta[case.label] = r.metadata
-
-    fid0 = fids[reference_case[0].label]
-    rows = []
     per_case = []
     for case in spec.cases:
-        degradation = fid0 - fids[case.label]
-        md = meta[case.label]
-        rows.append([case.label, case.slope, fids[case.label], degradation,
-                     md["window"][0], md["window"][1], md["caustic_margin"]])
-        per_case.append({
-            "label": case.label, "slope": case.slope,
-            "fidelity": fids[case.label], "degradation": degradation,
-            "window": list(md["window"]),
-            "caustic_margin": md["caustic_margin"],
-            "non_contraction_certificate": md["non_contraction_certificate"],
-        })
+        _, entry = _compare(spec, model, case, t_final,
+                            exact[case.center].samples[float(t_final)], thawed=False)
+        per_case.append({"label": case.label, "slope": case.slope, **{
+            k: entry[k] for k in ("fidelity", "window", "caustic_margin",
+                                  "non_contraction_certificate")}})
+    fid0 = next(p["fidelity"] for p in per_case if p["slope"] == 0.0)
+    rows = []
+    for p in per_case:
+        p["degradation"] = fid0 - p["fidelity"]
+        rows.append([p["label"], p["slope"], p["fidelity"], p["degradation"],
+                     *p["window"], p["caustic_margin"]])
     write_table(outdir / "slope_fidelity.csv",
                 ["label", "slope", "fidelity", "degradation",
                  "window_lo", "window_hi", "caustic_margin"], rows)
@@ -504,7 +474,7 @@ def _run_slope_sweep(spec, model, outdir, record):
         else bool(worst < reg_bound),
         "fidelity_floor": floor,
         "fidelity_floor_ok": None if floor is None
-        else bool(min(fids.values()) >= floor),
+        else bool(min(p["fidelity"] for p in per_case) >= floor),
     }
 
 
@@ -566,7 +536,7 @@ def run_experiment(spec: ExperimentSpec, outdir=None) -> dict:
     runtimes: dict = {}
     started = time.perf_counter()
     with _stage("model"):
-        model = build_model(spec)
+        model = build_model(spec.model, spec.model_params)
     results = _ANALYSES[spec.kind](spec, model, out, runtimes)
     runtimes["total_s"] = time.perf_counter() - started
     artifacts = sorted(p.name for p in out.iterdir()

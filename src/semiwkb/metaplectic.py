@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 MIN_POINTS_PER_WIDTH = 16
+THAWED_DT_SAMPLE = 0.02  # time step of the thawed prefactor's branch tracking
 
 
 def gaussian_profile(u):
@@ -364,7 +365,7 @@ def _tracked_sqrt(samples: np.ndarray) -> complex:
 
 
 def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
-                              t: float, grid: GridSpec, *, dt_sample: float = 0.02,
+                              t: float, grid: GridSpec, *,
                               side: str = "minus") -> PropagationResult:
     """Single-trajectory Gaussian propagation via the tangent flow.
 
@@ -375,7 +376,7 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
     """
     if b0.imag <= 0:
         raise InvalidInputError("initial width must have positive imaginary part")
-    n_samples = max(2, int(math.ceil(t / dt_sample)) + 1)
+    n_samples = max(2, int(math.ceil(t / THAWED_DT_SAMPLE)) + 1)
     ts = np.linspace(0.0, t, n_samples)
     w_path = np.empty(n_samples, dtype=np.complex128)
     for i, s in enumerate(ts):

@@ -45,6 +45,7 @@ __all__ = [
 EDGE_MASS_TOL = 1e-12
 CHIRP_EDGE_TOL = 1e-8   # spectrum at the Nyquist edge, relative to its peak
 MAX_SPLITS = 64         # shear pieces per segment before BandwidthError
+MAX_DOUBLINGS = 4       # substep doublings of the Yoshida ladder before StepSizeError
 
 
 def aliasing_limit(model, grid: GridSpec, hbar: float) -> float:
@@ -254,8 +255,7 @@ def _gap(fine, coarse) -> float:
 
 
 def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
-                max_doublings: int = 4, side: str = "minus",
-                sample_times=()) -> ExactResult:
+                side: str = "minus", sample_times=()) -> ExactResult:
     """Ground-truth evolution of psi over [0, t], sampled at sample_times.
 
     The model's ``exact_path`` picks the route.  Momentum-only models take
@@ -285,7 +285,7 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     substeps = 2 ** int(math.ceil(math.log2(1.25 * abs(_W0) / limit)))
     coarse = run(substeps)
     delta = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         substeps *= 2
         fine = run(substeps)
         delta = _gap(fine, coarse)

@@ -44,7 +44,6 @@ __all__ = [
     "evolved_phase",
     "transport_operator",
     "transport_operator_adjoint",
-    "window_mass_deficit",
 ]
 
 CAUSTIC_THRESHOLD = 1e-6
@@ -271,9 +270,8 @@ def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
 
     Grid points outside the image of the seeded window get amplitude zero;
     callers are responsible for keeping the corresponding mass deficit
-    negligible (see window_mass_deficit).  A caller moving one amplitude
-    along several maps builds its ``interpolant`` once and passes it, as
-    refined_transport_map does.
+    negligible.  A caller moving one amplitude along several maps builds its
+    ``interpolant`` once and passes it, as refined_transport_map does.
     """
     grid = amplitude.grid
     x = grid.x
@@ -303,18 +301,6 @@ def transport_operator_adjoint(tmap: TransportMap, amplitude: WaveFunction) -> W
                         interp(np.clip(phi_x, grid.x_min, grid.x_max)), 0.0)
         out[inside] = np.sqrt(jac) * vals
     return WaveFunction(grid, out, amplitude.hbar)
-
-
-def window_mass_deficit(tmap: TransportMap, amplitude: WaveFunction) -> float:
-    """Fraction of the amplitude's mass outside the seeded window."""
-    w_lo, w_hi = tmap.seed_window
-    x = amplitude.grid.x
-    outside = (x < w_lo) | (x > w_hi)
-    total = amplitude.norm_sq
-    if total == 0.0:
-        return 0.0
-    lost = float(np.sum(np.abs(amplitude.values[outside]) ** 2) * amplitude.grid.dx)
-    return lost / total
 
 
 def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semiwkb as sw
@@ -255,3 +256,15 @@ def test_run_config_runs(tmp_path, capsys):
     code, out, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0 and err == ""
     assert "cli-spec" in out
+    # no thawed among the methods: nan in the table, null in the report
+    _, cols = sw.read_table(tmp_path / "fidelity_series.csv")
+    assert np.isnan(cols["fidelity_thawed"]).all()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["results"]["cases"][0]["per_time"][0]["thawed_fidelity"] is None
+
+
+@pytest.mark.parametrize("name", [s.name for s in sw.builtin_specs()])
+def test_every_builtin_spec_runs_without_breach(tmp_path, capsys, name):
+    code, out, err = run_cli(["run", "--spec", name, "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "report.json").exists()

@@ -48,6 +48,8 @@ def test_spec_validation_errors():
         dataclasses.replace(ok, cases=()),
         dataclasses.replace(ok, cases=(Case("a", 0.0, (0.0, 0.0)),
                                        Case("a", 1.0, (0.0, 0.0)))),
+        # backward profiles read one case; a second would be dropped unseen
+        dataclasses.replace(ok, kind="backward-profiles"),
     ]
     for spec in bad:
         with pytest.raises(ValueError):

@@ -235,9 +235,9 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
         assert isinstance(info.value, ValueError)
-    # a spec that skipped validation names its unknown model as a spec error
+    # an unknown model name is a spec error
     with pytest.raises(sw.SpecError):
-        sw.build_model(sw.ExperimentSpec("odd", "slope-sweep", "pendulum"))
+        sw.build_model("pendulum")
 
 
 def test_free_kernel_is_exact():
