@@ -49,8 +49,6 @@ def _model_args(p: argparse.ArgumentParser) -> None:
                    help="barrier curvature, rate is sqrt(v0)")
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="quartic dispersion coefficient")
-    p.add_argument("--hbar", type=float, required=True)
-    p.add_argument("--grid", required=True, metavar="LO,HI,N")
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--q0", type=float, default=0.0)
     slope = p.add_mutually_exclusive_group()
@@ -61,6 +59,11 @@ def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side", choices=("minus", "plus"), default="minus",
                    help="for kicked models: sample integer times before "
                         "or after that instant's kick")
+
+
+def _grid_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hbar", type=float, required=True)
+    p.add_argument("--grid", required=True, metavar="LO,HI,N")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -155,7 +158,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
-    model, _ = _model_and_grid(args)
+    model = build_model(args.model, vars(args))
     alpha = _slope(args)
     lo, hi = (float(s) for s in args.window.split(","))
     seeds = np.linspace(lo, hi, args.n_seeds)
@@ -261,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="semiclassical propagation")
     _model_args(p)
+    _grid_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=("extwkb", "thawed"), default="extwkb")
     p.add_argument("--out", default=None)
@@ -269,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="grid reference propagation")
     _model_args(p)
+    _grid_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)

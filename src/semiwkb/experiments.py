@@ -54,12 +54,12 @@ def _quartic(epsilon: float) -> IntegrableMomentum:
     )
 
 
-# model name -> model from its parameters; a parameter left out takes its default
+# model name -> (its parameters and their defaults, model from all of them)
 _MODELS = {
-    "free": lambda p: FreeParticle(),
-    "quartic": lambda p: _quartic(p.get("epsilon", 0.1)),
-    "barrier": lambda p: ParabolicBarrier(p.get("v0", 1.0)),
-    "kho": lambda p: KickedHarmonic(p.get("k", 2.0)),
+    "free": ({}, lambda p: FreeParticle()),
+    "quartic": ({"epsilon": 0.1}, lambda p: _quartic(p["epsilon"])),
+    "barrier": ({"v0": 1.0}, lambda p: ParabolicBarrier(p["v0"])),
+    "kho": ({"k": 2.0}, lambda p: KickedHarmonic(p["k"])),
 }
 MODEL_NAMES = tuple(_MODELS)
 
@@ -85,6 +85,11 @@ class ExperimentSpec:
             raise SpecError(f"unknown experiment kind {self.kind!r}")
         if self.model not in MODEL_NAMES:
             raise SpecError(f"unknown model {self.model!r}")
+        allowed = _MODELS[self.model][0]
+        for key, _ in self.model_params:
+            if key not in allowed:
+                raise SpecError(f"model {self.model!r} has no parameter {key!r} "
+                                f"(allowed: {', '.join(allowed) or 'none'})")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise SpecError(f"unimplemented methods {bad}")
@@ -107,10 +112,12 @@ class ExperimentSpec:
 
 def build_model(name: str, params=()):
     """The model named ``name``; ``params`` maps parameter names to values
-    (a dict or (name, value) pairs) and may hold names the model ignores."""
+    (a dict or (name, value) pairs) and may hold names the model ignores;
+    a parameter left out takes its default."""
     if name not in _MODELS:
         raise SpecError(f"unknown model {name!r}")
-    return _MODELS[name](dict(params))
+    defaults, make = _MODELS[name]
+    return make({**defaults, **{k: v for k, v in dict(params).items() if k in defaults}})
 
 
 def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
@@ -636,10 +643,11 @@ def load_spec_file(path) -> ExperimentSpec:
     """Read an ExperimentSpec from a key = value config file.
 
     Sections: [experiment] with name, kind, model, hbar, times, grid,
-    methods and optional outdir; optional [model] with numeric model
-    parameters; one [case NAME] section per case with p0, q0 and either
-    slope or theta_over_halfpi.  A file that cannot be read raises
-    SpecNotFoundError; any other defect raises SpecError.
+    methods and optional outdir; optional [model] with numeric values of
+    the model's own parameters; one [case NAME] section per case with p0,
+    q0 and either slope or theta_over_halfpi.  A file that cannot be read
+    raises SpecNotFoundError; any other defect, an unknown [model] key
+    among them, raises SpecError.
     """
     cp = configparser.ConfigParser()
     try:

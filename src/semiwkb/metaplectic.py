@@ -26,8 +26,8 @@ import numpy as np
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
 from .dynamics import flow, flow_bundle, kick_times
-from .grids import (GridSpec, WaveFunction, edge_mass_fraction, hbar_fourier_transform,
-                    spectral_edge_fraction)
+from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
+                    hbar_fourier_transform)
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
                         transport_operator_adjoint)
@@ -198,11 +198,11 @@ def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> Wav
     """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar))."""
     if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
         raise InvalidInputError("kernel and amplitude disagree on hbar")
-    edge = spectral_edge_fraction(amplitude)
+    hat = hbar_fourier_transform(amplitude, direction="forward")
+    edge = edge_amplitude_fraction(hat)
     if edge > 1e-8:
         raise BandwidthError(
             f"amplitude is not band-limited on this grid (spectral edge {edge:.2e})")
-    hat = hbar_fourier_transform(amplitude, direction="forward")
     xi = hat.grid.x
     mult = np.exp(-0.5j * kernel.c_t * xi**2 / amplitude.hbar)
     hat = replace(hat, values=hat.values * mult)

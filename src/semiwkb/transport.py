@@ -14,17 +14,23 @@ with those exact derivatives, so the tabulated map and its inverse agree
 with the flow to interpolation order and monotonicity can be certified one
 interval at a time (the derivative of each cubic piece is a quadratic).
 
-The amplitude moved along the map is interpolated the same way, on a grid
-OVERSAMPLE times finer than its own.  One FFT of its samples,
-zero-padded as in refine_wavefunction, gives the trigonometric interpolant
-on the fine grid twice over: its values, and (times i*k) its exact
-derivatives.  A cubic Hermite piece between fine nodes, located by direct
-index, then interpolates both, with the Hermite remainder h^4 max|a^(4)|/384
-on the fine spacing h as its only error beyond the spectral one.
+The amplitude moved along the map is interpolated the same way, on nodes
+OVERSAMPLE times finer than its grid, over the span a caller queries (the
+seed window for the pull-back, the image for the push-forward).  The nodes
+cover the smallest power-of-two block of grid points about the span whose 4
+edge cells at each end hold at most SEAM_TOL of the peak, or the whole grid,
+so the block's periodic seam shows only at rounding level.  One FFT of the
+block, zero-padded as in refine_wavefunction, gives its trigonometric
+interpolant on the fine nodes twice over: its values, and (times i*k) its
+exact derivatives.  A cubic Hermite piece between fine nodes, located by
+direct index, then interpolates both, with the Hermite remainder
+h^4 max|a^(4)|/384 on the fine spacing h as its only error beyond the
+spectral one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +57,7 @@ FIRST_SEEDS = 65     # seeds of the first refinement round; each round halves th
 REFINE_TOL = 1e-8    # relative L2 change of the transported amplitude that ends refinement
 MAX_ROUNDS = 6
 OVERSAMPLE = 8       # the amplitude interpolant's grid is this many times finer
+SEAM_TOL = 1e-14     # edge-cell amplitude, relative to the peak, that closes a sub-grid
 
 
 @dataclass(eq=False, frozen=True)
@@ -254,14 +261,28 @@ def evolved_phase(tmap: TransportMap, y):
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
-def _amplitude_interpolator(amplitude: WaveFunction, factor: int = OVERSAMPLE) -> _Hermite:
-    grid = amplitude.grid
-    spec = _padded_spectrum(amplitude.values, factor)
-    h = grid.length / spec.size
-    vals = np.fft.ifft(spec)
-    slopes = np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec)
-    # the periodic wrap closes the last piece at x_max
-    return _Hermite(grid.x_min, np.append(vals, vals[0]), np.append(slopes, slopes[0]), h)
+def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Hermite:
+    """Interpolant of the amplitude on ``span`` (see the module docstring)."""
+    grid, n = amplitude.grid, amplitude.grid.n_points
+    mags = np.abs(amplitude.values)
+    tol = SEAM_TOL * mags.max()
+    lo = min(max(math.floor((span[0] - grid.x_min) / grid.dx), 0), n - 1)
+    hi = min(max(math.ceil((span[1] - grid.x_min) / grid.dx), lo + 1), n)
+    m = min(n, 1 << max(3, (hi - lo - 1).bit_length()))
+    while True:
+        start = min(max((lo + hi - m) // 2, 0), n - m)
+        block = mags[start:start + m]
+        if m == n or max(block[:4].max(), block[-4:].max()) <= tol:
+            break
+        m *= 2
+    spec = _padded_spectrum(amplitude.values[start:start + m], factor)
+    h = grid.length / (n * factor)
+    vals, slopes = np.empty((2, spec.size + 1), dtype=np.complex128)
+    np.fft.ifft(spec, out=vals[:-1])
+    np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec, out=slopes[:-1])
+    # the periodic wrap closes the last piece at the block's right end
+    vals[-1], slopes[-1] = vals[0], slopes[0]
+    return _Hermite(grid.x_min + start * grid.dx, vals, slopes, h)
 
 
 def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
@@ -280,7 +301,7 @@ def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
     inside = (x >= lo) & (x <= hi)
     if inside.any():
         x_pre = _invert(tmap, x[inside])
-        interp = interpolant or _amplitude_interpolator(amplitude)
+        interp = interpolant or _amplitude_interpolator(amplitude, tmap.seed_window)
         jac = tmap._phi(x_pre, 1)
         out[inside] = interp(x_pre) / np.sqrt(jac)
     return WaveFunction(grid, out, amplitude.hbar)
@@ -296,7 +317,8 @@ def transport_operator_adjoint(tmap: TransportMap, amplitude: WaveFunction) -> W
     if inside.any():
         phi_x = tmap._phi(x[inside])
         jac = tmap._phi(x[inside], 1)
-        interp = _amplitude_interpolator(amplitude)
+        interp = _amplitude_interpolator(amplitude, np.clip(tmap.image_interval,
+                                                            grid.x_min, grid.x_max))
         vals = np.where((phi_x >= grid.x_min) & (phi_x <= grid.x_max),
                         interp(np.clip(phi_x, grid.x_min, grid.x_max)), 0.0)
         out[inside] = np.sqrt(jac) * vals
@@ -313,7 +335,7 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
     The amplitude interpolant serves every round and is released on return.
     """
     n = FIRST_SEEDS
-    interp = _amplitude_interpolator(amplitude)
+    interp = _amplitude_interpolator(amplitude, x_window)
     ref = amplitude.norm
     prev = transport_operator(build_transport_map(model, phase0, x_window, n, t, side=side),
                               amplitude, interpolant=interp)

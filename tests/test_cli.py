@@ -123,14 +123,24 @@ def test_propagate_thawed_method(tmp_path, capsys):
 
 
 def test_manifold_caustic_exit_code(tmp_path, capsys):
-    base = ["manifold"] + FREE_ARGS + ["--alpha=-1.0",
-                                       "--out", str(tmp_path)]
+    base = ["manifold", "--model", "free", "--alpha=-1.0", "--out", str(tmp_path)]
     code, out, err = run_cli(base + ["--t", "0.999"], capsys)
     assert code == 0
     assert (tmp_path / "manifold_manifold.csv").exists()
     code, out, err = run_cli(base + ["--t", "1.001"], capsys)
     assert code == 1
     assert "caustic" in err
+
+
+def test_manifold_takes_no_hbar_or_grid(tmp_path, capsys):
+    # the classical table needs neither, so neither is asked for
+    code, out, _ = run_cli(["manifold", "--model", "free", "--t", "0.5",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0 and "caustic_margin=1" in out
+    assert (tmp_path / "manifold_manifold.csv").exists()
+    with pytest.raises(SystemExit):
+        main(["manifold", "--model", "free", "--t", "0.5", "--hbar", "0.05"])
+    assert "unrecognized arguments: --hbar" in capsys.readouterr().err
 
 
 def test_propagate_through_caustic_exits_2(tmp_path, capsys):
@@ -261,6 +271,18 @@ def test_run_config_runs(tmp_path, capsys):
     assert np.isnan(cols["fidelity_thawed"]).all()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["results"]["cases"][0]["per_time"][0]["thawed_fidelity"] is None
+
+
+def test_run_config_refuses_an_unknown_model_parameter(tmp_path, capsys):
+    # a misspelt kick strength must not run the default k = 2 model
+    cfg = tmp_path / "spec.ini"
+    cfg.write_text("[experiment]\nname = misspelt\nkind = lyapunov\nmodel = kho\n"
+                   "hbar = 0.0008\ntimes = 1\ngrid = -4, 4, 8192\n\n[model]\nkick = 3.0\n\n"
+                   "[case center]\nq0 = 0.0\n")
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "'kick'" in err and "(allowed: k)" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("name", [s.name for s in sw.builtin_specs()])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.dynamics import LagrangianLine, kick_times
@@ -269,6 +269,27 @@ def test_shear_from_lagrangians_postconditions(rng):
         image = m @ l2.direction_array
         assert abs(omega(image, l.direction_array)) < 1e-10
         checked += 1
+
+
+DIRECTIONS = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(
+    lambda d: math.hypot(*d) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example((1.0, 0.0), (1.0, 1.001e-3), (-1.0, 2e-3))  # both pairs near the 1e-3 cut
+@example((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))         # the manifold, vertical and diagonal
+@example((3.0, -4.0), (-3.0, 4.0 + 1e-2), (1e-3, 1e-3))
+@given(DIRECTIONS, DIRECTIONS, DIRECTIONS)
+def test_shear_from_lagrangians_postconditions_property(d1, d2, d):
+    # the post-conditions of the loop above, at the same bounds, for any
+    # three directions with l1 transverse to both l2 and l
+    l1, l2, l = (sw.LagrangianLine(sw.PhasePoint(0.0, 0.0), v) for v in (d1, d2, d))
+    assume(abs(omega(l1.direction_array, l2.direction_array)) >= 1e-3)
+    assume(abs(omega(l1.direction_array, l.direction_array)) >= 1e-3)
+    m = sw.shear_from_lagrangians(l1, l2, l)
+    assert abs(float(np.linalg.det(m)) - 1.0) < 1e-10
+    assert np.allclose(m @ l1.direction_array, l1.direction_array, rtol=0, atol=1e-10)
+    assert abs(omega(m @ l2.direction_array, l.direction_array)) < 1e-10
 
 
 def test_shear_from_lagrangians_degeneracies():

@@ -1,5 +1,6 @@
 """Manifold transport: bundle exactness, map queries, operator identities."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
+from semiwkb.grids import _padded_spectrum
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 from semiwkb.metaplectic import apply_L, gaussian_profile
 from semiwkb.transport import (
+    OVERSAMPLE,
     build_bundle,
     build_transport_map,
     evolved_phase,
@@ -177,40 +180,127 @@ def trigonometric_interpolant(psi, x):
     return np.exp(2j * np.pi * np.outer(x - grid.x_min, k) / grid.length) @ coeffs
 
 
+def _two_packets(grid, cells, shift, k_width, angle):
+    """Two resolved chirped packets ``cells`` grid cells wide, the first
+    centred at ``shift`` grid lengths from the middle."""
+    width, x = cells * grid.dx, grid.x
+    centre = 0.5 * (grid.x_min + grid.x_max) + shift * grid.length
+    return sum(np.exp(-((x - q) / width) ** 2 / 2 + 1j * k_width * x / width) * c
+               for q, c in ((centre, 1.0), (centre + 1.5 * width, 0.5 * np.exp(1j * angle))))
+
+
+def _hermite_bound(psi, factor):
+    """h^4 max|a^(4)|/384 on the ``factor`` times finer spacing h, with a^(4)
+    taken spectrally; its maximum over the samples may sit a little under the
+    continuous one, hence the callers' 10% margin."""
+    grid = psi.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+    fourth = np.fft.ifft(k ** 4 * np.fft.fft(psi.values))
+    return (grid.dx / factor) ** 4 / 384 * np.max(np.abs(fourth))
+
+
 @PROPERTY
 @example(1024, 16.0, 0.0, 2.0, 0.0, 0)  # the narrowest, fastest-turning packets
 @given(st.sampled_from([1024, 2048]), st.floats(16.0, 32.0), st.floats(-0.1, 0.1),
        st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi), st.integers(0, 2**32 - 1))
 def test_amplitude_interpolant_matches_trigonometric_sum(n, cells, shift, k_width, angle,
                                                          seed):
-    # two resolved packets, negligible at the periodic seam; the spectral
-    # Hermite error is at most h^4 max|a^(4)|/384 on the 8x finer spacing h,
-    # with a^(4) taken spectrally; its maximum over the samples may sit a
-    # little under the continuous one, hence the 10% margin
+    # two packets negligible at the periodic seam, queried over the whole grid
     grid = sw.GridSpec(-4.0, 4.0, n)
-    width = cells * grid.dx
-    x = grid.x
-    vals = sum(np.exp(-((x - q) / width) ** 2 / 2 + 1j * k_width * x / width) * c
-               for q, c in ((shift * grid.length, 1.0),
-                            (shift * grid.length + 1.5 * width, 0.5 * np.exp(1j * angle))))
+    vals = _two_packets(grid, cells, shift, k_width, angle)
     psi = sw.WaveFunction(grid, vals, 1.0)
-    interp = _amplitude_interpolator(psi, 8)
+    interp = _amplitude_interpolator(psi, (grid.x_min, grid.x_max), 8)
     probe = np.random.default_rng(seed).uniform(grid.x_min, grid.x_max, 200)
     peak = np.max(np.abs(vals))
-    k = 2.0 * np.pi * np.fft.fftfreq(n, grid.dx)
-    bound = (grid.dx / 8) ** 4 / 384 * np.max(np.abs(np.fft.ifft(k ** 4 * np.fft.fft(vals))))
     err = np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe)))
-    assert err < 1.1 * bound + 1e-13 * peak
-    assert np.max(np.abs(interp(x) - vals)) < 1e-13 * peak
+    assert err < 1.1 * _hermite_bound(psi, 8) + 1e-13 * peak
+    assert np.max(np.abs(interp(grid.x) - vals)) < 1e-13 * peak
+
+
+@PROPERTY
+@example(16.0, -0.4, 2.0, 0.0, 4.0, 0)  # narrowest packet, block clipped at the grid
+@given(st.floats(16.0, 32.0), st.floats(-0.4, 0.4), st.floats(-2.0, 2.0),
+       st.floats(0.0, 2 * math.pi), st.floats(4.0, 10.0), st.integers(0, 2**32 - 1))
+def test_amplitude_interpolant_on_a_span_matches_trigonometric_sum(cells, shift, k_width,
+                                                                   angle, reach, seed):
+    # the interpolant of a packet a few dozen cells wide comes from a block
+    # of the grid around the queried span, and agrees there with the
+    # full grid's trigonometric interpolant to the same bound
+    grid = sw.GridSpec(-4.0, 4.0, 4096)
+    vals = _two_packets(grid, cells, shift, k_width, angle)
+    psi = sw.WaveFunction(grid, vals, 1.0)
+    centre = 0.5 * (grid.x_min + grid.x_max) + shift * grid.length + 0.75 * cells * grid.dx
+    span = (centre - reach * cells * grid.dx, centre + reach * cells * grid.dx)
+    interp = _amplitude_interpolator(psi, span, 8)
+    assert interp.y.size - 1 <= 8 * grid.n_points // 2
+    probe = np.random.default_rng(seed).uniform(*span, 200)
+    peak = np.max(np.abs(vals))
+    err = np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe)))
+    assert err < 1.1 * _hermite_bound(psi, 8) + 1e-13 * peak
+    nodes = (grid.x >= span[0]) & (grid.x <= span[1])
+    assert np.max(np.abs(interp(grid.x[nodes]) - vals[nodes])) < 1e-13 * peak
+
+
+def _full_grid_interpolant(psi, factor):
+    """The trigonometric-Hermite interpolant from the whole grid, built
+    directly: the zero-padded spectrum and its i*k multiple."""
+    grid = psi.grid
+    spec = _padded_spectrum(psi.values, factor)
+    h = grid.length / spec.size
+    vals = np.fft.ifft(spec)
+    slopes = np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec)
+    return _Hermite(grid.x_min, np.append(vals, vals[0]), np.append(slopes, slopes[0]), h)
 
 
 def test_amplitude_interpolant_closes_the_periodic_seam():
     grid = sw.GridSpec(-1.0, 1.0, 64)
     psi = sw.WaveFunction(grid, np.exp(1j * math.pi * grid.x) + 0.3, 1.0)
-    interp = _amplitude_interpolator(psi, 1)
+    interp = _amplitude_interpolator(psi, (grid.x_min, grid.x_max), 1)
     edge = np.array([grid.x_max - 0.25 * grid.dx, grid.x_max])
     assert np.max(np.abs(interp(edge) - trigonometric_interpolant(psi, edge))) < 1e-6
     assert abs(interp(grid.x_max) - psi.values[0]) < 1e-14
+
+
+@pytest.mark.parametrize("factor", [1, 8])
+def test_amplitude_that_fills_the_grid_gets_the_full_grid_interpolant(factor):
+    # an amplitude that does not decay anywhere grows the block to the whole
+    # grid however short the span, and the result is the full-grid
+    # interpolant exactly
+    grid = sw.GridSpec(-1.0, 1.0, 64)
+    psi = sw.WaveFunction(grid, np.exp(1j * math.pi * grid.x) + 0.3, 1.0)
+    interp = _amplitude_interpolator(psi, (-0.1, 0.05), factor)
+    full = _full_grid_interpolant(psi, factor)
+    assert interp.y.size == full.y.size == factor * grid.n_points + 1
+    probe = np.linspace(grid.x_min, grid.x_max, 301)
+    assert np.array_equal(interp(probe), full(probe))
+    assert np.array_equal(interp(probe, 1), full(probe, 1))
+
+
+def test_transport_ffts_follow_the_packet_not_the_grid(monkeypatch):
+    # one forward run on the kicked-oscillator grid of the paper's figure 2:
+    # every transform the transport layer makes stays a quarter of the size
+    # the full-grid interpolant would need
+    sizes = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            out = fn(a, *args, **kwargs)
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "semiwkb.transport":
+                    sizes.append(out.size)
+                    break
+                frame = frame.f_back
+            return out
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    grid = sw.GridSpec(-4.0, 4.0, 8192)
+    sw.propagate_extended_wkb(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0),
+                              sw.gaussian_profile, 8e-4, 1.0, grid)
+    assert sizes
+    assert max(sizes) <= grid.n_points * OVERSAMPLE // 4
 
 
 # model, seeded window, grid and hbar: the amplitude sits well inside the
