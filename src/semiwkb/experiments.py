@@ -390,8 +390,8 @@ def _run_backward_profiles(spec, model, outdir, record):
     for t in spec.times:
         e = ref.samples[float(t)]
         fwd, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods)
-        # the map diagnostics in entry are the backward test's too: both runs
-        # build them from the same inputs
+        # the backward test reuses the forward run's dispersed amplitude and
+        # map (the pipeline's memo), so the map diagnostics in entry are its too
         with _stage(f"backward t={t:g}"):
             back = backward_wkb_test(model, phase0, profile_for_slope(case.slope),
                                      spec.hbar, t, spec.grid, e)

@@ -12,6 +12,14 @@ M_qp(t) / dphi(t) in the tangent flow M, valid on a path that is certified
 free of caustics (see center_kernel).  M_q is applied before T(t);
 the commuted variant is deliberately not offered.
 
+The forward run and the backward test share one computed core: the
+dispersed amplitude M_q(t) L_q a and the map T(t).  A private one-entry memo
+keeps the last core, so a backward test that follows the forward run on the
+same model, phase, profile samples, hbar, t, grid, window and side reuses it
+instead of refining the seed fan again.  The entry (about 1 MB at 8192 grid
+points) lives until the next call with different inputs replaces it; its
+arrays are read-only.
+
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
 as the short-time baseline the corrected scheme is measured against.
 """
@@ -29,8 +37,8 @@ from .dynamics import flow, flow_bundle, kick_times
 from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
                     hbar_fourier_transform)
 from .hamiltonians import PhasePoint, QuadraticPhase
-from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
-                        transport_operator_adjoint)
+from .transport import (CAUSTIC_THRESHOLD, TransportMap, evolved_phase,
+                        refined_transport_map, transport_operator_adjoint)
 
 __all__ = [
     "ScaledAmplitude",
@@ -104,6 +112,8 @@ class MetaplecticKernel:
 
 
 def _check_resolution(grid: GridSpec, hbar: float) -> None:
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise InvalidInputError(f"hbar must be finite and positive, got {hbar}")
     pts = math.sqrt(hbar) / grid.dx
     if pts < MIN_POINTS_PER_WIDTH:
         raise BandwidthError(
@@ -177,6 +187,11 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> N
         prev = s
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"kernel accumulates forward over a finite time, got t={t}")
+
+
 def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     """C_t = int_0^t H_pp / dphi(s)^2 ds along the trajectory seeded at q, in
     closed form: C_t = M_qp(t) / dphi(t), dphi = M_qp alpha + M_qq, from one
@@ -186,8 +201,7 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     alone.  The integral exists only while dphi stays positive, so the whole
     path [0, t] is first certified free of caustics.
     """
-    if t < 0:
-        raise InvalidInputError(f"kernel accumulates forward in time, got t={t}")
+    _check_time(t)
     start = PhasePoint(float(phase0.grad(q)), q)
     _certify_caustic_free(model, start, phase0.alpha, t)
     m = flow(model, start, t).tangent
@@ -264,47 +278,89 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     return x_lo, x_hi
 
 
+@dataclass(eq=False)
+class _Core:
+    """What _semiclassical computed, and the inputs it computed it from."""
+
+    model: object
+    key: tuple
+    a0: WaveFunction
+    dispersed: WaveFunction
+    deficit: float
+    tmap: TransportMap
+    inside: np.ndarray
+    phases: np.ndarray
+    metadata: dict
+
+
+# the one-entry memo: the last core _semiclassical computed
+_last_core = None
+
+
+def _gate_deficit(deficit: float, deficit_tol) -> None:
+    if deficit_tol is not None and deficit > deficit_tol:
+        raise BoundaryMassError(
+            f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
+
+
 def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
                    grid: GridSpec, window, side: str, deficit_tol=None) -> tuple:
     """The chain both pipelines share.  Scale the profile to the packet
     width, disperse it by the center kernel, choose the seed window (the mass
     quantiles of the dispersed amplitude unless a window is given), refine
     the map on it, and evaluate the evolved phase on the grid points inside
-    the map's image.  With a ``deficit_tol``, more than that fraction of the
-    dispersed mass outside the window raises BoundaryMassError before any
-    map is built.
+    the map's image.  The fraction of the dispersed mass outside the window
+    is always measured; with a ``deficit_tol``, a larger fraction raises
+    BoundaryMassError, before any map is built.
+
+    The last result is kept and returned again while the model (by
+    identity), phase0, hbar, t, grid, side, window and the scaled profile
+    samples are unchanged; the pipeline sees the profile only through those
+    samples.  The gate applies to every call, computed or not.
 
     Returns (a0, dispersed, deficit, tmap, inside, phases, metadata); the
-    deficit is None without a ``deficit_tol``, and the metadata holds the
-    diagnostics both pipelines report about the kernel and the map.
+    arrays are read-only and shared between calls, the metadata, the
+    diagnostics both pipelines report about the kernel and the map, is a
+    fresh dict each call.
     """
+    global _last_core
     q = phase0.q0
     a0 = apply_L(profile_a, q, hbar, grid)
-    c_t = center_kernel(model, phase0, q, t)
-    dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
-    win = window if window is not None else mass_quantile_window(dispersed)
-    win = (float(win[0]), float(win[1]))
-    x = grid.x
-    deficit = None
-    if deficit_tol is not None:
+    _check_time(t)
+    if window is not None:
+        window = (float(window[0]), float(window[1]))
+    key = (phase0, hbar, t, grid, side, window)
+    core = _last_core
+    if (core is not None and core.model is model and core.key == key
+            and np.array_equal(core.a0.values, a0.values)):
+        _gate_deficit(core.deficit, deficit_tol)
+    else:
+        c_t = center_kernel(model, phase0, q, t)
+        dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
+        win = window if window is not None else mass_quantile_window(dispersed)
+        win = (float(win[0]), float(win[1]))
+        x = grid.x
         outside = (x < win[0]) | (x > win[1])
         deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
         deficit /= dispersed.norm_sq
-        if deficit > deficit_tol:
-            raise BoundaryMassError(
-                f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
-    tmap = refined_transport_map(model, phase0, win, t, dispersed, side=side)
-    img_lo, img_hi = tmap.image_interval
-    inside = (x >= img_lo) & (x <= img_hi)
-    phases = evolved_phase(tmap, x[inside])
-    metadata = {
-        "c_t": c_t,
-        "window": win,
-        "n_seeds": tmap.bundle.n_seeds,
-        "non_contraction_certificate": tmap.non_contraction_certificate,
-        "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
-    }
-    return a0, dispersed, deficit, tmap, inside, phases, metadata
+        _gate_deficit(deficit, deficit_tol)
+        tmap = refined_transport_map(model, phase0, win, t, dispersed, side=side)
+        img_lo, img_hi = tmap.image_interval
+        inside = (x >= img_lo) & (x <= img_hi)
+        phases = evolved_phase(tmap, x[inside])
+        metadata = {
+            "c_t": c_t,
+            "window": win,
+            "n_seeds": tmap.bundle.n_seeds,
+            "non_contraction_certificate": tmap.non_contraction_certificate,
+            "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
+        }
+        for arr in (a0.values, dispersed.values, tmap.transported.values, inside, phases):
+            arr.flags.writeable = False
+        core = _Core(model, key, a0, dispersed, deficit, tmap, inside, phases, metadata)
+        _last_core = core
+    return (core.a0, core.dispersed, core.deficit, core.tmap, core.inside, core.phases,
+            dict(core.metadata))
 
 
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
@@ -419,8 +475,18 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     the surviving profile with the dispersion-corrected initial profile.
 
     Both profiles live in the blown-up coordinate u; the distance is their
-    L2 difference divided by the profile norm.
+    L2 difference divided by the profile norm.  ``psi_exact`` must live on
+    ``grid`` at ``hbar``.
+
+    The dispersed amplitude and the transport map are the ones
+    propagate_extended_wkb builds from the same arguments: when the forward
+    run on those arguments was the last pipeline call, they are taken from
+    its memo and not built again.  The window is never gated here.
     """
+    if psi_exact.grid != grid:
+        raise InvalidInputError(f"psi_exact lives on {psi_exact.grid}, not on {grid}")
+    if not math.isclose(psi_exact.hbar, hbar, rel_tol=1e-12):
+        raise InvalidInputError(f"psi_exact is at hbar={psi_exact.hbar}, not {hbar}")
     _, dispersed, _, tmap, inside, phases, metadata = _semiclassical(
         model, phase0, profile_a, hbar, t, grid, window, side)
     stripped = np.zeros_like(psi_exact.values)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
+from semiwkb import metaplectic, transport
 from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 from semiwkb.metaplectic import (
@@ -230,7 +231,26 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                                         (-1.0, 1.0), 17, 1.0),
                 lambda: sw.build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
                                         (1.0, 1.0), 65, 1.0),
-                lambda: sw.refine_wavefunction(psi, 3)):
+                lambda: sw.refine_wavefunction(psi, 3),
+                lambda: apply_L(gaussian_profile, 0.0, math.nan, GRID),
+                lambda: apply_L_adjoint(psi, 0.0, -HBAR),
+                lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, math.nan),
+                lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, math.inf),
+                lambda: propagate_extended_wkb(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                               gaussian_profile, -HBAR, 1.0, GRID),
+                lambda: propagate_extended_wkb(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                               gaussian_profile, 0.0, 1.0, GRID),
+                lambda: propagate_extended_wkb(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                               gaussian_profile, HBAR, math.nan, GRID),
+                lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                          gaussian_profile, -HBAR, 1.0, GRID, psi),
+                lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                          gaussian_profile, HBAR, math.nan, GRID, psi),
+                lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                          gaussian_profile, HBAR, 1.0,
+                                          sw.GridSpec(-8.0, 8.0, 4096), psi),
+                lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                          gaussian_profile, 0.5 * HBAR, 1.0, GRID, psi)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
@@ -470,3 +490,99 @@ def test_backward_comparison_on_free_particle():
     assert back.u.shape == back.exact_profile.shape == back.metaplectic_profile.shape
     assert {"c_t", "window", "n_seeds", "non_contraction_certificate",
             "caustic_margin"} == set(back.metadata)
+
+
+# the forward run and the backward test share one core through the
+# pipeline's one-entry memo; the _shared_* calls make a free-particle pair
+SHARED_PHASE = QuadraticPhase(0.3, 0.0, 0.5)
+SHARED_T = 1.2
+
+
+def _shared_args(**change):
+    return {"model": sw.FreeParticle(), "phase0": SHARED_PHASE,
+            "profile_a": profile_for_slope(0.5), "hbar": HBAR, "t": SHARED_T, "grid": GRID,
+            **change}
+
+
+def _shared_backward(psi_exact=None, **change):
+    args = _shared_args(**change)
+    if psi_exact is None:
+        psi_exact = sw.initial_coherent_state(args["grid"], args["hbar"], (0.3, 0.0))
+    return backward_wkb_test(psi_exact=psi_exact, **args)
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Empty memo; records each seed refinement the pipeline core makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return transport.refined_transport_map(*args, **kwargs)
+
+    # metaplectic binds the name at import, so the counter goes where it looks
+    monkeypatch.setattr(metaplectic, "refined_transport_map", counting)
+    monkeypatch.setattr(metaplectic, "_last_core", None)
+    return calls
+
+
+def test_backward_test_reuses_the_forward_core_bit_for_bit(refinements):
+    model = sw.FreeParticle()
+    psi0 = sw.initial_coherent_state(GRID, HBAR, (0.3, 0.0))
+    exact = sw.exact_state(model, psi0, SHARED_T).state
+    cold = _shared_backward(exact, model=model)
+    assert len(refinements) == 1
+    metaplectic._last_core = None
+    fwd = propagate_extended_wkb(**_shared_args(model=model))
+    # a fresh profile closure with the same samples still hits
+    warm = _shared_backward(exact, model=model, profile_a=profile_for_slope(0.5))
+    assert len(refinements) == 2
+    for name in ("u", "exact_profile", "metaplectic_profile"):
+        assert np.array_equal(getattr(cold, name), getattr(warm, name))
+    assert cold.l2_distance == warm.l2_distance
+    assert cold.metadata == warm.metadata
+    assert {k: fwd.metadata[k] for k in warm.metadata} == warm.metadata
+
+
+@pytest.mark.parametrize("change", [
+    {"t": 1.0}, {"hbar": 0.04}, {"side": "plus"}, {"window": (-1.5, 1.5)},
+    {"grid": sw.GridSpec(-8.0, 8.0, 4096)}, {"phase0": QuadraticPhase(0.35, 0.0, 0.5)},
+    {"model": sw.FreeParticle()},  # equal by value, but another object
+    {"profile_a": profile_for_slope(0.4)},
+], ids=["t", "hbar", "side", "window", "grid", "phase0", "model", "profile"])
+def test_one_refinement_per_state_and_time(refinements, change):
+    model = sw.FreeParticle()
+    propagate_extended_wkb(**_shared_args(model=model))
+    _shared_backward(model=model)
+    assert len(refinements) == 1
+    _shared_backward(**{"model": model, **change})
+    assert len(refinements) == 2
+
+
+def test_the_memo_aliases_nothing(refinements):
+    model = sw.FreeParticle()
+    fwd = propagate_extended_wkb(**_shared_args(model=model))
+    back = _shared_backward(model=model)
+    assert len(refinements) == 1
+    assert set(back.metadata) == {"c_t", "window", "n_seeds",
+                                  "non_contraction_certificate", "caustic_margin"}
+    assert {"refinement_residual", "window_mass_deficit", "norm_defect", "boundary_mass",
+            "remainder_indicator"} == set(fwd.metadata) - set(back.metadata)
+    back.metadata["c_t"] = None
+    assert _shared_backward(model=model).metadata["c_t"] == fwd.metadata["c_t"]
+
+    # the gate applies on a hit: this window leaves 0.197 of the mass outside
+    window = (-0.2, 0.2)
+    with pytest.raises(BoundaryMassError, match="lost norm"):
+        propagate_extended_wkb(**_shared_args(model=model), window=window, deficit_tol=1.0)
+    assert len(refinements) == 2
+    with pytest.raises(BoundaryMassError, match="deficit 1.97e-01"):
+        propagate_extended_wkb(**_shared_args(model=model), window=window)
+    assert len(refinements) == 2
+
+    a0, dispersed, _, tmap, inside, phases, _ = metaplectic._semiclassical(
+        model, SHARED_PHASE, profile_for_slope(0.5), HBAR, SHARED_T, GRID, None, "minus")
+    assert len(refinements) == 3
+    for shared in (a0.values, dispersed.values, tmap.transported.values, inside, phases):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = shared[0]
