@@ -7,6 +7,12 @@ closed-form segment flow between them, or, for models without one, a
 fixed-step RK4 route with automatic step halving, which also serves as the
 cross-check for the closed forms.
 
+The walker samples a path at an increasing list of times in one pass over
+the kicks (flow_samples): at each sample it copies the walk after the last
+kick before the sample and runs the sample's own segment on the copy, so a
+sample is bit for bit the walk to that time alone.  flow_bundle is the walk
+with one sample; an RK4 sample is integrated from its last kick, as alone.
+
 Kick convention for the kicked oscillator: a flow over [0, t] applies kicks
 at the integers strictly inside (0, t), so integer t means "just before the
 kick at t".  Pass side="plus" to include the kick at an integer end time.
@@ -29,6 +35,7 @@ __all__ = [
     "LagrangianLine",
     "flow",
     "flow_bundle",
+    "flow_samples",
     "kick_times",
     "period_tangent",
     "lyapunov_exponent",
@@ -180,12 +187,22 @@ def _kick(model, fb: FlowBundle) -> None:
     fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
 
 
-def flow_bundle(model, p, q, t, *, method: str = "auto", side: str = "minus") -> FlowBundle:
-    """Flow a batch of seeds for time t.
+def _copy(fb: FlowBundle) -> FlowBundle:
+    tangent = None if fb.tangent is None else fb.tangent.copy()
+    return FlowBundle(fb.p.copy(), fb.q.copy(), tangent, fb.action.copy())
+
+
+def flow_samples(model, p, q, times, *, method: str = "auto",
+                 side: str = "minus") -> list:
+    """Flow a batch of seeds to each of the non-decreasing ``times`` in one
+    walk over the kicks; returns one FlowBundle per time.
 
     The walk fires the model's kicks at its kick times and runs the smooth
     flow between them: the model's closed form where it has one (method
-    "auto"), else RK4; method "rk4" forces the integrator.
+    "auto"), else RK4; method "rk4" forces the integrator.  A sample is taken
+    from a copy of the walk after the last kick before it, running its own
+    segment on the copy, so each equals, bit for bit, a walk to that time
+    alone.  ``side`` applies to the last time; earlier ones sample "minus".
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -193,22 +210,41 @@ def flow_bundle(model, p, q, t, *, method: str = "auto", side: str = "minus") ->
         raise InvalidInputError(f"p and q batches differ in shape: {p.shape} and {q.shape}")
     if method not in ("auto", "rk4"):
         raise InvalidInputError(f"unknown flow method {method!r}")
+    try:
+        times = [float(t) for t in times]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"sample times must be a list of numbers, got {times}") from None
+    if not times or not all(map(math.isfinite, times)):
+        raise InvalidInputError(f"sample times must be finite, got {times}")
+    if times != sorted(times):
+        raise InvalidInputError(f"sample times must be non-decreasing, got {times}")
     segment = model.segment_flow
     if segment is None or method == "rk4":
         segment = functools.partial(_rk4_flow, model)
 
     fb = FlowBundle(p.copy(), q.copy(), None, np.zeros_like(p))
-    prev = 0.0
-    for n in model.kick_times(t, side):
-        if n > prev:
-            _advance(fb, segment(n - prev, fb.p, fb.q))
-        _kick(model, fb)
-        prev = float(n)
-    if t != prev:
-        _advance(fb, segment(t - prev, fb.p, fb.q))
-    if fb.tangent is None:
-        fb.tangent = np.tile(np.eye(2), (p.size, 1, 1))
-    return fb
+    prev, fired, out = 0.0, 0, []
+    last = len(times) - 1
+    for i, t in enumerate(times):
+        kicks = model.kick_times(t, side if i == last else "minus")
+        for n in kicks[fired:]:
+            if n > prev:
+                _advance(fb, segment(n - prev, fb.p, fb.q))
+            _kick(model, fb)
+            prev = float(n)
+        fired = len(kicks)
+        sample = fb if i == last else _copy(fb)
+        if t != prev:
+            _advance(sample, segment(t - prev, sample.p, sample.q))
+        if sample.tangent is None:
+            sample.tangent = np.tile(np.eye(2), (p.size, 1, 1))
+        out.append(sample)
+    return out
+
+
+def flow_bundle(model, p, q, t, *, method: str = "auto", side: str = "minus") -> FlowBundle:
+    """Flow a batch of seeds for time t: flow_samples with the one time t."""
+    return flow_samples(model, p, q, [t], method=method, side=side)[0]
 
 
 def flow(model, start: PhasePoint, t, *, method: str = "auto",

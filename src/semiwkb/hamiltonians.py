@@ -82,8 +82,8 @@ def kick_times(t: float, side: str = "minus") -> list:
     samples just before that instant's kick ("t = n minus").  side="plus"
     also applies the kick at t, which then must be an integer >= 0.
     """
-    if t < 0:
-        raise InvalidInputError(f"kicked flows run forward only, got t={t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"kicked flows run forward over a finite time, got t={t}")
     if side not in ("minus", "plus"):
         raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
     kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))

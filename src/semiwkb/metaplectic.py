@@ -20,8 +20,13 @@ instead of refining the seed fan again.  The entry (about 1 MB at 8192 grid
 points) lives until the next call with different inputs replaces it; its
 arrays are read-only.
 
+The dispersion acts on the packet's block, not the whole grid: the block
+rule is the transport's (transport._seam_block), and apply_metaplectic
+doubles a block the dispersed packet spreads into.
+
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
-as the short-time baseline the corrected scheme is measured against.
+as the short-time baseline the corrected scheme is measured against; it
+walks its trajectory once, sampling the tangent flow along the way.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ import numpy as np
 
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
-from .dynamics import flow, flow_bundle, kick_times
+from .dynamics import flow, flow_samples, kick_times
 from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
                     hbar_fourier_transform)
 from .hamiltonians import PhasePoint, QuadraticPhase
-from .transport import (CAUSTIC_THRESHOLD, TransportMap, evolved_phase,
-                        refined_transport_map, transport_operator_adjoint)
+from .transport import (CAUSTIC_THRESHOLD, SEAM_TOL, TransportMap, _seam_block,
+                        evolved_phase, refined_transport_map, transport_operator_adjoint)
 
 __all__ = [
     "ScaledAmplitude",
@@ -208,19 +213,55 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
 
 
-def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
-    """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar))."""
-    if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
-        raise InvalidInputError("kernel and amplitude disagree on hbar")
+def _disperse(c_t: float, amplitude: WaveFunction) -> WaveFunction:
     hat = hbar_fourier_transform(amplitude, direction="forward")
     edge = edge_amplitude_fraction(hat)
     if edge > 1e-8:
         raise BandwidthError(
             f"amplitude is not band-limited on this grid (spectral edge {edge:.2e})")
     xi = hat.grid.x
-    mult = np.exp(-0.5j * kernel.c_t * xi**2 / amplitude.hbar)
+    mult = np.exp(-0.5j * c_t * xi**2 / amplitude.hbar)
     hat = replace(hat, values=hat.values * mult)
     return hbar_fourier_transform(hat, direction="inverse")
+
+
+def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
+    """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar)).
+
+    The multiplier acts on the packet's block only: the smallest
+    power-of-two block of grid points about the cells above SEAM_TOL of the
+    peak whose 4 edge cells at each end hold at most SEAM_TOL of it (the
+    rule of the transport's amplitude interpolant).  The result is zero
+    outside the block.  While the dispersed block's own edge cells exceed
+    SEAM_TOL of its peak, the packet has spread into the seam, and the block
+    doubles and the step is redone; a block that reaches the whole grid is
+    the whole-grid transform.
+
+    The band-limit check reads the block's spectrum.  It has the grid's
+    Nyquist momentum on a coarser spacing, so its 4 edge cells reach
+    farther from Nyquist: for a spectrum that decays toward Nyquist it
+    refuses at least what the whole-grid check refuses.
+    """
+    if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
+        raise InvalidInputError("kernel and amplitude disagree on hbar")
+    grid, n = amplitude.grid, amplitude.grid.n_points
+    mags = np.abs(amplitude.values)
+    live = np.flatnonzero(mags > SEAM_TOL * mags.max())
+    m = 8
+    while live.size:  # a zero amplitude takes the whole-grid transform
+        start, m = _seam_block(mags, int(live[0]), int(live[-1]) + 1, m)
+        if m == n:
+            break
+        x0 = grid.x_min + start * grid.dx
+        block = WaveFunction(GridSpec(x0, x0 + m * grid.dx, m),
+                             amplitude.values[start:start + m], amplitude.hbar)
+        out = _disperse(kernel.c_t, block)
+        if edge_amplitude_fraction(out) <= SEAM_TOL:
+            vals = np.zeros(n, dtype=np.complex128)
+            vals[start:start + m] = out.values
+            return WaveFunction(grid, vals, amplitude.hbar)
+        m *= 2
+    return _disperse(kernel.c_t, amplitude)
 
 
 @dataclass(eq=False)
@@ -238,9 +279,10 @@ def _curvature_gradient_scale(model, phase0: QuadraticPhase, q: float, t: float)
     remainder diagnostic."""
     delta = math.sqrt(1e-7)
     x = np.array([q - delta, q + delta])
+    times = np.linspace(0.0, t, 9)[1:]
     worst = 0.0
-    for s in np.linspace(0.0, t, 9)[1:]:
-        m = flow_bundle(model, phase0.grad(x), x, float(s)).tangent
+    for s, fb in zip(times, flow_samples(model, phase0.grad(x), x, times)):
+        m = fb.tangent
         dphi = m[:, 1, 0] * phase0.alpha + m[:, 1, 1]
         if np.min(dphi) < CAUSTIC_THRESHOLD:
             raise CausticError(float(s), float(x[np.argmin(dphi)]))
@@ -427,22 +469,22 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
 
     The complex width follows the Moebius action of the tangent matrix,
     b(t) = (M_pq + M_pp b0) / (M_qq + M_qp b0), and the normalization factor
-    (M_qq + M_qp b0)^(-1/2) is branch-tracked along densely sampled times.
-    Valid while the reported indicator sqrt(hbar)*||dPhi|| stays small.
+    (M_qq + M_qp b0)^(-1/2) is branch-tracked along densely sampled times,
+    all taken from one walk of the trajectory; the last sample, at t on the
+    given side, is the end point.  Valid while the reported indicator
+    sqrt(hbar)*||dPhi|| stays small.
     """
     if b0.imag <= 0:
         raise InvalidInputError("initial width must have positive imaginary part")
+    if not math.isfinite(t):
+        raise InvalidInputError(f"the thawed Gaussian runs over a finite time, got t={t}")
     n_samples = max(2, int(math.ceil(t / THAWED_DT_SAMPLE)) + 1)
-    ts = np.linspace(0.0, t, n_samples)
-    w_path = np.empty(n_samples, dtype=np.complex128)
-    for i, s in enumerate(ts):
-        use_side = side if i == n_samples - 1 else "minus"
-        fr = flow(model, z0, float(s), side=use_side)
-        w_path[i] = fr.tangent[1, 1] + fr.tangent[1, 0] * b0
-    fr = flow(model, z0, t, side=side)
+    path = flow_samples(model, [z0.p], [z0.q], np.linspace(0.0, t, n_samples), side=side)
+    tangents = np.array([fb.tangent[0] for fb in path])
+    w_path = tangents[:, 1, 1] + tangents[:, 1, 0] * b0
+    fr = path[-1].at(0)
     m = fr.tangent
-    w = m[1, 1] + m[1, 0] * b0
-    b_t = (m[0, 1] + m[0, 0] * b0) / w
+    b_t = (m[0, 1] + m[0, 0] * b0) / w_path[-1]
     root = _tracked_sqrt(w_path)
 
     x = grid.x

@@ -267,8 +267,8 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     gap between the last two passes (final state and samples) must fall
     under tol.
     """
-    if t < 0:
-        raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
     if model.exact_path == "momentum-multiplier":
         final = momentum_evolve(model, psi, t)
         samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}

@@ -19,10 +19,12 @@ OVERSAMPLE times finer than its grid, over the span a caller queries (the
 seed window for the pull-back, the image for the push-forward).  The nodes
 cover the smallest power-of-two block of grid points about the span whose 4
 edge cells at each end hold at most SEAM_TOL of the peak, or the whole grid,
-so the block's periodic seam shows only at rounding level.  One FFT of the
-block, zero-padded as in refine_wavefunction, gives its trigonometric
-interpolant on the fine nodes twice over: its values, and (times i*k) its
-exact derivatives.  A cubic Hermite piece between fine nodes, located by
+so the block's periodic seam shows only at rounding level.  One helper,
+_seam_block, applies this rule, here and in metaplectic.apply_metaplectic,
+which disperses the packet on such a block.  One FFT of the block,
+zero-padded as in refine_wavefunction, gives its trigonometric interpolant
+on the fine nodes twice over: its values, and (times i*k) its exact
+derivatives.  A cubic Hermite piece between fine nodes, located by
 direct index, then interpolates both, with the Hermite remainder
 h^4 max|a^(4)|/384 on the fine spacing h as its only error beyond the
 spectral one.
@@ -133,8 +135,9 @@ class _Hermite:
     def __init__(self, x, y, d, step=None):
         self.x, self.y, self.d, self.step = x, y, d, step
 
-    def __call__(self, xq, nu: int = 0):
-        """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
+    def _pieces(self, xq):
+        """The located pieces at ``xq``: (s, h, y0, m0, c2, c3), the cubic
+        being y0 + s*(m0 + s*(c2 + s*c3)) in the local coordinate s."""
         xq = np.asarray(xq, dtype=float)
         last = self.y.size - 2
         if self.step is None:
@@ -150,9 +153,19 @@ class _Hermite:
         m0, m1 = h * self.d[j], h * self.d[j + 1]
         c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
         c3 = 2.0 * (y0 - y1) + m0 + m1
+        return s, h, y0, m0, c2, c3
+
+    def __call__(self, xq, nu: int = 0):
+        """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
+        s, h, y0, m0, c2, c3 = self._pieces(xq)
         if nu == 0:
             return y0 + s * (m0 + s * (c2 + s * c3))
         return (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
+
+    def value_and_slope(self, xq):
+        """Values and first derivatives at ``xq`` from one location."""
+        s, h, y0, m0, c2, c3 = self._pieces(xq)
+        return y0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
 
 
 class TransportMap:
@@ -204,34 +217,36 @@ def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int, t
 
 
 def _monotone_inverse(phi: _Hermite, y: np.ndarray, lo: float, hi: float,
-                      x: np.ndarray) -> np.ndarray:
+                      x: np.ndarray) -> tuple:
     """Solve phi(x) = y for increasing phi with phi(lo) <= y <= phi(hi).
 
     Newton from the start ``x``, safeguarded per point: the bracket [lo, hi]
     shrinks to the last iterates on either side of the root, and a step that
     would leave it bisects it instead.  Every residual ends below
-    1e-10*(1+|y|), or ConvergenceError is raised.
+    1e-10*(1+|y|), or ConvergenceError is raised.  Returns the roots and
+    phi' at them.
     """
     lo = np.full(y.shape, lo)
     hi = np.full(y.shape, hi)
     tol = 1e-10 * (1.0 + np.abs(y))
     for _ in range(100):
-        f = phi(x) - y
+        f, slope = phi.value_and_slope(x)
+        f = f - y
         done = np.abs(f) < tol
         if done.all():
-            return x
+            return x, slope
         lo = np.where(f < 0.0, x, lo)
         hi = np.where(f > 0.0, x, hi)
-        step = x - f / phi(x, 1)
+        step = x - f / slope
         step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
         x = np.where(done, x, step)
     worst = float(np.max(np.abs(f) / tol))
     raise ConvergenceError(f"map inversion left a residual {worst:.3g} times its tolerance")
 
 
-def _invert(tmap: TransportMap, y: np.ndarray) -> np.ndarray:
+def _invert(tmap: TransportMap, y: np.ndarray) -> tuple:
     # the map is certified increasing on the seed window, so the window
-    # brackets every preimage
+    # brackets every preimage; returns the preimages and the map's slope there
     seeds = tmap.bundle.seeds
     start = np.interp(y, tmap.bundle.q_t, seeds)
     return _monotone_inverse(tmap._phi, y, seeds[0], seeds[-1], start)
@@ -251,7 +266,7 @@ def _on_image(tmap: TransportMap, y) -> np.ndarray:
 
 def invert_transport(tmap: TransportMap, y):
     """Preimage under the manifold map, to 1e-10*(1+|y|) in residual."""
-    x = _invert(tmap, _on_image(tmap, y))
+    x = _invert(tmap, _on_image(tmap, y))[0]
     return float(x[0]) if np.ndim(y) == 0 else x
 
 
@@ -261,20 +276,28 @@ def evolved_phase(tmap: TransportMap, y):
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
-def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Hermite:
-    """Interpolant of the amplitude on ``span`` (see the module docstring)."""
-    grid, n = amplitude.grid, amplitude.grid.n_points
-    mags = np.abs(amplitude.values)
+def _seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
+    """(start, size) of the smallest power-of-two block of at least ``m``
+    grid points about the index range [lo, hi) whose 4 edge cells at each
+    end hold at most SEAM_TOL of the peak of ``mags``, or (0, n) for the
+    whole grid of n points."""
+    n = mags.size
     tol = SEAM_TOL * mags.max()
-    lo = min(max(math.floor((span[0] - grid.x_min) / grid.dx), 0), n - 1)
-    hi = min(max(math.ceil((span[1] - grid.x_min) / grid.dx), lo + 1), n)
-    m = min(n, 1 << max(3, (hi - lo - 1).bit_length()))
+    m = min(n, max(m, 1 << (hi - lo - 1).bit_length()))
     while True:
         start = min(max((lo + hi - m) // 2, 0), n - m)
         block = mags[start:start + m]
         if m == n or max(block[:4].max(), block[-4:].max()) <= tol:
-            break
+            return start, m
         m *= 2
+
+
+def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Hermite:
+    """Interpolant of the amplitude on ``span`` (see the module docstring)."""
+    grid, n = amplitude.grid, amplitude.grid.n_points
+    lo = min(max(math.floor((span[0] - grid.x_min) / grid.dx), 0), n - 1)
+    hi = min(max(math.ceil((span[1] - grid.x_min) / grid.dx), lo + 1), n)
+    start, m = _seam_block(np.abs(amplitude.values), lo, hi)
     spec = _padded_spectrum(amplitude.values[start:start + m], factor)
     h = grid.length / (n * factor)
     vals, slopes = np.empty((2, spec.size + 1), dtype=np.complex128)
@@ -300,9 +323,8 @@ def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
     out = np.zeros(grid.n_points, dtype=np.complex128)
     inside = (x >= lo) & (x <= hi)
     if inside.any():
-        x_pre = _invert(tmap, x[inside])
+        x_pre, jac = _invert(tmap, x[inside])
         interp = interpolant or _amplitude_interpolator(amplitude, tmap.seed_window)
-        jac = tmap._phi(x_pre, 1)
         out[inside] = interp(x_pre) / np.sqrt(jac)
     return WaveFunction(grid, out, amplitude.hbar)
 
@@ -315,8 +337,7 @@ def transport_operator_adjoint(tmap: TransportMap, amplitude: WaveFunction) -> W
     out = np.zeros(grid.n_points, dtype=np.complex128)
     inside = (x >= w_lo) & (x <= w_hi)
     if inside.any():
-        phi_x = tmap._phi(x[inside])
-        jac = tmap._phi(x[inside], 1)
+        phi_x, jac = tmap._phi.value_and_slope(x[inside])
         interp = _amplitude_interpolator(amplitude, np.clip(tmap.image_interval,
                                                             grid.x_min, grid.x_max))
         vals = np.where((phi_x >= grid.x_min) & (phi_x <= grid.x_max),

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.dynamics import LagrangianLine, kick_times
+from semiwkb.dynamics import LagrangianLine, flow_samples, kick_times
 from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
+
+from test_model_plugin import HarmonicWell
 
 
 def shear_p_pq(model, phase0: QuadraticPhase, base: sw.PhasePoint, t) -> np.ndarray:
@@ -162,6 +164,58 @@ def test_flow_walker_is_symplectic_and_matches_rk4(name, t_side):
     assert np.max(np.abs(num.q - fb.q)) < 1e-9
     assert np.max(np.abs(num.tangent - fb.tangent)) < 1e-8
     assert np.max(np.abs(num.action - fb.action)) < 1e-8
+
+
+# model, method and time horizon of the sampled walks; the RK4 routes get
+# short horizons, since each of their samples is integrated from its last kick
+SAMPLED_WALKS = {
+    "kicked": (sw.KickedHarmonic(2.0), "auto", 3.0),
+    "free": (sw.FreeParticle(), "auto", 3.0),
+    "barrier": (sw.ParabolicBarrier(1.3), "auto", 3.0),
+    "plugin": (HarmonicWell(1.5), "auto", 3.0),
+    "potential": (WALK_MODELS["potential"], "auto", 0.4),
+    "kicked-rk4": (sw.KickedHarmonic(2.0), "rk4", 1.0),
+}
+
+
+def sample_times(horizon: float):
+    # any times up to the horizon, integers among them, in increasing order
+    one = st.one_of(st.floats(0.0, horizon),
+                    st.integers(0, math.floor(horizon)).map(float))
+    return st.lists(one, min_size=1, max_size=5).map(sorted)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(("kicked", [0.0, 1.0, 1.0, 2.5]), True)
+@example(("kicked", [0.5, 1.0 + 5e-10, 2.0]), False)
+@example(("kicked-rk4", [0.3, 1.0]), True)
+@example(("plugin", [0.0, 0.7, 2.0]), True)
+@given(st.sampled_from(sorted(SAMPLED_WALKS)).flatmap(
+    lambda name: st.tuples(st.just(name), sample_times(SAMPLED_WALKS[name][2]))),
+    st.booleans())
+def test_sampled_walk_equals_lone_walks_bit_for_bit(name_times, plus):
+    # every sample of one walk is what a walk to that time alone returns;
+    # "plus" closes the walk at an integer time, past the kick there
+    name, times = name_times
+    model, method, _ = SAMPLED_WALKS[name]
+    if plus:
+        times = times + [float(math.ceil(times[-1]))]
+    side = "plus" if plus else "minus"
+    p, q = np.array([0.45, -0.2]), np.array([-0.35, 0.6])
+    walk = flow_samples(model, p, q, times, method=method, side=side)
+    assert len(walk) == len(times)
+    for i, (t, fb) in enumerate(zip(times, walk)):
+        alone = sw.flow_bundle(model, p, q, t, method=method,
+                               side=side if i == len(times) - 1 else "minus")
+        for field in ("p", "q", "tangent", "action"):
+            assert np.array_equal(getattr(fb, field), getattr(alone, field)), (t, field)
+
+
+def test_sampled_walk_rejections():
+    free = sw.FreeParticle()
+    for times in ([], [1.0, 0.5], [0.5, math.nan], [math.inf], [[0.5, 1.0]]):
+        with pytest.raises(sw.InvalidInputError):
+            flow_samples(free, [0.0], [0.0], times)
 
 
 def kho_period_matrix(k: float) -> np.ndarray:

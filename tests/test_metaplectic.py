@@ -100,6 +100,44 @@ def test_metaplectic_guards():
         apply_metaplectic(MetaplecticKernel(0.5, 0.0, HBAR), racing)
 
 
+def whole_grid_dispersion(c_t: float, amp: sw.WaveFunction) -> np.ndarray:
+    """The multiplier on the whole grid's spectrum: the oracle of the block."""
+    hat = sw.hbar_fourier_transform(amp, "forward")
+    mult = np.exp(-0.5j * c_t * hat.grid.x ** 2 / amp.hbar)
+    hat = sw.WaveFunction(hat.grid, hat.values * mult, amp.hbar,
+                          conjugate_origin=hat.conjugate_origin)
+    return sw.hbar_fourier_transform(hat, "inverse").values
+
+
+@pytest.mark.parametrize("alpha,c_t", [(0.0, 0.3), (0.8, 0.05), (-0.4, 0.6)])
+def test_block_dispersion_matches_the_whole_grid(alpha, c_t):
+    amp = apply_L(profile_for_slope(alpha), 0.3, HBAR, GRID)
+    out = apply_metaplectic(MetaplecticKernel(c_t, 0.3, HBAR), amp).values
+    expect = whole_grid_dispersion(c_t, amp)
+    assert np.max(np.abs(out - expect)) < 1e-14 * np.max(np.abs(expect))
+    assert np.count_nonzero(out) <= GRID.n_points // 2  # a block, not the grid
+
+
+def test_block_dispersion_of_a_grid_filling_packet_is_the_whole_grid():
+    # the edge cells hold 6e-10 of the peak, so the block is the whole grid
+    wide = sw.WaveFunction(GRID, np.exp(-GRID.x ** 2 / 3.0 + 0.5j * GRID.x), HBAR)
+    out = apply_metaplectic(MetaplecticKernel(0.4, 0.0, HBAR), wide)
+    assert np.array_equal(out.values, whole_grid_dispersion(0.4, wide))
+
+
+def test_block_dispersion_doubles_a_block_the_packet_spreads_into():
+    # the packet's first block spans |x| < 2 (512 cells); dispersed by C = 1
+    # it reaches past |x| = 2, which the block must double to hold
+    amp = apply_L(gaussian_profile, 0.0, HBAR, GRID)
+    x = GRID.x
+    live = x[np.abs(amp.values) > transport.SEAM_TOL * np.abs(amp.values).max()]
+    assert -2.0 < live[0] and live[-1] < 2.0
+    out = apply_metaplectic(MetaplecticKernel(1.0, 0.0, HBAR), amp).values
+    expect = whole_grid_dispersion(1.0, amp)
+    assert np.max(np.abs(out - expect)) < 1e-14 * np.max(np.abs(expect))
+    assert np.abs(out[np.abs(x) > 2.1]).max() > 1e-10 * np.abs(out).max()
+
+
 def test_dispersed_gaussian_widens_and_keeps_mass():
     u = np.linspace(-20, 20, 8001)
     flat = np.abs(dispersed_gaussian(u, 0.0)) ** 2
@@ -250,7 +288,15 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                                           gaussian_profile, HBAR, 1.0,
                                           sw.GridSpec(-8.0, 8.0, 4096), psi),
                 lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
-                                          gaussian_profile, 0.5 * HBAR, 1.0, GRID, psi)):
+                                          gaussian_profile, 0.5 * HBAR, 1.0, GRID, psi),
+                # a NaN time, on kicked and kick-free models alike
+                lambda: sw.kick_times(math.nan),
+                lambda: sw.flow(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), math.nan),
+                lambda: sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], math.nan),
+                lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, math.nan),
+                lambda: sw.exact_state(sw.FreeParticle(), psi, math.nan),
+                lambda: propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0, 0),
+                                                  1j, HBAR, math.nan, GRID)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
@@ -461,6 +507,35 @@ def test_thawed_gaussian_barrier_is_exact():
     assert result.metadata["b_t"].imag > 0
     assert result.metadata["validity_indicator"] == pytest.approx(
         math.sqrt(HBAR) * float(np.linalg.norm(fr.tangent, 2)), rel=1e-9)
+
+
+def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
+    """(state values, b_t) from a lone flow per sample: the walk's oracle."""
+    ts = np.linspace(0.0, t, max(2, int(math.ceil(t / metaplectic.THAWED_DT_SAMPLE)) + 1))
+    w_path = np.array([sw.flow(model, z0, float(s),
+                               side=side if i == ts.size - 1 else "minus").tangent
+                       for i, s in enumerate(ts)])
+    w_path = w_path[:, 1, 1] + w_path[:, 1, 0] * b0
+    fr = sw.flow(model, z0, t, side=side)
+    m = fr.tangent
+    b_t = (m[0, 1] + m[0, 0] * b0) / (m[1, 1] + m[1, 0] * b0)
+    dxc = grid.x - fr.end_point.q
+    phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc ** 2
+    root = metaplectic._tracked_sqrt(w_path)
+    return (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar), b_t
+
+
+@pytest.mark.parametrize("model,t,side", [
+    (sw.KickedHarmonic(2.0), 0.5, "minus"), (sw.KickedHarmonic(2.0), 2.0, "minus"),
+    (sw.KickedHarmonic(2.0), 3.7, "minus"), (sw.KickedHarmonic(2.0), 1.0, "plus"),
+    (sw.KickedHarmonic(2.0), 3.0, "plus"), (sw.ParabolicBarrier(1.0), 1.3, "minus"),
+    (sw.FreeParticle(), 2.2, "minus")])
+def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t, side):
+    z0, b0 = sw.PhasePoint(0.1, 0.05), 0.3 + 1j
+    got = propagate_thawed_gaussian(model, z0, b0, HBAR, t, GRID, side=side)
+    values, b_t = thawed_by_sample(model, z0, b0, HBAR, t, GRID, side)
+    assert got.metadata["b_t"] == b_t
+    assert np.array_equal(got.state.values, values)
 
 
 def test_thawed_gaussian_rejects_bad_width():

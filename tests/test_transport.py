@@ -368,7 +368,8 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
     start = np.full(y.shape, -3.0)
     newton = start - (phi(start) - y) / phi(start, 1)
     assert np.all(newton[roots > -1.0] > 3.0)
-    back = _monotone_inverse(phi, y, -3.0, 3.0, start)
+    back, slope = _monotone_inverse(phi, y, -3.0, 3.0, start)
+    assert np.array_equal(slope, phi(back, 1))
     assert np.all(np.abs(phi(back) - y) < 1e-10 * (1.0 + np.abs(y)))
     assert np.all(np.abs(back - roots) * phi(roots, 1) < 2e-10 * (1.0 + np.abs(y)))
 
@@ -384,3 +385,6 @@ def test_hermite_reproduces_cubics_and_their_slopes():
     lattice = _Hermite(-1.0, cubic(lattice_nodes), cubic.deriv()(lattice_nodes), 0.25)
     assert np.allclose(lattice(x), cubic(x), rtol=0, atol=1e-12)
     assert np.allclose(lattice(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
+    for interp in (spline, lattice):  # one location, the same digits as two calls
+        value, slope = interp.value_and_slope(x)
+        assert np.array_equal(value, interp(x)) and np.array_equal(slope, interp(x, 1))
