@@ -12,6 +12,7 @@ the kicks (flow_samples): at each sample it copies the walk after the last
 kick before the sample and runs the sample's own segment on the copy, so a
 sample is bit for bit the walk to that time alone.  flow_bundle is the walk
 with one sample; an RK4 sample is integrated from its last kick, as alone.
+A model without kicks may also walk backward, through times falling from 0.
 
 Kick convention for the kicked oscillator: a flow over [0, t] applies kicks
 at the integers strictly inside (0, t), so integer t means "just before the
@@ -195,7 +196,9 @@ def _copy(fb: FlowBundle) -> FlowBundle:
 def flow_samples(model, p, q, times, *, method: str = "auto",
                  side: str = "minus") -> list:
     """Flow a batch of seeds to each of the non-decreasing ``times`` in one
-    walk over the kicks; returns one FlowBundle per time.
+    walk over the kicks; returns one FlowBundle per time.  Times that fall
+    from 0 (non-increasing, none positive) walk backward, which only models
+    without kicks allow.
 
     The walk fires the model's kicks at its kick times and runs the smooth
     flow between them: the model's closed form where it has one (method
@@ -216,8 +219,10 @@ def flow_samples(model, p, q, times, *, method: str = "auto",
         raise InvalidInputError(f"sample times must be a list of numbers, got {times}") from None
     if not times or not all(map(math.isfinite, times)):
         raise InvalidInputError(f"sample times must be finite, got {times}")
-    if times != sorted(times):
-        raise InvalidInputError(f"sample times must be non-decreasing, got {times}")
+    backward = times[-1] < 0  # flows of models without kicks also run backward
+    if times != sorted(times, reverse=backward) or (backward and times[0] > 0):
+        raise InvalidInputError(
+            f"sample times must be non-decreasing, or fall from 0, got {times}")
     segment = model.segment_flow
     if segment is None or method == "rk4":
         segment = functools.partial(_rk4_flow, model)

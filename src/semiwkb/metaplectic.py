@@ -21,8 +21,9 @@ points) lives until the next call with different inputs replaces it; its
 arrays are read-only.
 
 The dispersion acts on the packet's block, not the whole grid: the block
-rule is the transport's (transport._seam_block), and apply_metaplectic
-doubles a block the dispersed packet spreads into.
+rule is the transport's (transport._seam_block), applied to the span the
+dispersed packet reaches, which the block's spectrum gives (see
+apply_metaplectic).
 
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
 as the short-time baseline the corrected scheme is measured against; it
@@ -213,29 +214,81 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
 
 
-def _disperse(c_t: float, amplitude: WaveFunction) -> WaveFunction:
+def _spectrum(amplitude: WaveFunction) -> WaveFunction:
     hat = hbar_fourier_transform(amplitude, direction="forward")
     edge = edge_amplitude_fraction(hat)
     if edge > 1e-8:
         raise BandwidthError(
             f"amplitude is not band-limited on this grid (spectral edge {edge:.2e})")
+    return hat
+
+
+def _disperse(c_t: float, hat: WaveFunction) -> WaveFunction:
     xi = hat.grid.x
-    mult = np.exp(-0.5j * c_t * xi**2 / amplitude.hbar)
+    mult = np.exp(-0.5j * c_t * xi**2 / hat.hbar)
     hat = replace(hat, values=hat.values * mult)
     return hbar_fourier_transform(hat, direction="inverse")
+
+
+def _block(amplitude: WaveFunction, start: int, m: int) -> WaveFunction:
+    grid = amplitude.grid
+    x0 = grid.x_min + start * grid.dx
+    return WaveFunction(GridSpec(x0, x0 + m * grid.dx, m),
+                        amplitude.values[start:start + m], amplitude.hbar)
+
+
+def _block_dispersion(c_t: float, amplitude: WaveFunction):
+    """The multiplier on the dispersed packet's block (see apply_metaplectic),
+    or None where the whole grid must be transformed."""
+    grid, n = amplitude.grid, amplitude.grid.n_points
+    mags = np.abs(amplitude.values)
+    live = np.flatnonzero(mags > SEAM_TOL * mags.max())
+    if not live.size:
+        return None
+    lo, hi = int(live[0]), int(live[-1]) + 1
+    start, m = _seam_block(mags, lo, hi)
+    if m == n:
+        return None
+    hat = _spectrum(_block(amplitude, start, m))
+    spec = np.abs(hat.values)
+    band = hat.grid.x[spec > SEAM_TOL * spec.max()]
+    # the span the dispersed packet reaches, plus the 4 edge cells
+    lo = lo - 4 + math.floor(min(0.0, c_t * band[0]) / grid.dx)
+    hi = hi + 4 + math.ceil(max(0.0, c_t * band[-1]) / grid.dx)
+    if lo < 0 or hi > n:
+        return None
+    reach = _seam_block(mags, lo, hi, m)
+    if reach[1] == n:
+        return None
+    if reach != (start, m):
+        start, m = reach
+        hat = _spectrum(_block(amplitude, start, m))
+    out = _disperse(c_t, hat)
+    if edge_amplitude_fraction(out) > SEAM_TOL:
+        return None
+    vals = np.zeros(n, dtype=np.complex128)
+    vals[start:start + m] = out.values
+    return WaveFunction(grid, vals, amplitude.hbar)
 
 
 def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
     """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar)).
 
-    The multiplier acts on the packet's block only: the smallest
-    power-of-two block of grid points about the cells above SEAM_TOL of the
-    peak whose 4 edge cells at each end hold at most SEAM_TOL of it (the
-    rule of the transport's amplitude interpolant).  The result is zero
-    outside the block.  While the dispersed block's own edge cells exceed
-    SEAM_TOL of its peak, the packet has spread into the seam, and the block
-    doubles and the step is redone; a block that reaches the whole grid is
-    the whole-grid transform.
+    The multiplier acts on the packet's block only, the result being zero
+    outside it.  The block rule is the transport's amplitude interpolant's:
+    the smallest power-of-two block of grid points about a span of cells
+    whose 4 edge cells at each end hold at most SEAM_TOL of the peak.  The
+    multiplier moves the packet's part at momentum xi by C_t*xi, so the span
+    is the cells above SEAM_TOL of the peak, [lo, hi), widened to
+    [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus 4 cells at each
+    end, where [xi_lo, xi_hi] holds the momenta above SEAM_TOL of the
+    spectrum's peak.  That band is read from the spectrum of the block about
+    [lo, hi), which is transformed again only if the widened span needs
+    another block.  The widening bounds the dispersed packet for Gaussian
+    packets, chirped or not.  Should the dispersed block's edge cells still
+    exceed SEAM_TOL of its peak, or the span leave the grid, the result is
+    the whole-grid transform, as it is, bit for bit, when the block is the
+    whole grid.
 
     The band-limit check reads the block's spectrum.  It has the grid's
     Nyquist momentum on a coarser spacing, so its 4 edge cells reach
@@ -244,24 +297,10 @@ def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> Wav
     """
     if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
         raise InvalidInputError("kernel and amplitude disagree on hbar")
-    grid, n = amplitude.grid, amplitude.grid.n_points
-    mags = np.abs(amplitude.values)
-    live = np.flatnonzero(mags > SEAM_TOL * mags.max())
-    m = 8
-    while live.size:  # a zero amplitude takes the whole-grid transform
-        start, m = _seam_block(mags, int(live[0]), int(live[-1]) + 1, m)
-        if m == n:
-            break
-        x0 = grid.x_min + start * grid.dx
-        block = WaveFunction(GridSpec(x0, x0 + m * grid.dx, m),
-                             amplitude.values[start:start + m], amplitude.hbar)
-        out = _disperse(kernel.c_t, block)
-        if edge_amplitude_fraction(out) <= SEAM_TOL:
-            vals = np.zeros(n, dtype=np.complex128)
-            vals[start:start + m] = out.values
-            return WaveFunction(grid, vals, amplitude.hbar)
-        m *= 2
-    return _disperse(kernel.c_t, amplitude)
+    out = _block_dispersion(kernel.c_t, amplitude)
+    if out is None:  # a zero amplitude, too, takes the whole grid
+        out = _disperse(kernel.c_t, _spectrum(amplitude))
+    return out
 
 
 @dataclass(eq=False)

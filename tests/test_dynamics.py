@@ -213,9 +213,24 @@ def test_sampled_walk_equals_lone_walks_bit_for_bit(name_times, plus):
 
 def test_sampled_walk_rejections():
     free = sw.FreeParticle()
-    for times in ([], [1.0, 0.5], [0.5, math.nan], [math.inf], [[0.5, 1.0]]):
+    for times in ([], [1.0, 0.5], [0.5, -1.0], [-1.0, -0.5, -2.0], [0.5, math.nan],
+                  [math.inf], [[0.5, 1.0]]):
         with pytest.raises(sw.InvalidInputError):
             flow_samples(free, [0.0], [0.0], times)
+    with pytest.raises(sw.InvalidInputError):  # kicks fire forward only
+        flow_samples(sw.KickedHarmonic(2.0), [0.0], [0.0], [0.0, -0.5])
+
+
+@pytest.mark.parametrize("model", [sw.FreeParticle(), sw.ParabolicBarrier(1.3),
+                                   HarmonicWell(1.5)], ids=["free", "barrier", "plugin"])
+def test_backward_sampled_walk_equals_lone_walks_bit_for_bit(model):
+    # a model without kicks walks backward through times falling from 0
+    p, q = np.array([0.45, -0.2]), np.array([-0.35, 0.6])
+    times = [0.0, -0.25, -1.0, -1.0, -2.5]
+    for t, fb in zip(times, flow_samples(model, p, q, times)):
+        alone = sw.flow_bundle(model, p, q, t)
+        for field in ("p", "q", "tangent", "action"):
+            assert np.array_equal(getattr(fb, field), getattr(alone, field)), (t, field)
 
 
 def kho_period_matrix(k: float) -> np.ndarray:

@@ -138,6 +138,34 @@ def test_block_dispersion_doubles_a_block_the_packet_spreads_into():
     assert np.abs(out[np.abs(x) > 2.1]).max() > 1e-10 * np.abs(out).max()
 
 
+def test_block_dispersion_holds_a_moving_packet():
+    # the multiplier moves a packet of momentum p0 by C*p0: here by 4.0, the
+    # length of the block about the input packet (|x| < 2, 512 cells), so a
+    # block sized from that packet alone would carry it round to x = 0
+    grid = sw.GridSpec(-16.0, 16.0, 4096)
+    hbar, p0, c_t = 0.05, 10.0, 0.4
+    amp = sw.initial_coherent_state(grid, hbar, (p0, 0.0))
+    out = apply_metaplectic(MetaplecticKernel(c_t, 0.0, hbar), amp).values
+    assert grid.x[np.argmax(np.abs(out))] == pytest.approx(c_t * p0, abs=grid.dx)
+    assert np.count_nonzero(out) <= grid.n_points // 2  # still a block
+    # the dispersed coherent state in closed form; the carrier phase, 400 rad
+    # across the packet, puts the rounding of either transform near 5e-14
+    gamma = 1.0 + 1j * c_t
+    exact = ((np.pi * hbar) ** -0.25 / np.sqrt(gamma)
+             * np.exp(-(grid.x - c_t * p0) ** 2 / (2 * hbar * gamma)
+                      + 1j * p0 * (grid.x - 0.5 * c_t * p0) / hbar))
+    whole = whole_grid_dispersion(c_t, amp)
+    peak = np.max(np.abs(exact))
+    assert np.max(np.abs(whole - exact)) < 1e-13 * peak
+    assert np.max(np.abs(out - exact)) < 1e-13 * peak
+    assert np.max(np.abs(out - whole)) < 1e-13 * peak
+    # on a grid as long as the move, only the whole grid holds the packet
+    short = sw.GridSpec(-8.0, 8.0, 2048)
+    amp = sw.initial_coherent_state(short, hbar, (p0, 0.0))
+    out = apply_metaplectic(MetaplecticKernel(c_t, 0.0, hbar), amp)
+    assert np.array_equal(out.values, whole_grid_dispersion(c_t, amp))
+
+
 def test_dispersed_gaussian_widens_and_keeps_mass():
     u = np.linspace(-20, 20, 8001)
     flat = np.abs(dispersed_gaussian(u, 0.0)) ** 2
@@ -529,7 +557,8 @@ def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
     (sw.KickedHarmonic(2.0), 0.5, "minus"), (sw.KickedHarmonic(2.0), 2.0, "minus"),
     (sw.KickedHarmonic(2.0), 3.7, "minus"), (sw.KickedHarmonic(2.0), 1.0, "plus"),
     (sw.KickedHarmonic(2.0), 3.0, "plus"), (sw.ParabolicBarrier(1.0), 1.3, "minus"),
-    (sw.FreeParticle(), 2.2, "minus")])
+    (sw.FreeParticle(), 2.2, "minus"), (sw.FreeParticle(), -1.3, "minus"),
+    (sw.ParabolicBarrier(1.0), -0.7, "minus")])
 def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t, side):
     z0, b0 = sw.PhasePoint(0.1, 0.05), 0.3 + 1j
     got = propagate_thawed_gaussian(model, z0, b0, HBAR, t, GRID, side=side)
