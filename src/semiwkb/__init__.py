@@ -64,8 +64,6 @@ from .transport import (
     transport_operator_adjoint,
 )
 from .metaplectic import (
-    ScaledAmplitude,
-    MetaplecticKernel,
     PropagationResult,
     gaussian_profile,
     profile_for_slope,

@@ -11,7 +11,8 @@ The scaled transform used throughout is
 with inverse ``A(x) = (2*pi*hbar)**-1 * integral exp(+i*x*xi/hbar) A_hat dxi``.
 On the grid the conjugate momenta are ``xi_k = 2*pi*hbar*k/(x_max - x_min)``
 with ``k`` centred about zero, so the transform is realised exactly by a DFT
-plus an ``exp(-i*x_min*xi/hbar)`` phase; round trips are exact to rounding.
+plus an ``exp(-i*x_min*xi/hbar)`` phase; round trips are exact to rounding,
+and the inverse returns the very position grid the forward transform read.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "edge_mass_fraction",
     "spectral_edge_fraction",
 ]
+
+N_EDGE = 4  # the cells at each end of a grid that the edge fractions read
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -95,15 +98,15 @@ def conjugate_grid(grid: GridSpec, hbar: float) -> GridSpec:
 class WaveFunction:
     """Complex samples on a :class:`GridSpec` with an attached hbar.
 
-    ``conjugate_origin`` is set on momentum-side functions produced by the
-    forward transform; it records the ``x_min`` of the position grid so the
-    inverse transform can restore the exact phase convention.
+    ``position_grid`` is set on momentum-side functions produced by the
+    forward transform; it is the position grid transformed, which the
+    inverse transform returns to.
     """
 
     grid: GridSpec
     values: np.ndarray
     hbar: float
-    conjugate_origin: float | None = field(default=None)
+    position_grid: GridSpec | None = field(default=None)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -134,8 +137,9 @@ class WaveFunction:
             f"# hbar={self.hbar!r} x_min={self.grid.x_min!r} "
             f"x_max={self.grid.x_max!r} n_points={self.grid.n_points}"
         )
-        if self.conjugate_origin is not None:
-            header += f" conjugate_origin={self.conjugate_origin!r}"
+        if self.position_grid is not None:
+            header += (f" position_x_min={self.position_grid.x_min!r}"
+                       f" position_x_max={self.position_grid.x_max!r}")
         x = self.grid.x
         with open(path, "w") as f:
             f.write(header + "\n")
@@ -159,8 +163,9 @@ class WaveFunction:
             rows = np.loadtxt(f, delimiter=",")
         grid = GridSpec(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_points"]))
         values = rows[:, 1] + 1j * rows[:, 2]
-        origin = float(meta["conjugate_origin"]) if "conjugate_origin" in meta else None
-        wf = cls(grid, values, float(meta["hbar"]), conjugate_origin=origin)
+        position = (GridSpec(float(meta["position_x_min"]), float(meta["position_x_max"]),
+                             grid.n_points) if "position_x_min" in meta else None)
+        wf = cls(grid, values, float(meta["hbar"]), position_grid=position)
         if not np.allclose(rows[:, 0], grid.x, rtol=0, atol=1e-12 * max(1.0, abs(grid.x_max))):
             raise InvalidInputError(f"{path}: x column inconsistent with grid metadata")
         return wf
@@ -184,8 +189,8 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
 
     The forward direction maps a position-side function to its spectrum on
     the centred conjugate grid (monotone ordering).  The inverse direction
-    requires a momentum-side function carrying ``conjugate_origin`` and
-    reverses the forward map exactly.
+    requires a momentum-side function carrying ``position_grid`` and
+    reverses the forward map exactly, onto that grid.
     """
     if direction == "forward":
         grid = psi.grid
@@ -196,22 +201,15 @@ def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> Wav
             conjugate_grid(grid, psi.hbar),
             np.fft.fftshift(vals),
             psi.hbar,
-            conjugate_origin=grid.x_min,
+            position_grid=grid,
         )
     if direction == "inverse":
-        if psi.conjugate_origin is None:
-            raise InvalidInputError("inverse transform needs conjugate_origin metadata")
-        xi_grid = psi.grid
-        n = xi_grid.n_points
-        dxi = xi_grid.dx
-        length = 2.0 * math.pi * psi.hbar / dxi
-        dx = length / n
-        x_min = psi.conjugate_origin
-        pos_grid = GridSpec(x_min, x_min + length, n)
-        xi = pos_grid.xi(psi.hbar)
-        vals = np.fft.ifftshift(psi.values) * np.exp(1j * x_min * xi / psi.hbar)
-        vals = np.fft.ifft(vals) / dx
-        return WaveFunction(pos_grid, vals, psi.hbar)
+        grid = psi.position_grid
+        if grid is None:
+            raise InvalidInputError("inverse transform needs position_grid metadata")
+        xi = grid.xi(psi.hbar)
+        vals = np.fft.ifftshift(psi.values) * np.exp(1j * grid.x_min * xi / psi.hbar)
+        return WaveFunction(grid, np.fft.ifft(vals) / grid.dx, psi.hbar)
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
@@ -280,24 +278,25 @@ def band_mass(
     return float(mass)
 
 
-def edge_amplitude_fraction(psi: WaveFunction, n_edge: int = 4) -> float:
-    """Largest |psi| within ``n_edge`` cells of either boundary, relative to max."""
+def edge_amplitude_fraction(psi: WaveFunction) -> float:
+    """Largest |psi| within N_EDGE cells of either boundary, relative to max."""
     mags = np.abs(psi.values)
     peak = mags.max()
     if peak == 0.0:
         return 0.0
-    return float(max(mags[:n_edge].max(), mags[-n_edge:].max()) / peak)
+    return float(max(mags[:N_EDGE].max(), mags[-N_EDGE:].max()) / peak)
 
 
-def edge_mass_fraction(psi: WaveFunction, n_edge: int = 4) -> float:
+def edge_mass_fraction(psi: WaveFunction) -> float:
+    """Mass within N_EDGE cells of either boundary, relative to the total."""
     mags2 = np.abs(psi.values) ** 2
     total = mags2.sum()
     if total == 0.0:
         return 0.0
-    return float((mags2[:n_edge].sum() + mags2[-n_edge:].sum()) / total)
+    return float((mags2[:N_EDGE].sum() + mags2[-N_EDGE:].sum()) / total)
 
 
-def spectral_edge_fraction(psi: WaveFunction, n_edge: int = 4) -> float:
+def spectral_edge_fraction(psi: WaveFunction) -> float:
     """Relative spectral amplitude near the Nyquist edges (aliasing probe)."""
     spec = hbar_fourier_transform(psi, "forward")
-    return edge_amplitude_fraction(spec, n_edge=n_edge)
+    return edge_amplitude_fraction(spec)

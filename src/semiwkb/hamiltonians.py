@@ -39,9 +39,6 @@ class PhasePoint:
     p: float
     q: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.q], dtype=float)
-
 
 @dataclass(frozen=True)
 class QuadraticPhase:

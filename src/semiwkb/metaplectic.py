@@ -20,9 +20,10 @@ instead of refining the seed fan again.  The entry (about 1 MB at 8192 grid
 points) lives until the next call with different inputs replaces it; its
 arrays are read-only.
 
-The dispersion acts on the packet's block, not the whole grid: the block
-rule is the transport's (transport._seam_block), applied to the span the
-dispersed packet reaches, which the block's spectrum gives (see
+The dispersion is one loop of plain FFTs over power-of-two blocks about the
+packet, with the whole grid as the last block: the block rule is the
+transport's (transport._seam_block), applied to the span the dispersed
+packet reaches, which the first block's spectrum gives (see
 apply_metaplectic).
 
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
@@ -33,22 +34,19 @@ walks its trajectory once, sampling the tangent flow along the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
 from .dynamics import flow, flow_samples, kick_times
-from .grids import (GridSpec, WaveFunction, edge_amplitude_fraction, edge_mass_fraction,
-                    hbar_fourier_transform)
+from .grids import GridSpec, WaveFunction, edge_mass_fraction
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, SEAM_TOL, TransportMap, _seam_block,
                         evolved_phase, refined_transport_map, transport_operator_adjoint)
 
 __all__ = [
-    "ScaledAmplitude",
-    "MetaplecticKernel",
     "PropagationResult",
     "BackwardTestResult",
     "gaussian_profile",
@@ -65,6 +63,7 @@ __all__ = [
 
 MIN_POINTS_PER_WIDTH = 16
 THAWED_DT_SAMPLE = 0.02  # time step of the thawed prefactor's branch tracking
+WINDOW_PAD = 0.02  # mass_quantile_window's padding, a fraction of its width
 
 
 def gaussian_profile(u):
@@ -82,39 +81,6 @@ def profile_for_slope(alpha: float):
         return np.pi**-0.25 * np.exp(-gamma * np.asarray(u) ** 2 / 2)
 
     return a
-
-
-@dataclass(eq=False)
-class ScaledAmplitude:
-    """Profile samples in the blown-up coordinate u = (x - q)/sqrt(hbar)."""
-
-    u: np.ndarray
-    values: np.ndarray
-    q_center: float
-    hbar: float
-
-    @property
-    def norm_sq(self) -> float:
-        du = float(self.u[1] - self.u[0])
-        return float(np.sum(np.abs(self.values) ** 2) * du)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
-
-@dataclass(frozen=True)
-class MetaplecticKernel:
-    c_t: float
-    q_center: float
-    hbar: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c_t) and self.c_t >= -1e-12):
-            raise InvalidInputError(
-                f"accumulated kernel must be finite and nonnegative, got {self.c_t}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise InvalidInputError(f"hbar must be finite and positive, got {self.hbar}")
 
 
 def _check_resolution(grid: GridSpec, hbar: float) -> None:
@@ -135,11 +101,12 @@ def apply_L(profile_a, q: float, hbar: float, grid: GridSpec) -> WaveFunction:
     return WaveFunction(grid, vals, hbar)
 
 
-def apply_L_adjoint(amplitude: WaveFunction, q: float, hbar: float) -> ScaledAmplitude:
-    """Undo the scaling: sample the profile on the grid's u coordinates."""
+def apply_L_adjoint(amplitude: WaveFunction, q: float, hbar: float) -> tuple:
+    """Undo the scaling: (u, profile samples) on the grid's coordinates
+    u = (x - q)/sqrt(hbar)."""
     _check_resolution(amplitude.grid, hbar)
     u = (amplitude.grid.x - q) / math.sqrt(hbar)
-    return ScaledAmplitude(u, hbar**0.25 * amplitude.values.copy(), q, hbar)
+    return u, hbar**0.25 * amplitude.values
 
 
 def _interior_minimum(f: float, g: float, kappa: float, length: float):
@@ -214,93 +181,62 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
 
 
-def _spectrum(amplitude: WaveFunction) -> WaveFunction:
-    hat = hbar_fourier_transform(amplitude, direction="forward")
-    edge = edge_amplitude_fraction(hat)
-    if edge > 1e-8:
-        raise BandwidthError(
-            f"amplitude is not band-limited on this grid (spectral edge {edge:.2e})")
-    return hat
-
-
-def _disperse(c_t: float, hat: WaveFunction) -> WaveFunction:
-    xi = hat.grid.x
-    mult = np.exp(-0.5j * c_t * xi**2 / hat.hbar)
-    hat = replace(hat, values=hat.values * mult)
-    return hbar_fourier_transform(hat, direction="inverse")
-
-
-def _block(amplitude: WaveFunction, start: int, m: int) -> WaveFunction:
-    grid = amplitude.grid
-    x0 = grid.x_min + start * grid.dx
-    return WaveFunction(GridSpec(x0, x0 + m * grid.dx, m),
-                        amplitude.values[start:start + m], amplitude.hbar)
-
-
-def _block_dispersion(c_t: float, amplitude: WaveFunction):
-    """The multiplier on the dispersed packet's block (see apply_metaplectic),
-    or None where the whole grid must be transformed."""
-    grid, n = amplitude.grid, amplitude.grid.n_points
-    mags = np.abs(amplitude.values)
-    live = np.flatnonzero(mags > SEAM_TOL * mags.max())
-    if not live.size:
-        return None
-    lo, hi = int(live[0]), int(live[-1]) + 1
-    start, m = _seam_block(mags, lo, hi)
-    if m == n:
-        return None
-    hat = _spectrum(_block(amplitude, start, m))
-    spec = np.abs(hat.values)
-    band = hat.grid.x[spec > SEAM_TOL * spec.max()]
-    # the span the dispersed packet reaches, plus the 4 edge cells
-    lo = lo - 4 + math.floor(min(0.0, c_t * band[0]) / grid.dx)
-    hi = hi + 4 + math.ceil(max(0.0, c_t * band[-1]) / grid.dx)
-    if lo < 0 or hi > n:
-        return None
-    reach = _seam_block(mags, lo, hi, m)
-    if reach[1] == n:
-        return None
-    if reach != (start, m):
-        start, m = reach
-        hat = _spectrum(_block(amplitude, start, m))
-    out = _disperse(c_t, hat)
-    if edge_amplitude_fraction(out) > SEAM_TOL:
-        return None
-    vals = np.zeros(n, dtype=np.complex128)
-    vals[start:start + m] = out.values
-    return WaveFunction(grid, vals, amplitude.hbar)
-
-
-def apply_metaplectic(kernel: MetaplecticKernel, amplitude: WaveFunction) -> WaveFunction:
+def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
     """Unit-modulus Fourier multiplier exp(-i C_t xi^2 / (2 hbar)).
 
-    The multiplier acts on the packet's block only, the result being zero
-    outside it.  The block rule is the transport's amplitude interpolant's:
-    the smallest power-of-two block of grid points about a span of cells
-    whose 4 edge cells at each end hold at most SEAM_TOL of the peak.  The
-    multiplier moves the packet's part at momentum xi by C_t*xi, so the span
-    is the cells above SEAM_TOL of the peak, [lo, hi), widened to
-    [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus 4 cells at each
-    end, where [xi_lo, xi_hi] holds the momenta above SEAM_TOL of the
-    spectrum's peak.  That band is read from the spectrum of the block about
-    [lo, hi), which is transformed again only if the widened span needs
-    another block.  The widening bounds the dispersed packet for Gaussian
-    packets, chirped or not.  Should the dispersed block's edge cells still
-    exceed SEAM_TOL of its peak, or the span leave the grid, the result is
-    the whole-grid transform, as it is, bit for bit, when the block is the
-    whole grid.
+    One loop of plain FFTs over power-of-two blocks of grid points, the
+    whole grid being the last; the result is zero outside the block it was
+    computed on.  The first block follows the transport's rule
+    (transport._seam_block) about the cells above SEAM_TOL of the peak,
+    [lo, hi).  The multiplier moves momentum xi by C_t*xi, so that block's
+    band [xi_lo, xi_hi] above SEAM_TOL of its spectral peak widens the span
+    to [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus 4 cells at
+    each end, and the loop moves to the block that span needs, or to the
+    whole grid if the span leaves it.  Should the dispersed block's 4 edge
+    cells exceed SEAM_TOL of its peak, the loop moves on to the whole grid.
+    The origin phases of the hbar-scaled transform cancel in a diagonal
+    multiplier, so none is applied.
 
-    The band-limit check reads the block's spectrum.  It has the grid's
-    Nyquist momentum on a coarser spacing, so its 4 edge cells reach
-    farther from Nyquist: for a spectrum that decays toward Nyquist it
-    refuses at least what the whole-grid check refuses.
+    Every block's spectrum must be band-limited: its 4 cells on each side
+    of Nyquist at most 1e-8 of its peak.  A block has the grid's Nyquist
+    momentum on a coarser spacing, so for a spectrum that decays toward
+    Nyquist it refuses at least what the whole-grid check refuses.
     """
-    if not math.isclose(kernel.hbar, amplitude.hbar, rel_tol=1e-12):
-        raise InvalidInputError("kernel and amplitude disagree on hbar")
-    out = _block_dispersion(kernel.c_t, amplitude)
-    if out is None:  # a zero amplitude, too, takes the whole grid
-        out = _disperse(kernel.c_t, _spectrum(amplitude))
-    return out
+    if not (math.isfinite(c_t) and c_t >= -1e-12):
+        raise InvalidInputError(f"accumulated kernel must be finite and nonnegative, got {c_t}")
+    grid, hbar = amplitude.grid, amplitude.hbar
+    n, dx = grid.n_points, grid.dx
+    mags = np.abs(amplitude.values)
+    live = np.flatnonzero(mags > SEAM_TOL * mags.max())
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, n)
+    start, m = _seam_block(mags, lo, hi)
+    sized = m == n
+    while True:
+        hat = np.fft.fft(amplitude.values[start:start + m])
+        spec = np.abs(hat)
+        peak = spec.max()
+        edge = spec[max(m // 2 - 4, 0):m // 2 + 4].max()  # the cells about Nyquist
+        if edge > 1e-8 * peak:
+            raise BandwidthError(f"amplitude is not band-limited on this grid "
+                                 f"(spectral edge {edge / peak:.2e})")
+        xi = 2.0 * math.pi * hbar * np.fft.fftfreq(m, d=dx)
+        if not sized:
+            sized = True
+            band = xi[spec > SEAM_TOL * peak]
+            lo = lo - 4 + math.floor(min(0.0, c_t * band.min()) / dx)
+            hi = hi + 4 + math.ceil(max(0.0, c_t * band.max()) / dx)
+            reach = _seam_block(mags, lo, hi, m) if lo >= 0 and hi <= n else (0, n)
+            if reach != (start, m):
+                start, m = reach
+                continue
+        vals = np.fft.ifft(hat * np.exp(-0.5j * c_t * xi**2 / hbar))
+        out = np.abs(vals)
+        if m == n or max(out[:4].max(), out[-4:].max()) <= SEAM_TOL * out.max():
+            break
+        start, m = 0, n
+    full = np.zeros(n, dtype=np.complex128)
+    full[start:start + m] = vals
+    return WaveFunction(grid, full, hbar)
 
 
 @dataclass(eq=False)
@@ -329,10 +265,9 @@ def _curvature_gradient_scale(model, phase0: QuadraticPhase, q: float, t: float)
     return worst
 
 
-def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
-                         pad_fraction: float = 0.02):
+def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
     """Smallest interval keeping all but ``tail_mass`` of the mass on each
-    side, padded by a fraction of its width and clipped to the grid.
+    side, padded by WINDOW_PAD of its width and clipped to the grid.
 
     Sizing from measured mass rather than a model keeps the window honest for
     arbitrary profiles and keeps it from wandering toward off-center caustics.
@@ -353,7 +288,7 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13,
     hi_idx = w.size - 1 - int(np.searchsorted(upper_tails, tail_mass * total, side="right"))
     x = psi.grid.x
     x_lo, x_hi = float(x[lo_idx]), float(x[hi_idx])
-    pad = pad_fraction * (x_hi - x_lo)
+    pad = WINDOW_PAD * (x_hi - x_lo)
     x_lo = max(psi.grid.x_min, x_lo - pad)
     x_hi = min(psi.grid.x_max - psi.grid.dx, x_hi + pad)
     return x_lo, x_hi
@@ -417,7 +352,7 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
         _gate_deficit(core.deficit, deficit_tol)
     else:
         c_t = center_kernel(model, phase0, q, t)
-        dispersed = apply_metaplectic(MetaplecticKernel(c_t, q, hbar), a0)
+        dispersed = apply_metaplectic(c_t, a0)
         win = window if window is not None else mass_quantile_window(dispersed)
         win = (float(win[0]), float(win[1]))
         x = grid.x
@@ -517,7 +452,7 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
         raise InvalidInputError("initial width must have positive imaginary part")
     if not math.isfinite(t):
         raise InvalidInputError(f"the thawed Gaussian runs over a finite time, got t={t}")
-    n_samples = max(2, int(math.ceil(t / THAWED_DT_SAMPLE)) + 1)
+    n_samples = max(2, int(math.ceil(abs(t) / THAWED_DT_SAMPLE)) + 1)
     path = flow_samples(model, [z0.p], [z0.q], np.linspace(0.0, t, n_samples), side=side)
     tangents = np.array([fb.tangent[0] for fb in path])
     w_path = tangents[:, 1, 1] + tangents[:, 1, 0] * b0
@@ -574,11 +509,9 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     stripped[inside] = psi_exact.values[inside] * np.exp(-1j * phases / hbar)
     pulled = transport_operator_adjoint(tmap, WaveFunction(grid, stripped, hbar))
 
-    exact_prof = apply_L_adjoint(pulled, phase0.q0, hbar)
-    meta_prof = apply_L_adjoint(dispersed, phase0.q0, hbar)
-    du = float(exact_prof.u[1] - exact_prof.u[0])
-    diff = exact_prof.values - meta_prof.values
-    ref = meta_prof.norm
-    l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * du)) / ref
-    return BackwardTestResult(exact_prof.u, exact_prof.values, meta_prof.values,
-                              l2, metadata)
+    u, exact_prof = apply_L_adjoint(pulled, phase0.q0, hbar)
+    _, meta_prof = apply_L_adjoint(dispersed, phase0.q0, hbar)
+    du = float(u[1] - u[0])
+    l2 = (math.sqrt(float(np.sum(np.abs(exact_prof - meta_prof) ** 2) * du))
+          / math.sqrt(float(np.sum(np.abs(meta_prof) ** 2) * du)))
+    return BackwardTestResult(u, exact_prof, meta_prof, l2, metadata)

@@ -100,3 +100,15 @@ def test_plugin_exact_state_takes_the_shear_path():
     assert ladder.diagnostics["method"] == "yoshida-ladder"
     assert l2_distance(shear.state, ladder.state) < 1e-9
     assert l2_distance(shear.samples[0.7], ladder.samples[0.7]) < 1e-9
+
+
+@pytest.mark.parametrize("t", [5.0, -5.0, -3.0])
+def test_plugin_thawed_ground_state_turns_its_phase_both_ways(t):
+    # the well's ground state only picks up exp(-i t/2); backward in time the
+    # prefactor's branch must be tracked as densely as forward
+    well = HarmonicWell(1.0)
+    grid = sw.GridSpec(-8.0, 8.0, 1024)
+    start, ground = sw.PhasePoint(0.0, 0.0), 1j
+    psi0 = sw.propagate_thawed_gaussian(well, start, ground, 0.05, 0.0, grid).state
+    psi_t = sw.propagate_thawed_gaussian(well, start, ground, 0.05, t, grid).state
+    assert abs(sw.overlap(psi0, psi_t) - np.exp(-0.5j * t)) < 1e-9
