@@ -124,6 +124,31 @@ def test_block_dispersion_matches_the_whole_grid(alpha, c_t):
     assert np.count_nonzero(out) <= GRID.n_points // 2  # a block, not the grid
 
 
+def test_block_dispersion_of_a_grid_filling_packet_is_the_whole_grid():
+    # the edge cells hold 6e-10 of the peak, so the block is the whole grid;
+    # the step's own FFTs differ from the transform's in their origin phases,
+    # so the two agree to rounding rather than bit for bit
+    wide = sw.WaveFunction(GRID, np.exp(-GRID.x ** 2 / 3.0 + 0.5j * GRID.x), HBAR)
+    out = apply_metaplectic(0.4, wide)
+    expect = whole_grid_dispersion(0.4, wide)
+    assert out.grid == GRID
+    assert np.count_nonzero(out.values) == GRID.n_points
+    assert np.max(np.abs(out.values - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
+def test_block_dispersion_doubles_a_block_the_packet_spreads_into():
+    # the packet's first block spans |x| < 2 (512 cells); dispersed by C = 1
+    # it reaches past |x| = 2, which the block must double to hold
+    amp = apply_L(gaussian_profile, 0.0, HBAR, GRID)
+    x = GRID.x
+    live = x[np.abs(amp.values) > transport.SEAM_TOL * np.abs(amp.values).max()]
+    assert -2.0 < live[0] and live[-1] < 2.0
+    out = apply_metaplectic(1.0, amp).values
+    expect = whole_grid_dispersion(1.0, amp)
+    assert np.max(np.abs(out - expect)) < 1e-14 * np.max(np.abs(expect))
+    assert np.abs(out[np.abs(x) > 2.1]).max() > 1e-10 * np.abs(out).max()
+
+
 def chirped_packet(slope: float, centre: float, momentum: float, width: float):
     """The slope's profile, ``width`` times as wide, about ``centre`` with a
     carrier of ``momentum``."""
