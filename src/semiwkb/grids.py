@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,12 @@ class GridSpec:
     def dx(self) -> float:
         return self.length / self.n_points
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        """The sample points, built once per grid and read-only."""
+        x = self.x_min + self.dx * np.arange(self.n_points)
+        x.flags.writeable = False
+        return x
 
     def xi(self, hbar: float) -> np.ndarray:
         """Conjugate momenta in FFT ordering."""

@@ -5,7 +5,9 @@ transport operator that rearranges amplitudes along it.
 A bundle flows a fan of seeds (grad S0(x_i), x_i) to one time t and records
 everything needed downstream; a map tabulates that one time.  Nothing is
 shared between times: the pipelines' dispersion kernel and seed window
-both depend on t, so each time gets its own bundle and map.
+both depend on t, so each time gets its own bundle and map.  Within a time,
+each refinement round adds the midpoints to the last round's seeds and
+flows only those.
 
 The map derivative at a seed comes from the tangent matrix applied to the
 manifold tangent (1, alpha), never from differencing neighbouring
@@ -13,33 +15,35 @@ trajectories.  Interpolation between nodes is cubic Hermite
 with those exact derivatives, so the tabulated map and its inverse agree
 with the flow to interpolation order and monotonicity can be certified one
 interval at a time (the derivative of each cubic piece is a quadratic).
+The inverse solves on the one piece whose node images bracket its target.
 
-The amplitude moved along the map is interpolated the same way, on nodes
-OVERSAMPLE times finer than its grid, over the span a caller queries (the
-seed window for the pull-back, the image for the push-forward).  The nodes
-cover the smallest power-of-two block of grid points about the span whose 4
-edge cells at each end hold at most SEAM_TOL of the peak, or the whole grid,
-so the block's periodic seam shows only at rounding level.  One helper,
+The amplitude moved along the map is interpolated on nodes OVERSAMPLE
+times finer than its grid, over the span a caller queries (the seed window
+for the pull-back, the image for the push-forward).  The nodes cover the
+smallest power-of-two block of grid points about the span whose 4 edge
+cells at each end hold at most SEAM_TOL of the peak, or the whole grid, so
+the block's periodic seam shows only at rounding level.  One helper,
 _seam_block, applies this rule, here and in metaplectic.apply_metaplectic,
-which disperses the packet on such a block.  One FFT of the block,
-zero-padded as in refine_wavefunction, gives its trigonometric interpolant
-on the fine nodes twice over: its values, and (times i*k) its exact
-derivatives.  A cubic Hermite piece between fine nodes, located by
-direct index, then interpolates both, with the Hermite remainder
-h^4 max|a^(4)|/384 on the fine spacing h as its only error beyond the
-spectral one.
+which disperses the packet on such a block.  One FFT of the block, moved
+to each sub-cell offset and multiplied by 1, i*k and -k^2, gives the exact
+values, slopes and second derivatives of its trigonometric interpolant at
+the nodes (6m transform points for a block of m).  A quintic Hermite piece
+between nodes, located by direct index, interpolates all three, with the
+remainder h^6 max|a^(6)|/46080 on the node spacing h = dx/2 as its only
+error beyond the spectral one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CausticError, ConvergenceError, InvalidInputError, OutOfDomainError
 from .dynamics import flow_bundle
-from .grids import WaveFunction, _padded_spectrum
+from .grids import WaveFunction
 from .hamiltonians import QuadraticPhase
 
 __all__ = [
@@ -58,7 +62,7 @@ CAUSTIC_THRESHOLD = 1e-6
 FIRST_SEEDS = 65     # seeds of the first refinement round; each round halves the spacing
 REFINE_TOL = 1e-8    # relative L2 change of the transported amplitude that ends refinement
 MAX_ROUNDS = 6
-OVERSAMPLE = 8       # the amplitude interpolant's grid is this many times finer
+OVERSAMPLE = 2       # the amplitude interpolant's nodes are this many times finer
 SEAM_TOL = 1e-14     # edge-cell amplitude, relative to the peak, that closes a sub-grid
 
 
@@ -93,15 +97,28 @@ def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float
     lo, hi = float(x_window[0]), float(x_window[1])
     if not hi > lo:
         raise InvalidInputError(f"x_window must be a nonempty interval, got ({lo}, {hi})")
-    seeds = np.linspace(lo, hi, n_seeds)
+    return _flowed(model, phase0, np.linspace(lo, hi, n_seeds), float(t), side)
+
+
+def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
+    """The bundle of ``seeds`` flowed to t; a ``coarse`` bundle, flowed on
+    the same side from every other seed, lends its trajectories so only the
+    midpoints are flowed.  Raises CausticError carrying (t, x) at the seed
+    whose map derivative is smallest if it drops below the caustic threshold.
+    """
     p_seed = np.asarray(phase0.grad(seeds), dtype=float)
-    t = float(t)
-    fb = flow_bundle(model, p_seed, seeds, t, side=side)
-    dphi = fb.tangent[:, 1, 0] * phase0.alpha + fb.tangent[:, 1, 1]
+    fresh = slice(None) if coarse is None else slice(1, None, 2)
+    fb = flow_bundle(model, p_seed[fresh], seeds[fresh], t, side=side)
+    flowed = [fb.q, fb.p, fb.action, fb.tangent]
+    if coarse is not None:
+        for i, even in enumerate((coarse.q_t, coarse.p_t, coarse.action_t, coarse.tangent_t)):
+            merged = np.empty((seeds.size,) + even.shape[1:], dtype=even.dtype)
+            merged[::2], merged[1::2] = even, flowed[i]
+            flowed[i] = merged
+    dphi = flowed[3][:, 1, 0] * phase0.alpha + flowed[3][:, 1, 1]
     if np.min(dphi) < CAUSTIC_THRESHOLD:
         raise CausticError(t, float(seeds[np.argmin(dphi)]))
-    return TrajectoryBundle(model, phase0, seeds, t, p_seed,
-                            fb.q, fb.p, fb.action, fb.tangent, dphi)
+    return TrajectoryBundle(model, phase0, seeds, t, p_seed, *flowed, dphi)
 
 
 def _piecewise_derivative_min(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
@@ -125,47 +142,54 @@ def _piecewise_derivative_min(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> fl
 
 
 class _Hermite:
-    """Cubic Hermite interpolant with values ``y`` and slopes ``d`` at nodes.
+    """Cubic Hermite interpolant with values ``y`` and slopes ``d`` at the
+    increasing nodes ``x``, located by binary search.  Outside the nodes the
+    end pieces extrapolate."""
 
-    The nodes are the increasing array ``x``, located by binary search, or,
-    when ``step`` is given, the lattice ``x + step*j``, located by direct
-    index.  Outside the nodes the end pieces extrapolate.
-    """
+    def __init__(self, x, y, d):
+        self.x, self.y, self.d = x, y, d
 
-    def __init__(self, x, y, d, step=None):
-        self.x, self.y, self.d, self.step = x, y, d, step
-
-    def _pieces(self, xq):
-        """The located pieces at ``xq``: (s, h, y0, m0, c2, c3), the cubic
-        being y0 + s*(m0 + s*(c2 + s*c3)) in the local coordinate s."""
-        xq = np.asarray(xq, dtype=float)
-        last = self.y.size - 2
-        if self.step is None:
-            j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, last)
-            h = self.x[j + 1] - self.x[j]
-            s = (xq - self.x[j]) / h
-        else:
-            u = (xq - self.x) / self.step
-            j = np.clip(np.floor(u), 0, last).astype(np.intp)
-            h = self.step
-            s = u - j
+    def _piece(self, j):
+        """(h, y0, m0, c2, c3) of the pieces ``j``, each the cubic
+        y0 + s*(m0 + s*(c2 + s*c3)) in its local coordinate s."""
+        h = self.x[j + 1] - self.x[j]
         y0, y1 = self.y[j], self.y[j + 1]
         m0, m1 = h * self.d[j], h * self.d[j + 1]
-        c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
-        c3 = 2.0 * (y0 - y1) + m0 + m1
-        return s, h, y0, m0, c2, c3
-
-    def __call__(self, xq, nu: int = 0):
-        """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
-        s, h, y0, m0, c2, c3 = self._pieces(xq)
-        if nu == 0:
-            return y0 + s * (m0 + s * (c2 + s * c3))
-        return (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
+        return h, y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1
 
     def value_and_slope(self, xq):
         """Values and first derivatives at ``xq`` from one location."""
-        s, h, y0, m0, c2, c3 = self._pieces(xq)
+        xq = np.asarray(xq, dtype=float)
+        j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.y.size - 2)
+        h, y0, m0, c2, c3 = self._piece(j)
+        s = (xq - self.x[j]) / h
         return y0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
+
+    def __call__(self, xq, nu: int = 0):
+        """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
+        return self.value_and_slope(xq)[nu]
+
+
+class _Quintic:
+    """Quintic Hermite interpolant with values ``y``, slopes ``d`` and second
+    derivatives ``dd`` on the lattice ``x0 + step*j``, located by direct
+    index.  Outside the lattice the end pieces extrapolate."""
+
+    def __init__(self, x0, step, y, d, dd):
+        self.x0, self.step, self.y, self.d, self.dd = x0, step, y, d, dd
+
+    def __call__(self, xq):
+        u = (np.asarray(xq, dtype=float) - self.x0) / self.step
+        j = np.clip(np.floor(u), 0, self.y.size - 2).astype(np.intp)
+        s, h = u - j, self.step
+        y0, m0, k0 = self.y[j], h * self.d[j], 0.5 * h * h * self.dd[j]
+        jump = self.y[j + 1] - y0 - m0 - k0
+        turn = h * self.d[j + 1] - m0 - 2.0 * k0
+        bend = 0.5 * h * h * self.dd[j + 1] - k0
+        c3 = 10.0 * jump - 4.0 * turn + bend
+        c4 = -15.0 * jump + 7.0 * turn - 2.0 * bend
+        c5 = 6.0 * jump - 3.0 * turn + bend
+        return y0 + s * (m0 + s * (k0 + s * (c3 + s * (c4 + s * c5))))
 
 
 class TransportMap:
@@ -184,12 +208,18 @@ class TransportMap:
                                f"interpolated map loses monotonicity at t={bundle.t}; "
                                "refine the seed fan")
         self._phi = _Hermite(bundle.seeds, bundle.q_t, bundle.dphi_t)
-        s_nodes = np.asarray(bundle.phase0.phase(bundle.seeds), dtype=float) + bundle.action_t
-        self._s_center = float(s_nodes[bundle.n_seeds // 2])
-        self._s_rel = _Hermite(bundle.q_t, s_nodes - self._s_center, bundle.p_t)
         # populated by refined_transport_map
         self.refinement_residual = None
         self.transported = None
+
+    @cached_property
+    def _phase(self) -> tuple:
+        """(central action, Hermite of the phase relative to it), built on
+        first use: refinement rounds that only transport never need it."""
+        b = self.bundle
+        s_nodes = np.asarray(b.phase0.phase(b.seeds), dtype=float) + b.action_t
+        s_center = float(s_nodes[b.n_seeds // 2])
+        return s_center, _Hermite(b.q_t, s_nodes - s_center, b.p_t)
 
     @property
     def seed_window(self):
@@ -216,40 +246,36 @@ def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int, t
     return TransportMap(build_bundle(model, phase0, x_window, n_seeds, t, side=side))
 
 
-def _monotone_inverse(phi: _Hermite, y: np.ndarray, lo: float, hi: float,
-                      x: np.ndarray) -> tuple:
-    """Solve phi(x) = y for increasing phi with phi(lo) <= y <= phi(hi).
+def _invert(phi: _Hermite, y: np.ndarray) -> tuple:
+    """Solve phi(x) = y for phi increasing over its nodes, with y inside
+    their images.
 
-    Newton from the start ``x``, safeguarded per point: the bracket [lo, hi]
+    One search assigns each target the piece whose node images bracket it;
+    Newton's method then runs on that piece's cubic in its local coordinate
+    s, from the secant guess, safeguarded per point: the bracket [0, 1]
     shrinks to the last iterates on either side of the root, and a step that
     would leave it bisects it instead.  Every residual ends below
     1e-10*(1+|y|), or ConvergenceError is raised.  Returns the roots and
     phi' at them.
     """
-    lo = np.full(y.shape, lo)
-    hi = np.full(y.shape, hi)
+    j = np.clip(np.searchsorted(phi.y, y, side="right") - 1, 0, phi.y.size - 2)
+    h, y0, m0, c2, c3 = phi._piece(j)
+    s = (y - y0) / (phi.y[j + 1] - y0)
+    lo, hi = np.zeros(y.shape), np.ones(y.shape)
     tol = 1e-10 * (1.0 + np.abs(y))
     for _ in range(100):
-        f, slope = phi.value_and_slope(x)
-        f = f - y
+        f = y0 + s * (m0 + s * (c2 + s * c3)) - y
+        slope = m0 + s * (2.0 * c2 + 3.0 * s * c3)
         done = np.abs(f) < tol
         if done.all():
-            return x, slope
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
-        step = x - f / slope
+            return phi.x[j] + s * h, slope / h
+        lo = np.where(f < 0.0, s, lo)
+        hi = np.where(f > 0.0, s, hi)
+        step = s - f / slope
         step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        x = np.where(done, x, step)
+        s = np.where(done, s, step)
     worst = float(np.max(np.abs(f) / tol))
     raise ConvergenceError(f"map inversion left a residual {worst:.3g} times its tolerance")
-
-
-def _invert(tmap: TransportMap, y: np.ndarray) -> tuple:
-    # the map is certified increasing on the seed window, so the window
-    # brackets every preimage; returns the preimages and the map's slope there
-    seeds = tmap.bundle.seeds
-    start = np.interp(y, tmap.bundle.q_t, seeds)
-    return _monotone_inverse(tmap._phi, y, seeds[0], seeds[-1], start)
 
 
 def _on_image(tmap: TransportMap, y) -> np.ndarray:
@@ -266,13 +292,14 @@ def _on_image(tmap: TransportMap, y) -> np.ndarray:
 
 def invert_transport(tmap: TransportMap, y):
     """Preimage under the manifold map, to 1e-10*(1+|y|) in residual."""
-    x = _invert(tmap, _on_image(tmap, y))[0]
+    x = _invert(tmap._phi, _on_image(tmap, y))[0]
     return float(x[0]) if np.ndim(y) == 0 else x
 
 
 def evolved_phase(tmap: TransportMap, y):
     """Phase S(t, y) on the image of the transported manifold."""
-    vals = tmap._s_rel(_on_image(tmap, y)) + tmap._s_center
+    s_center, s_rel = tmap._phase
+    vals = s_rel(_on_image(tmap, y)) + s_center
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
@@ -292,20 +319,25 @@ def _seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
         m *= 2
 
 
-def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Hermite:
+def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Quintic:
     """Interpolant of the amplitude on ``span`` (see the module docstring)."""
     grid, n = amplitude.grid, amplitude.grid.n_points
     lo = min(max(math.floor((span[0] - grid.x_min) / grid.dx), 0), n - 1)
     hi = min(max(math.ceil((span[1] - grid.x_min) / grid.dx), lo + 1), n)
     start, m = _seam_block(np.abs(amplitude.values), lo, hi)
-    spec = _padded_spectrum(amplitude.values[start:start + m], factor)
-    h = grid.length / (n * factor)
-    vals, slopes = np.empty((2, spec.size + 1), dtype=np.complex128)
-    np.fft.ifft(spec, out=vals[:-1])
-    np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec, out=slopes[:-1])
+    block = amplitude.values[start:start + m]
+    spec = np.fft.fft(block)
+    ik = 2j * np.pi * np.fft.fftfreq(m, d=grid.dx)
+    h = grid.dx / factor
+    nodes = np.empty((3, factor * m + 1), dtype=np.complex128)
+    for r in range(factor):
+        shifted = spec * np.exp(ik * (r * h))
+        nodes[0, r:-1:factor] = np.fft.ifft(shifted) if r else block
+        nodes[1, r:-1:factor] = np.fft.ifft(ik * shifted)
+        nodes[2, r:-1:factor] = np.fft.ifft(ik * ik * shifted)
     # the periodic wrap closes the last piece at the block's right end
-    vals[-1], slopes[-1] = vals[0], slopes[0]
-    return _Hermite(grid.x_min + start * grid.dx, vals, slopes, h)
+    nodes[:, -1] = nodes[:, 0]
+    return _Quintic(grid.x_min + start * grid.dx, h, *nodes)
 
 
 def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
@@ -323,7 +355,7 @@ def transport_operator(tmap: TransportMap, amplitude: WaveFunction, *,
     out = np.zeros(grid.n_points, dtype=np.complex128)
     inside = (x >= lo) & (x <= hi)
     if inside.any():
-        x_pre, jac = _invert(tmap, x[inside])
+        x_pre, jac = _invert(tmap._phi, x[inside])
         interp = interpolant or _amplitude_interpolator(amplitude, tmap.seed_window)
         out[inside] = interp(x_pre) / np.sqrt(jac)
     return WaveFunction(grid, out, amplitude.hbar)
@@ -351,18 +383,21 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
     """Halve the seed spacing until the transported amplitude settles.
 
     The convergence measure is the L2 change of the transported amplitude
-    between rounds, relative to the amplitude norm.  The returned map
-    carries the converged round's transported amplitude as ``transported``.
-    The amplitude interpolant serves every round and is released on return.
+    between rounds, relative to the amplitude norm.  Each round keeps the
+    last round's trajectories and flows only the midpoints.  The returned
+    map carries the converged round's transported amplitude as
+    ``transported``.  The amplitude interpolant serves every round and is
+    released on return.
     """
-    n = FIRST_SEEDS
     interp = _amplitude_interpolator(amplitude, x_window)
     ref = amplitude.norm
-    prev = transport_operator(build_transport_map(model, phase0, x_window, n, t, side=side),
-                              amplitude, interpolant=interp)
+    tmap = build_transport_map(model, phase0, x_window, FIRST_SEEDS, t, side=side)
+    prev = transport_operator(tmap, amplitude, interpolant=interp)
     for _ in range(MAX_ROUNDS):
-        n = 2 * n - 1
-        tmap = build_transport_map(model, phase0, x_window, n, t, side=side)
+        # linspace(lo, hi, 2n-1)[::2] is linspace(lo, hi, n) bit for bit
+        b = tmap.bundle
+        seeds = np.linspace(b.seeds[0], b.seeds[-1], 2 * b.n_seeds - 1)
+        tmap = TransportMap(_flowed(model, phase0, seeds, b.t, side, coarse=b))
         cur = transport_operator(tmap, amplitude, interpolant=interp)
         residual = float(np.sqrt(np.sum(np.abs(cur.values - prev.values) ** 2)
                                  * cur.grid.dx)) / ref
@@ -373,4 +408,4 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
         prev = cur
     raise ConvergenceError(
         f"transport map did not settle below {REFINE_TOL} after {MAX_ROUNDS} refinements "
-        f"(last n_seeds={n})")
+        f"(last n_seeds={tmap.bundle.n_seeds})")

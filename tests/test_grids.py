@@ -25,6 +25,11 @@ def test_grid_spec_geometry():
     assert x[0] == -2.0
     assert x[-1] == pytest.approx(6.0 - g.dx)
     assert len(x) == 16
+    # built once per grid, shared read-only, and no part of equality
+    assert g.x is x and np.array_equal(x, -2.0 + g.dx * np.arange(16))
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert g == sw.GridSpec(-2.0, 6.0, 16) and hash(g) == hash(sw.GridSpec(-2.0, 6.0, 16))
 
 
 def test_conjugate_grid_is_involutive_in_spacing():

@@ -10,7 +10,8 @@ import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
 from semiwkb.grids import _padded_spectrum
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
-from semiwkb.metaplectic import apply_L, gaussian_profile
+from semiwkb.metaplectic import (apply_L, apply_metaplectic, center_kernel, gaussian_profile,
+                                 profile_for_slope)
 from semiwkb.transport import (
     OVERSAMPLE,
     build_bundle,
@@ -21,8 +22,10 @@ from semiwkb.transport import (
     transport_operator,
     transport_operator_adjoint,
     _Hermite,
+    _Quintic,
     _amplitude_interpolator,
-    _monotone_inverse,
+    _flowed,
+    _invert,
     _piecewise_derivative_min,
 )
 
@@ -172,12 +175,13 @@ def test_kicked_transport_uses_kick_schedule():
         assert bundle.p_t[i] == pytest.approx(fr.end.p, abs=1e-12)
 
 
-def trigonometric_interpolant(psi, x):
-    """Direct sum of the trigonometric interpolant of the grid samples."""
+def trigonometric_interpolant(psi, x, nu=0):
+    """Direct sum of the trigonometric interpolant of the grid samples, or of
+    its ``nu``-th derivative taken term by term."""
     grid, n = psi.grid, psi.grid.n_points
     coeffs = np.fft.fftshift(np.fft.fft(psi.values)) / n
-    k = np.arange(-n // 2, n // 2)
-    return np.exp(2j * np.pi * np.outer(x - grid.x_min, k) / grid.length) @ coeffs
+    ik = 2j * np.pi * np.arange(-n // 2, n // 2) / grid.length
+    return np.exp(np.outer(x - grid.x_min, ik)) @ (ik ** nu * coeffs)
 
 
 def _two_packets(grid, cells, shift, k_width, angle):
@@ -190,13 +194,14 @@ def _two_packets(grid, cells, shift, k_width, angle):
 
 
 def _hermite_bound(psi, factor):
-    """h^4 max|a^(4)|/384 on the ``factor`` times finer spacing h, with a^(4)
-    taken spectrally; its maximum over the samples may sit a little under the
-    continuous one, hence the callers' 10% margin."""
+    """h^6 max|a^(6)|/46080, the quintic Hermite remainder on the ``factor``
+    times finer spacing h, with a^(6) taken spectrally; its maximum over the
+    samples may sit a little under the continuous one, hence the callers'
+    10% margin."""
     grid = psi.grid
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-    fourth = np.fft.ifft(k ** 4 * np.fft.fft(psi.values))
-    return (grid.dx / factor) ** 4 / 384 * np.max(np.abs(fourth))
+    sixth = np.fft.ifft(k ** 6 * np.fft.fft(psi.values))
+    return (grid.dx / factor) ** 6 / 46080 * np.max(np.abs(sixth))
 
 
 @PROPERTY
@@ -209,11 +214,11 @@ def test_amplitude_interpolant_matches_trigonometric_sum(n, cells, shift, k_widt
     grid = sw.GridSpec(-4.0, 4.0, n)
     vals = _two_packets(grid, cells, shift, k_width, angle)
     psi = sw.WaveFunction(grid, vals, 1.0)
-    interp = _amplitude_interpolator(psi, (grid.x_min, grid.x_max), 8)
+    interp = _amplitude_interpolator(psi, (grid.x_min, grid.x_max))
     probe = np.random.default_rng(seed).uniform(grid.x_min, grid.x_max, 200)
     peak = np.max(np.abs(vals))
     err = np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe)))
-    assert err < 1.1 * _hermite_bound(psi, 8) + 1e-13 * peak
+    assert err < 1.1 * _hermite_bound(psi, OVERSAMPLE) + 1e-13 * peak
     assert np.max(np.abs(interp(grid.x) - vals)) < 1e-13 * peak
 
 
@@ -231,25 +236,27 @@ def test_amplitude_interpolant_on_a_span_matches_trigonometric_sum(cells, shift,
     psi = sw.WaveFunction(grid, vals, 1.0)
     centre = 0.5 * (grid.x_min + grid.x_max) + shift * grid.length + 0.75 * cells * grid.dx
     span = (centre - reach * cells * grid.dx, centre + reach * cells * grid.dx)
-    interp = _amplitude_interpolator(psi, span, 8)
-    assert interp.y.size - 1 <= 8 * grid.n_points // 2
+    interp = _amplitude_interpolator(psi, span)
+    assert interp.y.size - 1 <= OVERSAMPLE * grid.n_points // 2
     probe = np.random.default_rng(seed).uniform(*span, 200)
     peak = np.max(np.abs(vals))
     err = np.max(np.abs(interp(probe) - trigonometric_interpolant(psi, probe)))
-    assert err < 1.1 * _hermite_bound(psi, 8) + 1e-13 * peak
+    assert err < 1.1 * _hermite_bound(psi, OVERSAMPLE) + 1e-13 * peak
     nodes = (grid.x >= span[0]) & (grid.x <= span[1])
     assert np.max(np.abs(interp(grid.x[nodes]) - vals[nodes])) < 1e-13 * peak
 
 
-def _full_grid_interpolant(psi, factor):
-    """The trigonometric-Hermite interpolant from the whole grid, built
-    directly: the zero-padded spectrum and its i*k multiple."""
+def _cubic_oracle(psi, factor):
+    """Cubic Hermite interpolant of the whole grid's trigonometric
+    interpolant on the ``factor`` times finer lattice: the zero-padded
+    spectrum and its i*k multiple."""
     grid = psi.grid
     spec = _padded_spectrum(psi.values, factor)
     h = grid.length / spec.size
     vals = np.fft.ifft(spec)
     slopes = np.fft.ifft(2j * np.pi * np.fft.fftfreq(spec.size, d=h) * spec)
-    return _Hermite(grid.x_min, np.append(vals, vals[0]), np.append(slopes, slopes[0]), h)
+    lattice = grid.x_min + h * np.arange(spec.size + 1)
+    return _Hermite(lattice, np.append(vals, vals[0]), np.append(slopes, slopes[0]))
 
 
 def test_amplitude_interpolant_closes_the_periodic_seam():
@@ -264,22 +271,55 @@ def test_amplitude_interpolant_closes_the_periodic_seam():
 @pytest.mark.parametrize("factor", [1, 8])
 def test_amplitude_that_fills_the_grid_gets_the_full_grid_interpolant(factor):
     # an amplitude that does not decay anywhere grows the block to the whole
-    # grid however short the span, and the result is the full-grid
-    # interpolant exactly
+    # grid however short the span, and the result is the quintic Hermite on
+    # the whole grid's lattice whose node values, slopes and second
+    # derivatives are those of the trigonometric interpolant, summed term by
+    # term here
     grid = sw.GridSpec(-1.0, 1.0, 64)
     psi = sw.WaveFunction(grid, np.exp(1j * math.pi * grid.x) + 0.3, 1.0)
     interp = _amplitude_interpolator(psi, (-0.1, 0.05), factor)
-    full = _full_grid_interpolant(psi, factor)
-    assert interp.y.size == full.y.size == factor * grid.n_points + 1
+    h = grid.dx / factor
+    nodes = grid.x_min + h * np.arange(factor * grid.n_points + 1)
+    assert (interp.x0, interp.step, interp.y.size) == (grid.x_min, h, nodes.size)
+    peak = np.max(np.abs(psi.values))
+    exact = [trigonometric_interpolant(psi, nodes, nu) for nu in range(3)]
+    for got, want in zip((interp.y, interp.d, interp.dd), exact):
+        assert np.max(np.abs(got - want)) < 1e-13 * peak
     probe = np.linspace(grid.x_min, grid.x_max, 301)
-    assert np.array_equal(interp(probe), full(probe))
-    assert np.array_equal(interp(probe, 1), full(probe, 1))
+    full = _Quintic(grid.x_min, h, *exact)
+    assert np.max(np.abs(interp(probe) - full(probe))) < 1e-13 * peak
+
+
+@pytest.mark.parametrize("theta", [-0.3, 0.0, 0.6])
+def test_forward_state_matches_a_fine_cubic_oracle(theta):
+    # on the kicked grid of the paper's figure 2, the quintic interpolant on
+    # the 2x lattice moves the dispersed amplitude within 1e-12 of the peak
+    # of a cubic one on a 32x lattice (a cubic on an 8x lattice is up to
+    # 1.7e-11 away on these cases)
+    grid, hbar, model = sw.GridSpec(-4.0, 4.0, 8192), 8e-4, sw.KickedHarmonic(2.0)
+    slope = math.tan(theta * math.pi / 2)
+    phase0 = QuadraticPhase(0.0, 0.0, slope)
+    profile = profile_for_slope(slope)
+    for t in (1.0, 4.0):
+        fwd = sw.propagate_extended_wkb(model, phase0, profile, hbar, t, grid)
+        dispersed = apply_metaplectic(center_kernel(model, phase0, 0.0, t),
+                                      apply_L(profile, 0.0, hbar, grid))
+        tmap = refined_transport_map(model, phase0, fwd.metadata["window"], t, dispersed)
+        assert tmap.bundle.n_seeds == fwd.metadata["n_seeds"]
+        oracle = transport_operator(tmap, dispersed, interpolant=_cubic_oracle(dispersed, 32))
+        lo, hi = tmap.image_interval
+        inside = (grid.x >= lo) & (grid.x <= hi)
+        oracle.values[inside] *= np.exp(1j * evolved_phase(tmap, grid.x[inside]) / hbar)
+        peak = np.max(np.abs(oracle.values))
+        assert np.max(np.abs(fwd.state.values - oracle.values)) < 1e-12 * peak
 
 
 def test_transport_ffts_follow_the_packet_not_the_grid(monkeypatch):
-    # one forward run on the kicked-oscillator grid of the paper's figure 2:
-    # every transform the transport layer makes stays a quarter of the size
-    # the full-grid interpolant would need
+    # one forward run and one backward test at t = 4 on the kicked-oscillator
+    # grid of the paper's figure 2: every transform the transport layer makes
+    # stays a quarter of the size the full-grid cubic interpolant on an 8x
+    # lattice needed, and all of them together hold at most 3/8 of the
+    # 156,672 transform points that cubic interpolant took on its blocks
     sizes = []
 
     def recording(fn):
@@ -297,10 +337,12 @@ def test_transport_ffts_follow_the_packet_not_the_grid(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     grid = sw.GridSpec(-4.0, 4.0, 8192)
-    sw.propagate_extended_wkb(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0),
-                              sw.gaussian_profile, 8e-4, 1.0, grid)
+    model, phase0 = sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0)
+    fwd = sw.propagate_extended_wkb(model, phase0, sw.gaussian_profile, 8e-4, 4.0, grid)
+    sw.backward_wkb_test(model, phase0, sw.gaussian_profile, 8e-4, 4.0, grid, fwd.state)
     assert sizes
-    assert max(sizes) <= grid.n_points * OVERSAMPLE // 4
+    assert max(sizes) <= grid.n_points * 8 // 4
+    assert sum(sizes) <= 3 * 156_672 // 8
 
 
 # model, seeded window, grid and hbar: the amplitude sits well inside the
@@ -354,24 +396,103 @@ def test_invert_transport_round_trip_property(name, alpha, t, fractions):
     back = invert_transport(tmap, y)
     assert np.all(np.abs(tmap.map_values(back) - y) < 1e-10 * (1.0 + np.abs(y)))
     assert np.max(np.abs(back - x)) < 1e-10 * (1.0 + np.max(np.abs(y)))
+    # the piece-local slope is the map's derivative at the root
+    again, slope = _invert(tmap._phi, y)
+    assert np.array_equal(again, back)
+    assert np.allclose(slope, tmap.map_derivative(back), rtol=1e-12, atol=0)
 
 
 def test_inversion_bisects_where_newton_leaves_the_bracket():
-    # on an arctan-shaped map, Newton from the flat left end of the window
-    # jumps far past its right end; only the bisection safeguard keeps the
-    # iterates bracketed and brings them to the roots
-    nodes = np.linspace(-3.0, 3.0, 121)
-    phi = _Hermite(nodes, np.arctan(5 * nodes), 5 / (1 + 25 * nodes ** 2))
+    # on a tanh-shaped map tabulated by four nodes, Newton from the secant
+    # guess inside a target's piece jumps out of that piece for targets near
+    # the flat end; only the bisection safeguard keeps the iterates in the
+    # piece and brings them to the roots
+    nodes = np.linspace(0.0, 3.0, 4)
+    phi = _Hermite(nodes, np.tanh(5 * nodes / 3), 5 / 3 / np.cosh(5 * nodes / 3) ** 2)
     assert _piecewise_derivative_min(nodes, phi.y, phi.d) > 0  # a certified map
-    roots = np.linspace(-2.9, 2.9, 41)
+    roots = np.linspace(0.05, 2.95, 41)
     y = phi(roots)
-    start = np.full(y.shape, -3.0)
-    newton = start - (phi(start) - y) / phi(start, 1)
-    assert np.all(newton[roots > -1.0] > 3.0)
-    back, slope = _monotone_inverse(phi, y, -3.0, 3.0, start)
-    assert np.array_equal(slope, phi(back, 1))
+    j = np.searchsorted(nodes, roots, side="right") - 1
+    secant = nodes[j] + (nodes[j + 1] - nodes[j]) * (y - phi.y[j]) / (phi.y[j + 1] - phi.y[j])
+    newton = secant - (phi(secant) - y) / phi(secant, 1)
+    assert np.sum((newton < nodes[j]) | (newton > nodes[j + 1])) >= 5
+    back, slope = _invert(phi, y)
+    assert np.allclose(slope, phi(back, 1), rtol=1e-12, atol=0)
     assert np.all(np.abs(phi(back) - y) < 1e-10 * (1.0 + np.abs(y)))
     assert np.all(np.abs(back - roots) * phi(roots, 1) < 2e-10 * (1.0 + np.abs(y)))
+
+
+# model, seeded window and time of a caustic-free fan, for the nested rounds
+NESTED_CASES = {
+    "free": (sw.FreeParticle(), (-2.5, 2.5), 1.3),
+    "barrier": (sw.ParabolicBarrier(1.0), (-2.5, 2.5), 1.3),
+    "kicked": (sw.KickedHarmonic(2.0), (-0.1, 0.1), 4.0),
+    "quartic": (sw.IntegrableMomentum(lambda p: 0.5 * p ** 2 + 0.1 * p ** 4,
+                                      lambda p: p + 0.4 * p ** 3,
+                                      lambda p: 1.0 + 1.2 * p ** 2), (-1.0, 1.0), 1.0),
+    "potential": (sw.StandardPotential(np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q)),
+                  (-0.5, 0.5), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_CASES))
+def test_nested_round_matches_a_fresh_bundle(name):
+    # a round that keeps the previous round's trajectories and flows only
+    # the midpoints is the bundle flowed from scratch: bit for bit on the
+    # closed-form flows, to 1e-10 under RK4, whose step count follows the batch
+    model, window, t = NESTED_CASES[name]
+    phase0 = QuadraticPhase(0.0, 0.0, 0.0 if name == "kicked" else 0.3)
+    bundle = build_bundle(model, phase0, window, 65, t)
+    for _ in range(2):
+        seeds = np.linspace(bundle.seeds[0], bundle.seeds[-1], 2 * bundle.n_seeds - 1)
+        nested = _flowed(model, phase0, seeds, t, "minus", coarse=bundle)
+        fresh = build_bundle(model, phase0, window, nested.n_seeds, t)
+        assert np.array_equal(nested.seeds, fresh.seeds)
+        assert np.array_equal(nested.seeds[::2], bundle.seeds)
+        for field in ("q_t", "p_t", "action_t", "tangent_t", "dphi_t"):
+            mine, theirs = getattr(nested, field), getattr(fresh, field)
+            if name == "potential":
+                assert np.max(np.abs(mine - theirs)) < 1e-10
+            else:
+                assert np.array_equal(mine, theirs)
+        bundle = nested
+
+
+def test_refinement_flows_each_seed_once(monkeypatch):
+    # the converged map's seeds are every trajectory its refinement flowed
+    import semiwkb.transport as transport
+
+    flowed = []
+
+    def counting(model, p, q, t, **kwargs):
+        flowed.append(len(q))
+        return sw.flow_bundle(model, p, q, t, **kwargs)
+
+    monkeypatch.setattr(transport, "flow_bundle", counting)
+    grid = sw.GridSpec(-4.0, 4.0, 4096)
+    model, phase0 = sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.2)
+    amp = apply_metaplectic(center_kernel(model, phase0, 0.0, 3.0),
+                            apply_L(gaussian_profile, 0.0, 0.0017, grid))
+    tmap = refined_transport_map(model, phase0, (-0.3, 0.3), 3.0, amp)
+    assert len(flowed) >= 3
+    assert sum(flowed) == tmap.bundle.n_seeds
+
+
+# n_seeds of the kicked forward runs at t = 1..4, per theta/(pi/2), as the
+# refinement of flows from scratch with the cubic amplitude interpolant gave
+FAN_SEEDS = {-0.3: [129, 129, 257, 513], -0.1: [129, 129, 257, 513],
+             0.1: [129, 129, 257, 513], 0.3: [129, 129, 257, 513],
+             0.5: [129, 129, 257, 513], 0.65: [129, 129, 129, 513]}
+
+
+def test_fan_refinement_ends_at_the_same_seed_counts():
+    grid, model = sw.GridSpec(-4.0, 4.0, 8192), sw.KickedHarmonic(2.0)
+    for theta, expected in FAN_SEEDS.items():
+        slope = math.tan(theta * math.pi / 2)
+        phase0, profile = QuadraticPhase(0.0, 0.0, slope), profile_for_slope(slope)
+        got = [sw.propagate_extended_wkb(model, phase0, profile, 8e-4, float(t), grid)
+               .metadata["n_seeds"] for t in (1, 2, 3, 4)]
+        assert got == expected
 
 
 def test_hermite_reproduces_cubics_and_their_slopes():
@@ -381,10 +502,11 @@ def test_hermite_reproduces_cubics_and_their_slopes():
     x = np.linspace(-1.2, 1.7, 31)  # extrapolates past both ends
     assert np.allclose(spline(x), cubic(x), rtol=0, atol=1e-12)
     assert np.allclose(spline(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
+    value, slope = spline.value_and_slope(x)  # one location, the digits of two calls
+    assert np.array_equal(value, spline(x)) and np.array_equal(slope, spline(x, 1))
+    # the lattice interpolant of the amplitude reproduces quintics
+    quintic = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7, 0.4])
     lattice_nodes = np.linspace(-1.0, 1.0, 9)
-    lattice = _Hermite(-1.0, cubic(lattice_nodes), cubic.deriv()(lattice_nodes), 0.25)
-    assert np.allclose(lattice(x), cubic(x), rtol=0, atol=1e-12)
-    assert np.allclose(lattice(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
-    for interp in (spline, lattice):  # one location, the same digits as two calls
-        value, slope = interp.value_and_slope(x)
-        assert np.array_equal(value, interp(x)) and np.array_equal(slope, interp(x, 1))
+    lattice = _Quintic(-1.0, 0.25, quintic(lattice_nodes), quintic.deriv()(lattice_nodes),
+                       quintic.deriv(2)(lattice_nodes))
+    assert np.allclose(lattice(x), quintic(x), rtol=0, atol=1e-12)
