@@ -35,14 +35,11 @@ from .hamiltonians import (
     FreeParticle,
     IntegrableMomentum,
     ParabolicBarrier,
-    StandardPotential,
     KickedHarmonic,
-    analytic_oracle,
 )
 from .dynamics import (
     FlowResult,
     FlowBundle,
-    LagrangianLine,
     flow,
     flow_bundle,
     kick_times,
@@ -50,7 +47,6 @@ from .dynamics import (
     lyapunov_exponent,
     ehrenfest_time,
     hyperbolic_subspaces,
-    shear_from_lagrangians,
 )
 from .transport import (
     TrajectoryBundle,
@@ -67,8 +63,6 @@ from .metaplectic import (
     PropagationResult,
     gaussian_profile,
     profile_for_slope,
-    apply_L,
-    apply_L_adjoint,
     center_kernel,
     apply_metaplectic,
     propagate_extended_wkb,
@@ -78,9 +72,6 @@ from .metaplectic import (
 )
 from .reference import (
     ExactResult,
-    split_operator_evolve,
-    momentum_evolve,
-    metaplectic_evolve,
     exact_state,
     fidelity,
     expectation_q,

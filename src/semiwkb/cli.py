@@ -147,7 +147,7 @@ def _cmd_exact(args) -> int:
     out = _outdir(args)
     meta = {"method": "exact", "model": args.model, "t": args.t,
             "hbar": args.hbar, "center": [args.p0, args.q0],
-            "substeps": res.substeps, "ladder_delta": res.ladder_delta,
+            "ladder_delta": res.ladder_delta,
             "diagnostics": _jsonable(res.diagnostics)}
     _emit_state(out, args.prefix, res.state, meta)
     diag = res.diagnostics

@@ -3,16 +3,15 @@
 Flows return the end point, the 2x2 tangent matrix of the flow in (p, q)
 ordering, and the accumulated action integral of p*dq - H dt.  One walker
 serves every model: it fires the model's kicks and runs the model's
-closed-form segment flow between them, or, for models without one, a
-fixed-step RK4 route with automatic step halving, which also serves as the
-cross-check for the closed forms.
+closed-form segment flow between them.  A model without a segment flow is
+refused with InvalidInputError.
 
 The walker samples a path at an increasing list of times in one pass over
 the kicks (flow_samples): at each sample it copies the walk after the last
 kick before the sample and runs the sample's own segment on the copy, so a
 sample is bit for bit the walk to that time alone.  flow_bundle is the walk
-with one sample; an RK4 sample is integrated from its last kick, as alone.
-A model without kicks may also walk backward, through times falling from 0.
+with one sample.  A model without kicks may also walk backward, through
+times falling from 0.
 
 Kick convention for the kicked oscillator: a flow over [0, t] applies kicks
 at the integers strictly inside (0, t), so integer t means "just before the
@@ -21,19 +20,17 @@ kick at t".  Pass side="plus" to include the kick at an integer end time.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError, StepSizeError
+from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
 from .hamiltonians import PhasePoint, kick_times
 
 __all__ = [
     "FlowResult",
     "FlowBundle",
-    "LagrangianLine",
     "flow",
     "flow_bundle",
     "flow_samples",
@@ -42,11 +39,9 @@ __all__ = [
     "lyapunov_exponent",
     "ehrenfest_time",
     "hyperbolic_subspaces",
-    "shear_from_lagrangians",
 ]
 
 _OMEGA_TOL = 1e-12
-_RK4_DT = 1e-3  # first RK4 step; halved until the flow settles
 
 
 @dataclass(frozen=True)
@@ -117,56 +112,6 @@ class LagrangianLine:
         return dp / dq
 
 
-def _grad_fields(model, p, q):
-    hp, hq = model.grad(p, q)
-    return np.asarray(hp, dtype=float), np.asarray(hq, dtype=float)
-
-
-def _rk4_run(model, t: float, p, q, n_steps: int) -> tuple:
-    m = np.tile(np.eye(2), (p.size, 1, 1))
-    action = np.zeros_like(p)
-    dt = t / n_steps
-
-    def rhs(p, q, m):
-        hp, hq = _grad_fields(model, p, q)
-        h = model.hess(p, q)
-        hpp, hpq, hqq = h[0, 0], h[0, 1], h[1, 1]
-        dm = np.empty_like(m)
-        dm[:, 0, 0] = -hpq * m[:, 0, 0] - hqq * m[:, 1, 0]
-        dm[:, 0, 1] = -hpq * m[:, 0, 1] - hqq * m[:, 1, 1]
-        dm[:, 1, 0] = hpp * m[:, 0, 0] + hpq * m[:, 1, 0]
-        dm[:, 1, 1] = hpp * m[:, 0, 1] + hpq * m[:, 1, 1]
-        da = p * hp - np.asarray(model.energy(p, q), dtype=float)
-        return -hq, hp, dm, da
-
-    for _ in range(n_steps):
-        k1 = rhs(p, q, m)
-        k2 = rhs(p + 0.5 * dt * k1[0], q + 0.5 * dt * k1[1], m + 0.5 * dt * k1[2])
-        k3 = rhs(p + 0.5 * dt * k2[0], q + 0.5 * dt * k2[1], m + 0.5 * dt * k2[2])
-        k4 = rhs(p + dt * k3[0], q + dt * k3[1], m + dt * k3[2])
-        p = p + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        q = q + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        m = m + (dt / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        action = action + (dt / 6) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return p, q, m, action
-
-
-def _rk4_flow(model, t: float, p, q) -> tuple:
-    """Fixed-step RK4 from steps of _RK4_DT, halved until the result stops moving."""
-    n = max(1, int(math.ceil(abs(t) / _RK4_DT)))
-    prev = _rk4_run(model, t, p, q, n)
-    for _ in range(8):
-        n *= 2
-        cur = _rk4_run(model, t, p, q, n)
-        move = max(float(np.max(np.abs(cur[i] - prev[i]))) for i in (0, 1, 3))
-        m_move = float(np.max(np.abs(cur[2] - prev[2])))
-        m_scale = 1.0 + float(np.max(np.abs(cur[2])))
-        if move < 1e-10 and m_move < 1e-10 * m_scale:
-            return cur
-        prev = cur
-    raise StepSizeError(f"flow integration did not settle below 1e-10 by n={n} steps")
-
-
 def _advance(fb: FlowBundle, segment) -> None:
     """Compose a segment's (p, q, tangent, action) onto the bundle; while the
     bundle's tangent is still the identity (None) it takes the segment's."""
@@ -193,26 +138,22 @@ def _copy(fb: FlowBundle) -> FlowBundle:
     return FlowBundle(fb.p.copy(), fb.q.copy(), tangent, fb.action.copy())
 
 
-def flow_samples(model, p, q, times, *, method: str = "auto",
-                 side: str = "minus") -> list:
+def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
     """Flow a batch of seeds to each of the non-decreasing ``times`` in one
     walk over the kicks; returns one FlowBundle per time.  Times that fall
     from 0 (non-increasing, none positive) walk backward, which only models
     without kicks allow.
 
-    The walk fires the model's kicks at its kick times and runs the smooth
-    flow between them: the model's closed form where it has one (method
-    "auto"), else RK4; method "rk4" forces the integrator.  A sample is taken
-    from a copy of the walk after the last kick before it, running its own
-    segment on the copy, so each equals, bit for bit, a walk to that time
-    alone.  ``side`` applies to the last time; earlier ones sample "minus".
+    The walk fires the model's kicks at its kick times and runs the model's
+    closed-form segment flow between them.  A sample is taken from a copy of
+    the walk after the last kick before it, running its own segment on the
+    copy, so each equals, bit for bit, a walk to that time alone.  ``side``
+    applies to the last time; earlier ones sample "minus".
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if p.shape != q.shape:
         raise InvalidInputError(f"p and q batches differ in shape: {p.shape} and {q.shape}")
-    if method not in ("auto", "rk4"):
-        raise InvalidInputError(f"unknown flow method {method!r}")
     try:
         times = [float(t) for t in times]
     except (TypeError, ValueError):
@@ -224,8 +165,6 @@ def flow_samples(model, p, q, times, *, method: str = "auto",
         raise InvalidInputError(
             f"sample times must be non-decreasing, or fall from 0, got {times}")
     segment = model.segment_flow
-    if segment is None or method == "rk4":
-        segment = functools.partial(_rk4_flow, model)
 
     fb = FlowBundle(p.copy(), q.copy(), None, np.zeros_like(p))
     prev, fired, out = 0.0, 0, []
@@ -247,14 +186,13 @@ def flow_samples(model, p, q, times, *, method: str = "auto",
     return out
 
 
-def flow_bundle(model, p, q, t, *, method: str = "auto", side: str = "minus") -> FlowBundle:
+def flow_bundle(model, p, q, t, *, side: str = "minus") -> FlowBundle:
     """Flow a batch of seeds for time t: flow_samples with the one time t."""
-    return flow_samples(model, p, q, [t], method=method, side=side)[0]
+    return flow_samples(model, p, q, [t], side=side)[0]
 
 
-def flow(model, start: PhasePoint, t, *, method: str = "auto",
-         side: str = "minus") -> FlowResult:
-    fb = flow_bundle(model, [start.p], [start.q], t, method=method, side=side)
+def flow(model, start: PhasePoint, t, *, side: str = "minus") -> FlowResult:
+    fb = flow_bundle(model, [start.p], [start.q], t, side=side)
     return fb.at(0)
 
 

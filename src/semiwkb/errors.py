@@ -83,7 +83,7 @@ class ConvergenceError(SemiwkbError):
 
 
 class StepSizeError(SemiwkbError):
-    """A propagation step violates the aliasing guard for its grid."""
+    """Refining a reference's steps leaves a gap above its tolerance."""
 
 
 class UnsupportedOracleError(SemiwkbError):

@@ -291,7 +291,6 @@ def _run_exactness(spec, model, outdir, record):
             diff = r.state.values - e.values
             entry.update(
                 l2_distance=math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx)),
-                remainder_indicator=r.metadata["remainder_indicator"],
                 ehrenfest_diagnostic=_ehrenfest_diagnostic(model, case.center, t,
                                                            spec.hbar))
             rows.append([case.label, case.slope] + [entry[k] for k in (
@@ -327,7 +326,6 @@ def _run_exactness(spec, model, outdir, record):
         "min_fidelity": min_fid,
         "pairwise_final_fidelity_min": pair_min if pair_rows else None,
         "reference": {case.label: {
-            "substeps": exact[case.center].substeps,
             "ladder_delta": exact[case.center].ladder_delta,
             "method": exact[case.center].diagnostics.get("method"),
         } for case in spec.cases},
@@ -356,7 +354,7 @@ def _run_barrier_sweep(spec, model, outdir, record):
             "offset": offset,
             "q_series": [[t, q] for t, q, _ in q_series],
             "final_q": final_q, "final_p": q_series[-1][2],
-            "substeps": res.substeps, "ladder_delta": res.ladder_delta,
+            "ladder_delta": res.ladder_delta,
             "ehrenfest_diagnostic": _ehrenfest_diagnostic(
                 model, case.center, spec.times[-1], spec.hbar),
         }
@@ -439,8 +437,7 @@ def _run_backward_profiles(spec, model, outdir, record):
         else bool(final["fidelity"] >= floor),
         "final_beats_thawed": None if final["thawed_fidelity"] is None
         else bool(final["fidelity"] > final["thawed_fidelity"]),
-        "reference": {"substeps": ref.substeps,
-                      "ladder_delta": ref.ladder_delta},
+        "reference": {"ladder_delta": ref.ladder_delta},
     }
 
 

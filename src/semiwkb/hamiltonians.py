@@ -5,9 +5,12 @@ is momentum, row/column 1 is position.  Initial data on a line in phase
 space is described by :class:`QuadraticPhase`, whose graph
 ``p = p0 + alpha*(x - q0)`` is the manifold transported by the flows.
 
-The closed forms collected in :func:`analytic_oracle` are written
-independently of the numerical routines (plain scalar expressions, no shared
-helpers with the integrators) so tests can pit one against the other.
+Every model carries its own closed-form segment flow and names its exact
+reference path (see :class:`HamiltonianModel`); a model without them is
+refused, not integrated.  The closed forms collected in
+:func:`analytic_oracle` are written independently of the models' segment
+flows (plain scalar expressions, no shared helpers) so tests can pit one
+against the other.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ __all__ = [
     "FreeParticle",
     "IntegrableMomentum",
     "ParabolicBarrier",
-    "StandardPotential",
     "KickedHarmonic",
     "FlowOracle",
-    "analytic_oracle",
     "kick_times",
 ]
 
@@ -101,29 +102,30 @@ def _hessian(p, q, hpp=1.0, hpq=0.0, hqq=0.0) -> np.ndarray:
 
 
 class HamiltonianModel:
-    """Shared protocol: energy/grad/hess plus split kinetic/potential parts.
+    """Shared protocol: energy/grad/hess, the closed-form flow and the exact
+    reference path.
 
-    A model also decides how the package propagates it:
+    A model decides how the package propagates it:
 
     - ``segment_flow(t, p, q)`` is the closed-form flow of the smooth part
       over a kick-free stretch of length t, returning (p, q, tangent,
       action) for a batch of seeds; the tangent is one (2, 2) matrix when it
       does not depend on the seed, else (n, 2, 2).  The Hessian must stay
       constant along each such stretch of a trajectory, which the caustic
-      certificate relies on.  None means the flow is integrated by RK4.
+      certificate relies on.  A model without one cannot be flowed.
     - ``kick_times(t, side)`` lists the impulsive kicks a flow over [0, t]
       fires, at integer times, and ``kick(p, q)`` gives the momentum after
       one kick, its slope dp/dq and the phase jump; ``kick_phase_jump`` is
       the kick as a multiplier phase.  Models without kicks list none.
     - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
-      for models diagonal in momentum, ``"metaplectic-shear"`` for linear
-      flows, which then give ``shear_pair(s)``, and ``"yoshida-ladder"``
-      for any other kinetic-plus-potential model.
+      for models diagonal in momentum, which then give the multiplier's
+      symbol ``kinetic_energy(xi)``, and ``"metaplectic-shear"`` for linear
+      flows, which then give ``shear_pair(s)``.  None means the model has no
+      exact reference.
     """
 
     name = "model"
-    segment_flow = None
-    exact_path = "yoshida-ladder"
+    exact_path = None
 
     def energy(self, p, q):
         raise NotImplementedError
@@ -137,11 +139,8 @@ class HamiltonianModel:
         trailing axis."""
         raise NotImplementedError
 
-    def kinetic_energy(self, xi):
-        raise NotImplementedError
-
-    def potential_energy(self, q):
-        raise NotImplementedError
+    def segment_flow(self, t, p, q) -> tuple:
+        raise InvalidInputError(f"{self.name} has no closed-form segment flow")
 
     def kick_times(self, t: float, side: str = "minus") -> list:
         return []
@@ -176,9 +175,6 @@ class FreeParticle(HamiltonianModel):
     def kinetic_energy(self, xi):
         return 0.5 * np.asarray(xi) ** 2
 
-    def potential_energy(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
-
     def segment_flow(self, t, p, q):
         return p, q + t * p, np.array([[1.0, 0.0], [t, 1.0]]), 0.5 * p * p * t
 
@@ -206,9 +202,6 @@ class IntegrableMomentum(HamiltonianModel):
 
     def kinetic_energy(self, xi):
         return self.h(np.asarray(xi, dtype=float))
-
-    def potential_energy(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
 
     def segment_flow(self, t, p, q):
         hp = np.asarray(self.h_prime(p), dtype=float)
@@ -242,12 +235,6 @@ class ParabolicBarrier(HamiltonianModel):
     def hess(self, p, q):
         return _hessian(p, q, hqq=-self.v0)
 
-    def kinetic_energy(self, xi):
-        return 0.5 * np.asarray(xi) ** 2
-
-    def potential_energy(self, q):
-        return -0.5 * self.v0 * np.asarray(q) ** 2
-
     def segment_flow(self, t, p, q):
         lam = self.lam
         ch, sh = math.cosh(lam * t), math.sinh(lam * t)
@@ -258,32 +245,6 @@ class ParabolicBarrier(HamiltonianModel):
     def shear_pair(self, s):
         lam = self.lam
         return -lam * math.tanh(0.5 * lam * s), math.sinh(lam * s) / lam
-
-
-class StandardPotential(HamiltonianModel):
-    """H = p^2/2 + v(q) with v, v', v'' supplied as callables."""
-
-    name = "potential"
-
-    def __init__(self, v: Callable, v_prime: Callable, v_double_prime: Callable):
-        self.v = v
-        self.v_prime = v_prime
-        self.v_double_prime = v_double_prime
-
-    def energy(self, p, q):
-        return 0.5 * np.asarray(p) ** 2 + self.v(np.asarray(q, dtype=float))
-
-    def grad(self, p, q):
-        return np.asarray(p, dtype=float), self.v_prime(np.asarray(q, dtype=float))
-
-    def hess(self, p, q):
-        return _hessian(p, q, hqq=self.v_double_prime(np.asarray(q, dtype=float)))
-
-    def kinetic_energy(self, xi):
-        return 0.5 * np.asarray(xi) ** 2
-
-    def potential_energy(self, q):
-        return self.v(np.asarray(q, dtype=float))
 
 
 class KickedHarmonic(HamiltonianModel):
@@ -310,12 +271,6 @@ class KickedHarmonic(HamiltonianModel):
 
     def hess(self, p, q):
         return _hessian(p, q, hqq=1.0)
-
-    def kinetic_energy(self, xi):
-        return 0.5 * np.asarray(xi) ** 2
-
-    def potential_energy(self, q):
-        return 0.5 * np.asarray(q) ** 2
 
     def segment_flow(self, t, p, q):
         # a rotation by t; the action is the integral of p^2 - H along it

@@ -51,8 +51,6 @@ __all__ = [
     "BackwardTestResult",
     "gaussian_profile",
     "profile_for_slope",
-    "apply_L",
-    "apply_L_adjoint",
     "center_kernel",
     "apply_metaplectic",
     "mass_quantile_window",
@@ -133,28 +131,21 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> N
     """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t].
 
     One time series carries w = M (alpha, 1), with dphi = w_q, piece by
-    piece.  Paths of models with a closed-form segment flow, whose Hessian
-    is constant on each kick-free piece, are cut at the integers, where
-    kicks fall; on each piece dphi'' = -det(H) dphi, so its minimum follows
-    exactly from dphi and dphi' = H_pp w_p + H_pq w_q at the piece's end.
-    Other paths are sampled 64 times per unit time.
+    piece.  The path is cut at the integers, where kicks fall, so the
+    model's Hessian is constant on each piece; there dphi'' = -det(H) dphi,
+    and its minimum follows exactly from dphi and dphi' = H_pp w_p + H_pq w_q
+    at the piece's end.
     """
-    exact = model.segment_flow is not None
-    if exact:
-        stops = [float(n) for n in kick_times(t) if 0 < n < t] + [t]
-    else:
-        stops = np.linspace(0.0, t, max(1, math.ceil(64 * t)) + 1)[1:]
     z, w, prev = start, np.array([alpha, 1.0]), 0.0
-    for s in stops:
-        fr = flow(model, z, float(s - prev))
+    for s in [float(n) for n in kick_times(t) if 0 < n < t] + [float(t)]:
+        fr = flow(model, z, s - prev)
         z, w = fr.end_point, fr.tangent @ w
-        low, at = w[1], float(s)
-        if exact:  # the piece run backwards from its end
-            h = model.hess(z.p, z.q)
-            dip = _interior_minimum(w[1], -(h[0, 0] * w[0] + h[0, 1] * w[1]),
-                                    h[0, 0] * h[1, 1] - h[0, 1] ** 2, s - prev)
-            if dip is not None:
-                low, at = dip[0], float(s - dip[1])
+        low, at = w[1], s
+        h = model.hess(z.p, z.q)  # the piece run backwards from its end
+        dip = _interior_minimum(w[1], -(h[0, 0] * w[0] + h[0, 1] * w[1]),
+                                h[0, 0] * h[1, 1] - h[0, 1] ** 2, s - prev)
+        if dip is not None:
+            low, at = dip[0], s - dip[1]
         if low < CAUSTIC_THRESHOLD:
             raise CausticError(at, start.q)
         prev = s
@@ -247,22 +238,6 @@ class PropagationResult:
     @property
     def grid(self) -> GridSpec:
         return self.state.grid
-
-
-def _curvature_gradient_scale(model, phase0: QuadraticPhase, q: float, t: float) -> float:
-    """max over sampled s of |d/dx (map derivative)^-2| near q, for the
-    remainder diagnostic."""
-    delta = math.sqrt(1e-7)
-    x = np.array([q - delta, q + delta])
-    times = np.linspace(0.0, t, 9)[1:]
-    worst = 0.0
-    for s, fb in zip(times, flow_samples(model, phase0.grad(x), x, times)):
-        m = fb.tangent
-        dphi = m[:, 1, 0] * phase0.alpha + m[:, 1, 1]
-        if np.min(dphi) < CAUSTIC_THRESHOLD:
-            raise CausticError(float(s), float(x[np.argmin(dphi)]))
-        worst = max(worst, abs(dphi[1]**-2 - dphi[0]**-2) / (2 * delta))
-    return worst
 
 
 def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
@@ -386,11 +361,11 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     """Full pipeline: scale, dispersion-correct, transport, rephase.
 
     Returns the state together with the diagnostics the scheme is obliged
-    to report: accumulated kernel, non-contraction certificate, caustic
-    margin, window mass deficit, norm defect, and the sqrt(hbar) remainder
-    indicator.  Raises BoundaryMassError when more than ``deficit_tol`` of
-    the dispersed mass lies outside the seed window, or when the map's
-    image leaves the grid.
+    to report: accumulated kernel, seed window and count, non-contraction
+    certificate, caustic margin, refinement residual, window mass deficit,
+    norm defect and boundary mass.  Raises BoundaryMassError when more than
+    ``deficit_tol`` of the dispersed mass lies outside the seed window, or
+    when the map's image leaves the grid.
     """
     a0, _, deficit, tmap, inside, phases, metadata = _semiclassical(
         model, phase0, profile_a, hbar, t, grid, window, side, deficit_tol)
@@ -407,15 +382,11 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     if norm_defect > 1e-6 * a0.norm:
         raise BoundaryMassError(
             f"pipeline lost norm beyond tolerance (defect {norm_defect:.2e})")
-    win = metadata["window"]
     metadata.update({
         "refinement_residual": tmap.refinement_residual,
         "window_mass_deficit": deficit,
         "norm_defect": norm_defect,
         "boundary_mass": edge_mass_fraction(state),
-        "remainder_indicator": math.sqrt(hbar) * (
-            1.0 + _curvature_gradient_scale(model, phase0, phase0.q0, t)
-            * (win[1] - win[0]) / 2.0),
     })
     return PropagationResult(state, metadata)
 

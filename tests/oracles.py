@@ -1,0 +1,133 @@
+"""Independent oracles for the package's flows and exact references.
+
+rk4_flow integrates Hamilton's equations with the tangent map and the
+action by fixed-step RK4 between a model's kicks.  split_step_evolve runs
+fourth-order split stepping (Yoshida triple jump; Yoshida, Phys. Lett. A
+150, 262 (1990)) with the kicks as multipliers.  Neither shares code with
+the models' closed-form segment flows or the three-shear reference, and
+neither guards its step size: a test picks steps fine enough.  Potential is
+a kinetic-plus-potential model with no closed-form flow and no exact path.
+"""
+import math
+
+import numpy as np
+
+import semiwkb as sw
+from semiwkb.hamiltonians import HamiltonianModel
+
+
+class Potential(HamiltonianModel):
+    """H = p^2/2 + v(q) with v, v', v'' supplied as callables."""
+
+    name = "potential"
+
+    def __init__(self, v, v_prime, v_double_prime):
+        self.v = v
+        self.v_prime = v_prime
+        self.v_double_prime = v_double_prime
+
+    def energy(self, p, q):
+        return 0.5 * np.asarray(p) ** 2 + self.v(np.asarray(q, dtype=float))
+
+    def grad(self, p, q):
+        return np.asarray(p, dtype=float), self.v_prime(np.asarray(q, dtype=float))
+
+    def hess(self, p, q):
+        q = np.asarray(q, dtype=float)
+        zero = np.zeros(np.broadcast(p, q).shape)
+        return np.array([[zero + 1.0, zero], [zero, zero + self.v_double_prime(q)]])
+
+
+def split_parts(model):
+    """(T(xi), V(q)) with H = T(p) + V(q): a momentum model's multiplier
+    symbol with no potential, else p^2/2 and the smooth part's potential."""
+    if model.exact_path == "momentum-multiplier":
+        return model.kinetic_energy, lambda q: np.zeros_like(np.asarray(q, dtype=float))
+    if isinstance(model, Potential):
+        v = model.v
+    elif isinstance(model, sw.ParabolicBarrier):
+        def v(q):
+            return -0.5 * model.v0 * np.asarray(q) ** 2
+    elif isinstance(model, sw.KickedHarmonic):
+        def v(q):
+            return 0.5 * np.asarray(q) ** 2
+    else:
+        raise TypeError(f"no split for {model.name}")
+    return (lambda xi: 0.5 * np.asarray(xi) ** 2), v
+
+
+def _rk4_stretch(model, p, q, m, action, length, dt):
+    n = math.ceil(length / dt)
+    if n == 0:
+        return p, q, m, action
+    h = length / n
+
+    def rhs(p, q, m):
+        hp, hq = model.grad(p, q)
+        hs = model.hess(p, q)
+        # dM/dt = J H M with J = [[0, -1], [1, 0]] in (p, q) order
+        jh = np.array([[-hs[1, 0], -hs[1, 1]], [hs[0, 0], hs[0, 1]]])
+        dm = np.einsum("abn,nbc->nac", jh, m)
+        return (-np.asarray(hq, dtype=float), np.asarray(hp, dtype=float), dm,
+                p * hp - model.energy(p, q))
+
+    for _ in range(n):
+        k1 = rhs(p, q, m)
+        k2 = rhs(p + 0.5 * h * k1[0], q + 0.5 * h * k1[1], m + 0.5 * h * k1[2])
+        k3 = rhs(p + 0.5 * h * k2[0], q + 0.5 * h * k2[1], m + 0.5 * h * k2[2])
+        k4 = rhs(p + h * k3[0], q + h * k3[1], m + h * k3[2])
+        p, q, m, action = ((y + (h / 6) * (a + 2 * b + 2 * c + d))
+                           for y, a, b, c, d in zip((p, q, m, action), k1, k2, k3, k4))
+    return p, q, m, action
+
+
+def rk4_flow(model, p, q, t, *, side="minus", dt=2e-3) -> sw.FlowBundle:
+    """Flow a batch of seeds over [0, t] by RK4 steps of at most dt between
+    the model's kicks; each kick moves p, the tangent's p row and the action."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    m, action, prev = np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p), 0.0
+    for n in model.kick_times(t, side):
+        p, q, m, action = _rk4_stretch(model, p, q, m, action, n - prev, dt)
+        p, slope, jump = model.kick(p, q)
+        m[:, 0, :] += slope[:, None] * m[:, 1, :]
+        action, prev = action + jump, float(n)
+    p, q, m, action = _rk4_stretch(model, p, q, m, action, t - prev, dt)
+    return sw.FlowBundle(p, q, m, action)
+
+
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))  # triple-jump weights: w1, w0, w1 sum to 1
+_W0 = 1.0 - 2.0 * _W1
+
+
+def split_step_evolve(model, psi, t, *, steps_per_unit, side="minus", sample_times=()):
+    """Split stepping over [0, t] through the stops at the model's kicks, the
+    sample times and t, each segment in ceil(length * steps_per_unit) equal
+    steps.  A sample at a kick time is taken before the kick.  Returns
+    (final_state, samples)."""
+    grid, hbar = psi.grid, psi.hbar
+    kinetic, potential = split_parts(model)
+    v, kin = potential(grid.x), kinetic(grid.xi(hbar))
+    kicks = [float(n) for n in model.kick_times(t, side)]
+    want = {float(s) for s in sample_times}
+    vals, prev, samples = psi.values.copy(), 0.0, {}
+    for stop in sorted({*kicks, *want, float(t)}):
+        n = math.ceil((stop - prev) * steps_per_unit - 1e-9)
+        if n > 0:
+            dt = (stop - prev) / n
+
+            def phase(energy, c):
+                return np.exp(-1j * energy * c * dt / hbar)
+
+            half, outer, middle, inner = (phase(v, 0.5 * _W1), phase(kin, _W1),
+                                          phase(v, 0.5 * (_W1 + _W0)), phase(kin, _W0))
+            for _ in range(n):
+                vals = np.fft.ifft(outer * np.fft.fft(half * vals))
+                vals = np.fft.ifft(inner * np.fft.fft(middle * vals))
+                vals = half * np.fft.ifft(outer * np.fft.fft(middle * vals))
+        prev = stop
+        if stop in want:
+            samples[stop] = sw.WaveFunction(grid, vals.copy(), hbar)
+        if stop in kicks:
+            vals = vals * np.exp(1j * model.kick_phase_jump(grid.x) / hbar)
+    return sw.WaveFunction(grid, vals, hbar), samples

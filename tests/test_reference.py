@@ -1,5 +1,5 @@
 """Reference propagation: the metaplectic shear path against the
-split-operator ladder, the shared stop schedule, unitarity, convergence
+split-step oracle, the stop schedule, unitarity, the oracle's convergence
 order, guard rails, and quantum-classical qualification checks."""
 import math
 
@@ -10,15 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, BoundaryMassError, StepSizeError
 from semiwkb.metaplectic import propagate_thawed_gaussian
-from semiwkb.reference import (
-    aliasing_limit,
-    metaplectic_evolve,
-    momentum_evolve,
-    split_operator_evolve,
-)
-from semiwkb.reference import _W0
+from semiwkb.reference import metaplectic_evolve, momentum_evolve
 
 from conftest import KHO_GRID, KHO_HBAR, l2_distance
+from oracles import split_step_evolve
+from test_model_plugin import HarmonicWell
 
 HBAR = 0.05
 QUARTIC = dict(
@@ -26,16 +22,12 @@ QUARTIC = dict(
     h_prime=lambda p: p + 0.4 * p ** 3,
     h_double_prime=lambda p: 1.0 + 1.2 * p ** 2,
 )
-# a non-linear flow, so exact_state runs it on the split-operator ladder
-ANHARMONIC = sw.StandardPotential(
-    lambda q: 0.5 * q ** 2 + 0.25 * q ** 4, lambda q: q + q ** 3,
-    lambda q: 1.0 + 3.0 * q ** 2)
 
 
 def test_split_step_is_unitary():
     grid = sw.GridSpec(-8.0, 8.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.1))
-    out, _ = split_operator_evolve(sw.ParabolicBarrier(1.0), psi, 1e-3, n_substeps=1)
+    out, _ = split_step_evolve(sw.ParabolicBarrier(1.0), psi, 1e-3, steps_per_unit=1000)
     assert abs(out.norm - psi.norm) < 1e-12
 
 
@@ -43,7 +35,7 @@ def test_free_split_equals_momentum_multiplier():
     # with zero potential the splitting is exact at any step size
     grid = sw.GridSpec(-8.0, 8.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.6, -0.2))
-    split, _ = split_operator_evolve(sw.FreeParticle(), psi, 0.9, n_substeps=128)
+    split, _ = split_step_evolve(sw.FreeParticle(), psi, 0.9, steps_per_unit=128)
     direct = momentum_evolve(sw.FreeParticle(), psi, 0.9)
     assert l2_distance(split, direct) < 1e-12
 
@@ -51,26 +43,24 @@ def test_free_split_equals_momentum_multiplier():
 def test_splitting_convergence_order():
     # the thawed Gaussian is exact for the quadratic barrier, giving an
     # independent reference for the step-doubling error ratio (order 4: 16)
+    # of the split-step oracle
     model = sw.ParabolicBarrier(1.0)
     grid = sw.GridSpec(-8.0, 8.0, 256)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
     ref = propagate_thawed_gaussian(model, sw.PhasePoint(0.2, 0.2), 1j, HBAR,
                                     0.5, grid).state
-    errs = [l2_distance(split_operator_evolve(model, psi0, 0.5, n_substeps=n)[0], ref)
-            for n in (32, 64, 128)]
+    errs = [l2_distance(split_step_evolve(model, psi0, 0.5, steps_per_unit=n)[0], ref)
+            for n in (64, 128, 256)]
     for a, b in zip(errs, errs[1:]):
         assert a / b == pytest.approx(16.0, abs=1.0)
 
 
 def test_harmonic_recurrence_after_one_period():
-    model = sw.StandardPotential(
-        lambda q: 0.5 * q * q, lambda q: np.asarray(q, dtype=float),
-        lambda q: np.ones_like(np.asarray(q, dtype=float)))
     grid = sw.GridSpec(-8.0, 8.0, 512)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.5, 0.3))
-    ex = sw.exact_state(model, psi0, 2 * math.pi)
+    ex = sw.exact_state(HarmonicWell(1.0), psi0, 2 * math.pi)
     assert sw.fidelity(ex.state, psi0) > 1.0 - 1e-6
-    assert ex.diagnostics["method"] == "yoshida-ladder"
+    assert ex.diagnostics["method"] == "metaplectic-shear"
     assert ex.ladder_delta < 1e-9
 
 
@@ -92,7 +82,6 @@ def test_momentum_models_skip_the_ladder():
     psi0 = sw.initial_coherent_state(grid, HBAR, (1.0, 0.0))
     ex = sw.exact_state(model, psi0, 2.0, sample_times=(1.0, 2.0))
     assert ex.diagnostics["method"] == "momentum-multiplier"
-    assert ex.substeps is None
     assert ex.ladder_delta == 0.0
     assert set(ex.samples) == {1.0, 2.0}
     assert l2_distance(ex.samples[2.0], ex.state) == 0.0
@@ -118,10 +107,9 @@ def test_shear_barrier_matches_yoshida_ladder():
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
     ex = sw.exact_state(model, psi0, 1.0, sample_times=(0.5,))
     assert ex.diagnostics["method"] == "metaplectic-shear"
-    assert ex.substeps is None
     assert ex.ladder_delta < 1e-12
-    final, ladder = split_operator_evolve(model, psi0, 1.0, n_substeps=2048,
-                                          sample_times=(0.5,))
+    final, ladder = split_step_evolve(model, psi0, 1.0, steps_per_unit=2048,
+                                      sample_times=(0.5,))
     assert l2_distance(ex.state, final) < 1e-9
     assert l2_distance(ex.samples[0.5], ladder[0.5]) < 1e-9
 
@@ -133,14 +121,14 @@ def test_shear_kicked_oscillator_matches_yoshida_ladder():
     ex = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.5, sample_times=times)
     assert ex.diagnostics["method"] == "metaplectic-shear"
     assert ex.ladder_delta < 1e-12
-    final, ladder = split_operator_evolve(sw.KickedHarmonic(2.0), psi0, 2.5,
-                                          n_substeps=5120, sample_times=times)
+    final, ladder = split_step_evolve(sw.KickedHarmonic(2.0), psi0, 2.5,
+                                      steps_per_unit=2048, sample_times=times)
     assert l2_distance(ex.state, final) < 1e-9
     for t in times:
         assert l2_distance(ex.samples[t], ladder[t]) < 1e-9
     plus = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.0, side="plus")
-    final, _ = split_operator_evolve(sw.KickedHarmonic(2.0), psi0, 2.0,
-                                     n_substeps=4096, side="plus")
+    final, _ = split_step_evolve(sw.KickedHarmonic(2.0), psi0, 2.0,
+                                 steps_per_unit=2048, side="plus")
     assert l2_distance(plus.state, final) < 1e-9
 
 
@@ -185,58 +173,26 @@ def test_chirp_guard_sees_a_spectrum_straddling_nyquist():
 
 
 def test_exact_state_ladder_reports_failure():
-    # both certificates refuse a gap they cannot bring under tol
+    # the certificate refuses a gap it cannot bring under tol
     grid = sw.GridSpec(-8.0, 8.0, 256)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
-    for model in (sw.ParabolicBarrier(1.0), ANHARMONIC):
-        with pytest.raises(StepSizeError):
-            sw.exact_state(model, psi0, 0.5, tol=0.0)
-
-
-def test_aliasing_guard():
-    model = sw.ParabolicBarrier(1.0)
-    grid = sw.GridSpec(-8.0, 8.0, 256)
-    limit = aliasing_limit(model, grid, HBAR)
-    nyq = grid.nyquist_momentum(HBAR)
-    assert limit == pytest.approx(math.pi * HBAR / (0.5 * nyq ** 2), rel=1e-12)
-    psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    # the longest kinetic sub-step of a Yoshida step is |w0| dt
-    coarsest = int(abs(_W0) / limit)
     with pytest.raises(StepSizeError):
-        split_operator_evolve(model, psi, 1.0, n_substeps=coarsest)
-    with pytest.raises(StepSizeError):
-        split_operator_evolve(model, psi, 2.0, n_substeps=2 * coarsest,
-                              sample_times=(1.0,))
-    split_operator_evolve(model, psi, 1.0, n_substeps=coarsest + 1)
-    with pytest.raises(ValueError):
-        split_operator_evolve(model, psi, 1.0, n_substeps=0)
-
-
-def _steppers(per_unit):
-    """The two segment propagators on the shared stop schedule, the ladder
-    at per_unit steps per unit time."""
-    return (lambda model, psi, t, **kw: metaplectic_evolve(model, psi, t, **kw),
-            lambda model, psi, t, **kw: split_operator_evolve(
-                model, psi, t, n_substeps=max(1, round(per_unit * t)), **kw))
-
-
-STEPPERS = _steppers(1024)  # under the aliasing limit of [-4, 4] / 512
+        sw.exact_state(sw.ParabolicBarrier(1.0), psi0, 0.5, tol=0.0)
 
 
 def test_kicked_schedule_boundary_mass_guard():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     edgy = sw.initial_coherent_state(grid, HBAR, (0.0, 3.9))
     rim = sw.initial_coherent_state(grid, HBAR, (3.9, 0.0))  # swings to q = 3.9 sin t
-    for evolve in STEPPERS:
-        for kw in ({}, {"sample_times": (0.5,)}):
-            with pytest.raises(BoundaryMassError):
-                evolve(sw.KickedHarmonic(2.0), edgy, 1.0, **kw)
-        # the first stop that finds the swinging packet at the rim refuses:
-        # a sample time, a kick, the end time
-        for samples, t, stop in (((0.3, 0.9), 2.0, "t=0.9 "), ((0.3,), 2.0, "t=1 "),
-                                 ((0.3,), 0.9, "t=0.9 ")):
-            with pytest.raises(BoundaryMassError, match=stop):
-                evolve(sw.KickedHarmonic(0.0), rim, t, sample_times=samples)
+    for kw in ({}, {"sample_times": (0.5,)}):
+        with pytest.raises(BoundaryMassError):
+            metaplectic_evolve(sw.KickedHarmonic(2.0), edgy, 1.0, **kw)
+    # the first stop that finds the swinging packet at the rim refuses:
+    # a sample time, a kick, the end time
+    for samples, t, stop in (((0.3, 0.9), 2.0, "t=0.9 "), ((0.3,), 2.0, "t=1 "),
+                             ((0.3,), 0.9, "t=0.9 ")):
+        with pytest.raises(BoundaryMassError, match=stop):
+            metaplectic_evolve(sw.KickedHarmonic(0.0), rim, t, sample_times=samples)
 
 
 def test_kho_step_reduces_to_harmonic_without_kick():
@@ -244,12 +200,8 @@ def test_kho_step_reduces_to_harmonic_without_kick():
     # kick schedule is one period of the plain harmonic well
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.2))
-    harmonic = sw.StandardPotential(
-        lambda q: 0.5 * q ** 2, lambda q: np.asarray(q, dtype=float),
-        lambda q: np.ones_like(np.asarray(q, dtype=float)))
-    stepped, _ = split_operator_evolve(sw.KickedHarmonic(0.0), psi, 1.0,
-                                       n_substeps=1024, side="plus")
-    plain, _ = split_operator_evolve(harmonic, psi, 1.0, n_substeps=1024)
+    stepped, _ = metaplectic_evolve(sw.KickedHarmonic(0.0), psi, 1.0, side="plus")
+    plain, _ = metaplectic_evolve(HarmonicWell(1.0), psi, 1.0)
     assert l2_distance(stepped, plain) < 1e-14
     assert abs(stepped.norm - psi.norm) < 1e-10
 
@@ -257,27 +209,24 @@ def test_kho_step_reduces_to_harmonic_without_kick():
 def test_post_kick_state_is_kicked_pre_kick_state():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    for evolve in STEPPERS:
-        minus, _ = evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="minus")
-        plus, _ = evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="plus")
-        kicked = minus.values * np.exp(-2.0j * np.cos(grid.x) / HBAR)
-        assert np.max(np.abs(plus.values - kicked)) < 1e-14
+    minus, _ = metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="minus")
+    plus, _ = metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="plus")
+    kicked = minus.values * np.exp(-2.0j * np.cos(grid.x) / HBAR)
+    assert np.max(np.abs(plus.values - kicked)) < 1e-14
 
 
 def test_kho_sample_time_validation():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    for evolve in STEPPERS:
-        for bad in ((3.0,), (-0.5,), (1.0, 2.5)):
-            with pytest.raises(ValueError, match="outside"):
-                evolve(sw.KickedHarmonic(2.0), psi, 2.0, sample_times=bad)
-        with pytest.raises(ValueError):
-            evolve(sw.KickedHarmonic(2.0), psi, -1.0)
+    for bad in ((3.0,), (-0.5,), (1.0, 2.5)):
+        with pytest.raises(ValueError, match="outside"):
+            metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 2.0, sample_times=bad)
+    with pytest.raises(ValueError):
+        metaplectic_evolve(sw.KickedHarmonic(2.0), psi, -1.0)
 
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 WALK_GRID = sw.GridSpec(-8.0, 8.0, 512)
-WALK_STEPPERS = _steppers(256)
 # model, start and end time, short enough for one-piece segments
 WALK_STARTS = {"kicked": (sw.KickedHarmonic(2.0), (0.2, 0.5), 2.5),
                "barrier": (sw.ParabolicBarrier(1.0), (0.2, 0.2), 1.0)}
@@ -303,33 +252,14 @@ def test_one_pass_shear_samples_match_fresh_runs(name, fractions):
 
 
 @PROPERTY
-@example([0, 128])
-@given(st.lists(st.integers(0, 128), min_size=1, max_size=4))
-def test_one_pass_ladder_samples_match_fresh_runs(steps):
-    # stops on the step lattice of 128 steps over [0, 1] leave every step
-    # unchanged, so a sample is the fresh run with that many steps
-    grid = sw.GridSpec(-6.0, 6.0, 256)
-    psi0 = sw.initial_coherent_state(grid, HBAR, (0.3, 0.4))
-    times = [k / 128 for k in steps]
-    _, samples = split_operator_evolve(ANHARMONIC, psi0, 1.0, n_substeps=128,
-                                       sample_times=times)
-    for k, s in zip(steps, times):
-        fresh, _ = split_operator_evolve(ANHARMONIC, psi0, s, n_substeps=max(k, 1))
-        assert l2_distance(samples[s], fresh) < 1e-12
-
-
-@PROPERTY
 @example(2.0, 2.0)
 @example(0.0, 0.0)
 @given(KICKS, st.floats(0.0, 2.0))
 def test_steppers_are_unitary(k, t):
     psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
     for model, end in ((sw.KickedHarmonic(k), t), (sw.ParabolicBarrier(1.0), 0.4 * t)):
-        for evolve in WALK_STEPPERS:
-            final, _ = evolve(model, psi0, end, sample_times=(0.5 * end,))
-            assert abs(final.norm - psi0.norm) < 1e-12
-    final, _ = WALK_STEPPERS[1](ANHARMONIC, psi0, t)
-    assert abs(final.norm - psi0.norm) < 1e-12
+        final, _ = metaplectic_evolve(model, psi0, end, sample_times=(0.5 * end,))
+        assert abs(final.norm - psi0.norm) < 1e-12
 
 
 @PROPERTY
@@ -338,12 +268,11 @@ def test_steppers_are_unitary(k, t):
 def test_side_plus_is_the_kicked_minus_state(k, t):
     psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
     kick = np.exp(-1j * k * np.cos(WALK_GRID.x) / HBAR)
-    for evolve in WALK_STEPPERS:
-        minus, _ = evolve(sw.KickedHarmonic(k), psi0, t)
-        plus, samples = evolve(sw.KickedHarmonic(k), psi0, t, side="plus",
-                               sample_times=(t,))
-        assert np.max(np.abs(plus.values - minus.values * kick)) < 1e-13
-        assert samples[t] is plus
+    minus, _ = metaplectic_evolve(sw.KickedHarmonic(k), psi0, t)
+    plus, samples = metaplectic_evolve(sw.KickedHarmonic(k), psi0, t, side="plus",
+                                       sample_times=(t,))
+    assert np.max(np.abs(plus.values - minus.values * kick)) < 1e-13
+    assert samples[t] is plus
 
 
 def test_reference_is_grid_converged():
