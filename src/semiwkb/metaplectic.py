@@ -13,12 +13,16 @@ free of caustics (see center_kernel).  M_q is applied before T(t);
 the commuted variant is deliberately not offered.
 
 The forward run and the backward test share one computed core: the
-dispersed amplitude M_q(t) L_q a and the map T(t).  A private one-entry memo
-keeps the last core, so a backward test that follows the forward run on the
-same model, phase, profile samples, hbar, t, grid, window and side reuses it
-instead of refining the seed fan again.  The entry (about 1 MB at 8192 grid
-points) lives until the next call with different inputs replaces it; its
-arrays are read-only.
+dispersed amplitude M_q(t) L_q a, the map T(t) and the phase factor
+exp(i S/hbar) on the map's image.  A private one-entry memo keeps the last
+core, so a backward test that follows the forward run on the same model,
+phase, profile samples, hbar, t, grid, window and side reuses it instead
+of refining the seed fan again.  Like the model, the profile is keyed by
+identity and taken as a pure function: the same object at the same q,
+hbar and grid is not sampled again, at any t; any other object is sampled
+and compared by its samples.  The entry (about 1 MB at 8192 grid points)
+lives until the next call with different inputs replaces it; its arrays
+are read-only.
 
 The dispersion is one loop of plain FFTs over power-of-two blocks about the
 packet, with the whole grid as the last block: the block rule is the
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
-from .dynamics import flow, flow_samples, kick_times
+from .dynamics import flow_samples, kick_times
 from .grids import GridSpec, WaveFunction, edge_mass_fraction
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, SEAM_TOL, TransportMap, _seam_block,
@@ -127,19 +131,23 @@ def _interior_minimum(f: float, g: float, kappa: float, length: float):
     return (f * math.sqrt(1.0 - r * r), s) if 0.0 < s < length else None
 
 
-def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> None:
-    """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t].
+def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> np.ndarray:
+    """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t];
+    returns the tangent matrix M of the flow over [0, t].
 
-    One time series carries w = M (alpha, 1), with dphi = w_q, piece by
-    piece.  The path is cut at the integers, where kicks fall, so the
-    model's Hessian is constant on each piece; there dphi'' = -det(H) dphi,
+    One walk (flow_samples) stops at the integers inside (0, t), where
+    kicks fall, and at t; at each stop w = M (alpha, 1) gives dphi = w_q.
+    Between stops the model's Hessian is constant, so dphi'' = -det(H) dphi,
     and its minimum follows exactly from dphi and dphi' = H_pp w_p + H_pq w_q
-    at the piece's end.
+    at the piece's end.  The walk's last sample is, bit for bit, the flow
+    to t alone.
     """
-    z, w, prev = start, np.array([alpha, 1.0]), 0.0
-    for s in [float(n) for n in kick_times(t) if 0 < n < t] + [float(t)]:
-        fr = flow(model, z, s - prev)
-        z, w = fr.end_point, fr.tangent @ w
+    stops = [float(n) for n in kick_times(t) if 0 < n < t] + [float(t)]
+    walk = flow_samples(model, [start.p], [start.q], stops)
+    prev = 0.0
+    for s, sample in zip(stops, walk):
+        fr = sample.at(0)
+        z, w = fr.end_point, fr.tangent @ np.array([alpha, 1.0])
         low, at = w[1], s
         h = model.hess(z.p, z.q)  # the piece run backwards from its end
         dip = _interior_minimum(w[1], -(h[0, 0] * w[0] + h[0, 1] * w[1]),
@@ -149,6 +157,7 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> N
         if low < CAUSTIC_THRESHOLD:
             raise CausticError(at, start.q)
         prev = s
+    return walk[-1].tangent[0]
 
 
 def _check_time(t: float) -> None:
@@ -158,17 +167,17 @@ def _check_time(t: float) -> None:
 
 def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     """C_t = int_0^t H_pp / dphi(s)^2 ds along the trajectory seeded at q, in
-    closed form: C_t = M_qp(t) / dphi(t), dphi = M_qp alpha + M_qq, from one
-    flow.  With u = M e_p and w = M (alpha, 1), d/ds (u_q / w_q) =
-    H_pp omega(u, w) / w_q^2, and omega(u, w) = 1 is conserved by the tangent
-    flow (Littlejohn, Phys. Rep. 138, 193 (1986)); kicks leave the q row
-    alone.  The integral exists only while dphi stays positive, so the whole
-    path [0, t] is first certified free of caustics.
+    closed form: C_t = M_qp(t) / dphi(t), dphi = M_qp alpha + M_qq.  With
+    u = M e_p and w = M (alpha, 1), d/ds (u_q / w_q) = H_pp omega(u, w) /
+    w_q^2, and omega(u, w) = 1 is conserved by the tangent flow (Littlejohn,
+    Phys. Rep. 138, 193 (1986)); kicks leave the q row alone.  The integral
+    exists only while dphi stays positive, so the whole path [0, t] is
+    certified free of caustics, and M(t) is the last tangent of that one
+    walk.
     """
     _check_time(t)
     start = PhasePoint(float(phase0.grad(q)), q)
-    _certify_caustic_free(model, start, phase0.alpha, t)
-    m = flow(model, start, t).tangent
+    m = _certify_caustic_free(model, start, phase0.alpha, t)
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
 
 
@@ -274,13 +283,15 @@ class _Core:
     """What _semiclassical computed, and the inputs it computed it from."""
 
     model: object
+    profile: object
+    sampling: tuple
     key: tuple
     a0: WaveFunction
     dispersed: WaveFunction
     deficit: float
     tmap: TransportMap
     inside: np.ndarray
-    phases: np.ndarray
+    phase_factor: np.ndarray
     metadata: dict
 
 
@@ -306,24 +317,32 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
 
     The last result is kept and returned again while the model (by
     identity), phase0, hbar, t, grid, side, window and the scaled profile
-    samples are unchanged; the pipeline sees the profile only through those
-    samples.  The gate applies to every call, computed or not.
+    samples are unchanged.  The profile, like the model, is keyed by
+    identity and taken as a pure function: the same object at the same q,
+    hbar and grid reuses the last samples, whatever else changed; any other
+    object is sampled, and its samples decide.  The gate applies to every
+    call, computed or not.
 
-    Returns (a0, dispersed, deficit, tmap, inside, phases, metadata); the
-    arrays are read-only and shared between calls, the metadata, the
+    Returns (a0, dispersed, deficit, tmap, inside, phase_factor, metadata),
+    phase_factor being exp(i S/hbar) at the grid points inside the image;
+    the arrays are read-only and shared between calls, the metadata, the
     diagnostics both pipelines report about the kernel and the map, is a
     fresh dict each call.
     """
     global _last_core
     q = phase0.q0
-    a0 = apply_L(profile_a, q, hbar, grid)
+    sampling = (q, hbar, grid)
+    core = _last_core if _last_core is not None and _last_core.sampling == sampling else None
+    if core is not None and core.profile is profile_a:
+        a0 = core.a0
+    else:
+        a0 = apply_L(profile_a, q, hbar, grid)
     _check_time(t)
     if window is not None:
         window = (float(window[0]), float(window[1]))
-    key = (phase0, hbar, t, grid, side, window)
-    core = _last_core
+    key = (phase0, t, side, window)
     if (core is not None and core.model is model and core.key == key
-            and np.array_equal(core.a0.values, a0.values)):
+            and (a0 is core.a0 or np.array_equal(core.a0.values, a0.values))):
         _gate_deficit(core.deficit, deficit_tol)
     else:
         c_t = center_kernel(model, phase0, q, t)
@@ -338,7 +357,7 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
         tmap = refined_transport_map(model, phase0, win, t, dispersed, side=side)
         img_lo, img_hi = tmap.image_interval
         inside = (x >= img_lo) & (x <= img_hi)
-        phases = evolved_phase(tmap, x[inside])
+        phase_factor = np.exp(1j * evolved_phase(tmap, x[inside]) / hbar)
         metadata = {
             "c_t": c_t,
             "window": win,
@@ -346,11 +365,12 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
             "non_contraction_certificate": tmap.non_contraction_certificate,
             "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
         }
-        for arr in (a0.values, dispersed.values, tmap.transported.values, inside, phases):
+        for arr in (a0.values, dispersed.values, tmap.transported.values, inside, phase_factor):
             arr.flags.writeable = False
-        core = _Core(model, key, a0, dispersed, deficit, tmap, inside, phases, metadata)
+        core = _Core(model, profile_a, sampling, key, a0, dispersed, deficit, tmap, inside,
+                     phase_factor, metadata)
         _last_core = core
-    return (core.a0, core.dispersed, core.deficit, core.tmap, core.inside, core.phases,
+    return (core.a0, core.dispersed, core.deficit, core.tmap, core.inside, core.phase_factor,
             dict(core.metadata))
 
 
@@ -367,7 +387,7 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     ``deficit_tol`` of the dispersed mass lies outside the seed window, or
     when the map's image leaves the grid.
     """
-    a0, _, deficit, tmap, inside, phases, metadata = _semiclassical(
+    a0, _, deficit, tmap, inside, phase_factor, metadata = _semiclassical(
         model, phase0, profile_a, hbar, t, grid, window, side, deficit_tol)
     img_lo, img_hi = tmap.image_interval
     if img_lo < grid.x_min or img_hi > grid.x_max:
@@ -375,7 +395,7 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
             f"transported window [{img_lo:.4g}, {img_hi:.4g}] exceeds the grid domain")
 
     vals = tmap.transported.values.copy()
-    vals[inside] = vals[inside] * np.exp(1j * phases / hbar)
+    vals[inside] = vals[inside] * phase_factor
     state = WaveFunction(grid, vals, hbar)
 
     norm_defect = abs(state.norm - a0.norm)
@@ -474,14 +494,14 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
         raise InvalidInputError(f"psi_exact lives on {psi_exact.grid}, not on {grid}")
     if not math.isclose(psi_exact.hbar, hbar, rel_tol=1e-12):
         raise InvalidInputError(f"psi_exact is at hbar={psi_exact.hbar}, not {hbar}")
-    _, dispersed, _, tmap, inside, phases, metadata = _semiclassical(
+    _, dispersed, _, tmap, inside, phase_factor, metadata = _semiclassical(
         model, phase0, profile_a, hbar, t, grid, window, side)
     stripped = np.zeros_like(psi_exact.values)
-    stripped[inside] = psi_exact.values[inside] * np.exp(-1j * phases / hbar)
+    stripped[inside] = psi_exact.values[inside] * np.conj(phase_factor)
     pulled = transport_operator_adjoint(tmap, WaveFunction(grid, stripped, hbar))
 
     u, exact_prof = apply_L_adjoint(pulled, phase0.q0, hbar)
-    _, meta_prof = apply_L_adjoint(dispersed, phase0.q0, hbar)
+    meta_prof = hbar**0.25 * dispersed.values
     du = float(u[1] - u[0])
     l2 = (math.sqrt(float(np.sum(np.abs(exact_prof - meta_prof) ** 2) * du))
           / math.sqrt(float(np.sum(np.abs(meta_prof) ** 2) * du)))

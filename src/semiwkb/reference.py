@@ -21,6 +21,7 @@ A model with neither route is refused with InvalidInputError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,8 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     """
     if t < 0:
         raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
+    if not isinstance(splits, numbers.Integral) or splits < 1:
+        raise InvalidInputError(f"splits must be a positive integer, got {splits!r}")
     grid, hbar = psi.grid, psi.hbar
     kicks = [float(n) for n in model.kick_times(t, side)]
     want = sorted({float(s) for s in sample_times})

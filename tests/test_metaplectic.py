@@ -663,6 +663,16 @@ def test_backward_test_reuses_the_forward_core_bit_for_bit(refinements):
     # a fresh profile closure with the same samples still hits
     warm = _shared_backward(exact, model=model, profile_a=profile_for_slope(0.5))
     assert len(refinements) == 2
+    # another object is sampled each time it comes, and its samples decide
+    sampled = []
+
+    def fresh(u):
+        sampled.append(u)
+        return profile_for_slope(0.5)(u)
+
+    again = _shared_backward(exact, model=model, profile_a=fresh)
+    assert len(refinements) == 2 and len(sampled) == 1
+    assert again.l2_distance == warm.l2_distance
     for name in ("u", "exact_profile", "metaplectic_profile"):
         assert np.array_equal(getattr(cold, name), getattr(warm, name))
     assert cold.l2_distance == warm.l2_distance
@@ -683,6 +693,23 @@ def test_one_refinement_per_state_and_time(refinements, change):
     assert len(refinements) == 1
     _shared_backward(**{"model": model, **change})
     assert len(refinements) == 2
+
+
+def test_one_profile_object_is_sampled_once(refinements):
+    # the memo keys the profile by identity, like the model: passed again at
+    # the same q, hbar and grid, the same object is not sampled again, at any t
+    base, calls = profile_for_slope(0.5), []
+
+    def counting(u):
+        calls.append(u)
+        return base(u)
+
+    model = sw.FreeParticle()
+    for t in (1.0, 2.0, 3.0, 4.0):
+        fwd = propagate_extended_wkb(**_shared_args(model=model, profile_a=counting, t=t))
+        _shared_backward(fwd.state, model=model, profile_a=counting, t=t)
+    assert len(calls) == 1
+    assert len(refinements) == 4
 
 
 def test_the_memo_aliases_nothing(refinements):

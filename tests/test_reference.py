@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.errors import BandwidthError, BoundaryMassError, StepSizeError
+from semiwkb.errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
 from semiwkb.metaplectic import propagate_thawed_gaussian
 from semiwkb.reference import metaplectic_evolve, momentum_evolve
 
@@ -223,6 +223,10 @@ def test_kho_sample_time_validation():
             metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 2.0, sample_times=bad)
     with pytest.raises(ValueError):
         metaplectic_evolve(sw.KickedHarmonic(2.0), psi, -1.0)
+    wide = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 1024), HBAR, (0.0, 0.0))
+    for bad in (0, 1.5, -1):
+        with pytest.raises(InvalidInputError, match="splits"):
+            metaplectic_evolve(sw.ParabolicBarrier(1.0), wide, 1.0, splits=bad)
 
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)

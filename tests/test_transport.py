@@ -11,9 +11,13 @@ from semiwkb.errors import CausticError, OutOfDomainError
 from semiwkb.grids import _padded_spectrum
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 from semiwkb.metaplectic import (apply_L, apply_metaplectic, center_kernel, gaussian_profile,
-                                 profile_for_slope)
+                                 mass_quantile_window, profile_for_slope)
 from semiwkb.transport import (
+    FIRST_SEEDS,
+    MAX_ROUNDS,
     OVERSAMPLE,
+    REFINE_TOL,
+    TransportMap,
     build_bundle,
     build_transport_map,
     evolved_phase,
@@ -26,6 +30,7 @@ from semiwkb.transport import (
     _amplitude_interpolator,
     _flowed,
     _invert,
+    _node_residual,
     _piecewise_derivative_min,
 )
 
@@ -424,6 +429,28 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
     assert np.all(np.abs(back - roots) * phi(roots, 1) < 2e-10 * (1.0 + np.abs(y)))
 
 
+def test_one_map_inversion_per_forward_run(monkeypatch):
+    # the refinement rounds judge the map on its nodes, so a forward run at
+    # t = 4 on the kicked grid of the paper's figure 2 inverts the map once,
+    # on the converged map's image (transporting every round took 4
+    # inversions on 22,444 points)
+    import semiwkb.transport as transport
+    from semiwkb import metaplectic
+
+    sizes = []
+
+    def counting(phi, y):
+        sizes.append(y.size)
+        return _invert(phi, y)
+
+    monkeypatch.setattr(transport, "_invert", counting)
+    monkeypatch.setattr(metaplectic, "_last_core", None)
+    grid = sw.GridSpec(-4.0, 4.0, 8192)
+    model, phase0 = sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0)
+    sw.propagate_extended_wkb(model, phase0, sw.gaussian_profile, 8e-4, 4.0, grid)
+    assert sizes == [np.count_nonzero(metaplectic._last_core.inside)] == [5611]
+
+
 # model, seeded window and time of a caustic-free fan, for the nested rounds
 NESTED_CASES = {
     "free": (sw.FreeParticle(), (-2.5, 2.5), 1.3),
@@ -491,6 +518,73 @@ def test_fan_refinement_ends_at_the_same_seed_counts():
         assert got == expected
 
 
+def _round_residuals(model, phase0, window, t, amp):
+    """(node, grid) residuals of each refinement round, until both are below
+    REFINE_TOL.  The grid residual is the refinement's criterion before it
+    judged the map on its nodes: the L2 change, relative to the amplitude
+    norm, between the amplitude transported on the grid by the round's map
+    and by the last round's."""
+    interp = _amplitude_interpolator(amp, window)
+    tmap = build_transport_map(model, phase0, window, FIRST_SEEDS, t)
+    prev = transport_operator(tmap, amp, interpolant=interp)
+    rounds = []
+    for _ in range(MAX_ROUNDS):
+        b = tmap.bundle
+        seeds = np.linspace(b.seeds[0], b.seeds[-1], 2 * b.n_seeds - 1)
+        tmap = TransportMap(_flowed(model, phase0, seeds, t, "minus", coarse=b))
+        cur = transport_operator(tmap, amp, interpolant=interp)
+        change = math.sqrt(float(np.sum(np.abs(cur.values - prev.values) ** 2) * amp.grid.dx))
+        rounds.append((_node_residual(b, tmap.bundle, interp, amp.norm_sq), change / amp.norm))
+        if max(rounds[-1]) < REFINE_TOL:
+            return rounds
+        prev = cur
+    raise AssertionError(f"no round settled both residuals: {rounds}")
+
+
+def _check_node_residual(model, phase0, window, t, amp):
+    """The node residual tracks the grid residual it replaced, and ends the
+    refinement at the same round; returns the rounds' residuals."""
+    rounds = _round_residuals(model, phase0, window, t, amp)
+    for node, on_grid in rounds:
+        if on_grid >= 1e-9:
+            assert 1.0 <= node / on_grid <= 1.03
+    settled = [[r < REFINE_TOL for r in pair] for pair in zip(*rounds)]
+    assert settled[0].index(True) == settled[1].index(True) == len(rounds) - 1
+    tmap = refined_transport_map(model, phase0, window, t, amp)
+    assert tmap.bundle.n_seeds == (FIRST_SEEDS - 1) * 2 ** len(rounds) + 1
+    assert tmap.refinement_residual == rounds[-1][0]
+    return rounds
+
+
+@pytest.mark.parametrize("theta", sorted(FAN_SEEDS))
+def test_node_residual_tracks_the_grid_residual_on_the_fan(theta):
+    # on the grid of the paper's figure 2 the node residual reads 1.008 to
+    # 1.013 times the grid residual wherever that is at least 1e-9
+    grid, hbar, model = sw.GridSpec(-4.0, 4.0, 8192), 8e-4, sw.KickedHarmonic(2.0)
+    slope = math.tan(theta * math.pi / 2)
+    phase0 = QuadraticPhase(0.0, 0.0, slope)
+    for t in (1.0, 2.0, 3.0, 4.0):
+        amp = apply_metaplectic(center_kernel(model, phase0, 0.0, t),
+                                apply_L(profile_for_slope(slope), 0.0, hbar, grid))
+        _check_node_residual(model, phase0, mass_quantile_window(amp), t, amp)
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_CASES))
+def test_node_residual_tracks_the_grid_residual_on_the_nested_cases(name):
+    # a packet whose 1e-13 mass quantiles sit inside the window
+    model, window, t = NESTED_CASES[name]
+    phase0 = QuadraticPhase(0.0, 0.0, 0.0 if name == "kicked" else 0.3)
+    hbar = (window[1] / 6.0) ** 2
+    amp = apply_L(gaussian_profile, 0.0, hbar, sw.GridSpec(-8.0, 8.0, 16384))
+    rounds = _check_node_residual(model, phase0, window, t, amp)
+    if name != "kicked":
+        # the linear flows' maps and the quartic's, cubic in the seed, are
+        # exact on the coarse nodes: the node residual is about 0, and the
+        # grid residual stays below the floor that the map inversion's 1e-10
+        # tolerance allows
+        assert rounds[0][0] < 1e-12 and rounds[0][1] <= 4e-10
+
+
 def test_hermite_reproduces_cubics_and_their_slopes():
     nodes = np.array([-1.0, -0.3, 0.2, 1.5])
     cubic = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0])
@@ -506,3 +600,6 @@ def test_hermite_reproduces_cubics_and_their_slopes():
     lattice = _Quintic(-1.0, 0.25, quintic(lattice_nodes), quintic.deriv()(lattice_nodes),
                        quintic.deriv(2)(lattice_nodes))
     assert np.allclose(lattice(x), quintic(x), rtol=0, atol=1e-12)
+    value, slope = lattice.value_and_slope(x)
+    assert np.array_equal(value, lattice(x))
+    assert np.allclose(slope, quintic.deriv()(x), rtol=0, atol=1e-11)
