@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -21,10 +20,9 @@ import numpy as np
 
 from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
 from .errors import SemiwkbError
-from .experiments import (MODEL_NAMES, OUTDIR_ENV, build_model, builtin_specs,
-                          get_builtin_spec, initial_coherent_state,
-                          load_spec_file, resolve_outdir, run_experiment,
-                          write_table)
+from .experiments import (MODEL_NAMES, build_model, builtin_specs, get_builtin_spec,
+                          initial_coherent_state, load_spec_file, output_root,
+                          resolve_outdir, run_experiment, write_table)
 from .grids import GridSpec
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .metaplectic import (profile_for_slope, propagate_extended_wkb,
@@ -76,6 +74,16 @@ def _parse_grid(text: str) -> GridSpec:
         raise SemiwkbError(f"--grid {text!r}: {exc}") from None
 
 
+def _parse_window(text: str) -> tuple:
+    try:
+        lo, hi = (float(s) for s in text.split(","))
+    except ValueError:
+        raise SemiwkbError(f"--window wants LO,HI, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise SemiwkbError(f"--window wants finite LO < HI, got {text!r}")
+    return lo, hi
+
+
 def _slope(args) -> float:
     if args.theta_over_halfpi is not None:
         return math.tan(args.theta_over_halfpi * math.pi / 2.0)
@@ -91,10 +99,7 @@ def _model_and_grid(args):
 
 
 def _outdir(args) -> Path:
-    if args.out is not None:
-        out = Path(args.out)
-    else:
-        out = Path(os.environ.get(OUTDIR_ENV, "semiwkb-out"))
+    out = Path(args.out) if args.out is not None else output_root()
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -158,9 +163,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
+    lo, hi = _parse_window(args.window)
+    if args.n_seeds < 2:
+        raise SemiwkbError(f"--n-seeds must be at least 2, got {args.n_seeds}")
     model = build_model(args.model, vars(args))
     alpha = _slope(args)
-    lo, hi = (float(s) for s in args.window.split(","))
     seeds = np.linspace(lo, hi, args.n_seeds)
     phase0 = QuadraticPhase(args.p0, args.q0, alpha)
     p_seed = phase0.grad(seeds)

@@ -141,14 +141,17 @@ def load_baselines() -> dict:
     return json.loads(text)
 
 
+def output_root() -> Path:
+    """SEMIWKB_OUTDIR, or ./semiwkb-out when it is unset or empty."""
+    return Path(os.environ.get(OUTDIR_ENV) or "semiwkb-out")
+
+
 def resolve_outdir(spec: ExperimentSpec, outdir=None) -> Path:
     if outdir is not None:
         return Path(outdir)
     if spec.outdir is not None:
         return Path(spec.outdir)
-    env = os.environ.get(OUTDIR_ENV)
-    root = Path(env) if env else Path("semiwkb-out")
-    return root / spec.name
+    return output_root() / spec.name
 
 
 def write_table(path, header, rows) -> None:
@@ -252,14 +255,14 @@ def _exact_by_center(spec, model, record):
     return states
 
 
-def _compare(spec, model, case, t, exact_t, thawed):
-    """Extended WKB, and the thawed Gaussian when ``thawed``, against the
-    exact state at t.  Returns the extended-WKB result and the report entry
-    the comparison kinds share."""
+def _compare(spec, model, case, t, exact_t, thawed, profile):
+    """Extended WKB of ``profile``, and the thawed Gaussian when ``thawed``,
+    against the exact state at t.  Returns the extended-WKB result and the
+    report entry the comparison kinds share."""
     with _stage(f"extwkb {case.label} t={t:g}"):
         r = propagate_extended_wkb(
             model, QuadraticPhase(case.center[0], case.center[1], case.slope),
-            profile_for_slope(case.slope), spec.hbar, t, spec.grid)
+            profile, spec.hbar, t, spec.grid)
     fid_thawed = None
     if thawed:
         with _stage(f"thawed {case.label} t={t:g}"):
@@ -285,9 +288,10 @@ def _run_exactness(spec, model, outdir, record):
     finals = {}
     for case in spec.cases:
         per_time = []
+        profile = profile_for_slope(case.slope)
         for t in spec.times:
             e = exact[case.center].samples[float(t)]
-            r, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods)
+            r, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods, profile)
             diff = r.state.values - e.values
             entry.update(
                 l2_distance=math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx)),
@@ -381,18 +385,19 @@ def _run_backward_profiles(spec, model, outdir, record):
     base = load_baselines().get("kicked_harmonic", {})
     case = spec.cases[0]
     phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
+    profile = profile_for_slope(case.slope)
     ref = _exact_by_center(spec, model, record)[case.center]
 
     fid_rows = []
     per_time = []
     for t in spec.times:
         e = ref.samples[float(t)]
-        fwd, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods)
-        # the backward test reuses the forward run's dispersed amplitude and
-        # map (the pipeline's memo), so the map diagnostics in entry are its too
+        fwd, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods, profile)
+        # the backward test on the same profile object reuses the forward run's
+        # dispersed amplitude and map (the pipeline's cache), so the map
+        # diagnostics in entry are its too
         with _stage(f"backward t={t:g}"):
-            back = backward_wkb_test(model, phase0, profile_for_slope(case.slope),
-                                     spec.hbar, t, spec.grid, e)
+            back = backward_wkb_test(model, phase0, profile, spec.hbar, t, spec.grid, e)
         dphi_exact = _phase_derivative(back.u, back.exact_profile)
         dphi_meta = _phase_derivative(back.u, back.metaplectic_profile)
         write_table(outdir / f"backward_profile_t{t:g}.csv",
@@ -449,7 +454,8 @@ def _run_slope_sweep(spec, model, outdir, record):
     per_case = []
     for case in spec.cases:
         _, entry = _compare(spec, model, case, t_final,
-                            exact[case.center].samples[float(t_final)], thawed=False)
+                            exact[case.center].samples[float(t_final)], thawed=False,
+                            profile=profile_for_slope(case.slope))
         per_case.append({"label": case.label, "slope": case.slope, **{
             k: entry[k] for k in ("fidelity", "window", "caustic_margin",
                                   "non_contraction_certificate")}})

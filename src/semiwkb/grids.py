@@ -18,6 +18,7 @@ and the inverse returns the very position grid the forward transform read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -39,10 +40,27 @@ __all__ = [
 ]
 
 N_EDGE = 4  # the cells at each end of a grid that the edge fractions read
+SEAM_TOL = 1e-14  # edge-cell amplitude, relative to the peak, that closes a sub-grid
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
+    """(start, size) of the smallest power-of-two block of at least ``m``
+    grid points about the index range [lo, hi) whose N_EDGE edge cells at
+    each end hold at most SEAM_TOL of the peak of ``mags``, or (0, n) for
+    the whole grid of n points: the blocks transport and metaplectic use."""
+    n = mags.size
+    tol = SEAM_TOL * mags.max()
+    m = min(n, max(m, 1 << (hi - lo - 1).bit_length()))
+    while True:
+        start = min(max((lo + hi - m) // 2, 0), n - m)
+        block = mags[start:start + m]
+        if m == n or max(block[:N_EDGE].max(), block[-N_EDGE:].max()) <= tol:
+            return start, m
+        m *= 2
 
 
 @dataclass(frozen=True)
@@ -52,10 +70,10 @@ class GridSpec:
     Parameters
     ----------
     x_min, x_max : float
-        Domain endpoints; ``x_max`` is excluded from the sample points.
+        Finite domain endpoints; ``x_max`` is excluded from the sample points.
     n_points : int
-        Number of samples, a power of two (>= 2) so transforms stay exact
-        and fast.
+        Number of samples, an integer power of two (>= 2) so transforms stay
+        exact and fast.
     """
 
     x_min: float
@@ -63,9 +81,10 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise InvalidInputError(f"empty domain [{self.x_min}, {self.x_max}]")
-        if not _is_power_of_two(self.n_points):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
+                and self.x_max > self.x_min):
+            raise InvalidInputError(f"domain [{self.x_min}, {self.x_max}] is empty or not finite")
+        if not (isinstance(self.n_points, numbers.Integral) and _is_power_of_two(self.n_points)):
             raise InvalidInputError(f"n_points must be a power of two >= 2, got {self.n_points}")
 
     @property

@@ -14,19 +14,19 @@ the commuted variant is deliberately not offered.
 
 The forward run and the backward test share one computed core: the
 dispersed amplitude M_q(t) L_q a, the map T(t) and the phase factor
-exp(i S/hbar) on the map's image.  A private one-entry memo keeps the last
-core, so a backward test that follows the forward run on the same model,
-phase, profile samples, hbar, t, grid, window and side reuses it instead
-of refining the seed fan again.  Like the model, the profile is keyed by
-identity and taken as a pure function: the same object at the same q,
-hbar and grid is not sampled again, at any t; any other object is sampled
-and compared by its samples.  The entry (about 1 MB at 8192 grid points)
-lives until the next call with different inputs replaces it; its arrays
-are read-only.
+exp(i S/hbar) on the map's image.  The core is a one-entry
+functools.lru_cache on the chain's arguments, so a backward test that
+follows the forward run on the same model, phase, profile, hbar, t, grid,
+window and side reuses it instead of refining the seed fan again.  The
+model and the profile are keyed by identity and taken as pure functions;
+the profile's samples have a one-entry cache of their own, so the same
+object at the same q, hbar and grid is not sampled again, at any t.  The
+entry (about 1 MB at 8192 grid points) lives until a call with other
+arguments replaces it; its arrays are read-only.
 
 The dispersion is one loop of plain FFTs over power-of-two blocks about the
 packet, with the whole grid as the last block: the block rule is the
-transport's (transport._seam_block), applied to the span the dispersed
+transport's (grids.seam_block), applied to the span the dispersed
 packet reaches, which the first block's spectrum gives (see
 apply_metaplectic).
 
@@ -39,16 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
 from .dynamics import flow_samples, kick_times
-from .grids import GridSpec, WaveFunction, edge_mass_fraction
+from .grids import SEAM_TOL, GridSpec, WaveFunction, edge_mass_fraction, seam_block
 from .hamiltonians import PhasePoint, QuadraticPhase
-from .transport import (CAUSTIC_THRESHOLD, SEAM_TOL, TransportMap, _seam_block,
-                        evolved_phase, refined_transport_map, transport_operator_adjoint)
+from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
+                        transport_operator_adjoint)
 
 __all__ = [
     "PropagationResult",
@@ -186,8 +187,8 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
 
     One loop of plain FFTs over power-of-two blocks of grid points, the
     whole grid being the last; the result is zero outside the block it was
-    computed on.  The first block follows the transport's rule
-    (transport._seam_block) about the cells above SEAM_TOL of the peak,
+    computed on.  The first block follows the block rule the transport
+    uses (grids.seam_block) about the cells above SEAM_TOL of the peak,
     [lo, hi).  The multiplier moves momentum xi by C_t*xi, so that block's
     band [xi_lo, xi_hi] above SEAM_TOL of its spectral peak widens the span
     to [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus 4 cells at
@@ -209,7 +210,7 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
     mags = np.abs(amplitude.values)
     live = np.flatnonzero(mags > SEAM_TOL * mags.max())
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, n)
-    start, m = _seam_block(mags, lo, hi)
+    start, m = seam_block(mags, lo, hi)
     sized = m == n
     while True:
         hat = np.fft.fft(amplitude.values[start:start + m])
@@ -225,7 +226,7 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
             band = xi[spec > SEAM_TOL * peak]
             lo = lo - 4 + math.floor(min(0.0, c_t * band.min()) / dx)
             hi = hi + 4 + math.ceil(max(0.0, c_t * band.max()) / dx)
-            reach = _seam_block(mags, lo, hi, m) if lo >= 0 and hi <= n else (0, n)
+            reach = seam_block(mags, lo, hi, m) if lo >= 0 and hi <= n else (0, n)
             if reach != (start, m):
                 start, m = reach
                 continue
@@ -278,31 +279,55 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
     return x_lo, x_hi
 
 
-@dataclass(eq=False)
-class _Core:
-    """What _semiclassical computed, and the inputs it computed it from."""
+class _Same:
+    """Hashes and compares by identity, whatever the object's own equality."""
 
-    model: object
-    profile: object
-    sampling: tuple
-    key: tuple
-    a0: WaveFunction
-    dispersed: WaveFunction
-    deficit: float
-    tmap: TransportMap
-    inside: np.ndarray
-    phase_factor: np.ndarray
-    metadata: dict
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and other.obj is self.obj
 
 
-# the one-entry memo: the last core _semiclassical computed
-_last_core = None
+@lru_cache(maxsize=1)
+def _scaled(profile: _Same, q: float, hbar: float, grid: GridSpec) -> WaveFunction:
+    """apply_L of the profile; one profile object is sampled once at any t."""
+    a0 = apply_L(profile.obj, q, hbar, grid)
+    a0.values.flags.writeable = False
+    return a0
 
 
-def _gate_deficit(deficit: float, deficit_tol) -> None:
-    if deficit_tol is not None and deficit > deficit_tol:
-        raise BoundaryMassError(
-            f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
+@lru_cache(maxsize=1)
+def _core(model: _Same, phase0: QuadraticPhase, profile: _Same, hbar: float, t: float,
+          grid: GridSpec, window, side: str) -> tuple:
+    """The chain _semiclassical shares, cached on its argument list."""
+    q = phase0.q0
+    a0 = _scaled(profile, q, hbar, grid)
+    c_t = center_kernel(model.obj, phase0, q, t)
+    dispersed = apply_metaplectic(c_t, a0)
+    win = window if window is not None else mass_quantile_window(dispersed)
+    win = (float(win[0]), float(win[1]))
+    x = grid.x
+    outside = (x < win[0]) | (x > win[1])
+    deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
+    deficit /= dispersed.norm_sq
+    tmap = refined_transport_map(model.obj, phase0, win, t, dispersed, side=side)
+    img_lo, img_hi = tmap.image_interval
+    inside = (x >= img_lo) & (x <= img_hi)
+    phase_factor = np.exp(1j * evolved_phase(tmap, x[inside]) / hbar)
+    metadata = {
+        "c_t": c_t,
+        "window": win,
+        "n_seeds": tmap.bundle.n_seeds,
+        "non_contraction_certificate": tmap.non_contraction_certificate,
+        "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
+    }
+    for arr in (dispersed.values, tmap.transported.values, inside, phase_factor):
+        arr.flags.writeable = False
+    return a0, dispersed, deficit, tmap, inside, phase_factor, metadata
 
 
 def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
@@ -313,15 +338,8 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
     the map on it, and evaluate the evolved phase on the grid points inside
     the map's image.  The fraction of the dispersed mass outside the window
     is always measured; with a ``deficit_tol``, a larger fraction raises
-    BoundaryMassError, before any map is built.
-
-    The last result is kept and returned again while the model (by
-    identity), phase0, hbar, t, grid, side, window and the scaled profile
-    samples are unchanged.  The profile, like the model, is keyed by
-    identity and taken as a pure function: the same object at the same q,
-    hbar and grid reuses the last samples, whatever else changed; any other
-    object is sampled, and its samples decide.  The gate applies to every
-    call, computed or not.
+    BoundaryMassError, on a cache hit too.  The chain and the profile's
+    samples each keep one entry (see the module docstring).
 
     Returns (a0, dispersed, deficit, tmap, inside, phase_factor, metadata),
     phase_factor being exp(i S/hbar) at the grid points inside the image;
@@ -329,49 +347,14 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
     diagnostics both pipelines report about the kernel and the map, is a
     fresh dict each call.
     """
-    global _last_core
-    q = phase0.q0
-    sampling = (q, hbar, grid)
-    core = _last_core if _last_core is not None and _last_core.sampling == sampling else None
-    if core is not None and core.profile is profile_a:
-        a0 = core.a0
-    else:
-        a0 = apply_L(profile_a, q, hbar, grid)
-    _check_time(t)
     if window is not None:
         window = (float(window[0]), float(window[1]))
-    key = (phase0, t, side, window)
-    if (core is not None and core.model is model and core.key == key
-            and (a0 is core.a0 or np.array_equal(core.a0.values, a0.values))):
-        _gate_deficit(core.deficit, deficit_tol)
-    else:
-        c_t = center_kernel(model, phase0, q, t)
-        dispersed = apply_metaplectic(c_t, a0)
-        win = window if window is not None else mass_quantile_window(dispersed)
-        win = (float(win[0]), float(win[1]))
-        x = grid.x
-        outside = (x < win[0]) | (x > win[1])
-        deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
-        deficit /= dispersed.norm_sq
-        _gate_deficit(deficit, deficit_tol)
-        tmap = refined_transport_map(model, phase0, win, t, dispersed, side=side)
-        img_lo, img_hi = tmap.image_interval
-        inside = (x >= img_lo) & (x <= img_hi)
-        phase_factor = np.exp(1j * evolved_phase(tmap, x[inside]) / hbar)
-        metadata = {
-            "c_t": c_t,
-            "window": win,
-            "n_seeds": tmap.bundle.n_seeds,
-            "non_contraction_certificate": tmap.non_contraction_certificate,
-            "caustic_margin": float(np.min(tmap.bundle.dphi_t)),
-        }
-        for arr in (a0.values, dispersed.values, tmap.transported.values, inside, phase_factor):
-            arr.flags.writeable = False
-        core = _Core(model, profile_a, sampling, key, a0, dispersed, deficit, tmap, inside,
-                     phase_factor, metadata)
-        _last_core = core
-    return (core.a0, core.dispersed, core.deficit, core.tmap, core.inside, core.phase_factor,
-            dict(core.metadata))
+    a0, dispersed, deficit, tmap, inside, phase_factor, metadata = _core(
+        _Same(model), phase0, _Same(profile_a), hbar, t, grid, window, side)
+    if deficit_tol is not None and deficit > deficit_tol:
+        raise BoundaryMassError(
+            f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
+    return a0, dispersed, deficit, tmap, inside, phase_factor, dict(metadata)
 
 
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
@@ -488,7 +471,7 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     The dispersed amplitude and the transport map are the ones
     propagate_extended_wkb builds from the same arguments: when the forward
     run on those arguments was the last pipeline call, they are taken from
-    its memo and not built again.  The window is never gated here.
+    its cache and not built again.  The window is never gated here.
     """
     if psi_exact.grid != grid:
         raise InvalidInputError(f"psi_exact lives on {psi_exact.grid}, not on {grid}")

@@ -38,7 +38,7 @@ for the pull-back, the image for the push-forward).  The nodes cover the
 smallest power-of-two block of grid points about the span whose 4 edge
 cells at each end hold at most SEAM_TOL of the peak, or the whole grid, so
 the block's periodic seam shows only at rounding level.  One helper,
-_seam_block, applies this rule, here and in metaplectic.apply_metaplectic,
+grids.seam_block, applies this rule, here and in metaplectic.apply_metaplectic,
 which disperses the packet on such a block.  One FFT of the block, moved
 to each sub-cell offset and multiplied by 1, i*k and -k^2, gives the exact
 values, slopes and second derivatives of its trigonometric interpolant at
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import CausticError, ConvergenceError, InvalidInputError, OutOfDomainError
 from .dynamics import flow_bundle
-from .grids import WaveFunction
+from .grids import WaveFunction, seam_block
 from .hamiltonians import QuadraticPhase
 
 __all__ = [
@@ -78,7 +78,6 @@ FIRST_SEEDS = 65     # seeds of the first refinement round; each round halves th
 REFINE_TOL = 1e-8    # relative L2 change of the transported amplitude that ends refinement
 MAX_ROUNDS = 6
 OVERSAMPLE = 2       # the amplitude interpolant's nodes are this many times finer
-SEAM_TOL = 1e-14     # edge-cell amplitude, relative to the peak, that closes a sub-grid
 
 
 @dataclass(eq=False, frozen=True)
@@ -331,28 +330,12 @@ def evolved_phase(tmap: TransportMap, y):
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
-def _seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
-    """(start, size) of the smallest power-of-two block of at least ``m``
-    grid points about the index range [lo, hi) whose 4 edge cells at each
-    end hold at most SEAM_TOL of the peak of ``mags``, or (0, n) for the
-    whole grid of n points."""
-    n = mags.size
-    tol = SEAM_TOL * mags.max()
-    m = min(n, max(m, 1 << (hi - lo - 1).bit_length()))
-    while True:
-        start = min(max((lo + hi - m) // 2, 0), n - m)
-        block = mags[start:start + m]
-        if m == n or max(block[:4].max(), block[-4:].max()) <= tol:
-            return start, m
-        m *= 2
-
-
 def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAMPLE) -> _Quintic:
     """Interpolant of the amplitude on ``span`` (see the module docstring)."""
     grid, n = amplitude.grid, amplitude.grid.n_points
     lo = min(max(math.floor((span[0] - grid.x_min) / grid.dx), 0), n - 1)
     hi = min(max(math.ceil((span[1] - grid.x_min) / grid.dx), lo + 1), n)
-    start, m = _seam_block(np.abs(amplitude.values), lo, hi)
+    start, m = seam_block(np.abs(amplitude.values), lo, hi)
     block = amplitude.values[start:start + m]
     spec = np.fft.fft(block)
     ik = 2j * np.pi * np.fft.fftfreq(m, d=grid.dx)

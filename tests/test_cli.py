@@ -182,6 +182,35 @@ def test_outdir_env_is_honored(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envout" / "propagate_state.csv").exists()
 
 
+def test_empty_outdir_env_means_the_default_root(tmp_path, capsys, monkeypatch):
+    # an empty SEMIWKB_OUTDIR is unset for every subcommand, as for `run`
+    monkeypatch.setenv("SEMIWKB_OUTDIR", "")
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(["manifold", "--model", "free", "--t", "0.5"], capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["semiwkb-out"]
+    assert (tmp_path / "semiwkb-out" / "manifold_manifold.csv").exists()
+    spec = sw.get_builtin_spec("kho-lyapunov")
+    assert sw.resolve_outdir(spec) == Path("semiwkb-out") / spec.name
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--window", "1"], "LO,HI"),
+    (["--window", "a,b"], "LO,HI"),
+    (["--window=1,-1"], "LO < HI"),
+    (["--window=0,inf"], "LO < HI"),
+    (["--n-seeds", "0"], "--n-seeds"),
+    (["--n-seeds=-3"], "--n-seeds"),
+], ids=["one-value", "not-numbers", "reversed", "infinite", "no-seeds", "negative-seeds"])
+def test_manifold_malformed_input_exits_2(tmp_path, capsys, flags, message):
+    code, _, err = run_cli(["manifold", "--model", "free", "--t", "0.5",
+                            "--out", str(tmp_path)] + flags, capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "manifold_manifold.csv").exists()
+
+
 def test_bad_grid_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         ["propagate", "--model", "free", "--hbar", "0.05",

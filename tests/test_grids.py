@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.errors import BandwidthError, GridMismatchError
+from semiwkb.errors import BandwidthError, GridMismatchError, InvalidInputError
 from semiwkb.grids import conjugate_grid
 from wigner import wigner_function
 
@@ -30,6 +30,20 @@ def test_grid_spec_geometry():
     with pytest.raises(ValueError):
         x[0] = 0.0
     assert g == sw.GridSpec(-2.0, 6.0, 16) and hash(g) == hash(sw.GridSpec(-2.0, 6.0, 16))
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, math.inf, 8), (-math.inf, 1.0, 8), (-1.0, 1.0, 8.0), (-1.0, 1.0, "8"),
+    (-1.0, 1.0, 12), (1.0, -1.0, 8),
+], ids=["inf-max", "inf-min", "float-count", "str-count", "not-power-of-two", "reversed"])
+def test_grid_spec_refuses_bad_bounds_and_counts(args):
+    with pytest.raises(InvalidInputError):
+        sw.GridSpec(*args)
+
+
+def test_grid_spec_takes_numpy_integer_counts():
+    g = sw.GridSpec(-1.0, 1.0, np.int64(8))
+    assert g == sw.GridSpec(-1.0, 1.0, 8) and g.x.size == 8
 
 
 def test_conjugate_grid_is_involutive_in_spacing():

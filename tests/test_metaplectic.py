@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb import metaplectic, transport
+from semiwkb import grids, metaplectic, transport
 from semiwkb.dynamics import LagrangianLine
 from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
@@ -144,7 +144,7 @@ def test_block_dispersion_doubles_a_block_the_packet_spreads_into():
     # it reaches past |x| = 2, which the block must double to hold
     amp = apply_L(gaussian_profile, 0.0, HBAR, GRID)
     x = GRID.x
-    live = x[np.abs(amp.values) > transport.SEAM_TOL * np.abs(amp.values).max()]
+    live = x[np.abs(amp.values) > grids.SEAM_TOL * np.abs(amp.values).max()]
     assert -2.0 < live[0] and live[-1] < 2.0
     out = apply_metaplectic(1.0, amp).values
     expect = whole_grid_dispersion(1.0, amp)
@@ -619,14 +619,16 @@ def test_backward_comparison_on_free_particle():
 
 
 # the forward run and the backward test share one core through the
-# pipeline's one-entry memo; the _shared_* calls make a free-particle pair
+# pipeline's one-entry cache; the _shared_* calls make a free-particle pair
+# on one profile object, since the cache keys the profile by identity
 SHARED_PHASE = QuadraticPhase(0.3, 0.0, 0.5)
+SHARED_PROFILE = profile_for_slope(0.5)
 SHARED_T = 1.2
 
 
 def _shared_args(**change):
     return {"model": sw.FreeParticle(), "phase0": SHARED_PHASE,
-            "profile_a": profile_for_slope(0.5), "hbar": HBAR, "t": SHARED_T, "grid": GRID,
+            "profile_a": SHARED_PROFILE, "hbar": HBAR, "t": SHARED_T, "grid": GRID,
             **change}
 
 
@@ -639,7 +641,7 @@ def _shared_backward(psi_exact=None, **change):
 
 @pytest.fixture
 def refinements(monkeypatch):
-    """Empty memo; records each seed refinement the pipeline core makes."""
+    """Empty caches; records each seed refinement the pipeline core makes."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -648,7 +650,8 @@ def refinements(monkeypatch):
 
     # metaplectic binds the name at import, so the counter goes where it looks
     monkeypatch.setattr(metaplectic, "refined_transport_map", counting)
-    monkeypatch.setattr(metaplectic, "_last_core", None)
+    metaplectic._core.cache_clear()
+    metaplectic._scaled.cache_clear()
     return calls
 
 
@@ -658,25 +661,19 @@ def test_backward_test_reuses_the_forward_core_bit_for_bit(refinements):
     exact = sw.exact_state(model, psi0, SHARED_T).state
     cold = _shared_backward(exact, model=model)
     assert len(refinements) == 1
-    metaplectic._last_core = None
+    metaplectic._core.cache_clear()
     fwd = propagate_extended_wkb(**_shared_args(model=model))
-    # a fresh profile closure with the same samples still hits
-    warm = _shared_backward(exact, model=model, profile_a=profile_for_slope(0.5))
+    warm = _shared_backward(exact, model=model)
     assert len(refinements) == 2
-    # another object is sampled each time it comes, and its samples decide
-    sampled = []
-
-    def fresh(u):
-        sampled.append(u)
-        return profile_for_slope(0.5)(u)
-
-    again = _shared_backward(exact, model=model, profile_a=fresh)
-    assert len(refinements) == 2 and len(sampled) == 1
-    assert again.l2_distance == warm.l2_distance
-    for name in ("u", "exact_profile", "metaplectic_profile"):
-        assert np.array_equal(getattr(cold, name), getattr(warm, name))
-    assert cold.l2_distance == warm.l2_distance
-    assert cold.metadata == warm.metadata
+    # another profile object is another key: a fresh closure with the same
+    # samples is computed again, to the same bits
+    again = _shared_backward(exact, model=model, profile_a=profile_for_slope(0.5))
+    assert len(refinements) == 3
+    for other in (warm, again):
+        for name in ("u", "exact_profile", "metaplectic_profile"):
+            assert np.array_equal(getattr(cold, name), getattr(other, name))
+        assert cold.l2_distance == other.l2_distance
+        assert cold.metadata == other.metadata
     assert {k: fwd.metadata[k] for k in warm.metadata} == warm.metadata
 
 
@@ -695,8 +692,33 @@ def test_one_refinement_per_state_and_time(refinements, change):
     assert len(refinements) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": sw.GridSpec(GRID.x_min, GRID.x_max, GRID.n_points)},
+    {"phase0": QuadraticPhase(0.3, 0.0, 0.5)},
+], ids=["grid", "phase0"])
+def test_equal_values_built_anew_hit_the_cache(refinements, change):
+    model = sw.FreeParticle()
+    propagate_extended_wkb(**_shared_args(model=model))
+    _shared_backward(**{"model": model, **change})
+    assert len(refinements) == 1
+
+
+def test_a_model_without_a_hash_is_keyed_by_identity(refinements):
+    class EqualFree(sw.FreeParticle):
+        def __eq__(self, other):
+            return isinstance(other, EqualFree)
+
+    assert EqualFree.__hash__ is None
+    model = EqualFree()
+    propagate_extended_wkb(**_shared_args(model=model))
+    _shared_backward(model=model)
+    assert len(refinements) == 1
+    _shared_backward(model=EqualFree())
+    assert len(refinements) == 2
+
+
 def test_one_profile_object_is_sampled_once(refinements):
-    # the memo keys the profile by identity, like the model: passed again at
+    # the cache keys the profile by identity, like the model: passed again at
     # the same q, hbar and grid, the same object is not sampled again, at any t
     base, calls = profile_for_slope(0.5), []
 

@@ -444,11 +444,14 @@ def test_one_map_inversion_per_forward_run(monkeypatch):
         return _invert(phi, y)
 
     monkeypatch.setattr(transport, "_invert", counting)
-    monkeypatch.setattr(metaplectic, "_last_core", None)
+    metaplectic._core.cache_clear()
     grid = sw.GridSpec(-4.0, 4.0, 8192)
     model, phase0 = sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0)
     sw.propagate_extended_wkb(model, phase0, sw.gaussian_profile, 8e-4, 4.0, grid)
-    assert sizes == [np.count_nonzero(metaplectic._last_core.inside)] == [5611]
+    # the same arguments hit the core the forward run cached
+    inside = metaplectic._semiclassical(model, phase0, sw.gaussian_profile, 8e-4, 4.0,
+                                        grid, None, "minus")[4]
+    assert sizes == [np.count_nonzero(inside)] == [5611]
 
 
 # model, seeded window and time of a caustic-free fan, for the nested rounds
