@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
+from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent, period_tangent
 from .errors import SemiwkbError
 from .experiments import (MODEL_NAMES, build_model, builtin_specs, get_builtin_spec,
                           initial_coherent_state, load_spec_file, output_root,
@@ -86,7 +86,7 @@ def _parse_window(text: str) -> tuple:
 
 def _slope(args) -> float:
     if args.theta_over_halfpi is not None:
-        return math.tan(args.theta_over_halfpi * math.pi / 2.0)
+        return QuadraticPhase.from_theta(args.theta_over_halfpi * math.pi / 2.0).alpha
     return args.alpha if args.alpha is not None else 0.0
 
 
@@ -192,10 +192,12 @@ def _cmd_manifold(args) -> int:
 
 def _cmd_lyapunov(args) -> int:
     model = build_model(args.model, vars(args))
+    origin = PhasePoint(0.0, 0.0)
     if args.model == "barrier":
+        period_tangent(model, origin, args.period)  # refuses a bad --period
         lam = model.lam
     else:
-        lam = lyapunov_exponent(model, PhasePoint(0.0, 0.0), args.period)
+        lam = lyapunov_exponent(model, origin, args.period)
     lines = [f"lambda = {lam:.9f}"]
     for hb in args.hbars:
         lines.append(f"T_E(hbar={hb:g}) = {ehrenfest_time(lam, hb):.9f}")

@@ -113,20 +113,14 @@ class LagrangianLine:
 
 
 def _advance(fb: FlowBundle, segment) -> None:
-    """Compose a segment's (p, q, tangent, action) onto the bundle; while the
-    bundle's tangent is still the identity (None) it takes the segment's."""
+    """Compose a segment's (p, q, tangent, action) onto the bundle."""
     fb.p, fb.q, tangent, action = segment
-    if fb.tangent is None:
-        fb.tangent = np.tile(tangent, (fb.p.size, 1, 1)) if tangent.ndim == 2 else tangent
-    else:
-        sub = "ab,nbc->nac" if tangent.ndim == 2 else "nab,nbc->nac"
-        fb.tangent = np.einsum(sub, tangent, fb.tangent)
+    sub = "ab,nbc->nac" if tangent.ndim == 2 else "nab,nbc->nac"
+    fb.tangent = np.einsum(sub, tangent, fb.tangent)
     fb.action += action
 
 
 def _kick(model, fb: FlowBundle) -> None:
-    if fb.tangent is None:
-        fb.tangent = np.tile(np.eye(2), (fb.p.size, 1, 1))
     fb.p, slope, jump = model.kick(fb.p, fb.q)
     fb.action += jump
     fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
@@ -134,8 +128,7 @@ def _kick(model, fb: FlowBundle) -> None:
 
 
 def _copy(fb: FlowBundle) -> FlowBundle:
-    tangent = None if fb.tangent is None else fb.tangent.copy()
-    return FlowBundle(fb.p.copy(), fb.q.copy(), tangent, fb.action.copy())
+    return FlowBundle(fb.p.copy(), fb.q.copy(), fb.tangent.copy(), fb.action.copy())
 
 
 def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
@@ -166,7 +159,7 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
             f"sample times must be non-decreasing, or fall from 0, got {times}")
     segment = model.segment_flow
 
-    fb = FlowBundle(p.copy(), q.copy(), None, np.zeros_like(p))
+    fb = FlowBundle(p.copy(), q.copy(), np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p))
     prev, fired, out = 0.0, 0, []
     last = len(times) - 1
     for i, t in enumerate(times):
@@ -180,8 +173,6 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
         sample = fb if i == last else _copy(fb)
         if t != prev:
             _advance(sample, segment(t - prev, sample.p, sample.q))
-        if sample.tangent is None:
-            sample.tangent = np.tile(np.eye(2), (p.size, 1, 1))
         out.append(sample)
     return out
 
@@ -199,6 +190,8 @@ def flow(model, start: PhasePoint, t, *, side: str = "minus") -> FlowResult:
 def period_tangent(model, fixed_point: PhasePoint, period: float = 1.0) -> np.ndarray:
     """One-period tangent map at a fixed point; for kicked models the period
     opens with its kick, so sampling at t=period stays just before the next."""
+    if not (math.isfinite(period) and period > 0):
+        raise InvalidInputError(f"period must be finite and positive, got {period}")
     fr = flow(model, fixed_point, period, side="minus")
     drift = math.hypot(fr.end_point.p - fixed_point.p, fr.end_point.q - fixed_point.q)
     scale = 1.0 + math.hypot(fixed_point.p, fixed_point.q)

@@ -120,6 +120,11 @@ def build_model(name: str, params=()):
     return make({**defaults, **{k: v for k, v in dict(params).items() if k in defaults}})
 
 
+def _slope_of(theta_over_halfpi: float) -> float:
+    """Slope tan(theta) of an angle given in units of pi/2, inside (-1, 1)."""
+    return QuadraticPhase.from_theta(theta_over_halfpi * math.pi / 2.0).alpha
+
+
 def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
     """Plain Gaussian wave packet at a phase-space point (p, q).
 
@@ -618,10 +623,10 @@ def builtin_specs() -> list:
             grid=GridSpec(-4.0, 4.0, 8192),
             methods=("extwkb", "exact"),
             cases=(
-                Case("-0.30", math.tan(-0.30 * math.pi / 2.0), (0.0, 0.0)),
+                Case("-0.30", _slope_of(-0.30), (0.0, 0.0)),
                 Case("0.00", 0.0, (0.0, 0.0)),
-                Case("+0.35", math.tan(0.35 * math.pi / 2.0), (0.0, 0.0)),
-                Case("+0.65", math.tan(0.65 * math.pi / 2.0), (0.0, 0.0)),
+                Case("+0.35", _slope_of(0.35), (0.0, 0.0)),
+                Case("+0.65", _slope_of(0.65), (0.0, 0.0)),
             )),
         ExperimentSpec(
             name="kho-lyapunov", kind="lyapunov", model="kho",
@@ -667,7 +672,7 @@ def load_spec_file(path) -> ExperimentSpec:
             sec = cp[section]
             label = section[len("case "):].strip()
             if "theta_over_halfpi" in sec:
-                slope = math.tan(sec.getfloat("theta_over_halfpi") * math.pi / 2.0)
+                slope = _slope_of(sec.getfloat("theta_over_halfpi"))
             else:
                 slope = sec.getfloat("slope", 0.0)
             cases.append(Case(label, slope,

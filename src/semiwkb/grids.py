@@ -13,6 +13,14 @@ On the grid the conjugate momenta are ``xi_k = 2*pi*hbar*k/(x_max - x_min)``
 with ``k`` centred about zero, so the transform is realised exactly by a DFT
 plus an ``exp(-i*x_min*xi/hbar)`` phase; round trips are exact to rounding,
 and the inverse returns the very position grid the forward transform read.
+
+Three grid guards are coded here and nowhere else.  Edge amplitude: a block
+closes once its edge cells, the N_EDGE cells at each end (edge_cells), hold
+at most SEAM_TOL = 1e-14 of its peak.  Edge mass: a state has wrapped around
+once its edge cells hold more than EDGE_MASS_TOL = 1e-12 of its mass
+(edge_mass_fraction).  Band limit: a spectrum is band-limited while its
+2*N_EDGE cells about Nyquist (nyquist_cells) stay at most BAND_TOL = 1e-8
+of its peak.
 """
 
 from __future__ import annotations
@@ -34,17 +42,29 @@ __all__ = [
     "overlap",
     "band_mass",
     "refine_wavefunction",
-    "edge_amplitude_fraction",
     "edge_mass_fraction",
     "spectral_edge_fraction",
 ]
 
-N_EDGE = 4  # the cells at each end of a grid that the edge fractions read
+N_EDGE = 4  # the cells at each end of a grid that the edge guards read
 SEAM_TOL = 1e-14  # edge-cell amplitude, relative to the peak, that closes a sub-grid
+BAND_TOL = 1e-8  # Nyquist-cell spectrum, relative to its peak, of a band-limited state
+EDGE_MASS_TOL = 1e-12  # edge-cell mass, relative to the total, of a state that has not wrapped
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def edge_cells(a: np.ndarray):
+    """Largest of the N_EDGE cells at each end of ``a``."""
+    return max(a[:N_EDGE].max(), a[-N_EDGE:].max())
+
+
+def nyquist_cells(spec: np.ndarray):
+    """Largest of the 2*N_EDGE cells about Nyquist of magnitudes in FFT order."""
+    half = spec.size // 2
+    return spec[max(half - N_EDGE, 0):half + N_EDGE].max()
 
 
 def seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
@@ -58,7 +78,7 @@ def seam_block(mags: np.ndarray, lo: int, hi: int, m: int = 8) -> tuple:
     while True:
         start = min(max((lo + hi - m) // 2, 0), n - m)
         block = mags[start:start + m]
-        if m == n or max(block[:N_EDGE].max(), block[-N_EDGE:].max()) <= tol:
+        if m == n or edge_cells(block) <= tol:
             return start, m
         m *= 2
 
@@ -138,8 +158,8 @@ class WaveFunction:
                 f"values shape {self.values.shape} does not match grid with "
                 f"{self.grid.n_points} points"
             )
-        if not self.hbar > 0:
-            raise InvalidInputError(f"hbar must be positive, got {self.hbar}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidInputError(f"hbar must be finite and positive, got {self.hbar}")
 
     @property
     def norm_sq(self) -> float:
@@ -301,25 +321,15 @@ def band_mass(
     return float(mass)
 
 
-def edge_amplitude_fraction(psi: WaveFunction) -> float:
-    """Largest |psi| within N_EDGE cells of either boundary, relative to max."""
-    mags = np.abs(psi.values)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0.0
-    return float(max(mags[:N_EDGE].max(), mags[-N_EDGE:].max()) / peak)
-
-
 def edge_mass_fraction(psi: WaveFunction) -> float:
     """Mass within N_EDGE cells of either boundary, relative to the total."""
     mags2 = np.abs(psi.values) ** 2
     total = mags2.sum()
-    if total == 0.0:
-        return 0.0
-    return float((mags2[:N_EDGE].sum() + mags2[-N_EDGE:].sum()) / total)
+    return float((mags2[:N_EDGE].sum() + mags2[-N_EDGE:].sum()) / total) if total else 0.0
 
 
 def spectral_edge_fraction(psi: WaveFunction) -> float:
-    """Relative spectral amplitude near the Nyquist edges (aliasing probe)."""
-    spec = hbar_fourier_transform(psi, "forward")
-    return edge_amplitude_fraction(spec)
+    """Nyquist cells of the spectrum relative to its peak (aliasing probe)."""
+    spec = np.abs(np.fft.fft(psi.values))
+    peak = spec.max()
+    return float(nyquist_cells(spec) / peak) if peak else 0.0

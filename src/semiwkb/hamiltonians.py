@@ -72,6 +72,11 @@ class QuadraticPhase:
         return PhasePoint(self.p0, self.q0)
 
 
+def _check_side(side) -> None:
+    if side not in ("minus", "plus"):
+        raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
+
+
 def kick_times(t: float, side: str = "minus") -> list:
     """Integer kick times a flow over [0, t] must apply, in order.
 
@@ -81,9 +86,8 @@ def kick_times(t: float, side: str = "minus") -> list:
     also applies the kick at t, which then must be an integer >= 0.
     """
     if not (math.isfinite(t) and t >= 0):
-        raise InvalidInputError(f"kicked flows run forward over a finite time, got t={t}")
-    if side not in ("minus", "plus"):
-        raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
+        raise InvalidInputError(f"the kick schedule covers a finite time t >= 0, got t={t}")
+    _check_side(side)
     kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))
     if side == "plus":
         r = round(t)
@@ -116,7 +120,8 @@ class HamiltonianModel:
     - ``kick_times(t, side)`` lists the impulsive kicks a flow over [0, t]
       fires, at integer times, and ``kick(p, q)`` gives the momentum after
       one kick, its slope dp/dq and the phase jump; ``kick_phase_jump`` is
-      the kick as a multiplier phase.  Models without kicks list none.
+      the kick as a multiplier phase.  Models without kicks list none; every
+      model refuses a ``side`` other than "minus" or "plus" here.
     - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
       for models diagonal in momentum, which then give the multiplier's
       symbol ``kinetic_energy(xi)``, and ``"metaplectic-shear"`` for linear
@@ -143,6 +148,7 @@ class HamiltonianModel:
         raise InvalidInputError(f"{self.name} has no closed-form segment flow")
 
     def kick_times(self, t: float, side: str = "minus") -> list:
+        _check_side(side)
         return []
 
     def shear_pair(self, s: float) -> tuple:

@@ -46,7 +46,8 @@ import numpy as np
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
 from .dynamics import flow_samples, kick_times
-from .grids import SEAM_TOL, GridSpec, WaveFunction, edge_mass_fraction, seam_block
+from .grids import (BAND_TOL, EDGE_MASS_TOL, N_EDGE, SEAM_TOL, GridSpec, WaveFunction,
+                    edge_cells, edge_mass_fraction, nyquist_cells, seam_block)
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
                         transport_operator_adjoint)
@@ -161,11 +162,6 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> n
     return walk[-1].tangent[0]
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise InvalidInputError(f"kernel accumulates forward over a finite time, got t={t}")
-
-
 def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     """C_t = int_0^t H_pp / dphi(s)^2 ds along the trajectory seeded at q, in
     closed form: C_t = M_qp(t) / dphi(t), dphi = M_qp alpha + M_qq.  With
@@ -174,9 +170,8 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     Phys. Rep. 138, 193 (1986)); kicks leave the q row alone.  The integral
     exists only while dphi stays positive, so the whole path [0, t] is
     certified free of caustics, and M(t) is the last tangent of that one
-    walk.
+    walk.  A negative or non-finite t is refused by the kick schedule.
     """
-    _check_time(t)
     start = PhasePoint(float(phase0.grad(q)), q)
     m = _certify_caustic_free(model, start, phase0.alpha, t)
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))
@@ -191,17 +186,17 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
     uses (grids.seam_block) about the cells above SEAM_TOL of the peak,
     [lo, hi).  The multiplier moves momentum xi by C_t*xi, so that block's
     band [xi_lo, xi_hi] above SEAM_TOL of its spectral peak widens the span
-    to [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus 4 cells at
+    to [lo + min(0, C_t*xi_lo), hi + max(0, C_t*xi_hi)] plus N_EDGE cells at
     each end, and the loop moves to the block that span needs, or to the
-    whole grid if the span leaves it.  Should the dispersed block's 4 edge
+    whole grid if the span leaves it.  Should the dispersed block's edge
     cells exceed SEAM_TOL of its peak, the loop moves on to the whole grid.
     The origin phases of the hbar-scaled transform cancel in a diagonal
     multiplier, so none is applied.
 
-    Every block's spectrum must be band-limited: its 4 cells on each side
-    of Nyquist at most 1e-8 of its peak.  A block has the grid's Nyquist
-    momentum on a coarser spacing, so for a spectrum that decays toward
-    Nyquist it refuses at least what the whole-grid check refuses.
+    Every block's spectrum must be band-limited (grids.nyquist_cells at
+    most BAND_TOL of its peak).  A block has the grid's Nyquist momentum on
+    a coarser spacing, so for a spectrum that decays toward Nyquist it
+    refuses at least what the whole-grid check refuses.
     """
     if not (math.isfinite(c_t) and c_t >= -1e-12):
         raise InvalidInputError(f"accumulated kernel must be finite and nonnegative, got {c_t}")
@@ -215,24 +210,23 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
     while True:
         hat = np.fft.fft(amplitude.values[start:start + m])
         spec = np.abs(hat)
-        peak = spec.max()
-        edge = spec[max(m // 2 - 4, 0):m // 2 + 4].max()  # the cells about Nyquist
-        if edge > 1e-8 * peak:
+        peak, edge = spec.max(), nyquist_cells(spec)
+        if edge > BAND_TOL * peak:
             raise BandwidthError(f"amplitude is not band-limited on this grid "
                                  f"(spectral edge {edge / peak:.2e})")
         xi = 2.0 * math.pi * hbar * np.fft.fftfreq(m, d=dx)
         if not sized:
             sized = True
             band = xi[spec > SEAM_TOL * peak]
-            lo = lo - 4 + math.floor(min(0.0, c_t * band.min()) / dx)
-            hi = hi + 4 + math.ceil(max(0.0, c_t * band.max()) / dx)
+            lo = lo - N_EDGE + math.floor(min(0.0, c_t * band.min()) / dx)
+            hi = hi + N_EDGE + math.ceil(max(0.0, c_t * band.max()) / dx)
             reach = seam_block(mags, lo, hi, m) if lo >= 0 and hi <= n else (0, n)
             if reach != (start, m):
                 start, m = reach
                 continue
         vals = np.fft.ifft(hat * np.exp(-0.5j * c_t * xi**2 / hbar))
         out = np.abs(vals)
-        if m == n or max(out[:4].max(), out[-4:].max()) <= SEAM_TOL * out.max():
+        if m == n or edge_cells(out) <= SEAM_TOL * out.max():
             break
         start, m = 0, n
     full = np.zeros(n, dtype=np.complex128)
@@ -259,7 +253,7 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
     Mass sitting in the outermost grid cells means the state has wrapped
     around, so the grid (not the window) is too small; that raises.
     """
-    if edge_mass_fraction(psi) > 1e-12:
+    if edge_mass_fraction(psi) > EDGE_MASS_TOL:
         raise BoundaryMassError(
             "state carries mass at the grid edge (wraparound); enlarge the grid")
     w = np.abs(psi.values) ** 2

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
-from .grids import (WaveFunction, edge_amplitude_fraction, edge_mass_fraction, overlap,
-                    spectral_edge_fraction)
+from .grids import (BAND_TOL, EDGE_MASS_TOL, WaveFunction, edge_mass_fraction, nyquist_cells,
+                    overlap, spectral_edge_fraction)
 
 __all__ = [
     "ExactResult",
@@ -38,9 +38,7 @@ __all__ = [
     "expectation_p",
 ]
 
-EDGE_MASS_TOL = 1e-12
-CHIRP_EDGE_TOL = 1e-8   # spectrum at the Nyquist edge, relative to its peak
-MAX_SPLITS = 64         # shear pieces per segment before BandwidthError
+MAX_SPLITS = 64  # shear pieces per segment before BandwidthError
 
 
 def _multiplier(phase: np.ndarray) -> tuple:
@@ -118,11 +116,12 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
         q, p = shears[key]
         for _ in range(splits):
             hat = np.fft.fft(_apply_checked(vals, q))
-            edge = edge_amplitude_fraction(WaveFunction(grid, np.fft.fftshift(hat), hbar))
-            if edge > CHIRP_EDGE_TOL:
+            spec = np.abs(hat)
+            edge, peak = nyquist_cells(spec), spec.max()
+            if edge > BAND_TOL * peak:
                 raise BandwidthError(
-                    f"chirped spectrum reaches the Nyquist edge ({edge:.2e} > "
-                    f"{CHIRP_EDGE_TOL}) with {splits} pieces per segment")
+                    f"chirped spectrum reaches the Nyquist edge ({edge / peak:.2e} > "
+                    f"{BAND_TOL}) with {splits} pieces per segment")
             vals = _apply_checked(np.fft.ifft(p * hat), q)
         return vals
 
@@ -187,6 +186,7 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
+    model.kick_times(t, side)  # refuses a bad side on every route
     if model.exact_path == "momentum-multiplier":
         final = momentum_evolve(model, psi, t)
         samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}

@@ -35,9 +35,9 @@ The inverse solves on the one piece whose node images bracket its target.
 The amplitude moved along the map is interpolated on nodes OVERSAMPLE
 times finer than its grid, over the span a caller queries (the seed window
 for the pull-back, the image for the push-forward).  The nodes cover the
-smallest power-of-two block of grid points about the span whose 4 edge
-cells at each end hold at most SEAM_TOL of the peak, or the whole grid, so
-the block's periodic seam shows only at rounding level.  One helper,
+smallest power-of-two block of grid points about the span whose edge cells
+(the N_EDGE at each end) hold at most SEAM_TOL of the peak, or the whole
+grid, so the block's periodic seam shows only at rounding level.  One helper,
 grids.seam_block, applies this rule, here and in metaplectic.apply_metaplectic,
 which disperses the packet on such a block.  One FFT of the block, moved
 to each sub-cell offset and multiplied by 1, i*k and -k^2, gives the exact
@@ -82,11 +82,9 @@ OVERSAMPLE = 2       # the amplitude interpolant's nodes are this many times fin
 
 @dataclass(eq=False, frozen=True)
 class TrajectoryBundle:
-    model: object
     phase0: QuadraticPhase
     seeds: np.ndarray        # initial positions, uniform, increasing
     t: float
-    p_seed: np.ndarray       # grad S0 at the seeds
     q_t: np.ndarray          # the seeds' positions at time t
     p_t: np.ndarray
     action_t: np.ndarray
@@ -120,9 +118,8 @@ def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
     midpoints are flowed.  Raises CausticError carrying (t, x) at the seed
     whose map derivative is smallest if it drops below the caustic threshold.
     """
-    p_seed = np.asarray(phase0.grad(seeds), dtype=float)
-    fresh = slice(None) if coarse is None else slice(1, None, 2)
-    fb = flow_bundle(model, p_seed[fresh], seeds[fresh], t, side=side)
+    fresh = seeds if coarse is None else seeds[1::2]
+    fb = flow_bundle(model, phase0.grad(fresh), fresh, t, side=side)
     flowed = [fb.q, fb.p, fb.action, fb.tangent]
     if coarse is not None:
         for i, even in enumerate((coarse.q_t, coarse.p_t, coarse.action_t, coarse.tangent_t)):
@@ -132,27 +129,7 @@ def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
     dphi = flowed[3][:, 1, 0] * phase0.alpha + flowed[3][:, 1, 1]
     if np.min(dphi) < CAUSTIC_THRESHOLD:
         raise CausticError(t, float(seeds[np.argmin(dphi)]))
-    return TrajectoryBundle(model, phase0, seeds, t, p_seed, *flowed, dphi)
-
-
-def _piecewise_derivative_min(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
-    """Exact minimum of the derivative of the Hermite interpolant.
-
-    On each interval the derivative is a quadratic in the local coordinate;
-    the minimum is attained at an endpoint or the interior vertex.
-    """
-    h = np.diff(x)
-    dy = y[:-1] - y[1:]
-    a = 6.0 * dy + 3.0 * h * (d[:-1] + d[1:])
-    b = -6.0 * dy - 4.0 * h * d[:-1] - 2.0 * h * d[1:]
-    c = h * d[:-1]
-    vals = np.minimum(c, a + b + c)
-    safe_a = np.where(a == 0.0, 1.0, a)
-    s_star = -b / (2.0 * safe_a)
-    interior = (a != 0.0) & (s_star > 0.0) & (s_star < 1.0)
-    v_star = a * s_star**2 + b * s_star + c
-    vals = np.where(interior, np.minimum(vals, v_star), vals)
-    return float(np.min(vals / h))
+    return TrajectoryBundle(phase0, seeds, t, *flowed, dphi)
 
 
 class _Hermite:
@@ -170,6 +147,17 @@ class _Hermite:
         y0, y1 = self.y[j], self.y[j + 1]
         m0, m1 = h * self.d[j], h * self.d[j + 1]
         return h, y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1
+
+    def min_slope(self) -> float:
+        """Exact minimum of the derivative over the nodes: on each piece the
+        quadratic (m0 + 2*c2*s + 3*c3*s^2)/h, smallest at an end or its vertex."""
+        h, _, m0, c2, c3 = self._piece(np.arange(self.y.size - 1))
+        a, b = 3.0 * c3, 2.0 * c2
+        vals = np.minimum(m0, a + b + m0)
+        s_star = -b / (2.0 * np.where(a == 0.0, 1.0, a))
+        interior = (a != 0.0) & (s_star > 0.0) & (s_star < 1.0)
+        vals = np.where(interior, np.minimum(vals, a * s_star**2 + b * s_star + m0), vals)
+        return float(np.min(vals / h))
 
     def value_and_slope(self, xq):
         """Values and first derivatives at ``xq`` from one location."""
@@ -229,12 +217,12 @@ class TransportMap:
 
     def __init__(self, bundle: TrajectoryBundle):
         self.bundle = bundle
-        if _piecewise_derivative_min(bundle.seeds, bundle.q_t, bundle.dphi_t) <= 0.0:
+        self._phi = _Hermite(bundle.seeds, bundle.q_t, bundle.dphi_t)
+        if self._phi.min_slope() <= 0.0:
             i = int(np.argmin(bundle.dphi_t))
             raise CausticError(bundle.t, float(bundle.seeds[i]),
                                f"interpolated map loses monotonicity at t={bundle.t}; "
                                "refine the seed fan")
-        self._phi = _Hermite(bundle.seeds, bundle.q_t, bundle.dphi_t)
         # populated by refined_transport_map
         self.refinement_residual = None
         self.transported = None

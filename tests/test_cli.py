@@ -229,6 +229,34 @@ def test_nonpositive_hbar_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_infinite_hbar_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["exact", "--model", "free", "--hbar", "inf", "--grid=-8,8,1024",
+         "--t", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "hbar must be finite" in err
+    assert not (tmp_path / "exact_state.csv").exists()
+
+
+@pytest.mark.parametrize("theta", ["1", "1.5", "-1"])
+def test_angle_outside_the_open_range_exits_2(tmp_path, capsys, theta):
+    # the slope is tan(theta * pi/2), so the angle must lie inside (-1, 1)
+    code, _, err = run_cli(
+        ["manifold", "--model", "free", "--t", "0.5", f"--theta-over-halfpi={theta}",
+         "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "transversal slope" in err
+    assert not (tmp_path / "manifold_manifold.csv").exists()
+
+
+@pytest.mark.parametrize("model,period", [("barrier", "-1"), ("barrier", "0"),
+                                          ("kho", "0"), ("kho", "inf")])
+def test_lyapunov_bad_period_exits_2(tmp_path, capsys, model, period):
+    code, out, err = run_cli(["lyapunov", "--model", model, f"--period={period}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "period must be finite and positive" in err
+
+
 @pytest.mark.parametrize("command", ["propagate", "exact"])
 def test_non_power_of_two_grid_exits_2(tmp_path, capsys, command):
     code, _, err = run_cli(
@@ -277,8 +305,9 @@ p0 = 0.4
     (lambda text: text.replace("1024", "1000"), "power of two"),
     (lambda text: text.replace("exactness", "sideways"), "unknown experiment kind"),
     (lambda text: text.replace("[experiment]", "[experiments]"), "[experiment] section"),
+    (lambda text: text.replace("p0 = 0.4", "theta_over_halfpi = 1.5"), "transversal slope"),
     (None, "cannot read config"),
-], ids=["grid-count", "kind", "no-experiment-section", "missing-file"])
+], ids=["grid-count", "kind", "no-experiment-section", "angle", "missing-file"])
 def test_run_config_errors_exit_2(tmp_path, capsys, edit, message):
     cfg = tmp_path / "spec.ini"
     if edit is not None:

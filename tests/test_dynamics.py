@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.dynamics import LagrangianLine, flow_samples, kick_times, shear_from_lagrangians
-from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
+from semiwkb.errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
+from semiwkb.experiments import MODEL_NAMES
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
 
 from oracles import rk4_flow
@@ -48,6 +49,28 @@ def test_kick_schedule_rejections():
         kick_times(3.5, "plus")  # kick at a non-integer instant
     with pytest.raises(ValueError):
         kick_times(2.0, "both")
+
+
+SIDE_CALLS = {
+    "flow": lambda model, grid, side: sw.flow(model, sw.PhasePoint(0.2, 0.1), 0.5, side=side),
+    "exact_state": lambda model, grid, side: sw.exact_state(
+        model, sw.initial_coherent_state(grid, 0.05, (0.2, 0.1)), 0.5, side=side),
+    "propagate_extended_wkb": lambda model, grid, side: sw.propagate_extended_wkb(
+        model, QuadraticPhase(0.2, 0.1, 0.0), sw.gaussian_profile, 0.05, 0.5, grid, side=side),
+    "propagate_thawed_gaussian": lambda model, grid, side: sw.propagate_thawed_gaussian(
+        model, sw.PhasePoint(0.2, 0.1), 1j, 0.05, 0.5, grid, side=side),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SIDE_CALLS))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_a_bad_side_is_refused_on_every_model(name, call):
+    # models without kicks list none, but still refuse a side that is
+    # neither "minus" nor "plus"
+    model, grid = sw.build_model(name), sw.GridSpec(-8.0, 8.0, 2048)
+    with pytest.raises(InvalidInputError, match="side must be"):
+        SIDE_CALLS[call](model, grid, "sideways")
+    SIDE_CALLS[call](model, grid, "minus")
 
 
 def compose(model, z0, t1, t2, **kw):

@@ -185,6 +185,28 @@ def test_edge_fractions_flag_wraparound_risk():
     assert sw.spectral_edge_fraction(fast) > 1e-6
 
 
+@pytest.mark.parametrize("offset,flagged", [(sw.grids.N_EDGE - 1, True), (sw.grids.N_EDGE, False)])
+def test_nyquist_guard_reads_the_cells_about_nyquist(offset, flagged):
+    # a packet plus a faint plane wave whose spectral line sits `offset`
+    # cells past Nyquist (FFT order): 1e-5 of the packet's spectral peak,
+    # far above the band limit but too faint for the edge-mass guard
+    g = sw.GridSpec(-8.0, 8.0, 1024)
+    psi = coherent(g, HBAR)
+    k = g.n_points // 2 + offset
+    line = 1e-5 * np.abs(np.fft.fft(psi.values)).max() / g.n_points
+    spiked = sw.WaveFunction(
+        g, psi.values + line * np.exp(2j * np.pi * k * np.arange(g.n_points) / g.n_points), HBAR)
+    assert (sw.spectral_edge_fraction(spiked) > sw.grids.BAND_TOL) == flagged
+    checks = [lambda: sw.apply_metaplectic(0.01, spiked),
+              lambda: sw.exact_state(sw.ParabolicBarrier(1.0), spiked, 1e-7)]
+    for check in checks:
+        if flagged:
+            with pytest.raises(BandwidthError):
+                check()
+        else:
+            check()
+
+
 def test_wavefunction_csv_round_trip(tmp_path):
     g = sw.GridSpec(-4.0, 4.0, 256)
     psi = coherent(g, HBAR, p0=0.3, q0=0.1)

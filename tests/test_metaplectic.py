@@ -315,6 +315,7 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: sw.GridSpec(-1.0, 1.0, 1000),
                 lambda: sw.WaveFunction(GRID, psi.values, 0.0),
                 lambda: sw.WaveFunction(GRID, psi.values, -HBAR),
+                lambda: sw.WaveFunction(GRID, psi.values, math.inf),
                 lambda: sw.exact_state(sw.FreeParticle(), psi, -1.0),
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, -1.0),
                 lambda: sw.kick_times(-1.0),
@@ -322,6 +323,9 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: sw.kick_times(3.5, "plus"),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, 1.0], [0.0], 1.0),
                 lambda: sw.period_tangent(sw.KickedHarmonic(2.0), sw.PhasePoint(0.2, 0.3)),
+                # a period that is not finite and positive, fixed point or not
+                lambda: sw.period_tangent(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 0.0),
+                lambda: sw.period_tangent(sw.ParabolicBarrier(1.0), sw.PhasePoint(0.0, 0.0), -1.0),
                 lambda: sw.ehrenfest_time(0.0, 0.1),
                 lambda: sw.ehrenfest_time(1.0, 1.5),
                 lambda: sw.ParabolicBarrier(0.0),
