@@ -42,7 +42,6 @@ from .dynamics import (
     FlowBundle,
     flow,
     flow_bundle,
-    kick_times,
     period_tangent,
     lyapunov_exponent,
     ehrenfest_time,

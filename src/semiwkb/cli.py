@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent, period_tangent
-from .errors import SemiwkbError
+from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
+from .errors import InvalidInputError, SemiwkbError
 from .experiments import (MODEL_NAMES, build_model, builtin_specs, get_builtin_spec,
                           initial_coherent_state, load_spec_file, output_root,
                           resolve_outdir, run_experiment, write_table)
@@ -39,14 +39,20 @@ _DESCRIPTIONS = {
 }
 
 
-def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--k", type=float, default=2.0,
-                   help="kick strength (kho)")
-    p.add_argument("--v0", type=float, default=1.0,
-                   help="barrier curvature, rate is sqrt(v0)")
-    p.add_argument("--epsilon", type=float, default=0.1,
-                   help="quartic dispersion coefficient")
+# catalogue parameter -> the models that take it; each gets one flag
+_PARAMS = {key: [name for name, keys in MODEL_NAMES.items() if key in keys]
+           for keys in MODEL_NAMES.values() for key in keys}
+
+
+def _model_args(p: argparse.ArgumentParser, **model) -> None:
+    p.add_argument("--model", choices=MODEL_NAMES, **model)
+    # no default here: a flag left out takes the catalogue's (build_model)
+    for key, names in _PARAMS.items():
+        p.add_argument(f"--{key}", type=float, default=None,
+                       help=f"parameter of the {', '.join(names)} model")
+
+
+def _phase_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--q0", type=float, default=0.0)
     slope = p.add_mutually_exclusive_group()
@@ -90,12 +96,24 @@ def _slope(args) -> float:
     return args.alpha if args.alpha is not None else 0.0
 
 
+def _model(args):
+    """The --model, built from the parameter flags the user set."""
+    return build_model(args.model, {key: value for key in _PARAMS
+                                    if (value := getattr(args, key)) is not None})
+
+
 def _model_and_grid(args):
+    """Model and grid of a run to --t, which the model's kick schedule checks."""
     if not args.hbar > 0:
         raise SemiwkbError(f"--hbar must be positive, got {args.hbar}")
-    grid = _parse_grid(args.grid)
-    # the model reads its own parameters (--k, --v0, --epsilon) from args
-    return build_model(args.model, vars(args)), grid
+    if not (math.isfinite(args.t) and args.t >= 0):
+        raise SemiwkbError(f"--t must be finite and >= 0 (runs go forward), got {args.t}")
+    model = _model(args)
+    try:
+        model.kick_times(args.t, args.side)
+    except InvalidInputError:
+        raise SemiwkbError(f"--side plus needs an integer --t, got {args.t}") from None
+    return model, _parse_grid(args.grid)
 
 
 def _outdir(args) -> Path:
@@ -111,15 +129,7 @@ def _emit_state(out: Path, prefix: str, state, meta: dict) -> None:
         fh.write("\n")
 
 
-def _check_time(args) -> None:
-    if not args.t >= 0:
-        raise SemiwkbError(f"--t must be >= 0 (runs go forward in time), got {args.t}")
-    if args.model == "kho" and args.side == "plus" and args.t != round(args.t):
-        raise SemiwkbError(f"--side plus needs an integer --t, got {args.t}")
-
-
 def _cmd_propagate(args) -> int:
-    _check_time(args)
     model, grid = _model_and_grid(args)
     alpha = _slope(args)
     out = _outdir(args)
@@ -145,7 +155,6 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    _check_time(args)
     model, grid = _model_and_grid(args)
     psi0 = initial_coherent_state(grid, args.hbar, (args.p0, args.q0))
     res = exact_state(model, psi0, args.t, tol=args.tol, side=args.side)
@@ -166,7 +175,7 @@ def _cmd_manifold(args) -> int:
     lo, hi = _parse_window(args.window)
     if args.n_seeds < 2:
         raise SemiwkbError(f"--n-seeds must be at least 2, got {args.n_seeds}")
-    model = build_model(args.model, vars(args))
+    model = _model(args)
     alpha = _slope(args)
     seeds = np.linspace(lo, hi, args.n_seeds)
     phase0 = QuadraticPhase(args.p0, args.q0, alpha)
@@ -191,13 +200,7 @@ def _cmd_manifold(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    model = build_model(args.model, vars(args))
-    origin = PhasePoint(0.0, 0.0)
-    if args.model == "barrier":
-        period_tangent(model, origin, args.period)  # refuses a bad --period
-        lam = model.lam
-    else:
-        lam = lyapunov_exponent(model, origin, args.period)
+    lam = lyapunov_exponent(_model(args), PhasePoint(0.0, 0.0), args.period)
     lines = [f"lambda = {lam:.9f}"]
     for hb in args.hbars:
         lines.append(f"T_E(hbar={hb:g}) = {ehrenfest_time(lam, hb):.9f}")
@@ -272,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("propagate", help="semiclassical propagation")
-    _model_args(p)
+    _model_args(p, required=True)
+    _phase_args(p)
     _grid_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=("extwkb", "thawed"), default="extwkb")
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_propagate)
 
     p = sub.add_parser("exact", help="grid reference propagation")
-    _model_args(p)
+    _model_args(p, required=True)
+    _phase_args(p)
     _grid_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -290,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("manifold", help="classical transport table")
-    _model_args(p)
+    _model_args(p, required=True)
+    _phase_args(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--window", default="-1.0,1.0", metavar="LO,HI")
     p.add_argument("--n-seeds", type=int, default=129)
@@ -299,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_manifold)
 
     p = sub.add_parser("lyapunov", help="stroboscopic exponent and T_E")
-    p.add_argument("--model", choices=("kho", "barrier"), default="kho")
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--v0", type=float, default=1.0)
+    _model_args(p, default="kho")
     p.add_argument("--period", type=float, default=1.0)
     p.add_argument("--hbars", type=float, nargs="+", default=[0.0008])
     p.add_argument("--out", default=None)

@@ -13,9 +13,7 @@ sample is bit for bit the walk to that time alone.  flow_bundle is the walk
 with one sample.  A model without kicks may also walk backward, through
 times falling from 0.
 
-Kick convention for the kicked oscillator: a flow over [0, t] applies kicks
-at the integers strictly inside (0, t), so integer t means "just before the
-kick at t".  Pass side="plus" to include the kick at an integer end time.
+The kicks and their convention are the model's (its kick_times).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
-from .hamiltonians import PhasePoint, kick_times
+from .hamiltonians import PhasePoint
 
 __all__ = [
     "FlowResult",
@@ -34,7 +32,6 @@ __all__ = [
     "flow",
     "flow_bundle",
     "flow_samples",
-    "kick_times",
     "period_tangent",
     "lyapunov_exponent",
     "ehrenfest_time",
@@ -147,6 +144,8 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if p.shape != q.shape:
         raise InvalidInputError(f"p and q batches differ in shape: {p.shape} and {q.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise InvalidInputError("the seeds of a flow must be finite")
     try:
         times = [float(t) for t in times]
     except (TypeError, ValueError):

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ehrenfest_time, flow, lyapunov_exponent, period_tangent
-from .errors import SpecError, SpecNotFoundError
+from .errors import InvalidInputError, SpecError, SpecNotFoundError
 from .grids import GridSpec, WaveFunction, band_mass
 from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
                            ParabolicBarrier, PhasePoint, QuadraticPhase)
@@ -54,14 +54,15 @@ def _quartic(epsilon: float) -> IntegrableMomentum:
     )
 
 
-# model name -> (its parameters and their defaults, model from all of them)
+# model name -> (parameter defaults, constructor): the one home of both
 _MODELS = {
-    "free": ({}, lambda p: FreeParticle()),
-    "quartic": ({"epsilon": 0.1}, lambda p: _quartic(p["epsilon"])),
-    "barrier": ({"v0": 1.0}, lambda p: ParabolicBarrier(p["v0"])),
-    "kho": ({"k": 2.0}, lambda p: KickedHarmonic(p["k"])),
+    "free": ({}, FreeParticle),
+    "quartic": ({"epsilon": 0.1}, _quartic),
+    "barrier": ({"v0": 1.0}, ParabolicBarrier),
+    "kho": ({"k": 2.0}, KickedHarmonic),
 }
-MODEL_NAMES = tuple(_MODELS)
+# model name -> the names of its parameters; iterating it gives the model names
+MODEL_NAMES = {name: tuple(defaults) for name, (defaults, _) in _MODELS.items()}
 
 # label, manifold slope at the center, center as (p, q)
 Case = namedtuple("Case", "label slope center")
@@ -83,13 +84,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in _ANALYSES:
             raise SpecError(f"unknown experiment kind {self.kind!r}")
-        if self.model not in MODEL_NAMES:
-            raise SpecError(f"unknown model {self.model!r}")
-        allowed = _MODELS[self.model][0]
-        for key, _ in self.model_params:
-            if key not in allowed:
-                raise SpecError(f"model {self.model!r} has no parameter {key!r} "
-                                f"(allowed: {', '.join(allowed) or 'none'})")
+        build_model(self.model, self.model_params)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise SpecError(f"unimplemented methods {bad}")
@@ -111,13 +106,21 @@ class ExperimentSpec:
 
 
 def build_model(name: str, params=()):
-    """The model named ``name``; ``params`` maps parameter names to values
-    (a dict or (name, value) pairs) and may hold names the model ignores;
-    a parameter left out takes its default."""
+    """The model named ``name``; ``params`` maps some of its parameters to
+    finite values (a dict or (name, value) pairs), and a parameter left out
+    takes its catalogue default.  An unknown model, a parameter the model
+    lacks or a value that is not finite raises SpecError."""
     if name not in _MODELS:
         raise SpecError(f"unknown model {name!r}")
     defaults, make = _MODELS[name]
-    return make({**defaults, **{k: v for k, v in dict(params).items() if k in defaults}})
+    params = dict(params)
+    for key, value in params.items():
+        if key not in defaults:
+            raise SpecError(f"model {name!r} has no parameter {key!r} "
+                            f"(allowed: {', '.join(defaults) or 'none'})")
+        if not math.isfinite(value):
+            raise SpecError(f"model {name!r} parameter {key!r} must be finite, got {value}")
+    return make(**{**defaults, **params})
 
 
 def _slope_of(theta_over_halfpi: float) -> float:
@@ -133,6 +136,8 @@ def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
     so all methods start from this one function.
     """
     p0, q0 = center
+    if not (math.isfinite(p0) and math.isfinite(q0)):
+        raise InvalidInputError(f"the packet's center must be finite, got ({p0}, {q0})")
     x = grid.x
     vals = (np.pi * hbar) ** -0.25 * np.exp(
         1j * p0 * (x - q0) / hbar - (x - q0) ** 2 / (2.0 * hbar))
@@ -550,8 +555,7 @@ def run_experiment(spec: ExperimentSpec, outdir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     runtimes: dict = {}
     started = time.perf_counter()
-    with _stage("model"):
-        model = build_model(spec.model, spec.model_params)
+    model = build_model(spec.model, spec.model_params)
     results = _ANALYSES[spec.kind](spec, model, out, runtimes)
     runtimes["total_s"] = time.perf_counter() - started
     artifacts = sorted(p.name for p in out.iterdir()
@@ -640,11 +644,10 @@ def builtin_specs() -> list:
 
 
 def get_builtin_spec(name: str) -> ExperimentSpec:
-    for spec in builtin_specs():
-        if spec.name == name:
-            return spec
-    known = ", ".join(s.name for s in builtin_specs())
-    raise KeyError(f"no builtin experiment {name!r} (known: {known})")
+    specs = {spec.name: spec for spec in builtin_specs()}
+    if name not in specs:
+        raise SpecError(f"no builtin experiment {name!r} (known: {', '.join(specs)})")
+    return specs[name]
 
 
 def load_spec_file(path) -> ExperimentSpec:

@@ -31,7 +31,6 @@ __all__ = [
     "ParabolicBarrier",
     "KickedHarmonic",
     "FlowOracle",
-    "kick_times",
 ]
 
 
@@ -46,12 +45,16 @@ class QuadraticPhase:
     """Quadratic initial phase S0(x) = p0*(x - q0) + alpha*(x - q0)^2 / 2.
 
     Its gradient graph is the Lagrangian line through (p0, q0) with slope
-    dp/dq = alpha.
+    dp/dq = alpha; all three must be finite.
     """
 
     p0: float
     q0: float
     alpha: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.p0, self.q0, self.alpha))):
+            raise InvalidInputError(f"a quadratic phase must be finite, got {self}")
 
     @classmethod
     def from_theta(cls, theta: float, p0: float = 0.0, q0: float = 0.0) -> "QuadraticPhase":
@@ -70,31 +73,6 @@ class QuadraticPhase:
     @property
     def center(self) -> PhasePoint:
         return PhasePoint(self.p0, self.q0)
-
-
-def _check_side(side) -> None:
-    if side not in ("minus", "plus"):
-        raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
-
-
-def kick_times(t: float, side: str = "minus") -> list:
-    """Integer kick times a flow over [0, t] must apply, in order.
-
-    The kick at integer n belongs to the start of the interval (n, n+1], so
-    any forward evolution fires the kick at 0 first and an integer end time
-    samples just before that instant's kick ("t = n minus").  side="plus"
-    also applies the kick at t, which then must be an integer >= 0.
-    """
-    if not (math.isfinite(t) and t >= 0):
-        raise InvalidInputError(f"the kick schedule covers a finite time t >= 0, got t={t}")
-    _check_side(side)
-    kicks = list(range(0, max(int(math.ceil(t - 1e-9)), 0)))
-    if side == "plus":
-        r = round(t)
-        if abs(t - r) > 1e-9 or r < 0:
-            raise InvalidInputError(f"side='plus' needs an integer end time, got t={t}")
-        kicks.append(int(r))
-    return kicks
 
 
 def _hessian(p, q, hpp=1.0, hpq=0.0, hqq=0.0) -> np.ndarray:
@@ -117,11 +95,12 @@ class HamiltonianModel:
       does not depend on the seed, else (n, 2, 2).  The Hessian must stay
       constant along each such stretch of a trajectory, which the caustic
       certificate relies on.  A model without one cannot be flowed.
-    - ``kick_times(t, side)`` lists the impulsive kicks a flow over [0, t]
-      fires, at integer times, and ``kick(p, q)`` gives the momentum after
-      one kick, its slope dp/dq and the phase jump; ``kick_phase_jump`` is
-      the kick as a multiplier phase.  Models without kicks list none; every
-      model refuses a ``side`` other than "minus" or "plus" here.
+    - ``kick_times(t, side)``, the one kick schedule every caller reads,
+      lists the impulsive kicks a flow over [0, t] fires, at integer times,
+      and ``kick(p, q)`` gives the momentum after one kick, its slope dp/dq
+      and the phase jump; ``kick_phase_jump`` is the kick as a multiplier
+      phase.  Models without kicks list none; every model refuses a
+      ``side`` other than "minus" or "plus" here.
     - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
       for models diagonal in momentum, which then give the multiplier's
       symbol ``kinetic_energy(xi)``, and ``"metaplectic-shear"`` for linear
@@ -148,7 +127,8 @@ class HamiltonianModel:
         raise InvalidInputError(f"{self.name} has no closed-form segment flow")
 
     def kick_times(self, t: float, side: str = "minus") -> list:
-        _check_side(side)
+        if side not in ("minus", "plus"):
+            raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
         return []
 
     def shear_pair(self, s: float) -> tuple:
@@ -263,7 +243,6 @@ class KickedHarmonic(HamiltonianModel):
     """
 
     name = "kho"
-    period = 1.0
     exact_path = "metaplectic-shear"
 
     def __init__(self, k: float):
@@ -287,8 +266,25 @@ class KickedHarmonic(HamiltonianModel):
     def shear_pair(self, s):
         return math.tan(0.5 * s), math.sin(s)
 
-    def kick_times(self, t, side="minus"):
-        return kick_times(t, side)
+    def kick_times(self, t: float, side: str = "minus") -> list:
+        """Integer kick times a flow over [0, t] must apply, in order.
+
+        The kick at integer n belongs to the start of the interval (n, n+1],
+        so any forward evolution fires the kick at 0 first and an integer end
+        time samples just before that instant's kick ("t = n minus").
+        side="plus" also applies the kick at t, which then must be an integer
+        >= 0; a time within 1e-9 of an integer counts as that integer.
+        """
+        if not (math.isfinite(t) and t >= 0):
+            raise InvalidInputError(f"the kick schedule covers a finite time t >= 0, got t={t}")
+        # the smooth part fires no kick but checks the side
+        kicks = super().kick_times(t, side) + list(range(max(int(math.ceil(t - 1e-9)), 0)))
+        if side == "plus":
+            r = round(t)
+            if abs(t - r) > 1e-9 or r < 0:
+                raise InvalidInputError(f"side='plus' needs an integer end time, got t={t}")
+            kicks.append(int(r))
+        return kicks
 
     def kick(self, p, q):
         return p + self.kick_impulse(q), self.k * np.cos(q), self.kick_phase_jump(q)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
                      InvalidInputError)
-from .dynamics import flow_samples, kick_times
+from .dynamics import flow_samples
 from .grids import (BAND_TOL, EDGE_MASS_TOL, N_EDGE, SEAM_TOL, GridSpec, WaveFunction,
                     edge_cells, edge_mass_fraction, nyquist_cells, seam_block)
 from .hamiltonians import PhasePoint, QuadraticPhase
@@ -137,28 +137,32 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> n
     """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t];
     returns the tangent matrix M of the flow over [0, t].
 
-    One walk (flow_samples) stops at the integers inside (0, t), where
-    kicks fall, and at t; at each stop w = M (alpha, 1) gives dphi = w_q.
+    One walk (flow_samples) stops at the model's kicks inside (0, t)
+    (model.kick_times) and at t; at each stop w = M (alpha, 1) gives dphi = w_q.
     Between stops the model's Hessian is constant, so dphi'' = -det(H) dphi,
     and its minimum follows exactly from dphi and dphi' = H_pp w_p + H_pq w_q
-    at the piece's end.  The walk's last sample is, bit for bit, the flow
-    to t alone.
+    at the piece's start (w at the previous stop, after its kick): a long
+    hyperbolic piece's end keeps only the growing exponential.  The walk's
+    last sample is, bit for bit, the flow to t alone.
     """
-    stops = [float(n) for n in kick_times(t) if 0 < n < t] + [float(t)]
+    kicks = model.kick_times(t)
+    stops = [float(n) for n in kicks if 0 < n < t] + [float(t)]
     walk = flow_samples(model, [start.p], [start.q], stops)
-    prev = 0.0
+    prev, z, w0 = 0.0, start, np.array([alpha, 1.0])
     for s, sample in zip(stops, walk):
+        if prev in kicks:
+            w0[0] += model.kick(z.p, z.q)[1] * w0[1]
         fr = sample.at(0)
         z, w = fr.end_point, fr.tangent @ np.array([alpha, 1.0])
+        h = model.hess(z.p, z.q)
         low, at = w[1], s
-        h = model.hess(z.p, z.q)  # the piece run backwards from its end
-        dip = _interior_minimum(w[1], -(h[0, 0] * w[0] + h[0, 1] * w[1]),
+        dip = _interior_minimum(w0[1], h[0, 0] * w0[0] + h[0, 1] * w0[1],
                                 h[0, 0] * h[1, 1] - h[0, 1] ** 2, s - prev)
         if dip is not None:
-            low, at = dip[0], s - dip[1]
+            low, at = dip[0], prev + dip[1]
         if low < CAUSTIC_THRESHOLD:
             raise CausticError(at, start.q)
-        prev = s
+        prev, w0 = s, w
     return walk[-1].tangent[0]
 
 
@@ -170,8 +174,10 @@ def center_kernel(model, phase0: QuadraticPhase, q: float, t: float) -> float:
     Phys. Rep. 138, 193 (1986)); kicks leave the q row alone.  The integral
     exists only while dphi stays positive, so the whole path [0, t] is
     certified free of caustics, and M(t) is the last tangent of that one
-    walk.  A negative or non-finite t is refused by the kick schedule.
+    walk.  A negative or non-finite t is refused.
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"center_kernel needs a finite t >= 0, got t={t}")
     start = PhasePoint(float(phase0.grad(q)), q)
     m = _certify_caustic_free(model, start, phase0.alpha, t)
     return float(m[1, 0] / (m[1, 0] * phase0.alpha + m[1, 1]))

@@ -81,8 +81,8 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
 
     The walk stops at the model's kick times, the sample times and t.  At
     each stop the edge mass is checked, the samples are taken, then the kick
-    fires.  Like kick_times, a sample up to 1e-9 past a kick counts as
-    before it.  Every segment between consecutive stops is cut into
+    fires.  Like KickedHarmonic.kick_times, a sample up to 1e-9 past a kick
+    counts as before it.  Every segment between consecutive stops is cut into
     ``splits`` equal pieces, each applied as Q(a) P(b) Q(a).  Returns
     (final_state, samples), samples mapping each requested time to the
     state there; a sample at t is the final state, post-kick when

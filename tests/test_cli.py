@@ -12,6 +12,7 @@ import pytest
 
 import semiwkb as sw
 from semiwkb.cli import main
+from semiwkb.experiments import MODEL_NAMES, _MODELS
 
 FREE_ARGS = ["--model", "free", "--hbar", "0.05", "--grid=-6,6,1024"]
 
@@ -287,6 +288,15 @@ def test_side_plus_at_fractional_time_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_side_plus_takes_the_schedules_integer_rule(tmp_path, capsys):
+    # the kick schedule counts a time within 1e-9 of an integer as that integer
+    code, out, err = run_cli(
+        ["exact", "--model", "kho", "--hbar", "0.05", "--grid=-4,4,1024",
+         "--t", "1.0000000001", "--side", "plus", "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "exact_state.csv").exists()
+
+
 SPEC_CONFIG = """\
 [experiment]
 name = cli-spec
@@ -348,3 +358,75 @@ def test_every_builtin_spec_runs_without_breach(tmp_path, capsys, name):
     code, out, err = run_cli(["run", "--spec", name, "--out", str(tmp_path)], capsys)
     assert code == 0 and err == ""
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact"] + FREE_ARGS + ["--t", "0.5", "--p0", "nan"],
+    ["propagate"] + FREE_ARGS + ["--t", "0.5", "--method", "thawed", "--p0", "nan"],
+    ["propagate"] + FREE_ARGS + ["--t", "0.5", "--q0", "inf"],
+    ["manifold", "--model", "free", "--t", "0.5", "--alpha", "nan"],
+    ["manifold", "--model", "free", "--t", "0.5", "--theta-over-halfpi", "nan"],
+], ids=["exact-p0", "thawed-p0", "extwkb-q0", "manifold-alpha", "manifold-theta"])
+def test_non_finite_center_or_slope_exits_2(tmp_path, capsys, argv):
+    code, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model,flag", [("quartic", "--epsilon=nan"), ("kho", "--k=inf"),
+                                        ("barrier", "--v0=inf")])
+def test_non_finite_model_parameter_exits_2(tmp_path, capsys, model, flag):
+    code, out, err = run_cli(["exact", "--model", model, "--hbar", "0.05", "--grid=-4,4,1024",
+                              "--t", "0.5", flag, "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    name = flag[2:flag.index("=")]
+    assert err.startswith("error:") and f"'{name}' must be finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "exact_state.csv").exists()
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_model_flags_default_to_the_catalogue(tmp_path, capsys, name):
+    # a run without parameter flags is the run with the catalogue's defaults
+    defaults = _MODELS[name][0]
+    spelt = [f"--{key}={value!r}" for key, value in defaults.items()]
+    base = ["exact", "--model", name, "--hbar", "0.05", "--grid=-4,4,1024", "--t", "0.5",
+            "--p0", "0.3", "--out", str(tmp_path)]
+    assert run_cli(base, capsys)[0] == 0
+    assert run_cli(base + spelt + ["--prefix", "spelt"], capsys)[0] == 0
+    assert ((tmp_path / "exact_state.csv").read_bytes()
+            == (tmp_path / "spelt_state.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv,allowed", [
+    (["propagate"] + FREE_ARGS[2:] + ["--model", "barrier", "--t", "0.5", "--k", "3"], "v0"),
+    (["exact"] + FREE_ARGS + ["--t", "0.5", "--epsilon", "0.2"], "none"),
+    (["manifold", "--model", "kho", "--t", "0.5", "--v0", "2"], "k"),
+    (["lyapunov", "--model", "barrier", "--k", "3"], "v0"),
+], ids=["propagate", "exact", "manifold", "lyapunov"])
+def test_a_parameter_the_model_lacks_exits_2(tmp_path, capsys, argv, allowed):
+    code, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"(allowed: {allowed})" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", ["free", "quartic"])
+def test_lyapunov_of_a_model_that_is_not_hyperbolic_exits_2(tmp_path, capsys, model):
+    code, out, err = run_cli(["lyapunov", "--model", model, "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not hyperbolic" in err
+
+
+def test_lyapunov_takes_the_barrier_rate_from_the_tangent_map(capsys):
+    code, out, _ = run_cli(["lyapunov", "--model", "barrier", "--v0", "4"], capsys)
+    assert code == 0 and "lambda = 2.000000000" in out
+
+
+def test_unknown_builtin_spec_exits_2(capsys):
+    code, out, err = run_cli(["run", "--spec", "nope"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'nope'" in err and "kho-fig2" in err
+    assert err.count("\n") == 1

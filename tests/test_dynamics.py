@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb.dynamics import LagrangianLine, flow_samples, kick_times, shear_from_lagrangians
+from semiwkb.dynamics import LagrangianLine, flow_samples, shear_from_lagrangians
 from semiwkb.errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
 from semiwkb.experiments import MODEL_NAMES
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
@@ -31,6 +31,9 @@ def shear_p_pq(model, phase0: QuadraticPhase, base: sw.PhasePoint, t) -> np.ndar
                                   LagrangianLine.vertical(base),
                                   LagrangianLine(base, (pullback[0], pullback[1])))
     return np.linalg.inv(w)
+
+
+kick_times = sw.KickedHarmonic(2.0).kick_times
 
 
 def test_kick_schedule():

@@ -2,6 +2,7 @@
 artifact determinism, and the lyapunov report."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ def test_spec_validation_errors():
             spec.validate()
 
 
+def test_build_model_is_the_one_gate_for_model_parameters():
+    # every default comes from the catalogue, and a spec is checked by the
+    # same rule: an unknown parameter or a value that is not finite is refused
+    assert sw.build_model("kho").k == 2.0
+    assert sw.build_model("barrier", {"v0": 4.0}).lam == 2.0
+    bad = [("barrier", {"k": 3.0}, "(allowed: v0)"),
+           ("free", {"epsilon": 0.2}, "(allowed: none)"),
+           ("quartic", {"epsilon": math.nan}, "'epsilon' must be finite"),
+           ("kho", {"k": math.inf}, "'k' must be finite"),
+           ("barrier", (("v0", -math.inf),), "'v0' must be finite")]
+    for name, params, message in bad:
+        with pytest.raises(sw.SpecError, match=re.escape(message)):
+            sw.build_model(name, params)
+        spec = ExperimentSpec(name="p", kind="lyapunov", model=name,
+                              model_params=tuple(dict(params).items()), times=(1.0,))
+        with pytest.raises(sw.SpecError, match=re.escape(message)):
+            spec.validate()
+
+
 def test_builtin_catalog():
     specs = builtin_specs()
     assert [s.name for s in specs] == BUILTIN_NAMES
@@ -65,7 +85,7 @@ def test_builtin_catalog():
     assert fig2.model == "kho"
     assert fig2.hbar == pytest.approx(8e-4)
     assert fig2.times == (1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(KeyError, match="kho-fig2"):
+    with pytest.raises(sw.SpecError, match="kho-fig2"):
         get_builtin_spec("kho-fig3")
 
 

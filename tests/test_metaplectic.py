@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb import grids, metaplectic, transport
+from semiwkb import dynamics, grids, metaplectic, transport
 from semiwkb.dynamics import LagrangianLine
 from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
 from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
@@ -318,9 +318,9 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: sw.WaveFunction(GRID, psi.values, math.inf),
                 lambda: sw.exact_state(sw.FreeParticle(), psi, -1.0),
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, -1.0),
-                lambda: sw.kick_times(-1.0),
-                lambda: sw.kick_times(2.0, "both"),
-                lambda: sw.kick_times(3.5, "plus"),
+                lambda: sw.KickedHarmonic(2.0).kick_times(-1.0),
+                lambda: sw.KickedHarmonic(2.0).kick_times(2.0, "both"),
+                lambda: sw.KickedHarmonic(2.0).kick_times(3.5, "plus"),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, 1.0], [0.0], 1.0),
                 lambda: sw.period_tangent(sw.KickedHarmonic(2.0), sw.PhasePoint(0.2, 0.3)),
                 # a period that is not finite and positive, fixed point or not
@@ -354,13 +354,19 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: backward_wkb_test(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
                                           gaussian_profile, 0.5 * HBAR, 1.0, GRID, psi),
                 # a NaN time, on kicked and kick-free models alike
-                lambda: sw.kick_times(math.nan),
+                lambda: sw.KickedHarmonic(2.0).kick_times(math.nan),
                 lambda: sw.flow(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), math.nan),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0], [0.0], math.nan),
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, math.nan),
                 lambda: sw.exact_state(sw.FreeParticle(), psi, math.nan),
                 lambda: propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0, 0),
-                                                  1j, HBAR, math.nan, GRID)):
+                                                  1j, HBAR, math.nan, GRID),
+                # a centre or slope that is not finite, where it enters
+                lambda: QuadraticPhase(math.nan, 0.0, 0.0),
+                lambda: QuadraticPhase(0.0, 0.0, math.inf),
+                lambda: QuadraticPhase.from_theta(math.nan),
+                lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, math.nan], [0.0, 1.0], 1.0),
+                lambda: sw.initial_coherent_state(GRID, HBAR, (0.0, math.inf))):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
@@ -377,6 +383,26 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
     # an unknown model name is a spec error
     with pytest.raises(sw.SpecError):
         sw.build_model("pendulum")
+
+
+def test_kernel_walks_only_the_models_kicks(monkeypatch):
+    # a model without kicks is walked to t in one stop, not one per integer,
+    # and the kernel is the closed form on the flow to t alone, bit for bit
+    stops = []
+
+    def recording(model, p, q, times, **kwargs):
+        stops.append(list(times))
+        return dynamics.flow_samples(model, p, q, times, **kwargs)
+
+    monkeypatch.setattr(metaplectic, "flow_samples", recording)
+    model, ph, t = sw.FreeParticle(), QuadraticPhase(0.3, 0.0, 0.5), 8.94
+    got = center_kernel(model, ph, 0.0, t)
+    assert stops == [[t]]
+    m = sw.flow(model, ph.center, t).tangent
+    assert got == float(m[1, 0] / (m[1, 0] * ph.alpha + m[1, 1]))
+    stops.clear()
+    center_kernel(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0), 0.0, 4.0)
+    assert stops == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_free_kernel_is_exact():
