@@ -217,14 +217,12 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _breaches(node, path="report"):
-    # any recorded check that came out False is an invariant breach
+    # a check's verdict is a <key>_ok entry; each one that came out False is a breach
     found = []
     if isinstance(node, dict):
         for key, val in node.items():
             here = f"{path}.{key}"
-            if val is False and (key.endswith("_ok") or key in
-                                 ("sign_match", "matches_baseline",
-                                  "final_beats_thawed")):
+            if key.endswith("_ok") and val is False:
                 found.append(here)
             else:
                 found.extend(_breaches(val, here))
@@ -235,10 +233,7 @@ def _breaches(node, path="report"):
 
 
 def _cmd_run(args) -> int:
-    if args.config is not None:
-        spec = load_spec_file(args.config)
-    else:
-        spec = get_builtin_spec(args.spec)
+    spec = load_spec_file(args.config) if args.config is not None else get_builtin_spec(args.spec)
     report = run_experiment(spec, outdir=args.out)
     out = resolve_outdir(spec, args.out)
     breaches = _breaches(report["results"])

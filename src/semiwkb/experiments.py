@@ -5,7 +5,8 @@ Each experiment is an ExperimentSpec naming a model, an initial family
 methods.  The kinds that compare take one exact reference per case center
 and run extended WKB against it at each time; "thawed" among the methods
 adds the thawed Gaussian.  run_experiment writes plot-ready CSV
-files plus a report.json and returns the report as a dict.  Reruns of
+files plus a report.json, whose results carry the verdicts of the checks
+in data/regression_baselines.json, and returns the report.  Reruns of
 the same spec are byte-identical except for the report's "runtimes"
 entry, which records wall-clock seconds and is documented volatile.
 """
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import time
 from collections import namedtuple
@@ -47,6 +50,8 @@ METHODS = ("extwkb", "thawed", "exact")
 
 
 def _quartic(epsilon: float) -> IntegrableMomentum:
+    if not epsilon >= 0:
+        raise InvalidInputError(f"epsilon must be nonnegative, got {epsilon}")
     return IntegrableMomentum(
         lambda xi: 0.5 * xi ** 2 + epsilon * xi ** 4,
         lambda xi: xi + 4.0 * epsilon * xi ** 3,
@@ -81,10 +86,12 @@ class ExperimentSpec:
     cases: tuple = (Case("center", 0.0, (0.0, 0.0)),)
     outdir: str | None = None
 
-    def validate(self) -> None:
+    @functools.lru_cache(maxsize=1)  # load_spec_file, then run_experiment: one build
+    def validate(self):
+        """Check the spec and return its model, kept for the last spec checked."""
         if self.kind not in _ANALYSES:
             raise SpecError(f"unknown experiment kind {self.kind!r}")
-        build_model(self.model, self.model_params)
+        model = build_model(self.model, self.model_params)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise SpecError(f"unimplemented methods {bad}")
@@ -103,6 +110,7 @@ class ExperimentSpec:
             raise SpecError("slope sweep needs a slope-zero reference case")
         if self.kind == "backward-profiles" and len(self.cases) > 1:
             raise SpecError("backward profiles take exactly one case")
+        return model
 
 
 def build_model(name: str, params=()):
@@ -145,10 +153,43 @@ def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
 
 
 def load_baselines() -> dict:
-    """Checked-in regression values frozen from the first converged run."""
+    """Checked-in regression values and the checks run_experiment applies."""
     text = resources.files("semiwkb").joinpath(
         "data/regression_baselines.json").read_text(encoding="utf-8")
     return json.loads(text)
+
+
+def _found(node, path: str) -> list:
+    """(holder, key) of each value a dotted path names: an integer step takes
+    one list item, "*" every item, and a holder without the last key is passed."""
+    *steps, last = path.split(".")
+    holders = [node]
+    for step in steps:
+        holders = [x for h in holders for x in
+                   (h if step == "*" else [h[int(step) if isinstance(h, list) else step]])]
+    return [(h, last) for h in holders if last in h]
+
+
+def _apply_checks(spec: ExperimentSpec, results: dict) -> None:
+    """Write the verdicts of the checks of the spec's kind and of those frozen
+    under its name into the results; the baselines file describes the format."""
+    base = load_baselines()
+    for c in base["kinds"].get(spec.kind, []) + base["specs"].get(spec.name, []):
+        bound = c["bound"]
+        if isinstance(bound, str):  # the path of a value frozen elsewhere in the file
+            bound = functools.reduce(dict.get, bound.split("."), base)
+        verdicts = []
+        for holder, key in _found(results, c["path"]):
+            value = holder[key]
+            ok = None if value is None else bool(
+                abs(value - bound) < c["tol"] if c["op"] == "near"
+                else getattr(operator, c["op"])(value, bound))
+            verdicts.append(ok)
+            if "ok" not in c:
+                holder[f"{key}_ok"], holder[f"{key}_bound"] = ok, bound
+        if "ok" in c:
+            results.update(dict.fromkeys(c["ok"], all(verdicts)))
+            results[c["bound_key"]] = bound
 
 
 def output_root() -> Path:
@@ -392,7 +433,6 @@ def _run_barrier_sweep(spec, model, outdir, record):
 
 
 def _run_backward_profiles(spec, model, outdir, record):
-    base = load_baselines().get("kicked_harmonic", {})
     case = spec.cases[0]
     phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
     profile = profile_for_slope(case.slope)
@@ -419,19 +459,9 @@ def _run_backward_profiles(spec, model, outdir, record):
         diff = fwd.state.values - e.values
         peak = float(np.abs(e.values).max())
         mask = np.abs(e.values) > 0.1 * peak
-        pointwise = float(np.abs(diff[mask]).max() / peak) if mask.any() else 0.0
-        key = str(float(t))
-        l2_bound = base.get("backward_l2_bound", {}).get(key)
-        pw_bound = base.get("pointwise_peak_bound", {}).get(key)
         entry.update({
             "backward_l2": back.l2_distance,
-            "backward_l2_bound": l2_bound,
-            "backward_l2_ok": None if l2_bound is None
-            else bool(back.l2_distance <= l2_bound),
-            "pointwise_peak": pointwise,
-            "pointwise_peak_bound": pw_bound,
-            "pointwise_peak_ok": None if pw_bound is None
-            else bool(pointwise <= pw_bound),
+            "pointwise_peak": float(np.abs(diff[mask]).max() / peak) if mask.any() else 0.0,
             "ehrenfest_diagnostic": _ehrenfest_diagnostic(
                 model, case.center, t, spec.hbar),
         })
@@ -443,13 +473,9 @@ def _run_backward_profiles(spec, model, outdir, record):
                 ["t", "fidelity_extwkb", "fidelity_thawed", "backward_l2",
                  "pointwise_peak", "c_t", "caustic_margin"], fid_rows)
 
-    floor = base.get("forward_fidelity_floor")
     final = per_time[-1]
     return {
         "per_time": per_time,
-        "fidelity_floor": floor,
-        "final_fidelity_ok": None if floor is None
-        else bool(final["fidelity"] >= floor),
         "final_beats_thawed": None if final["thawed_fidelity"] is None
         else bool(final["fidelity"] > final["thawed_fidelity"]),
         "reference": {"ladder_delta": ref.ladder_delta},
@@ -457,7 +483,6 @@ def _run_backward_profiles(spec, model, outdir, record):
 
 
 def _run_slope_sweep(spec, model, outdir, record):
-    base = load_baselines().get("kicked_harmonic", {})
     t_final = spec.times[-1]
     exact = _exact_by_center(spec, model, record)
 
@@ -478,34 +503,20 @@ def _run_slope_sweep(spec, model, outdir, record):
     write_table(outdir / "slope_fidelity.csv",
                 ["label", "slope", "fidelity", "degradation",
                  "window_lo", "window_hi", "caustic_margin"], rows)
-
-    worst = max(p["degradation"] for p in per_case)
-    floor = base.get("slope_fidelity_floor")
-    reg_bound = base.get("slope_degradation_bound")
     return {
         "t": t_final,
         "per_case": per_case,
         "reference_fidelity": fid0,
-        "worst_degradation": worst,
-        "degradation_bound": 0.01,
-        "degradation_ok": bool(worst < 0.01),
-        "regression_degradation_bound": reg_bound,
-        "regression_degradation_ok": None if reg_bound is None
-        else bool(worst < reg_bound),
-        "fidelity_floor": floor,
-        "fidelity_floor_ok": None if floor is None
-        else bool(min(p["fidelity"] for p in per_case) >= floor),
+        "worst_degradation": max(p["degradation"] for p in per_case),
     }
 
 
 def _run_lyapunov(spec, model, outdir, record):
-    base = load_baselines().get("kicked_harmonic", {})
     period = spec.times[-1]
     origin = PhasePoint(0.0, 0.0)
     with _stage("tangent map"):
         m = period_tangent(model, origin, period)
         lam = lyapunov_exponent(model, origin, period)
-    te = ehrenfest_time(lam, spec.hbar)
 
     # convergence of the finite-n estimate; renormalize to avoid overflow
     v = np.array([1.0, 0.0])
@@ -518,19 +529,13 @@ def _run_lyapunov(spec, model, outdir, record):
         v /= growth
         rows.append([n, acc / (n * period)])
     write_table(outdir / "lyapunov_convergence.csv", ["n", "lambda_n"], rows)
-
-    base_lam = base.get("lyapunov_exponent")
-    tol = base.get("lyapunov_tolerance", 1e-9)
     return {
         "lyapunov_exponent": lam,
-        "ehrenfest_time": te,
+        "ehrenfest_time": ehrenfest_time(lam, spec.hbar),
         "hbar": spec.hbar,
         "period": period,
         "tangent_eigenvalues": sorted(
             float(abs(e)) for e in np.linalg.eigvals(m)),
-        "matches_baseline": None if base_lam is None
-        else bool(abs(lam - base_lam) < tol),
-        "baseline_lyapunov": base_lam,
     }
 
 
@@ -550,16 +555,15 @@ def run_experiment(spec: ExperimentSpec, outdir=None) -> dict:
     no timestamps in data files); the report's "runtimes" values are
     wall-clock and vary between runs.
     """
-    spec.validate()
+    model = spec.validate()
     out = resolve_outdir(spec, outdir)
     out.mkdir(parents=True, exist_ok=True)
     runtimes: dict = {}
     started = time.perf_counter()
-    model = build_model(spec.model, spec.model_params)
     results = _ANALYSES[spec.kind](spec, model, out, runtimes)
+    _apply_checks(spec, results)
     runtimes["total_s"] = time.perf_counter() - started
-    artifacts = sorted(p.name for p in out.iterdir()
-                       if p.suffix == ".csv")
+    artifacts = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
     report = {
         "name": spec.name,
         "kind": spec.kind,

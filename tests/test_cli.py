@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact layout, and the
 propagate/exact output diffability contract."""
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 
 import semiwkb as sw
 from semiwkb.cli import main
-from semiwkb.experiments import MODEL_NAMES, _MODELS
+from semiwkb.experiments import (MODEL_NAMES, _MODELS, build_model, get_builtin_spec,
+                                 load_baselines)
 
 FREE_ARGS = ["--model", "free", "--hbar", "0.05", "--grid=-6,6,1024"]
 
@@ -430,3 +432,139 @@ def test_unknown_builtin_spec_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'nope'" in err and "kho-fig2" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["exact", "propagate", "manifold"])
+def test_negative_epsilon_exits_2(tmp_path, capsys, command):
+    # the quartic dispersion h = p^2/2 + epsilon p^4 is convex only for epsilon >= 0
+    argv = [command, "--model", "quartic", "--epsilon=-1", "--t", "0.5", "--p0", "1"]
+    if command != "manifold":
+        argv += ["--hbar", "0.05", "--grid=-6,6,1024"]
+    code, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "epsilon" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+BARRIER_CONFIG = """\
+[experiment]
+name = my-sweep
+kind = barrier-sweep
+model = barrier
+hbar = 0.05
+times = 1, 2
+grid = -12, 12, 2048
+methods = exact
+
+[case reflected]
+p0 = 0.3
+q0 = -0.5
+
+[case transmitted]
+p0 = 0.7
+q0 = -0.5
+"""
+
+
+def test_a_run_builds_its_model_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def spy(name, params=()):
+        built.append(name)
+        return build_model(name, params)
+
+    monkeypatch.setattr(sw.experiments, "build_model", spy)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BARRIER_CONFIG)
+    for target in (["--spec", "kho-lyapunov"], ["--config", str(cfg)]):
+        sw.ExperimentSpec.validate.cache_clear()
+        built.clear()
+        code, _, _ = run_cli(["run", *target, "--out", str(tmp_path)], capsys)
+        assert code == 0 and len(built) == 1
+
+
+def _violated(checks):
+    """The checks with each bound moved past the value it gates."""
+    past = {"lt": -math.inf, "le": -math.inf, "ge": math.inf, "near": math.inf}
+    return [{**c, "bound": past.get(c["op"], not c["bound"])} for c in checks]
+
+
+def _baselines_with(monkeypatch, edit):
+    base = load_baselines()
+    edit(base)
+    monkeypatch.setattr(sw.experiments, "load_baselines", lambda: base)
+
+
+FIG2_BREACHES = ([f"report.per_time[{i}].{key}_ok" for i in range(4)
+                  for key in ("backward_l2", "pointwise_peak")]
+                 + ["report.final_fidelity_ok", "report.final_beats_thawed_ok"])
+
+
+@pytest.mark.parametrize("name,breaches", [
+    ("integrable-exactness", [f"report.cases[{i}].per_time[{j}].fidelity_ok"
+                              for i in range(2) for j in range(3)]),
+    ("barrier-transmission", ["report.cases[0].sign_match_ok",
+                              "report.cases[2].sign_match_ok"]),
+    ("kho-fig2", FIG2_BREACHES),
+    ("kho-slopes", ["report.degradation_ok", "report.regression_degradation_ok",
+                    "report.fidelity_floor_ok"]),
+    ("kho-lyapunov", ["report.lyapunov_exponent_ok"]),
+])
+def test_a_bound_past_its_measured_value_exits_1(tmp_path, capsys, monkeypatch, name, breaches):
+    # every check of the spec, frozen under its name or declared for its kind,
+    # gates the run: with each bound moved past its value, each one is named
+    kind = get_builtin_spec(name).kind
+
+    def violate(base):
+        base["specs"][name] = _violated(base["specs"].get(name, []))
+        base["kinds"][kind] = _violated(base["kinds"].get(kind, []))
+
+    _baselines_with(monkeypatch, violate)
+    code, out, err = run_cli(["run", "--spec", name, "--out", str(tmp_path)], capsys)
+    assert code == 1 and name in out
+    assert sorted(err.splitlines()) == sorted(f"breach: {b}" for b in breaches)
+
+
+def test_one_bound_below_its_measured_value_exits_1(tmp_path, capsys, monkeypatch):
+    def lower(base):
+        base["specs"]["integrable-exactness"][0]["bound"] = 0.99
+
+    _baselines_with(monkeypatch, lower)
+    code, _, err = run_cli(["run", "--spec", "integrable-exactness", "--out", str(tmp_path)],
+                           capsys)
+    # only the slope-0 state at t = 4 (fidelity 0.98895) falls below 0.99
+    assert code == 1 and err == "breach: report.cases[0].per_time[2].fidelity_ok\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["results"]["cases"][0]["per_time"][2]["fidelity_bound"] == 0.99
+
+
+def test_a_config_barrier_sweep_keeps_its_sign_check(tmp_path, capsys, monkeypatch):
+    # the sign check belongs to the kind, so a spec that is not builtin gets it too
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BARRIER_CONFIG)
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    cases = json.loads((tmp_path / "report.json").read_text())["results"]["cases"]
+    assert [c["sign_match_ok"] for c in cases] == [True, True]
+
+    def violate(base):
+        base["kinds"]["barrier-sweep"] = _violated(base["kinds"]["barrier-sweep"])
+
+    _baselines_with(monkeypatch, violate)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1 and err.splitlines() == ["breach: report.cases[0].sign_match_ok",
+                                              "breach: report.cases[1].sign_match_ok"]
+
+
+def test_a_config_spec_is_not_gated_on_a_builtins_bounds(tmp_path, capsys):
+    # the kicked oscillator's frozen exponent belongs to kho-lyapunov, not to
+    # every lyapunov spec: the barrier's exponent is no breach
+    cfg = tmp_path / "lyap.ini"
+    cfg.write_text("[experiment]\nname = lyap-barrier\nkind = lyapunov\nmodel = barrier\n"
+                   "hbar = 0.05\ntimes = 1\ngrid = -4, 4, 1024\n\n[case origin]\np0 = 0\n")
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert results["lyapunov_exponent"] == pytest.approx(1.0, abs=1e-12)
+    assert not any(key.endswith("_ok") for key in results)

@@ -57,6 +57,14 @@ def test_spec_validation_errors():
             spec.validate()
 
 
+def test_validate_returns_the_model_it_built():
+    spec = small_free_spec()
+    model = spec.validate()
+    assert isinstance(model, sw.FreeParticle)
+    # checked again, as run_experiment does after load_spec_file, it is not rebuilt
+    assert spec.validate() is model
+
+
 def test_build_model_is_the_one_gate_for_model_parameters():
     # every default comes from the catalogue, and a spec is checked by the
     # same rule: an unknown parameter or a value that is not finite is refused
