@@ -11,7 +11,6 @@ from .errors import (
     NotHyperbolicError,
     DegenerateLinesError,
     OutOfDomainError,
-    BranchError,
     ConvergenceError,
     StepSizeError,
     UnsupportedOracleError,

@@ -17,7 +17,6 @@ __all__ = [
     "NotHyperbolicError",
     "DegenerateLinesError",
     "OutOfDomainError",
-    "BranchError",
     "ConvergenceError",
     "StepSizeError",
     "UnsupportedOracleError",
@@ -72,10 +71,6 @@ class DegenerateLinesError(SemiwkbError):
 
 class OutOfDomainError(SemiwkbError):
     """A query point lies outside the tabulated image of the transport map."""
-
-
-class BranchError(SemiwkbError):
-    """Continuous branch tracking of a square root failed (jump too large)."""
 
 
 class ConvergenceError(SemiwkbError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import ehrenfest_time, flow, lyapunov_exponent, period_tangent
 from .errors import InvalidInputError, SpecError, SpecNotFoundError
-from .grids import GridSpec, WaveFunction, band_mass
+from .grids import GridSpec, WaveFunction, band_mass, check_hbar
 from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
                            ParabolicBarrier, PhasePoint, QuadraticPhase)
 from .metaplectic import (backward_wkb_test, profile_for_slope,
@@ -146,6 +146,7 @@ def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
     p0, q0 = center
     if not (math.isfinite(p0) and math.isfinite(q0)):
         raise InvalidInputError(f"the packet's center must be finite, got ({p0}, {q0})")
+    check_hbar(hbar)
     x = grid.x
     vals = (np.pi * hbar) ** -0.25 * np.exp(
         1j * p0 * (x - q0) / hbar - (x - q0) ** 2 / (2.0 * hbar))

@@ -56,6 +56,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def check_hbar(hbar: float) -> None:
+    """InvalidInputError unless hbar is finite and positive."""
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise InvalidInputError(f"hbar must be finite and positive, got {hbar}")
+
+
 def edge_cells(a: np.ndarray):
     """Largest of the N_EDGE cells at each end of ``a``."""
     return max(a[:N_EDGE].max(), a[-N_EDGE:].max())
@@ -158,8 +164,7 @@ class WaveFunction:
                 f"values shape {self.values.shape} does not match grid with "
                 f"{self.grid.n_points} points"
             )
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise InvalidInputError(f"hbar must be finite and positive, got {self.hbar}")
+        check_hbar(self.hbar)
 
     @property
     def norm_sq(self) -> float:

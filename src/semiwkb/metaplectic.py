@@ -32,7 +32,7 @@ apply_metaplectic).
 
 A thawed-Gaussian propagator (single trajectory plus tangent flow) serves
 as the short-time baseline the corrected scheme is measured against; it
-walks its trajectory once, sampling the tangent flow along the way.
+walks its trajectory once, stopping where the caustic certificate stops.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (BandwidthError, BoundaryMassError, BranchError, CausticError,
-                     InvalidInputError)
+from .errors import BandwidthError, BoundaryMassError, CausticError, InvalidInputError
 from .dynamics import flow_samples
 from .grids import (BAND_TOL, EDGE_MASS_TOL, N_EDGE, SEAM_TOL, GridSpec, WaveFunction,
-                    edge_cells, edge_mass_fraction, nyquist_cells, seam_block)
+                    check_hbar, edge_cells, edge_mass_fraction, nyquist_cells, seam_block)
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
                         transport_operator_adjoint)
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 MIN_POINTS_PER_WIDTH = 16
-THAWED_DT_SAMPLE = 0.02  # time step of the thawed prefactor's branch tracking
 WINDOW_PAD = 0.02  # mass_quantile_window's padding, a fraction of its width
 
 
@@ -88,8 +86,7 @@ def profile_for_slope(alpha: float):
 
 
 def _check_resolution(grid: GridSpec, hbar: float) -> None:
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise InvalidInputError(f"hbar must be finite and positive, got {hbar}")
+    check_hbar(hbar)
     pts = math.sqrt(hbar) / grid.dx
     if pts < MIN_POINTS_PER_WIDTH:
         raise BandwidthError(
@@ -133,20 +130,24 @@ def _interior_minimum(f: float, g: float, kappa: float, length: float):
     return (f * math.sqrt(1.0 - r * r), s) if 0.0 < s < length else None
 
 
+def _kick_stops(model, t: float) -> tuple:
+    """The model's kick times over [0, t], and a walk's stops: those inside (0, t), then t."""
+    kicks = model.kick_times(t)
+    return kicks, [float(n) for n in kicks if 0 < n < t] + [float(t)]
+
+
 def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> np.ndarray:
     """CausticError unless dphi >= CAUSTIC_THRESHOLD on all of [0, t];
     returns the tangent matrix M of the flow over [0, t].
 
-    One walk (flow_samples) stops at the model's kicks inside (0, t)
-    (model.kick_times) and at t; at each stop w = M (alpha, 1) gives dphi = w_q.
-    Between stops the model's Hessian is constant, so dphi'' = -det(H) dphi,
-    and its minimum follows exactly from dphi and dphi' = H_pp w_p + H_pq w_q
-    at the piece's start (w at the previous stop, after its kick): a long
-    hyperbolic piece's end keeps only the growing exponential.  The walk's
-    last sample is, bit for bit, the flow to t alone.
+    One walk (flow_samples) stops at _kick_stops, where w = M (alpha, 1)
+    gives dphi = w_q.  Between stops the model's Hessian is constant, so
+    dphi'' = -det(H) dphi, and its minimum follows exactly from dphi and
+    dphi' = H_pp w_p + H_pq w_q at the piece's start (w at the previous
+    stop, after its kick): a long hyperbolic piece's end keeps only the
+    growing exponential.
     """
-    kicks = model.kick_times(t)
-    stops = [float(n) for n in kicks if 0 < n < t] + [float(t)]
+    kicks, stops = _kick_stops(model, t)
     walk = flow_samples(model, [start.p], [start.q], stops)
     prev, z, w0 = 0.0, start, np.array([alpha, 1.0])
     for s, sample in zip(stops, walk):
@@ -394,20 +395,20 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     return PropagationResult(state, metadata)
 
 
-def _tracked_sqrt(samples: np.ndarray) -> complex:
-    """Square root of samples[-1] on the branch continuous along the path.
-
-    The path must start at a point with argument 0; consecutive argument
-    steps larger than pi/2 abort, since continuity can no longer be
-    certified at this sampling.
-    """
-    args = np.angle(samples)
-    steps = np.diff(args)
-    steps = (steps + np.pi) % (2 * np.pi) - np.pi
-    if np.any(np.abs(steps) >= 0.5 * np.pi):
-        raise BranchError("prefactor winds too fast between samples; refine sampling")
-    total_arg = float(args[0] + np.sum(steps))
-    return abs(samples[-1]) ** 0.5 * np.exp(0.5j * total_arg)
+def _tracked_sqrt(w: np.ndarray, pieces) -> complex:
+    """Square root of w[-1], w = M_qq + M_qp b0 (Im b0 > 0, w[0] = 1), on the
+    branch continuous over pieces of given (Hessian H, length).  w never
+    vanishes, kicks leave it alone, and on a piece w'' = -det(H) w runs along
+    a line or a ray, turning by less than pi, or (det H = omega^2 > 0) an
+    ellipse about 0, turning by pi per half period in the sense of H_pp *
+    length.  Whole half-turns plus the wrapped rest give the exact branch."""
+    arg = 0.0
+    for (h, length), w0, w1 in zip(pieces, w, w[1:]):
+        kappa = h[0, 0] * h[1, 1] - h[0, 1] ** 2
+        turns = math.floor(abs(length) * math.sqrt(kappa) / math.pi) if kappa > 0 else 0
+        turns = int(math.copysign(turns, h[0, 0] * length))
+        arg += turns * math.pi + float(np.angle((-1) ** turns * w1 / w0))
+    return abs(w[-1]) ** 0.5 * np.exp(0.5j * arg)
 
 
 def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
@@ -417,26 +418,25 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
 
     The complex width follows the Moebius action of the tangent matrix,
     b(t) = (M_pq + M_pp b0) / (M_qq + M_qp b0), and the normalization factor
-    (M_qq + M_qp b0)^(-1/2) is branch-tracked along densely sampled times,
-    all taken from one walk of the trajectory; the last sample, at t on the
-    given side, is the end point.  Valid while the reported indicator
-    sqrt(hbar)*||dPhi|| stays small.
+    (M_qq + M_qp b0)^(-1/2) takes the branch continuous along the path (the
+    Maslov phase; Littlejohn, Phys. Rep. 138, 193 (1986)).  One walk stops
+    at _kick_stops, each stop before its kick, where each piece's Hessian is
+    read; side "plus" adds the end point after the kick at t.  Valid while
+    the reported indicator sqrt(hbar)*||dPhi|| stays small.
     """
-    if b0.imag <= 0:
-        raise InvalidInputError("initial width must have positive imaginary part")
-    if not math.isfinite(t):
-        raise InvalidInputError(f"the thawed Gaussian runs over a finite time, got t={t}")
-    n_samples = max(2, int(math.ceil(abs(t) / THAWED_DT_SAMPLE)) + 1)
-    path = flow_samples(model, [z0.p], [z0.q], np.linspace(0.0, t, n_samples), side=side)
-    tangents = np.array([fb.tangent[0] for fb in path])
-    w_path = tangents[:, 1, 1] + tangents[:, 1, 0] * b0
-    fr = path[-1].at(0)
-    m = fr.tangent
-    b_t = (m[0, 1] + m[0, 0] * b0) / w_path[-1]
-    root = _tracked_sqrt(w_path)
+    if not (np.isfinite(b0) and b0.imag > 0):
+        raise InvalidInputError(f"initial width must be finite with Im b0 > 0, got {b0}")
+    check_hbar(hbar)
+    _, stops = _kick_stops(model, t)
+    times = [0.0] + stops + ([float(t)] if side == "plus" else [])
+    walk = flow_samples(model, [z0.p], [z0.q], times, side=side)
+    w_path = [fb.tangent[0, 1, 1] + fb.tangent[0, 1, 0] * b0 for fb in walk]
+    root = _tracked_sqrt(w_path, [(model.hess(fb.p[0], fb.q[0]), s - prev)
+                                  for prev, s, fb in zip(times, stops, walk[1:])])
+    fr = walk[-1].at(0)
+    b_t = (fr.tangent[0, 1] + fr.tangent[0, 0] * b0) / w_path[-1]
 
-    x = grid.x
-    dxc = x - fr.end_point.q
+    dxc = grid.x - fr.end_point.q
     phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc**2
     vals = (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar)
     state = WaveFunction(grid, vals, hbar)
@@ -444,7 +444,7 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
         "center": (fr.end_point.p, fr.end_point.q),
         "b_t": b_t,
         "action": fr.action,
-        "validity_indicator": math.sqrt(hbar) * float(np.linalg.norm(m, 2)),
+        "validity_indicator": math.sqrt(hbar) * float(np.linalg.norm(fr.tangent, 2)),
     }
     return PropagationResult(state, metadata)
 

@@ -5,14 +5,17 @@ action by fixed-step RK4 between a model's kicks.  split_step_evolve runs
 fourth-order split stepping (Yoshida triple jump; Yoshida, Phys. Lett. A
 150, 262 (1990)) with the kicks as multipliers.  Neither shares code with
 the models' closed-form segment flows or the three-shear reference, and
-neither guards its step size: a test picks steps fine enough.  Potential is
-a kinetic-plus-potential model with no closed-form flow and no exact path.
+neither guards its step size: a test picks steps fine enough.
+dense_thawed_gaussian tracks the thawed Gaussian's square-root branch over
+a dense, fixed time step.  Potential is a kinetic-plus-potential model with
+no closed-form flow and no exact path.
 """
 import math
 
 import numpy as np
 
 import semiwkb as sw
+from semiwkb.dynamics import flow_samples
 from semiwkb.hamiltonians import HamiltonianModel
 
 
@@ -131,3 +134,27 @@ def split_step_evolve(model, psi, t, *, steps_per_unit, side="minus", sample_tim
         if stop in kicks:
             vals = vals * np.exp(1j * model.kick_phase_jump(grid.x) / hbar)
     return sw.WaveFunction(grid, vals, hbar), samples
+
+
+THAWED_DT = 0.02  # the dense rule's time step, about 50 samples per unit time
+
+
+def dense_thawed_gaussian(model, z0, b0, hbar, t, grid, *, side="minus") -> np.ndarray:
+    """Thawed-Gaussian values whose prefactor (M_qq + M_qp b0)^(-1/2) takes
+    the branch tracked over samples THAWED_DT apart, all from one walk: the
+    argument of w = M_qq + M_qp b0 sums its wrapped steps.  A step of pi/2
+    or more raises ValueError: the sampling no longer vouches for
+    continuity."""
+    ts = np.linspace(0.0, t, max(2, math.ceil(abs(t) / THAWED_DT) + 1))
+    path = flow_samples(model, [z0.p], [z0.q], ts, side=side)
+    m = np.array([fb.tangent[0] for fb in path])
+    w = m[:, 1, 1] + m[:, 1, 0] * b0
+    steps = (np.diff(np.angle(w)) + np.pi) % (2 * np.pi) - np.pi
+    if np.any(np.abs(steps) >= 0.5 * np.pi):
+        raise ValueError("prefactor winds too fast between samples")
+    root = abs(w[-1]) ** 0.5 * np.exp(0.5j * np.sum(steps))
+    fr = path[-1].at(0)
+    b_t = (fr.tangent[0, 1] + fr.tangent[0, 0] * b0) / w[-1]
+    dxc = grid.x - fr.end_point.q
+    phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc ** 2
+    return (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar)

@@ -590,18 +590,21 @@ def test_thawed_gaussian_barrier_is_exact():
 
 
 def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
-    """(state values, b_t) from a lone flow per sample: the walk's oracle."""
-    ts = np.linspace(0.0, t, max(2, int(math.ceil(abs(t) / metaplectic.THAWED_DT_SAMPLE)) + 1))
-    w_path = np.array([sw.flow(model, z0, float(s),
-                               side=side if i == ts.size - 1 else "minus").tangent
-                       for i, s in enumerate(ts)])
+    """(state values, b_t) from a lone flow per stop: the walk's oracle.  The
+    stops are 0, the model's kicks inside (0, t) and t, each before its kick;
+    the end point is the flow to t on the given side."""
+    stops = [0.0] + [float(n) for n in model.kick_times(t) if 0 < n < t] + [float(t)]
+    flows = [sw.flow(model, z0, s) for s in stops]
+    w_path = np.array([f.tangent for f in flows])
     w_path = w_path[:, 1, 1] + w_path[:, 1, 0] * b0
+    root = metaplectic._tracked_sqrt(w_path, [
+        (model.hess(f.end_point.p, f.end_point.q), s - prev)
+        for prev, s, f in zip(stops, stops[1:], flows[1:])])
     fr = sw.flow(model, z0, t, side=side)
     m = fr.tangent
     b_t = (m[0, 1] + m[0, 0] * b0) / (m[1, 1] + m[1, 0] * b0)
     dxc = grid.x - fr.end_point.q
     phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc ** 2
-    root = metaplectic._tracked_sqrt(w_path)
     return (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar), b_t
 
 
@@ -617,6 +620,53 @@ def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t, side):
     values, b_t = thawed_by_sample(model, z0, b0, HBAR, t, GRID, side)
     assert got.metadata["b_t"] == b_t
     assert np.array_equal(got.state.values, values)
+
+
+def test_thawed_walk_stops_at_the_kicks_only(monkeypatch):
+    walks = []
+
+    def spy(model, p, q, times, **kwargs):
+        walks.append(list(times))
+        return dynamics.flow_samples(model, p, q, times, **kwargs)
+
+    monkeypatch.setattr(metaplectic, "flow_samples", spy)
+    propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 1j,
+                              HBAR, 4.0, GRID)
+    assert walks == [[0.0, 1.0, 2.0, 3.0, 4.0]]
+    # "plus" fires the kick at t as one more sample after the stops
+    walks.clear()
+    propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 1j,
+                              HBAR, 2.0, GRID, side="plus")
+    assert walks == [[0.0, 1.0, 2.0, 2.0]]
+
+
+def test_thawed_gaussian_backward_on_a_kicked_model_names_its_t():
+    with pytest.raises(sw.InvalidInputError, match=r"got t=-1\.5$"):
+        propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 1j,
+                                  HBAR, -1.5, GRID)
+
+
+@pytest.mark.parametrize("b0", [complex(math.nan, 1.0), complex(0.0, math.inf),
+                                complex(math.inf, 1.0)], ids=["nan-re", "inf-im", "inf-re"])
+def test_thawed_gaussian_refuses_a_non_finite_width(b0):
+    with pytest.raises(sw.InvalidInputError, match="initial width must be finite"):
+        propagate_thawed_gaussian(sw.FreeParticle(), sw.PhasePoint(0.0, 0.0), b0,
+                                  HBAR, 1.0, GRID)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda hbar: propagate_thawed_gaussian(sw.FreeParticle(), sw.PhasePoint(0.0, 0.0), 1j,
+                                           hbar, 1.0, GRID),
+    lambda hbar: sw.initial_coherent_state(GRID, hbar, (0.0, 0.0)),
+    lambda hbar: propagate_extended_wkb(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                        gaussian_profile, hbar, 1.0, GRID),
+    lambda hbar: apply_L(gaussian_profile, 0.0, hbar, GRID),
+], ids=["thawed", "coherent-state", "extwkb", "apply_L"])
+def test_every_entry_point_refuses_a_bad_hbar_alike(entry, hbar):
+    with pytest.raises(sw.InvalidInputError,
+                       match=f"^hbar must be finite and positive, got {hbar}$"):
+        entry(hbar)
 
 
 def test_thawed_gaussian_rejects_bad_width():

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.errors import CausticError
 from semiwkb.hamiltonians import HamiltonianModel, QuadraticPhase
 
 from conftest import l2_distance
-from oracles import Potential, rk4_flow, split_step_evolve
+from oracles import Potential, dense_thawed_gaussian, rk4_flow, split_step_evolve
 
 HBAR = 0.05
 
@@ -106,3 +107,33 @@ def test_plugin_thawed_ground_state_turns_its_phase_both_ways(t):
     psi0 = sw.propagate_thawed_gaussian(well, start, ground, 0.05, 0.0, grid).state
     psi_t = sw.propagate_thawed_gaussian(well, start, ground, 0.05, t, grid).state
     assert abs(sw.overlap(psi0, psi_t) - np.exp(-0.5j * t)) < 1e-9
+
+
+# (model from omega, time range): t < 0 only for models without kicks
+THAWED_MODELS = {
+    "kho": (lambda omega: sw.KickedHarmonic(2.0), (0.0, 4.0)),
+    "barrier": (lambda omega: sw.ParabolicBarrier(1.0), (-2.0, 2.0)),
+    "free": (lambda omega: sw.FreeParticle(), (-5.0, 5.0)),
+    "well": (HarmonicWell, (-5.0, 5.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(THAWED_MODELS)), omega=st.floats(0.5, 5.0),
+       frac=st.floats(0.0, 1.0), re=st.floats(-1.0, 1.0), im=st.floats(0.5, 3.0),
+       p0=st.floats(-0.3, 0.3), q0=st.floats(-0.3, 0.3))
+@example(name="well", omega=5.0, frac=1.0, re=0.0, im=1.0, p0=0.1, q0=0.0)
+@example(name="well", omega=1.0, frac=0.0, re=0.3, im=1.0, p0=0.0, q0=0.2)
+@example(name="kho", omega=1.0, frac=1.0, re=0.3, im=1.0, p0=0.1, q0=0.05)
+def test_thawed_branch_matches_the_dense_rule(name, omega, frac, re, im, p0, q0):
+    # the exact branch from the kick stops and whole half-turns against the
+    # branch tracked over samples 0.02 apart, wherever that sampling vouches
+    make, (lo, hi) = THAWED_MODELS[name]
+    model, t = make(omega), lo + frac * (hi - lo)
+    z0, b0, grid = sw.PhasePoint(p0, q0), complex(re, im), sw.GridSpec(-8.0, 8.0, 1024)
+    try:
+        want = dense_thawed_gaussian(model, z0, b0, HBAR, t, grid)
+    except ValueError:
+        assume(False)
+    got = sw.propagate_thawed_gaussian(model, z0, b0, HBAR, t, grid).state.values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
