@@ -2,13 +2,15 @@
 
 Each experiment is an ExperimentSpec naming a model, an initial family
 (slope cases around a common Gaussian envelope), times, a grid and its
-methods.  The kinds that compare take one exact reference per case center
-and run extended WKB against it at each time; "thawed" among the methods
-adds the thawed Gaussian.  run_experiment writes plot-ready CSV
-files plus a report.json, whose results carry the verdicts of the checks
-in data/regression_baselines.json, and returns the report.  Reruns of
-the same spec are byte-identical except for the report's "runtimes"
-entry, which records wall-clock seconds and is documented volatile.
+methods.  load_spec_file reads one from a config file, the builtin ones from
+data/specs, and ExperimentSpec.validate checks every spec before it runs.
+The kinds that compare take one exact reference per case center and run
+extended WKB against it at each time; "thawed" among the methods adds the
+thawed Gaussian.  run_experiment writes plot-ready CSV files plus a
+report.json, whose results carry the verdicts of the checks in
+data/regression_baselines.json, and returns the report.  Reruns of the same
+spec are byte-identical except for the report's "runtimes" entry, which
+records wall-clock seconds and is documented volatile.
 """
 from __future__ import annotations
 
@@ -95,17 +97,16 @@ class ExperimentSpec:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise SpecError(f"unimplemented methods {bad}")
-        if not self.hbar > 0:
-            raise SpecError(f"hbar must be positive, got {self.hbar}")
-        if not self.times:
-            raise SpecError("spec needs at least one time")
-        if not (self.times[0] >= 0 and list(self.times) == sorted(self.times)):
-            raise SpecError("times must be >= 0 and sorted ascending")
-        if not self.cases:
-            raise SpecError("spec needs at least one case")
+        check_hbar(self.hbar, SpecError)
+        if not (self.times and all(map(math.isfinite, self.times))
+                and self.times[0] >= 0 and list(self.times) == sorted(self.times)):
+            raise SpecError(f"spec needs finite times >= 0 in ascending order, got {self.times}")
         labels = [c.label for c in self.cases]
-        if len(set(labels)) != len(labels):
-            raise SpecError("case labels must be unique")
+        if not labels or len(set(labels)) != len(labels):
+            raise SpecError(f"spec needs one or more cases with unique labels, got {labels}")
+        for c in self.cases:
+            if not all(map(math.isfinite, (*c.center, c.slope))):
+                raise SpecError(f"case {c.label!r} needs a finite p0, q0 and slope")
         if self.kind == "slope-sweep" and all(c.slope != 0.0 for c in self.cases):
             raise SpecError("slope sweep needs a slope-zero reference case")
         if self.kind == "backward-profiles" and len(self.cases) > 1:
@@ -129,11 +130,6 @@ def build_model(name: str, params=()):
         if not math.isfinite(value):
             raise SpecError(f"model {name!r} parameter {key!r} must be finite, got {value}")
     return make(**{**defaults, **params})
-
-
-def _slope_of(theta_over_halfpi: float) -> float:
-    """Slope tan(theta) of an angle given in units of pi/2, inside (-1, 1)."""
-    return QuadraticPhase.from_theta(theta_over_halfpi * math.pi / 2.0).alpha
 
 
 def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
@@ -581,127 +577,76 @@ def run_experiment(spec: ExperimentSpec, outdir=None) -> dict:
     return report
 
 
+def _builtin_files() -> dict:
+    """Spec name -> file for each data/specs/<order>-<name>.ini, in file-name order."""
+    files = resources.files("semiwkb").joinpath("data/specs").iterdir()
+    return {f.name.partition("-")[2].removesuffix(".ini"): f
+            for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".ini")}
+
+
 def builtin_specs() -> list:
-    """The bundled experiments, in a fixed order."""
-    te_free = 0.05 ** -0.5
-    te_barrier = ehrenfest_time(1.0, 0.02)
-    specs = [
-        ExperimentSpec(
-            name="free-exactness", kind="exactness", model="free",
-            hbar=0.05, times=(0.5 * te_free, te_free, 2.0 * te_free),
-            grid=GridSpec(-20.0, 40.0, 8192),
-            methods=("extwkb", "thawed", "exact"),
-            cases=(
-                Case("slope0", 0.0, (1.0, 0.0)),
-                Case("slope0.5", 0.5, (1.0, 0.0)),
-                Case("slope1", 1.0, (1.0, 0.0)),
-                Case("slope2", 2.0, (1.0, 0.0)),
-            )),
-        ExperimentSpec(
-            name="integrable-exactness", kind="exactness", model="quartic",
-            model_params=(("epsilon", 0.1),),
-            hbar=0.005, times=(1.0, 2.0, 4.0),
-            grid=GridSpec(-14.0, 22.0, 16384),
-            methods=("extwkb", "thawed", "exact"),
-            cases=(
-                Case("slope0", 0.0, (1.0, 0.0)),
-                Case("slope0.25", 0.25, (1.0, 0.0)),
-            )),
-        ExperimentSpec(
-            name="barrier-transmission", kind="barrier-sweep", model="barrier",
-            model_params=(("v0", 1.0),),
-            hbar=0.02, times=(1.0, 2.0, te_barrier + 1.0),
-            grid=GridSpec(-16.0, 16.0, 8192),
-            methods=("exact",),
-            cases=(
-                Case("reflected", 1.0, (0.3, -0.5)),
-                Case("critical", 1.0, (0.5, -0.5)),
-                Case("transmitted", 1.0, (0.7, -0.5)),
-            )),
-        ExperimentSpec(
-            name="kho-fig2", kind="backward-profiles", model="kho",
-            model_params=(("k", 2.0),),
-            hbar=0.0008, times=(1.0, 2.0, 3.0, 4.0),
-            grid=GridSpec(-4.0, 4.0, 8192),
-            methods=("extwkb", "thawed", "exact"),
-            cases=(Case("theta0", 0.0, (0.0, 0.0)),)),
-        ExperimentSpec(
-            name="kho-slopes", kind="slope-sweep", model="kho",
-            model_params=(("k", 2.0),),
-            hbar=0.0008, times=(4.0,),
-            grid=GridSpec(-4.0, 4.0, 8192),
-            methods=("extwkb", "exact"),
-            cases=(
-                Case("-0.30", _slope_of(-0.30), (0.0, 0.0)),
-                Case("0.00", 0.0, (0.0, 0.0)),
-                Case("+0.35", _slope_of(0.35), (0.0, 0.0)),
-                Case("+0.65", _slope_of(0.65), (0.0, 0.0)),
-            )),
-        ExperimentSpec(
-            name="kho-lyapunov", kind="lyapunov", model="kho",
-            model_params=(("k", 2.0),),
-            hbar=0.0008, times=(1.0,),
-            grid=GridSpec(-4.0, 4.0, 8192),
-            methods=("exact",),
-            cases=(Case("origin", 0.0, (0.0, 0.0)),)),
-    ]
-    return specs
+    """The bundled experiments, in the order of their files."""
+    return [load_spec_file(f) for f in _builtin_files().values()]
 
 
 def get_builtin_spec(name: str) -> ExperimentSpec:
-    specs = {spec.name: spec for spec in builtin_specs()}
-    if name not in specs:
-        raise SpecError(f"no builtin experiment {name!r} (known: {', '.join(specs)})")
-    return specs[name]
+    files = _builtin_files()
+    if name not in files:
+        raise SpecError(f"no builtin experiment {name!r} (known: {', '.join(files)})")
+    return load_spec_file(files[name])
 
 
 def load_spec_file(path) -> ExperimentSpec:
-    """Read an ExperimentSpec from a key = value config file.
+    """Read an ExperimentSpec from a config file: a path or an importlib.resources file.
 
-    Sections: [experiment] with name, kind, model, hbar, times, grid,
-    methods and optional outdir; optional [model] with numeric values of
-    the model's own parameters; one [case NAME] section per case with p0,
-    q0 and either slope or theta_over_halfpi.  A file that cannot be read
-    raises SpecNotFoundError; any other defect, an unknown [model] key
-    among them, raises SpecError.
+    Sections: [experiment] with name, kind, model, hbar, times, grid, methods
+    and optional outdir; optional [model] with numeric values of the model's own
+    parameters; one [case NAME] section per case with p0, q0 and at most one of
+    slope and theta_over_halfpi (in units of pi/2).  A file that cannot be read
+    raises SpecNotFoundError; any other defect, an unknown section or key among
+    them, raises SpecError.
     """
+    # [DEFAULT] takes no key; [model] the model's own parameters, checked by build_model
+    allowed = {"DEFAULT": set(), "case": {"p0", "q0", "slope", "theta_over_halfpi"},
+               "experiment": {"name", "kind", "model", "hbar", "times", "grid", "methods",
+                              "outdir"}}
     cp = configparser.ConfigParser()
+    cp.add_section("model")  # the file's [model], if any, fills it
     try:
-        if not cp.read(path):
-            raise SpecNotFoundError(f"cannot read config {str(path)!r}")
+        source = path if hasattr(path, "read_text") else Path(path)
+        cp.read_string(source.read_text(encoding="utf-8"), source=str(path))
         if "experiment" not in cp:
-            raise SpecError("config needs an [experiment] section")
-        exp = cp["experiment"]
-        lo, hi, n = [s.strip() for s in exp["grid"].split(",")]
+            raise SpecError("no [experiment] section")
         cases = []
-        for section in cp.sections():
-            if not section.startswith("case "):
+        for section, sec in cp.items():
+            kind = "case" if section.startswith("case ") else section
+            if kind == "model":
                 continue
-            sec = cp[section]
-            label = section[len("case "):].strip()
-            if "theta_over_halfpi" in sec:
-                slope = _slope_of(sec.getfloat("theta_over_halfpi"))
-            else:
-                slope = sec.getfloat("slope", 0.0)
-            cases.append(Case(label, slope,
+            if kind not in allowed:
+                raise SpecError(f"unknown section [{section}]")
+            unknown = set(sec) - allowed[kind]
+            if unknown:
+                raise SpecError(f"[{section}] takes no key {', '.join(sorted(unknown))} "
+                                f"(allowed: {', '.join(sorted(allowed[kind])) or 'none'})")
+            if kind != "case":
+                continue
+            if "slope" in sec and "theta_over_halfpi" in sec:
+                raise SpecError(f"[{section}] gives both slope and theta_over_halfpi")
+            theta = sec.getfloat("theta_over_halfpi", 0.0) * math.pi / 2.0
+            slope = sec.getfloat("slope", QuadraticPhase.from_theta(theta).alpha)
+            cases.append(Case(section[len("case "):].strip(), slope,
                               (sec.getfloat("p0", 0.0), sec.getfloat("q0", 0.0))))
-        params = ()
-        if "model" in cp:
-            params = tuple(sorted((k, float(v)) for k, v in cp["model"].items()))
+        exp = cp["experiment"]
+        lo, hi, n = exp["grid"].split(",")
         spec = ExperimentSpec(
-            name=exp["name"],
-            kind=exp["kind"],
-            model=exp["model"],
-            model_params=params,
-            hbar=float(exp["hbar"]),
-            times=tuple(float(s) for s in exp["times"].split(",")),
+            name=exp["name"], kind=exp["kind"], model=exp["model"],
+            model_params=tuple(sorted((k, float(v)) for k, v in cp["model"].items())),
+            hbar=float(exp["hbar"]), times=tuple(float(s) for s in exp["times"].split(",")),
             grid=GridSpec(float(lo), float(hi), int(n)),
             methods=tuple(s.strip() for s in exp.get("methods", "extwkb, exact").split(",")),
-            cases=tuple(cases),
-            outdir=exp.get("outdir", None),
-        )
-    except SpecError:
-        raise
+            cases=tuple(cases), outdir=exp.get("outdir"))
+    except OSError:
+        raise SpecNotFoundError(f"cannot read config {str(path)!r}") from None
     except (configparser.Error, KeyError, ValueError) as exc:
         what = f"no key {exc}" if isinstance(exc, KeyError) else " ".join(str(exc).split())
         raise SpecError(f"config {str(path)!r}: {what}") from None

@@ -56,10 +56,10 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-def check_hbar(hbar: float) -> None:
-    """InvalidInputError unless hbar is finite and positive."""
+def check_hbar(hbar: float, error=InvalidInputError) -> None:
+    """Raise ``error`` unless hbar is finite and positive."""
     if not (math.isfinite(hbar) and hbar > 0):
-        raise InvalidInputError(f"hbar must be finite and positive, got {hbar}")
+        raise error(f"hbar must be finite and positive, got {hbar}")
 
 
 def edge_cells(a: np.ndarray):

@@ -2,13 +2,19 @@
 artifact determinism, and the lyapunov report."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
+from semiwkb import experiments
 from semiwkb.errors import BandwidthError, SemiwkbError
 from semiwkb.experiments import (
     Case,
@@ -23,6 +29,7 @@ from semiwkb.experiments import (
     run_experiment,
 )
 
+PACKAGE = Path(experiments.__file__).parent
 BUILTIN_NAMES = ["free-exactness", "integrable-exactness", "barrier-transmission",
                  "kho-fig2", "kho-slopes", "kho-lyapunov"]
 
@@ -84,7 +91,7 @@ def test_build_model_is_the_one_gate_for_model_parameters():
             spec.validate()
 
 
-def test_builtin_catalog():
+def test_builtin_catalog(tmp_path, monkeypatch):
     specs = builtin_specs()
     assert [s.name for s in specs] == BUILTIN_NAMES
     for spec in specs:
@@ -95,6 +102,32 @@ def test_builtin_catalog():
     assert fig2.times == (1.0, 2.0, 3.0, 4.0)
     with pytest.raises(sw.SpecError, match="kho-fig2"):
         get_builtin_spec("kho-fig3")
+
+    # the builtins are the files of data/specs, one each, in file-name order,
+    # and each is exactly what the loader makes of its file
+    folder = PACKAGE / "data" / "specs"
+    files = sorted(folder.iterdir())
+    assert [f.name[f.name.index("-") + 1:] for f in files] == [
+        f"{name}.ini" for name in BUILTIN_NAMES]
+    assert [load_spec_file(f) for f in files] == specs
+
+    # the catalog is what importlib.resources finds, so a package installed
+    # as a zip archive finds its files too: here an archive holding two
+    archive = tmp_path / "semiwkb.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in files[:2]:
+            zf.write(f, f"semiwkb/data/specs/{f.name}")
+    monkeypatch.setattr(experiments.resources, "files",
+                        lambda package: zipfile.Path(archive, f"{package}/"))
+    assert builtin_specs() == specs[:2]
+
+    # importing the package opens none of them
+    probe = ("import sys; opened = []; "
+             "sys.addaudithook(lambda e, a: opened.append(str(a[0])) if e == 'open' else None); "
+             "import semiwkb; print(sum(p.endswith('.ini') for p in opened))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "0"
 
 
 def test_load_spec_file_round_trip(tmp_path):
@@ -142,6 +175,32 @@ def test_load_spec_file_rejections(tmp_path):
     bare.write_text("[model]\nepsilon = 0.1\n")
     with pytest.raises(ValueError, match="experiment"):
         load_spec_file(bare)
+    # each is refused with SpecError before any stage runs: values that are
+    # not finite, keys and sections the loader does not know (a misspelt key
+    # would otherwise leave its default in place) and a case with two slopes
+    refused = [
+        (_with("experiment", "hbar", "inf"), "hbar must be finite and positive, got inf"),
+        (_with("experiment", "times", "0.5, inf"), "spec needs finite times >= 0"),
+        (_with("experiment", "times", "0.5, nan"), "spec needs finite times >= 0"),
+        (_with("case flat", "p0", "inf"), "case 'flat' needs a finite p0, q0 and slope"),
+        (_with("case flat", "q0", "-inf"), "case 'flat' needs a finite p0, q0 and slope"),
+        (_with("case flat", "slope", "nan"), "case 'flat' needs a finite p0, q0 and slope"),
+        (_with("experiment", "method", "exact"), "[experiment] takes no key method"),
+        (_with("case flat", "slpoe", "0.7"), "[case flat] takes no key slpoe"),
+        (_config_text(VALID_CONFIG, extra="[cases tilted]\np0 = 1.0\n"),
+         "unknown section [cases tilted]"),
+        (_config_text(VALID_CONFIG, extra="[output]\n"), "unknown section [output]"),
+        ("[DEFAULT]\np0 = 1.0\n" + _config_text(VALID_CONFIG),
+         "[DEFAULT] takes no key p0 (allowed: none)"),
+        (_with("case flat", "slope", "0.5").replace("q0 = 0.0",
+                                                     "q0 = 0.0\ntheta_over_halfpi = 0.5"),
+         "[case flat] gives both slope and theta_over_halfpi"),
+    ]
+    for n, (text, message) in enumerate(refused):
+        cfg = tmp_path / f"refused{n}.ini"
+        cfg.write_text(text)
+        with pytest.raises(sw.SpecError, match=re.escape(message)):
+            load_spec_file(cfg)
 
 
 VALID_CONFIG = {
