@@ -20,13 +20,12 @@ import numpy as np
 
 from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
 from .errors import InvalidInputError, SemiwkbError
-from .experiments import (MODEL_NAMES, build_model, builtin_specs, get_builtin_spec,
-                          initial_coherent_state, load_spec_file, output_root,
-                          resolve_outdir, run_experiment, write_table)
+from .experiments import (METHODS, MODEL_NAMES, Case, build_model, builtin_specs,
+                          get_builtin_spec, initial_coherent_state, load_spec_file,
+                          output_root, resolve_outdir, run_experiment, write_table)
 from .grids import GridSpec
 from .hamiltonians import PhasePoint, QuadraticPhase
-from .metaplectic import (profile_for_slope, propagate_extended_wkb,
-                          propagate_thawed_gaussian)
+from .metaplectic import profile_for_slope
 from .reference import exact_state
 
 _DESCRIPTIONS = {
@@ -133,22 +132,16 @@ def _cmd_propagate(args) -> int:
     model, grid = _model_and_grid(args)
     alpha = _slope(args)
     out = _outdir(args)
-    if args.method == "extwkb":
-        phase0 = QuadraticPhase(args.p0, args.q0, alpha)
-        r = propagate_extended_wkb(model, phase0, profile_for_slope(alpha),
-                                   args.hbar, args.t, grid, side=args.side)
-    else:
-        r = propagate_thawed_gaussian(model, PhasePoint(args.p0, args.q0),
-                                      1j, args.hbar, args.t, grid,
-                                      side=args.side)
+    r = METHODS[args.method](model, Case(args.prefix, alpha, (args.p0, args.q0)),
+                             profile_for_slope(alpha), args.hbar, args.t, grid,
+                             side=args.side)
     meta = {"method": args.method, "model": args.model, "t": args.t,
             "hbar": args.hbar, "center": [args.p0, args.q0], "slope": alpha,
             "metadata": _jsonable(r.metadata)}
     _emit_state(out, args.prefix, r.state, meta)
-    extra = ""
-    if args.method == "extwkb":
-        extra = (f" caustic_margin={r.metadata['caustic_margin']:.3g}"
-                 f" c_t={r.metadata['c_t']:.6g}")
+    md = r.metadata
+    extra = (f" caustic_margin={md['caustic_margin']:.3g} c_t={md['c_t']:.6g}"
+             if "caustic_margin" in md else "")
     print(f"{args.method}: wrote {out / (args.prefix + '_state.csv')}"
           f" norm={r.state.norm:.9f}{extra}")
     return 0
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     _phase_args(p)
     _grid_args(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--method", choices=("extwkb", "thawed"), default="extwkb")
+    p.add_argument("--method", choices=METHODS, default="extwkb")
     p.add_argument("--out", default=None)
     p.add_argument("--prefix", default="propagate")
     p.set_defaults(fn=_cmd_propagate)

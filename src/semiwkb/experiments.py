@@ -4,9 +4,10 @@ Each experiment is an ExperimentSpec naming a model, an initial family
 (slope cases around a common Gaussian envelope), times, a grid and its
 methods.  load_spec_file reads one from a config file, the builtin ones from
 data/specs, and ExperimentSpec.validate checks every spec before it runs.
-The kinds that compare take one exact reference per case center and run
-extended WKB against it at each time; "thawed" among the methods adds the
-thawed Gaussian.  run_experiment writes plot-ready CSV files plus a
+METHODS is the table of semiclassical methods, one row each.  The kinds that
+compare take one exact reference per case center and run each row the spec
+lists against it at each time; they need "extwkb", and "exact", always the
+reference, is no row.  run_experiment writes plot-ready CSV files plus a
 report.json, whose results carry the verdicts of the checks in
 data/regression_baselines.json, and returns the report.  Reruns of the same
 spec are byte-identical except for the report's "runtimes" entry, which
@@ -24,7 +25,7 @@ import os
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 OUTDIR_ENV = "SEMIWKB_OUTDIR"
-METHODS = ("extwkb", "thawed", "exact")
 
 
 def _quartic(epsilon: float) -> IntegrableMomentum:
@@ -75,6 +75,22 @@ MODEL_NAMES = {name: tuple(defaults) for name, (defaults, _) in _MODELS.items()}
 Case = namedtuple("Case", "label slope center")
 
 
+def _extwkb(model, case, profile, hbar, t, grid, side="minus"):
+    return propagate_extended_wkb(model, QuadraticPhase(*case.center, case.slope),
+                                  profile, hbar, t, grid, side=side)
+
+
+def _thawed(model, case, profile, hbar, t, grid, side="minus"):
+    return propagate_thawed_gaussian(model, PhasePoint(*case.center), 1j, hbar, t, grid,
+                                     side=side)
+
+
+# method name -> propagate(model, case, profile, hbar, t, grid, side="minus") ->
+# PropagationResult, run on the caller's profile object, which the pipeline's
+# cache knows by identity.  "exact", the reference, is no row; a spec may list it
+METHODS = {"extwkb": _extwkb, "thawed": _thawed}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -88,22 +104,38 @@ class ExperimentSpec:
     cases: tuple = (Case("center", 0.0, (0.0, 0.0)),)
     outdir: str | None = None
 
+    def __hash__(self):
+        # validate is cached on the spec, so a field that cannot hash is refused by name
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        for f, value in zip(fields(self), values):
+            try:
+                hash(value)
+            except TypeError:
+                raise SpecError(f"spec field {f.name} must be hashable (a tuple, "
+                                f"not a list), got {value!r}") from None
+        return hash(values)
+
     @functools.lru_cache(maxsize=1)  # load_spec_file, then run_experiment: one build
     def validate(self):
         """Check the spec and return its model, kept for the last spec checked."""
         if self.kind not in _ANALYSES:
             raise SpecError(f"unknown experiment kind {self.kind!r}")
         model = build_model(self.model, self.model_params)
-        bad = [m for m in self.methods if m not in METHODS]
+        bad = [m for m in self.methods if m not in (*METHODS, "exact")]
         if bad:
             raise SpecError(f"unimplemented methods {bad}")
+        if (self.kind in ("exactness", "backward-profiles", "slope-sweep")
+                and "extwkb" not in self.methods):  # each reads extended WKB's map
+            raise SpecError(f"kind {self.kind} compares extended WKB with the reference; "
+                            f"its methods need extwkb, got {list(self.methods)}")
         check_hbar(self.hbar, SpecError)
         if not (self.times and all(map(math.isfinite, self.times))
                 and self.times[0] >= 0 and list(self.times) == sorted(self.times)):
             raise SpecError(f"spec needs finite times >= 0 in ascending order, got {self.times}")
         labels = [c.label for c in self.cases]
-        if not labels or len(set(labels)) != len(labels):
-            raise SpecError(f"spec needs one or more cases with unique labels, got {labels}")
+        if not (labels and all(labels) and len(set(labels)) == len(labels)):
+            raise SpecError(f"spec needs one or more cases with unique, nonempty labels, "
+                            f"got {labels}")
         for c in self.cases:
             if not all(map(math.isfinite, (*c.center, c.slope))):
                 raise SpecError(f"case {c.label!r} needs a finite p0, q0 and slope")
@@ -303,23 +335,21 @@ def _exact_by_center(spec, model, record):
     return states
 
 
-def _compare(spec, model, case, t, exact_t, thawed, profile):
-    """Extended WKB of ``profile``, and the thawed Gaussian when ``thawed``,
-    against the exact state at t.  Returns the extended-WKB result and the
-    report entry the comparison kinds share."""
-    with _stage(f"extwkb {case.label} t={t:g}"):
-        r = propagate_extended_wkb(
-            model, QuadraticPhase(case.center[0], case.center[1], case.slope),
-            profile, spec.hbar, t, spec.grid)
-    fid_thawed = None
-    if thawed:
-        with _stage(f"thawed {case.label} t={t:g}"):
-            tg = propagate_thawed_gaussian(model, PhasePoint(*case.center), 1j,
-                                           spec.hbar, t, spec.grid)
-        fid_thawed = fidelity(tg.state, exact_t)
+def _compare(spec, model, case, t, exact_t, profile):
+    """Each row of METHODS the spec lists, run from ``profile`` and compared
+    with the exact state at t.  Returns the extended-WKB result, each row's
+    fidelity (None for a row the spec does not list) and the report entry the
+    comparison kinds share."""
+    runs, fids = {}, dict.fromkeys(METHODS)
+    for name, propagate in METHODS.items():
+        if name in spec.methods:
+            with _stage(f"{name} {case.label} t={t:g}"):
+                runs[name] = propagate(model, case, profile, spec.hbar, t, spec.grid)
+            fids[name] = fidelity(runs[name].state, exact_t)
+    r = runs["extwkb"]
     md = r.metadata
-    return r, {
-        "t": t, "fidelity": fidelity(r.state, exact_t), "thawed_fidelity": fid_thawed,
+    return r, fids, {
+        "t": t, "fidelity": fids["extwkb"], "thawed_fidelity": fids["thawed"],
         "c_t": md["c_t"], "window": list(md["window"]),
         "caustic_margin": md["caustic_margin"],
         "non_contraction_certificate": md["non_contraction_certificate"],
@@ -339,22 +369,22 @@ def _run_exactness(spec, model, outdir, record):
         profile = profile_for_slope(case.slope)
         for t in spec.times:
             e = exact[case.center].samples[float(t)]
-            r, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods, profile)
+            r, fids, entry = _compare(spec, model, case, t, e, profile)
             diff = r.state.values - e.values
             entry.update(
                 l2_distance=math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx)),
                 ehrenfest_diagnostic=_ehrenfest_diagnostic(model, case.center, t,
                                                            spec.hbar))
-            rows.append([case.label, case.slope] + [entry[k] for k in (
-                "t", "fidelity", "thawed_fidelity", "l2_distance", "caustic_margin",
-                "non_contraction_certificate", "c_t", "ehrenfest_diagnostic")])
+            rows.append([case.label, case.slope, t, *fids.values()] + [entry[k] for k in (
+                "l2_distance", "caustic_margin", "non_contraction_certificate", "c_t",
+                "ehrenfest_diagnostic")])
             per_time.append(entry)
         finals[case.label] = r.state
         case_reports.append({"label": case.label, "slope": case.slope,
                              "center": list(case.center),
                              "per_time": per_time})
     write_table(outdir / "fidelity_series.csv",
-                ["label", "slope", "t", "fidelity_extwkb", "fidelity_thawed",
+                ["label", "slope", "t", *(f"fidelity_{name}" for name in METHODS),
                  "l2_distance", "caustic_margin", "non_contraction_certificate",
                  "c_t", "ehrenfest_diagnostic"], rows)
 
@@ -439,7 +469,7 @@ def _run_backward_profiles(spec, model, outdir, record):
     per_time = []
     for t in spec.times:
         e = ref.samples[float(t)]
-        fwd, entry = _compare(spec, model, case, t, e, "thawed" in spec.methods, profile)
+        fwd, fids, entry = _compare(spec, model, case, t, e, profile)
         # the backward test on the same profile object reuses the forward run's
         # dispersed amplitude and map (the pipeline's cache), so the map
         # diagnostics in entry are its too
@@ -462,12 +492,11 @@ def _run_backward_profiles(spec, model, outdir, record):
             "ehrenfest_diagnostic": _ehrenfest_diagnostic(
                 model, case.center, t, spec.hbar),
         })
-        fid_rows.append([entry[k] for k in (
-            "t", "fidelity", "thawed_fidelity", "backward_l2", "pointwise_peak",
-            "c_t", "caustic_margin")])
+        fid_rows.append([t, *fids.values()] + [entry[k] for k in (
+            "backward_l2", "pointwise_peak", "c_t", "caustic_margin")])
         per_time.append(entry)
     write_table(outdir / "fidelity_series.csv",
-                ["t", "fidelity_extwkb", "fidelity_thawed", "backward_l2",
+                ["t", *(f"fidelity_{name}" for name in METHODS), "backward_l2",
                  "pointwise_peak", "c_t", "caustic_margin"], fid_rows)
 
     final = per_time[-1]
@@ -485,9 +514,9 @@ def _run_slope_sweep(spec, model, outdir, record):
 
     per_case = []
     for case in spec.cases:
-        _, entry = _compare(spec, model, case, t_final,
-                            exact[case.center].samples[float(t_final)], thawed=False,
-                            profile=profile_for_slope(case.slope))
+        *_, entry = _compare(spec, model, case, t_final,
+                             exact[case.center].samples[float(t_final)],
+                             profile_for_slope(case.slope))
         per_case.append({"label": case.label, "slope": case.slope, **{
             k: entry[k] for k in ("fidelity", "window", "caustic_margin",
                                   "non_contraction_certificate")}})

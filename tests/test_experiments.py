@@ -58,10 +58,19 @@ def test_spec_validation_errors():
                                        Case("a", 1.0, (0.0, 0.0)))),
         # backward profiles read one case; a second would be dropped unseen
         dataclasses.replace(ok, kind="backward-profiles"),
+        # a comparison kind reads extended WKB's map, whatever else it lists
+        dataclasses.replace(ok, methods=("thawed", "exact")),
+        dataclasses.replace(ok, kind="slope-sweep", methods=("exact",)),
+        dataclasses.replace(ok, cases=(Case("", 0.0, (0.0, 0.0)),)),
+        # validate is cached on the spec, so every field must hash
+        dataclasses.replace(ok, times=[0.5, 1.0]),
     ]
     for spec in bad:
         with pytest.raises(ValueError):
             spec.validate()
+    # a list where a tuple belongs is a spec error that names its field
+    with pytest.raises(sw.SpecError, match=re.escape("spec field times must be hashable")):
+        run_experiment(ExperimentSpec(name="x", kind="lyapunov", model="kho", times=[1.0]))
 
 
 def test_validate_returns_the_model_it_built():
@@ -195,6 +204,11 @@ def test_load_spec_file_rejections(tmp_path):
         (_with("case flat", "slope", "0.5").replace("q0 = 0.0",
                                                      "q0 = 0.0\ntheta_over_halfpi = 0.5"),
          "[case flat] gives both slope and theta_over_halfpi"),
+        # a case section with no name would label its rows ''
+        (_config_text(VALID_CONFIG, extra="[case  ]\np0 = 1.0\n"),
+         "cases with unique, nonempty labels, got ['flat', '']"),
+        (_config_text(VALID_CONFIG, extra="[case]\np0 = 1.0\n"),
+         "cases with unique, nonempty labels, got ['flat', '']"),
     ]
     for n, (text, message) in enumerate(refused):
         cfg = tmp_path / f"refused{n}.ini"
@@ -213,7 +227,7 @@ BAD_VALUES = {
     "hbar": ["-0.01", "0", "nan", "small", "", "5%"],
     "times": ["1.0, 0.5", "-1.0, 1.0", "", "soon"],
     "grid": ["-10, 14, 4000", "14, -10, 4096", "-10, 14", "-10, 14, 4096.0", "a, b, c"],
-    "methods": ["extwkb, variational"],
+    "methods": ["extwkb, variational", "thawed, exact", "exact"],
 }
 
 
