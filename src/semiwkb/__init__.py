@@ -7,13 +7,11 @@ from .errors import (
     BandwidthError,
     BoundaryMassError,
     CausticError,
-    CausticDomainError,
     NotHyperbolicError,
     DegenerateLinesError,
     OutOfDomainError,
     ConvergenceError,
     StepSizeError,
-    UnsupportedOracleError,
     InvalidInputError,
     SpecError,
     SpecNotFoundError,

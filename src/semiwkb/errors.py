@@ -13,13 +13,11 @@ __all__ = [
     "BandwidthError",
     "BoundaryMassError",
     "CausticError",
-    "CausticDomainError",
     "NotHyperbolicError",
     "DegenerateLinesError",
     "OutOfDomainError",
     "ConvergenceError",
     "StepSizeError",
-    "UnsupportedOracleError",
     "InvalidInputError",
     "SpecError",
     "SpecNotFoundError",
@@ -57,10 +55,6 @@ class CausticError(SemiwkbError):
         super().__init__(message)
 
 
-class CausticDomainError(SemiwkbError):
-    """A closed-form expression was queried outside its caustic-free range."""
-
-
 class NotHyperbolicError(SemiwkbError):
     """The one-period tangent map has no eigenvalue off the unit circle."""
 
@@ -79,10 +73,6 @@ class ConvergenceError(SemiwkbError):
 
 class StepSizeError(SemiwkbError):
     """Refining a reference's steps leaves a gap above its tolerance."""
-
-
-class UnsupportedOracleError(SemiwkbError):
-    """No closed form is available for the requested model/quantity pair."""
 
 
 class InvalidInputError(SemiwkbError, ValueError):

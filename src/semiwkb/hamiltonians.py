@@ -1,4 +1,4 @@
-"""Hamiltonian model catalogue and closed-form reference solutions.
+"""Hamiltonian model catalogue.
 
 All phase-space matrices in this package use (p, q) ordering: row/column 0
 is momentum, row/column 1 is position.  Initial data on a line in phase
@@ -7,10 +7,7 @@ space is described by :class:`QuadraticPhase`, whose graph
 
 Every model carries its own closed-form segment flow and names its exact
 reference path (see :class:`HamiltonianModel`); a model without them is
-refused, not integrated.  The closed forms collected in
-:func:`analytic_oracle` are written independently of the models' segment
-flows (plain scalar expressions, no shared helpers) so tests can pit one
-against the other.
+refused, not integrated.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CausticDomainError, InvalidInputError, UnsupportedOracleError
+from .errors import InvalidInputError
 
 __all__ = [
     "PhasePoint",
@@ -30,7 +27,6 @@ __all__ = [
     "IntegrableMomentum",
     "ParabolicBarrier",
     "KickedHarmonic",
-    "FlowOracle",
 ]
 
 
@@ -204,8 +200,8 @@ class ParabolicBarrier(HamiltonianModel):
     exact_path = "metaplectic-shear"
 
     def __init__(self, v0: float):
-        if not v0 > 0:
-            raise InvalidInputError(f"v0 must be positive, got {v0}")
+        if not (math.isfinite(v0) and v0 > 0):
+            raise InvalidInputError(f"v0 must be finite and positive, got {v0}")
         self.v0 = float(v0)
 
     @property
@@ -246,6 +242,8 @@ class KickedHarmonic(HamiltonianModel):
     exact_path = "metaplectic-shear"
 
     def __init__(self, k: float):
+        if not math.isfinite(k):
+            raise InvalidInputError(f"k must be finite, got {k}")
         self.k = float(k)
 
     def energy(self, p, q):
@@ -294,177 +292,3 @@ class KickedHarmonic(HamiltonianModel):
 
     def kick_phase_jump(self, q):
         return -self.k * np.cos(np.asarray(q, dtype=float))
-
-
-@dataclass(frozen=True)
-class FlowOracle:
-    end: PhasePoint
-    tangent: np.ndarray
-    action: float
-
-
-def _barrier_blocks(lam: float, t: float) -> np.ndarray:
-    ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-    return np.array([[ch, lam * sh], [sh / lam, ch]])
-
-
-def _harmonic_blocks(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
-def _free_flow(t: float, p: float, q: float) -> FlowOracle:
-    return FlowOracle(
-        PhasePoint(p, q + t * p),
-        np.array([[1.0, 0.0], [t, 1.0]]),
-        0.5 * p * p * t,
-    )
-
-
-def _integrable_flow(model: IntegrableMomentum, t: float, p: float, q: float) -> FlowOracle:
-    hp = float(model.h_prime(p))
-    return FlowOracle(
-        PhasePoint(p, q + t * hp),
-        np.array([[1.0, 0.0], [t * float(model.h_double_prime(p)), 1.0]]),
-        (p * hp - float(model.h(p))) * t,
-    )
-
-
-def _barrier_flow(model: ParabolicBarrier, t: float, p: float, q: float) -> FlowOracle:
-    lam = model.lam
-    m = _barrier_blocks(lam, t)
-    end = PhasePoint(m[0, 0] * p + m[0, 1] * q, m[1, 0] * p + m[1, 1] * q)
-    action = (p * p + lam * lam * q * q) * math.sinh(2 * lam * t) / (4 * lam) + (
-        p * q * math.sinh(lam * t) ** 2
-    )
-    return FlowOracle(end, m, action)
-
-
-def _harmonic_segment_action(p: float, q: float, t: float) -> float:
-    # integral of (p(s)^2 - H) along a rotation segment, H conserved
-    return 0.25 * (p * p - q * q) * math.sin(2 * t) - p * q * math.sin(t) ** 2
-
-
-def _kho_flow(model: KickedHarmonic, t: float, p: float, q: float) -> FlowOracle:
-    """Kick-then-rotate periods: the kick at integer n opens (n, n+1], so any
-    forward run kicks at 0 first and t = n stops just before kick n."""
-    if t < 0:
-        raise ValueError("kicked model oracle covers forward times only")
-    tangent = np.eye(2)
-    action = 0.0
-    remaining = t
-    while remaining > 1e-9:
-        action += -model.k * math.cos(q)
-        p = p + model.k * math.sin(q)
-        tangent = np.array([[1.0, model.k * math.cos(q)], [0.0, 1.0]]) @ tangent
-        seg = min(1.0, remaining)
-        rot = _harmonic_blocks(seg)
-        action += _harmonic_segment_action(p, q, seg)
-        p, q = rot[0, 0] * p + rot[0, 1] * q, rot[1, 0] * p + rot[1, 1] * q
-        tangent = rot @ tangent
-        remaining -= seg
-    return FlowOracle(PhasePoint(p, q), tangent, action)
-
-
-def _linear_flow_matrix(model, t: float) -> np.ndarray:
-    if isinstance(model, FreeParticle):
-        return np.array([[1.0, 0.0], [t, 1.0]])
-    if isinstance(model, ParabolicBarrier):
-        return _barrier_blocks(model.lam, t)
-    raise UnsupportedOracleError(f"{model.name} has no global linear flow")
-
-
-def _quadratic_phase_at(model, phase0: QuadraticPhase, t: float, x) -> np.ndarray:
-    """Evolved Hamilton-Jacobi phase for models with linear flow."""
-    m = _linear_flow_matrix(model, t)
-    alpha = phase0.alpha
-    denom = m[1, 0] * alpha + m[1, 1]
-    if denom <= 0:
-        raise CausticDomainError(f"phase oracle past the caustic at t={t}")
-    alpha_t = (m[0, 0] * alpha + m[0, 1]) / denom
-    if isinstance(model, FreeParticle):
-        center = _free_flow(t, phase0.p0, phase0.q0)
-    else:
-        center = _barrier_flow(model, t, phase0.p0, phase0.q0)
-    dxc = np.asarray(x) - center.end.q
-    return center.action + center.end.p * dxc + 0.5 * alpha_t * dxc**2
-
-
-def _transport_map_oracle(model, phase0: QuadraticPhase, t: float, x):
-    x = np.asarray(x, dtype=float)
-    alpha = phase0.alpha
-    if isinstance(model, FreeParticle):
-        dphi = 1.0 + alpha * t
-        if dphi <= 0:
-            raise CausticDomainError(f"free transport map folds at t={-1.0/alpha:.6g}")
-        phi = x + t * (phase0.p0 + alpha * (x - phase0.q0))
-        return phi, np.full_like(x, dphi)
-    if isinstance(model, IntegrableMomentum):
-        p_seed = phase0.p0 + alpha * (x - phase0.q0)
-        dphi = 1.0 + alpha * t * np.asarray(model.h_double_prime(p_seed), dtype=float)
-        if np.any(dphi <= 0):
-            raise CausticDomainError("integrable transport map folds on this window")
-        return x + t * np.asarray(model.h_prime(p_seed), dtype=float), dphi
-    if isinstance(model, ParabolicBarrier):
-        lam = model.lam
-        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-        dphi = alpha * sh / lam + ch
-        if dphi <= 0:
-            raise CausticDomainError("barrier transport map folds (alpha < -lam)")
-        p_seed = phase0.p0 + alpha * (x - phase0.q0)
-        phi = sh / lam * p_seed + ch * x
-        return phi, np.full_like(x, dphi)
-    raise UnsupportedOracleError(f"no transport-map closed form for {model.name}")
-
-
-def _kernel_oracle(model, phase0: QuadraticPhase, t: float) -> float:
-    alpha = phase0.alpha
-    if isinstance(model, FreeParticle):
-        denom = 1.0 + alpha * t
-        if denom <= 0:
-            raise CausticDomainError("free kernel past the caustic")
-        return t / denom
-    if isinstance(model, IntegrableMomentum):
-        h2 = float(model.h_double_prime(phase0.p0))
-        denom = 1.0 + alpha * t * h2
-        if denom <= 0:
-            raise CausticDomainError("integrable kernel past the caustic")
-        return h2 * t / denom
-    if isinstance(model, ParabolicBarrier):
-        lam = model.lam
-        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-        denom = ch + (alpha / lam) * sh
-        if denom <= 0:
-            raise CausticDomainError("barrier kernel past the caustic")
-        return sh / lam / denom
-    raise UnsupportedOracleError(f"no kernel closed form for {model.name}")
-
-
-def analytic_oracle(model, kind: str, **kwargs):
-    """Closed-form reference values for the catalogue models.
-
-    Kinds
-    -----
-    ``flow``               args t, p, q      -> FlowOracle
-    ``transport_map``      args phase0, t, x -> (phi, dphi)
-    ``phase``              args phase0, t, x -> S(t, x)
-    ``metaplectic_kernel`` args phase0, t    -> accumulated kernel C_t
-    """
-    if kind == "flow":
-        t, p, q = kwargs["t"], kwargs["p"], kwargs["q"]
-        if isinstance(model, FreeParticle):
-            return _free_flow(t, p, q)
-        if isinstance(model, IntegrableMomentum):
-            return _integrable_flow(model, t, p, q)
-        if isinstance(model, ParabolicBarrier):
-            return _barrier_flow(model, t, p, q)
-        if isinstance(model, KickedHarmonic):
-            return _kho_flow(model, t, p, q)
-        raise UnsupportedOracleError(f"no flow closed form for {model.name}")
-    if kind == "transport_map":
-        return _transport_map_oracle(model, kwargs["phase0"], kwargs["t"], kwargs["x"])
-    if kind == "phase":
-        return _quadratic_phase_at(model, kwargs["phase0"], kwargs["t"], kwargs["x"])
-    if kind == "metaplectic_kernel":
-        return _kernel_oracle(model, kwargs["phase0"], kwargs["t"])
-    raise ValueError(f"unknown oracle kind {kind!r}")

@@ -75,6 +75,16 @@ def momentum_evolve(model, psi: WaveFunction, t: float) -> WaveFunction:
     return WaveFunction(psi.grid, vals, psi.hbar)
 
 
+def _sample_times(t: float, sample_times) -> list:
+    """The distinct sample times in order, each finite and inside [0, t] up
+    to the 1e-9 past t that KickedHarmonic.kick_times allows."""
+    want = sorted({float(s) for s in sample_times})
+    for s in want:
+        if not 0 <= s <= t + 1e-9:
+            raise InvalidInputError(f"sample time {s} outside [0, {t}]")
+    return want
+
+
 def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
                        side: str = "minus", sample_times=()):
     """Exact evolution of a linear flow in one pass along the kick schedule.
@@ -97,10 +107,7 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
         raise InvalidInputError(f"splits must be a positive integer, got {splits!r}")
     grid, hbar = psi.grid, psi.hbar
     kicks = [float(n) for n in model.kick_times(t, side)]
-    want = sorted({float(s) for s in sample_times})
-    for s in want:
-        if s < 0 or s > t + 1e-9:
-            raise InvalidInputError(f"sample time {s} outside [0, {t}]")
+    want = _sample_times(t, sample_times)
     early = [s for s in want if s < t]
     late = {s for s in early for n in kicks if n < s <= n + 1e-9}
     kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicks else None
@@ -182,17 +189,22 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     oscillator) take metaplectic_evolve with n and 2n pieces per segment, n
     doubling from 1 while a bandwidth guard refuses a pass; the largest L2
     gap between the two passes (final state and samples) must fall under
-    tol.  Any other model raises InvalidInputError.
+    tol.  Any other model, a sample time that is not finite or lies outside
+    [0, t], or a tol that is not finite and positive raises
+    InvalidInputError.
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
+    want = _sample_times(t, sample_times)
     model.kick_times(t, side)  # refuses a bad side on every route
     if model.exact_path == "momentum-multiplier":
         final = momentum_evolve(model, psi, t)
-        samples = {float(s): momentum_evolve(model, psi, float(s)) for s in sample_times}
+        samples = {s: momentum_evolve(model, psi, s) for s in want}
         return ExactResult(final, samples, 0.0, {"method": "momentum-multiplier"})
     if model.exact_path == "metaplectic-shear":
-        return _shear_reference(model, psi, t, tol, side, sample_times)
+        return _shear_reference(model, psi, t, tol, side, want)
     raise InvalidInputError(f"{model.name} has no exact reference path")
 
 

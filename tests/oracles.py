@@ -9,6 +9,13 @@ neither guards its step size: a test picks steps fine enough.
 dense_thawed_gaussian tracks the thawed Gaussian's square-root branch over
 a dense, fixed time step.  Potential is a kinetic-plus-potential model with
 no closed-form flow and no exact path.
+
+closed_form_flow, closed_form_transport_map, closed_form_phase and
+closed_form_kernel are the paper's closed forms for the free, quartic,
+barrier and kicked models: plain scalar expressions that read the models'
+parameters and call none of their methods, so tests can pit them against
+the models' segment flows.  A quantity past a caustic raises ValueError; a
+model without the closed form raises TypeError.
 """
 import math
 
@@ -158,3 +165,98 @@ def dense_thawed_gaussian(model, z0, b0, hbar, t, grid, *, side="minus") -> np.n
     dxc = grid.x - fr.end_point.q
     phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc ** 2
     return (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar)
+
+
+def closed_form_flow(model, t, p, q) -> sw.FlowResult:
+    """One seed's end point, tangent and action over [0, t].  The kicked
+    oscillator covers t >= 0 only: the kick at integer n opens (n, n+1], so
+    the flow kicks at 0 first and t = n stops just before kick n."""
+    if isinstance(model, sw.KickedHarmonic):
+        if t < 0:
+            raise ValueError("the kicked closed form covers forward times only")
+        k, tangent, action, remaining = model.k, np.eye(2), 0.0, t
+        while remaining > 1e-9:
+            action -= k * math.cos(q)
+            p = p + k * math.sin(q)
+            tangent = np.array([[1.0, k * math.cos(q)], [0.0, 1.0]]) @ tangent
+            seg = min(1.0, remaining)
+            c, s = math.cos(seg), math.sin(seg)
+            # integral of (p^2 - H) along the rotation, H conserved
+            action += 0.25 * (p * p - q * q) * math.sin(2 * seg) - p * q * s ** 2
+            p, q = c * p - s * q, s * p + c * q
+            tangent = np.array([[c, -s], [s, c]]) @ tangent
+            remaining -= seg
+        return sw.FlowResult(sw.PhasePoint(p, q), tangent, action)
+    if isinstance(model, sw.ParabolicBarrier):
+        lam = model.lam
+        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
+        action = ((p * p + lam * lam * q * q) * math.sinh(2 * lam * t) / (4 * lam)
+                  + p * q * sh ** 2)
+        return sw.FlowResult(sw.PhasePoint(ch * p + lam * sh * q, sh / lam * p + ch * q),
+                             np.array([[ch, lam * sh], [sh / lam, ch]]), action)
+    if isinstance(model, sw.FreeParticle):
+        h, hp, hpp = 0.5 * p * p, p, 1.0
+    elif isinstance(model, sw.IntegrableMomentum):
+        h, hp, hpp = (float(f(p)) for f in (model.h, model.h_prime, model.h_double_prime))
+    else:
+        raise TypeError(f"no closed-form flow for {model.name}")
+    return sw.FlowResult(sw.PhasePoint(p, q + t * hp),
+                         np.array([[1.0, 0.0], [t * hpp, 1.0]]), (p * hp - h) * t)
+
+
+def closed_form_transport_map(model, phase0, t, x):
+    """(phi, dphi): where the seeds x on the graph of phase0 land at time t,
+    and the map's slope there, for the free, quartic and barrier models."""
+    x = np.asarray(x, dtype=float)
+    alpha = phase0.alpha
+    p_seed = phase0.p0 + alpha * (x - phase0.q0)
+    if isinstance(model, sw.FreeParticle):
+        phi, dphi = x + t * p_seed, np.full_like(x, 1.0 + alpha * t)
+    elif isinstance(model, sw.IntegrableMomentum):
+        phi = x + t * np.asarray(model.h_prime(p_seed), dtype=float)
+        dphi = 1.0 + alpha * t * np.asarray(model.h_double_prime(p_seed), dtype=float)
+    elif isinstance(model, sw.ParabolicBarrier):
+        lam = model.lam
+        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
+        phi, dphi = sh / lam * p_seed + ch * x, np.full_like(x, alpha * sh / lam + ch)
+    else:
+        raise TypeError(f"no closed-form transport map for {model.name}")
+    if np.any(dphi <= 0):
+        raise ValueError(f"the {model.name} transport map folds by t={t}")
+    return phi, dphi
+
+
+def closed_form_phase(model, phase0, t, x):
+    """Hamilton-Jacobi phase S(t, x) for the free and barrier flows, which
+    are linear: the centre's action plus the quadratic about its end point
+    whose slope the centre's tangent carries phase0's slope to."""
+    if not isinstance(model, (sw.FreeParticle, sw.ParabolicBarrier)):
+        raise TypeError(f"no closed-form phase for {model.name}")
+    centre = closed_form_flow(model, t, phase0.p0, phase0.q0)
+    m, alpha = centre.tangent, phase0.alpha
+    denom = m[1, 0] * alpha + m[1, 1]
+    if denom <= 0:
+        raise ValueError(f"the {model.name} phase is past the caustic at t={t}")
+    alpha_t = (m[0, 0] * alpha + m[0, 1]) / denom
+    dxc = np.asarray(x) - centre.end_point.q
+    return centre.action + centre.end_point.p * dxc + 0.5 * alpha_t * dxc ** 2
+
+
+def closed_form_kernel(model, phase0, t) -> float:
+    """Accumulated kernel C_t of the centre of phase0 for the free, quartic
+    and barrier models."""
+    alpha = phase0.alpha
+    if isinstance(model, sw.FreeParticle):
+        num, denom = t, 1.0 + alpha * t
+    elif isinstance(model, sw.IntegrableMomentum):
+        h2 = float(model.h_double_prime(phase0.p0))
+        num, denom = h2 * t, 1.0 + alpha * t * h2
+    elif isinstance(model, sw.ParabolicBarrier):
+        lam = model.lam
+        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
+        num, denom = sh / lam, ch + (alpha / lam) * sh
+    else:
+        raise TypeError(f"no closed-form kernel for {model.name}")
+    if denom <= 0:
+        raise ValueError(f"the {model.name} kernel is past the caustic at t={t}")
+    return num / denom

@@ -1,5 +1,5 @@
 """Model derivatives against finite differences, closed-form flows against
-the RK4 oracle, and oracle guard rails."""
+the RK4 oracle, and the closed forms' guard rails."""
 import math
 
 import numpy as np
@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import semiwkb as sw
-from semiwkb.errors import CausticDomainError, UnsupportedOracleError
-from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
+from semiwkb.hamiltonians import QuadraticPhase
 
-from oracles import Potential, rk4_flow, split_parts
+from oracles import (Potential, closed_form_flow, closed_form_kernel, closed_form_phase,
+                     closed_form_transport_map, rk4_flow, split_parts)
 
 QUARTIC = dict(
     h=lambda p: 0.5 * p ** 2 + 0.1 * p ** 4,
@@ -72,6 +72,13 @@ def test_split_parts_sum_to_energy(model, p=0.8, q=-0.4):
     assert total == pytest.approx(model.energy(p, q), rel=1e-12)
 
 
+def test_model_constructors_refuse_non_finite_parameters():
+    for make, bad in ((sw.KickedHarmonic, math.nan), (sw.KickedHarmonic, -math.inf),
+                      (sw.ParabolicBarrier, math.inf), (sw.ParabolicBarrier, math.nan)):
+        with pytest.raises(sw.InvalidInputError, match="must be finite"):
+            make(bad)
+
+
 def test_barrier_rate_constant():
     assert sw.ParabolicBarrier(4.0).lam == 2.0
     assert split_parts(sw.ParabolicBarrier(1.0))[1](2.0) == -2.0
@@ -118,10 +125,10 @@ def test_kick_trio_consistency():
 @pytest.mark.parametrize("t", [0.35, 1.0, 2.6])
 def test_flow_oracle_matches_rk4(model, t):
     p, q = 0.45, -0.35
-    oracle = analytic_oracle(model, "flow", t=t, p=p, q=q)
+    oracle = closed_form_flow(model, t, p, q)
     num = rk4_flow(model, p, q, t).at(0)
-    assert num.end_point.p == pytest.approx(oracle.end.p, abs=1e-9)
-    assert num.end_point.q == pytest.approx(oracle.end.q, abs=1e-9)
+    assert num.end_point.p == pytest.approx(oracle.end_point.p, abs=1e-9)
+    assert num.end_point.q == pytest.approx(oracle.end_point.q, abs=1e-9)
     assert np.max(np.abs(num.tangent - oracle.tangent)) < 1e-8
     assert num.action == pytest.approx(oracle.action, abs=1e-8)
 
@@ -135,9 +142,9 @@ def test_barrier_flow_against_solve_ivp():
         return [-float(hq), float(hp)]
 
     sol = solve_ivp(rhs, (0, t), [p0, q0], rtol=1e-12, atol=1e-12)
-    oracle = analytic_oracle(model, "flow", t=t, p=p0, q=q0)
-    assert oracle.end.p == pytest.approx(sol.y[0, -1], abs=1e-9)
-    assert oracle.end.q == pytest.approx(sol.y[1, -1], abs=1e-9)
+    oracle = closed_form_flow(model, t, p0, q0)
+    assert oracle.end_point.p == pytest.approx(sol.y[0, -1], abs=1e-9)
+    assert oracle.end_point.q == pytest.approx(sol.y[1, -1], abs=1e-9)
 
 
 def test_standard_potential_rk4_against_solve_ivp():
@@ -156,17 +163,17 @@ def test_standard_potential_rk4_against_solve_ivp():
 def test_kicked_flow_composes_kick_and_rotation():
     model = sw.KickedHarmonic(2.0)
     p0, q0 = 0.15, 0.6
-    fr = analytic_oracle(model, "flow", t=1.0, p=p0, q=q0)
+    fr = closed_form_flow(model, 1.0, p0, q0)
     # kick at t=0 acts first, then one full rotation period
     p1 = p0 + 2.0 * math.sin(q0)
     c, s = math.cos(1.0), math.sin(1.0)
-    assert fr.end.p == pytest.approx(c * p1 - s * q0, abs=1e-12)
-    assert fr.end.q == pytest.approx(s * p1 + c * q0, abs=1e-12)
+    assert fr.end_point.p == pytest.approx(c * p1 - s * q0, abs=1e-12)
+    assert fr.end_point.q == pytest.approx(s * p1 + c * q0, abs=1e-12)
 
 
 def test_oracle_tangents_are_symplectic():
     for model in models()[:3] + [models()[4]]:
-        fr = analytic_oracle(model, "flow", t=1.7, p=0.3, q=0.5)
+        fr = closed_form_flow(model, 1.7, 0.3, 0.5)
         assert abs(float(np.linalg.det(fr.tangent)) - 1.0) < 1e-12
 
 
@@ -174,12 +181,12 @@ def test_transport_map_oracle_free_and_barrier():
     free = sw.FreeParticle()
     ph = QuadraticPhase(0.5, 0.0, 0.8)
     x = np.array([-1.0, 0.0, 2.0])
-    phi, dphi = analytic_oracle(free, "transport_map", phase0=ph, t=1.5, x=x)
+    phi, dphi = closed_form_transport_map(free, ph, 1.5, x)
     assert np.allclose(phi, x + 1.5 * (0.5 + 0.8 * x))
     assert np.allclose(dphi, 1.0 + 0.8 * 1.5)
 
     barrier = sw.ParabolicBarrier(1.0)
-    phi_b, dphi_b = analytic_oracle(barrier, "transport_map", phase0=ph, t=0.7, x=x)
+    phi_b, dphi_b = closed_form_transport_map(barrier, ph, 0.7, x)
     ch, sh = math.cosh(0.7), math.sinh(0.7)
     assert np.allclose(phi_b, sh * (0.5 + 0.8 * x) + ch * x)
     assert np.allclose(dphi_b, 0.8 * sh + ch)
@@ -189,37 +196,34 @@ def test_kernel_oracle_closed_forms():
     free = sw.FreeParticle()
     flat = QuadraticPhase(0.0, 0.0, 0.0)
     tilted = QuadraticPhase(0.0, 0.0, 0.5)
-    assert analytic_oracle(free, "metaplectic_kernel", phase0=flat, t=2.0) == pytest.approx(2.0)
-    assert analytic_oracle(free, "metaplectic_kernel", phase0=tilted, t=2.0) == pytest.approx(1.0)
+    assert closed_form_kernel(free, flat, 2.0) == pytest.approx(2.0)
+    assert closed_form_kernel(free, tilted, 2.0) == pytest.approx(1.0)
 
     barrier = sw.ParabolicBarrier(1.0)
-    c = analytic_oracle(barrier, "metaplectic_kernel", phase0=flat, t=3.0)
+    c = closed_form_kernel(barrier, flat, 3.0)
     assert c == pytest.approx(math.tanh(3.0))
 
 
 def test_kernel_oracle_detects_caustic():
     free = sw.FreeParticle()
     folding = QuadraticPhase(0.0, 0.0, -1.0)
-    with pytest.raises(CausticDomainError):
-        analytic_oracle(free, "metaplectic_kernel", phase0=folding, t=1.5)
-    with pytest.raises(CausticDomainError):
-        analytic_oracle(free, "transport_map", phase0=folding, t=1.5, x=np.zeros(1))
+    with pytest.raises(ValueError):
+        closed_form_kernel(free, folding, 1.5)
+    with pytest.raises(ValueError):
+        closed_form_transport_map(free, folding, 1.5, np.zeros(1))
 
 
 def test_phase_oracle_matches_initial_data_at_t0():
     barrier = sw.ParabolicBarrier(1.0)
     ph = QuadraticPhase(0.4, 0.1, 0.6)
     x = np.linspace(-1, 1, 9)
-    assert np.allclose(analytic_oracle(barrier, "phase", phase0=ph, t=0.0, x=x), ph.phase(x))
+    assert np.allclose(closed_form_phase(barrier, ph, 0.0, x), ph.phase(x))
 
 
 def test_unsupported_oracles_raise():
     standard = Potential(np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q))
-    with pytest.raises(UnsupportedOracleError):
-        analytic_oracle(standard, "flow", t=1.0, p=0.0, q=0.0)
+    with pytest.raises(TypeError):
+        closed_form_flow(standard, 1.0, 0.0, 0.0)
     kicked = sw.KickedHarmonic(2.0)
-    with pytest.raises(UnsupportedOracleError):
-        analytic_oracle(kicked, "transport_map", phase0=QuadraticPhase(0, 0, 0), t=1.0,
-                        x=np.zeros(1))
-    with pytest.raises(ValueError):
-        analytic_oracle(sw.FreeParticle(), "nonsense")
+    with pytest.raises(TypeError):
+        closed_form_transport_map(kicked, QuadraticPhase(0, 0, 0), 1.0, np.zeros(1))

@@ -11,7 +11,7 @@ import semiwkb as sw
 from semiwkb import dynamics, grids, metaplectic, transport
 from semiwkb.dynamics import LagrangianLine
 from semiwkb.errors import BandwidthError, BoundaryMassError, CausticError
-from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
+from semiwkb.hamiltonians import QuadraticPhase
 from semiwkb.metaplectic import (
     apply_L,
     apply_L_adjoint,
@@ -25,7 +25,7 @@ from semiwkb.metaplectic import (
     propagate_thawed_gaussian,
 )
 
-from oracles import Potential
+from oracles import Potential, closed_form_kernel
 
 HBAR = 0.05
 GRID = sw.GridSpec(-8.0, 8.0, 2048)
@@ -273,7 +273,7 @@ def test_center_kernel_closed_forms(model, alpha, t, expected):
     got = center_kernel(model, ph, 0.0, t)
     assert got == pytest.approx(expected, abs=1e-8)
     if not isinstance(model, sw.KickedHarmonic):
-        oracle = analytic_oracle(model, "metaplectic_kernel", phase0=ph, t=t)
+        oracle = closed_form_kernel(model, ph, t)
         assert got == pytest.approx(oracle, abs=1e-8)
 
 
@@ -283,7 +283,7 @@ def test_center_kernel_barrier_contracting_slope():
     ph = QuadraticPhase(0.0, 0.0, -0.5)
     t = 2.0
     got = center_kernel(model, ph, 0.0, t)
-    oracle = analytic_oracle(model, "metaplectic_kernel", phase0=ph, t=t)
+    oracle = closed_form_kernel(model, ph, t)
     assert got == pytest.approx(oracle, abs=1e-8)
 
 
@@ -539,7 +539,7 @@ def test_extended_wkb_free_particle_is_numerically_exact():
     assert err < 1e-4
 
     assert set(result.metadata) == EXTWKB_META_KEYS
-    oracle_c = analytic_oracle(sw.FreeParticle(), "metaplectic_kernel", phase0=ph, t=t)
+    oracle_c = closed_form_kernel(sw.FreeParticle(), ph, t)
     assert result.metadata["c_t"] == pytest.approx(oracle_c, abs=1e-8)
     assert result.metadata["norm_defect"] < 1e-9
     assert result.metadata["caustic_margin"] > 1.0

@@ -177,7 +177,20 @@ def test_exact_state_ladder_reports_failure():
     grid = sw.GridSpec(-8.0, 8.0, 256)
     psi0 = sw.initial_coherent_state(grid, HBAR, (0.2, 0.2))
     with pytest.raises(StepSizeError):
-        sw.exact_state(sw.ParabolicBarrier(1.0), psi0, 0.5, tol=0.0)
+        sw.exact_state(sw.ParabolicBarrier(1.0), psi0, 0.5, tol=1e-20)
+
+
+@pytest.mark.parametrize("bad", [{"sample_times": (math.nan,)}, {"sample_times": (math.inf,)},
+                                 {"sample_times": (-1.0,)}, {"sample_times": (5.0,)},
+                                 {"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0}],
+                         ids=["sample-nan", "sample-inf", "sample-neg", "sample-late",
+                              "tol-nan", "tol-zero", "tol-neg"])
+@pytest.mark.parametrize("name", ["free", "barrier", "kho"])
+def test_exact_state_refuses_bad_sample_times_and_tol_on_every_route(name, bad):
+    # both routes check the sample times and tol before they run
+    psi0 = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 256), HBAR, (0.2, 0.2))
+    with pytest.raises(InvalidInputError):
+        sw.exact_state(sw.build_model(name), psi0, 1.0, **bad)
 
 
 def test_kicked_schedule_boundary_mass_guard():
@@ -218,7 +231,7 @@ def test_post_kick_state_is_kicked_pre_kick_state():
 def test_kho_sample_time_validation():
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    for bad in ((3.0,), (-0.5,), (1.0, 2.5)):
+    for bad in ((3.0,), (-0.5,), (1.0, 2.5), (math.nan,)):
         with pytest.raises(ValueError, match="outside"):
             metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 2.0, sample_times=bad)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
 from semiwkb.grids import _padded_spectrum
-from semiwkb.hamiltonians import QuadraticPhase, analytic_oracle
+from semiwkb.hamiltonians import QuadraticPhase
 from semiwkb.metaplectic import (apply_L, apply_metaplectic, center_kernel, gaussian_profile,
                                  mass_quantile_window, profile_for_slope)
 from semiwkb.transport import (
@@ -33,6 +33,7 @@ from semiwkb.transport import (
     _node_residual,
 )
 
+from oracles import closed_form_flow, closed_form_phase, closed_form_transport_map
 from test_model_plugin import HarmonicWell
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
@@ -65,8 +66,7 @@ def test_bundle_matches_free_closed_form():
     ph = QuadraticPhase(0.4, -0.1, 0.6)
     for t in (0.3, 0.9):
         bundle = build_bundle(sw.FreeParticle(), ph, (-2.0, 2.0), 65, t)
-        phi, dphi = analytic_oracle(sw.FreeParticle(), "transport_map",
-                                    phase0=ph, t=t, x=bundle.seeds)
+        phi, dphi = closed_form_transport_map(sw.FreeParticle(), ph, t, bundle.seeds)
         assert np.max(np.abs(bundle.q_t - phi)) < 1e-12
         assert np.max(np.abs(bundle.dphi_t - dphi)) < 1e-12
         assert np.max(np.abs(bundle.p_t - ph.grad(bundle.seeds))) < 1e-12
@@ -84,7 +84,7 @@ def test_map_values_match_oracle():
     ph = QuadraticPhase(0.2, 0.0, 0.5)
     tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, 0.8)
     x = np.linspace(-1.4, 1.4, 41)
-    phi, dphi = analytic_oracle(barrier, "transport_map", phase0=ph, t=0.8, x=x)
+    phi, dphi = closed_form_transport_map(barrier, ph, 0.8, x)
     assert np.max(np.abs(tmap.map_values(x) - phi)) < 1e-10
     assert np.max(np.abs(tmap.map_derivative(x) - dphi)) < 1e-8
     assert tmap.non_contraction_certificate > 1.0  # expanding, no contraction
@@ -96,7 +96,7 @@ def test_evolved_phase_matches_oracle():
     tmap = build_transport_map(barrier, ph, (-1.5, 1.5), 129, 0.8)
     lo, hi = tmap.image_interval
     y = np.linspace(lo, hi, 31)
-    oracle = analytic_oracle(barrier, "phase", phase0=ph, t=0.8, x=y)
+    oracle = closed_form_phase(barrier, ph, 0.8, y)
     assert np.max(np.abs(evolved_phase(tmap, y) - oracle)) < 1e-9
 
 
@@ -176,9 +176,9 @@ def test_kicked_transport_uses_kick_schedule():
     ph = QuadraticPhase(0.0, 0.0, 0.0)
     bundle = build_bundle(model, ph, (-0.4, 0.4), 33, 1.0)
     for i, x in enumerate(bundle.seeds):
-        fr = analytic_oracle(model, "flow", t=1.0, p=float(ph.grad(x)), q=float(x))
-        assert bundle.q_t[i] == pytest.approx(fr.end.q, abs=1e-12)
-        assert bundle.p_t[i] == pytest.approx(fr.end.p, abs=1e-12)
+        fr = closed_form_flow(model, 1.0, float(ph.grad(x)), float(x))
+        assert bundle.q_t[i] == pytest.approx(fr.end_point.q, abs=1e-12)
+        assert bundle.p_t[i] == pytest.approx(fr.end_point.p, abs=1e-12)
 
 
 def trigonometric_interpolant(psi, x, nu=0):
