@@ -5,19 +5,23 @@ Each experiment is an ExperimentSpec naming a model, an initial family
 methods.  load_spec_file reads one from a config file, the builtin ones from
 data/specs, and ExperimentSpec.validate checks every spec before it runs.
 METHODS is the table of semiclassical methods, one row each.  The kinds that
-compare take one exact reference per case center and run each row the spec
-lists against it at each time; they need "extwkb", and "exact", always the
-reference, is no row.  run_experiment writes plot-ready CSV files plus a
-report.json, whose results carry the verdicts of the checks in
-data/regression_baselines.json, and returns the report.  Reruns of the same
-spec are byte-identical except for the report's "runtimes" entry, which
-records wall-clock seconds and is documented volatile.
+compare take one exact reference per case center and read one record stream,
+_records, which runs each row the spec lists against it for each case and
+time; they need "extwkb", and "exact", always the reference, is no row.  Each
+such kind is a projection of the records: exactness adds L2 distances and
+pairwise final fidelities, backward-profiles runs the backward test on each
+record as it arrives, and slope-sweep reads the records at the last time.
+run_experiment writes plot-ready CSV files plus a report.json, whose results
+carry the verdicts of the checks in data/regression_baselines.json, and returns
+the report.  Reruns of the same spec are byte-identical except for the report's
+"runtimes" entry, which records wall-clock seconds and is documented volatile.
 """
 from __future__ import annotations
 
 import configparser
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
@@ -183,7 +187,7 @@ def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
 
 def load_baselines() -> dict:
     """Checked-in regression values and the checks run_experiment applies."""
-    text = resources.files("semiwkb").joinpath(
+    text = resources.files(__package__).joinpath(
         "data/regression_baselines.json").read_text(encoding="utf-8")
     return json.loads(text)
 
@@ -335,25 +339,32 @@ def _exact_by_center(spec, model, record):
     return states
 
 
-def _compare(spec, model, case, t, exact_t, profile):
-    """Each row of METHODS the spec lists, run from ``profile`` and compared
-    with the exact state at t.  Returns the extended-WKB result, each row's
-    fidelity (None for a row the spec does not list) and the report entry the
-    comparison kinds share."""
-    runs, fids = {}, dict.fromkeys(METHODS)
-    for name, propagate in METHODS.items():
-        if name in spec.methods:
-            with _stage(f"{name} {case.label} t={t:g}"):
-                runs[name] = propagate(model, case, profile, spec.hbar, t, spec.grid)
-            fids[name] = fidelity(runs[name].state, exact_t)
-    r = runs["extwkb"]
-    md = r.metadata
-    return r, fids, {
-        "t": t, "fidelity": fids["extwkb"], "thawed_fidelity": fids["thawed"],
-        "c_t": md["c_t"], "window": list(md["window"]),
-        "caustic_margin": md["caustic_margin"],
-        "non_contraction_certificate": md["non_contraction_certificate"],
-    }
+def _records(spec, model, exact, times):
+    """For each case, then each of ``times``: run every row of METHODS the spec
+    lists from the case's profile and compare it with the exact state.
+
+    Yields (case, its profile object, the exact state, the extended-WKB result,
+    each row's fidelity or None where the spec does not list the row, the report
+    entry the comparison kinds share), one record at a time: the pipeline's
+    one-entry cache keys the profile by identity, so a backward test run on a
+    record as it arrives reuses the forward run's map."""
+    for case in spec.cases:
+        profile = profile_for_slope(case.slope)
+        for t in times:
+            e = exact[case.center].samples[float(t)]
+            runs, fids = {}, dict.fromkeys(METHODS)
+            for name, propagate in METHODS.items():
+                if name in spec.methods:
+                    with _stage(f"{name} {case.label} t={t:g}"):
+                        runs[name] = propagate(model, case, profile, spec.hbar, t, spec.grid)
+                    fids[name] = fidelity(runs[name].state, e)
+            md = runs["extwkb"].metadata
+            yield case, profile, e, runs["extwkb"], fids, {
+                "t": t, "fidelity": fids["extwkb"], "thawed_fidelity": fids["thawed"],
+                "window": list(md["window"]), **{k: md[k] for k in (
+                    "c_t", "caustic_margin", "non_contraction_certificate")},
+                "ehrenfest_diagnostic": _ehrenfest_diagnostic(model, case.center, t, spec.hbar),
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -361,52 +372,34 @@ def _compare(spec, model, case, t, exact_t, profile):
 
 def _run_exactness(spec, model, outdir, record):
     exact = _exact_by_center(spec, model, record)
-    rows = []
-    case_reports = []
-    finals = {}
-    for case in spec.cases:
-        per_time = []
-        profile = profile_for_slope(case.slope)
-        for t in spec.times:
-            e = exact[case.center].samples[float(t)]
-            r, fids, entry = _compare(spec, model, case, t, e, profile)
-            diff = r.state.values - e.values
-            entry.update(
-                l2_distance=math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx)),
-                ehrenfest_diagnostic=_ehrenfest_diagnostic(model, case.center, t,
-                                                           spec.hbar))
-            rows.append([case.label, case.slope, t, *fids.values()] + [entry[k] for k in (
-                "l2_distance", "caustic_margin", "non_contraction_certificate", "c_t",
-                "ehrenfest_diagnostic")])
-            per_time.append(entry)
+    columns = ("l2_distance", "caustic_margin", "non_contraction_certificate", "c_t",
+               "ehrenfest_diagnostic")
+    rows, finals, per_time = [], {}, {case.label: [] for case in spec.cases}
+    for case, _, e, r, fids, entry in _records(spec, model, exact, spec.times):
+        diff = r.state.values - e.values
+        entry["l2_distance"] = math.sqrt(float(np.sum(np.abs(diff) ** 2) * spec.grid.dx))
+        rows.append([case.label, case.slope, entry["t"], *fids.values(),
+                     *(entry[k] for k in columns)])
+        per_time[case.label].append(entry)
         finals[case.label] = r.state
-        case_reports.append({"label": case.label, "slope": case.slope,
-                             "center": list(case.center),
-                             "per_time": per_time})
     write_table(outdir / "fidelity_series.csv",
-                ["label", "slope", "t", *(f"fidelity_{name}" for name in METHODS),
-                 "l2_distance", "caustic_margin", "non_contraction_certificate",
-                 "c_t", "ehrenfest_diagnostic"], rows)
+                ["label", "slope", "t", *(f"fidelity_{name}" for name in METHODS), *columns],
+                rows)
 
     # manifold independence: the same physical state propagated over
     # different slope representations must land on the same final state
-    pair_rows = []
-    pair_min = 1.0
-    labels = [c.label for c in spec.cases]
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            f = fidelity(finals[a], finals[b])
-            pair_rows.append([a, b, f])
-            pair_min = min(pair_min, f)
+    pair_rows = [[a, b, fidelity(finals[a], finals[b])]
+                 for a, b in itertools.combinations(finals, 2)]
     if pair_rows:
         write_table(outdir / "pairwise_final_fidelity.csv",
                     ["label_a", "label_b", "fidelity"], pair_rows)
 
-    min_fid = min(pt["fidelity"] for cr in case_reports for pt in cr["per_time"])
     return {
-        "cases": case_reports,
-        "min_fidelity": min_fid,
-        "pairwise_final_fidelity_min": pair_min if pair_rows else None,
+        "cases": [{"label": case.label, "slope": case.slope, "center": list(case.center),
+                   "per_time": per_time[case.label]} for case in spec.cases],
+        "min_fidelity": min(e["fidelity"] for es in per_time.values() for e in es),
+        "pairwise_final_fidelity_min": min([1.0] + [f for *_, f in pair_rows])
+        if pair_rows else None,
         "reference": {case.label: {
             "ladder_delta": exact[case.center].ladder_delta,
             "method": exact[case.center].diagnostics.get("method"),
@@ -461,18 +454,14 @@ def _run_barrier_sweep(spec, model, outdir, record):
 
 def _run_backward_profiles(spec, model, outdir, record):
     case = spec.cases[0]
-    phase0 = QuadraticPhase(case.center[0], case.center[1], case.slope)
-    profile = profile_for_slope(case.slope)
-    ref = _exact_by_center(spec, model, record)[case.center]
-
-    fid_rows = []
-    per_time = []
-    for t in spec.times:
-        e = ref.samples[float(t)]
-        fwd, fids, entry = _compare(spec, model, case, t, e, profile)
-        # the backward test on the same profile object reuses the forward run's
-        # dispersed amplitude and map (the pipeline's cache), so the map
-        # diagnostics in entry are its too
+    phase0 = QuadraticPhase(*case.center, case.slope)
+    exact = _exact_by_center(spec, model, record)
+    columns = ("backward_l2", "pointwise_peak", "c_t", "caustic_margin")
+    fid_rows, per_time = [], []
+    for _, profile, e, fwd, fids, entry in _records(spec, model, exact, spec.times):
+        t = entry["t"]
+        # run on the record's profile object as it arrives, the backward test reuses
+        # the forward run's map (the pipeline's cache): entry's map diagnostics are its too
         with _stage(f"backward t={t:g}"):
             back = backward_wkb_test(model, phase0, profile, spec.hbar, t, spec.grid, e)
         dphi_exact = _phase_derivative(back.u, back.exact_profile)
@@ -486,40 +475,29 @@ def _run_backward_profiles(spec, model, outdir, record):
         diff = fwd.state.values - e.values
         peak = float(np.abs(e.values).max())
         mask = np.abs(e.values) > 0.1 * peak
-        entry.update({
-            "backward_l2": back.l2_distance,
-            "pointwise_peak": float(np.abs(diff[mask]).max() / peak) if mask.any() else 0.0,
-            "ehrenfest_diagnostic": _ehrenfest_diagnostic(
-                model, case.center, t, spec.hbar),
-        })
-        fid_rows.append([t, *fids.values()] + [entry[k] for k in (
-            "backward_l2", "pointwise_peak", "c_t", "caustic_margin")])
+        entry.update(backward_l2=back.l2_distance, pointwise_peak=float(
+            np.abs(diff[mask]).max() / peak) if mask.any() else 0.0)
+        fid_rows.append([t, *fids.values(), *(entry[k] for k in columns)])
         per_time.append(entry)
     write_table(outdir / "fidelity_series.csv",
-                ["t", *(f"fidelity_{name}" for name in METHODS), "backward_l2",
-                 "pointwise_peak", "c_t", "caustic_margin"], fid_rows)
+                ["t", *(f"fidelity_{name}" for name in METHODS), *columns], fid_rows)
 
     final = per_time[-1]
     return {
         "per_time": per_time,
         "final_beats_thawed": None if final["thawed_fidelity"] is None
         else bool(final["fidelity"] > final["thawed_fidelity"]),
-        "reference": {"ladder_delta": ref.ladder_delta},
+        "reference": {"ladder_delta": exact[case.center].ladder_delta},
     }
 
 
 def _run_slope_sweep(spec, model, outdir, record):
     t_final = spec.times[-1]
     exact = _exact_by_center(spec, model, record)
-
-    per_case = []
-    for case in spec.cases:
-        *_, entry = _compare(spec, model, case, t_final,
-                             exact[case.center].samples[float(t_final)],
-                             profile_for_slope(case.slope))
-        per_case.append({"label": case.label, "slope": case.slope, **{
-            k: entry[k] for k in ("fidelity", "window", "caustic_margin",
-                                  "non_contraction_certificate")}})
+    per_case = [{"label": case.label, "slope": case.slope, **{
+        k: entry[k] for k in ("fidelity", "window", "caustic_margin",
+                              "non_contraction_certificate")}}
+                for case, *_, entry in _records(spec, model, exact, (t_final,))]
     fid0 = next(p["fidelity"] for p in per_case if p["slope"] == 0.0)
     rows = []
     for p in per_case:
@@ -608,7 +586,7 @@ def run_experiment(spec: ExperimentSpec, outdir=None) -> dict:
 
 def _builtin_files() -> dict:
     """Spec name -> file for each data/specs/<order>-<name>.ini, in file-name order."""
-    files = resources.files("semiwkb").joinpath("data/specs").iterdir()
+    files = resources.files(__package__).joinpath("data/specs").iterdir()
     return {f.name.partition("-")[2].removesuffix(".ini"): f
             for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".ini")}
 

@@ -282,10 +282,11 @@ def refine_wavefunction(psi: WaveFunction, factor: int) -> WaveFunction:
     the periodic extension on the finer grid; exact for functions resolved by
     the original grid.
     """
+    if not isinstance(factor, numbers.Integral) or factor < 1 or factor & (factor - 1):
+        raise InvalidInputError(
+            f"refinement factor must be an integer power of two >= 1, got {factor!r}")
     if factor == 1:
         return psi
-    if factor < 1 or factor & (factor - 1):
-        raise InvalidInputError(f"refinement factor must be a power of two >= 1, got {factor}")
     fine_vals = np.fft.ifft(_padded_spectrum(psi.values, factor))
     fine_grid = GridSpec(psi.grid.x_min, psi.grid.x_max, psi.grid.n_points * factor)
     return WaveFunction(fine_grid, fine_vals, psi.hbar)
@@ -303,9 +304,15 @@ def band_mass(
     ``exp(-i*(p_c*x + slope*(x-q_c)^2/2)/hbar)`` maps the band onto a
     horizontal momentum strip, whose mass is a momentum-marginal integral.
     The state is upsampled first so the chirped function stays below the
-    working Nyquist momentum.
+    working Nyquist momentum.  A slope or centre that is not finite, or a
+    width that is not finite and positive, is refused.
     """
     p_c, q_c = center
+    if not all(map(math.isfinite, (slope, p_c, q_c))):
+        raise InvalidInputError(f"band_mass needs a finite slope and centre, "
+                                f"got slope={slope}, center={center}")
+    if not (math.isfinite(width) and width > 0):
+        raise InvalidInputError(f"band width must be finite and positive, got {width}")
     grid = psi.grid
     edge = max(abs(grid.x_min - q_c), abs(grid.x_max - q_c))
     chirp_max = abs(p_c) + abs(slope) * edge

@@ -101,8 +101,8 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     momentum past Nyquist or a chirped spectrum reaches the Nyquist edge,
     where the momentum multiplier would alias.
     """
-    if t < 0:
-        raise InvalidInputError(f"the reference runs forward in time only, got t={t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
     if not isinstance(splits, numbers.Integral) or splits < 1:
         raise InvalidInputError(f"splits must be a positive integer, got {splits!r}")
     grid, hbar = psi.grid, psi.hbar
@@ -237,7 +237,11 @@ def _shear_reference(model, psi, t, tol, side, sample_times) -> ExactResult:
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
-    return abs(overlap(a, b)) / (a.norm * b.norm)
+    """|<a|b>| / (|a| |b|); a state of zero norm is refused."""
+    ab, na, nb = overlap(a, b), a.norm, b.norm
+    if na == 0.0 or nb == 0.0:
+        raise InvalidInputError("fidelity needs two states of nonzero norm")
+    return abs(ab) / (na * nb)
 
 
 def expectation_q(psi: WaveFunction) -> float:

@@ -51,6 +51,7 @@ error beyond the spectral one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,13 +104,19 @@ def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float
     Raises CausticError carrying (t, x) at the seed whose map derivative
     is smallest if it drops below the caustic threshold.
     """
-    if n_seeds < 33:
-        raise InvalidInputError(
-            f"need at least 33 seeds for a trustworthy tabulation, got {n_seeds}")
+    if not isinstance(n_seeds, numbers.Integral) or n_seeds < 33:
+        raise InvalidInputError(f"n_seeds must be an integer, at least 33 for a trustworthy "
+                                f"tabulation, got {n_seeds!r}")
+    return _flowed(model, phase0, np.linspace(*_window(x_window), n_seeds), float(t), side)
+
+
+def _window(x_window) -> tuple:
+    """``x_window`` as floats (lo, hi); InvalidInputError unless lo < hi, both finite."""
     lo, hi = float(x_window[0]), float(x_window[1])
-    if not hi > lo:
-        raise InvalidInputError(f"x_window must be a nonempty interval, got ({lo}, {hi})")
-    return _flowed(model, phase0, np.linspace(lo, hi, n_seeds), float(t), side)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidInputError(f"x_window must be a finite, nonempty interval, "
+                                f"got ({lo}, {hi})")
+    return lo, hi
 
 
 def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
@@ -407,7 +414,7 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
     amplitude, once, and carries the result as ``transported``.  The
     amplitude interpolant serves every round and is released on return.
     """
-    interp = _amplitude_interpolator(amplitude, x_window)
+    interp = _amplitude_interpolator(amplitude, _window(x_window))
     norm_sq = amplitude.norm_sq
     tmap = build_transport_map(model, phase0, x_window, FIRST_SEEDS, t, side=side)
     for _ in range(MAX_ROUNDS):

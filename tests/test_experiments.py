@@ -1,5 +1,6 @@
 """Experiment harness: spec validation, builtin catalog, config files,
 artifact determinism, and the lyapunov report."""
+import ast
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
-from semiwkb import experiments
+from semiwkb import experiments, metaplectic, transport
 from semiwkb.errors import BandwidthError, SemiwkbError
 from semiwkb.experiments import (
     Case,
@@ -337,6 +338,56 @@ def test_free_exactness_report_content(tmp_path):
     # exact here as well
     assert np.all(cols["fidelity_thawed"] > 1.0 - 1e-9)
 
+
+def _calls(node, name):
+    return any(isinstance(c, ast.Call) and ast.unparse(c.func) == name for c in ast.walk(node))
+
+
+def test_one_record_loop_runs_every_method_row():
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    rows = {fn.__name__ for fn in experiments.METHODS.values()}
+
+    def runs_a_row(fn):
+        # a row called by name, as METHODS[...], or by a name a loop over METHODS binds
+        bound = {t.id for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))
+                 and "METHODS" in ast.unparse(n.iter)
+                 for t in ast.walk(n.target) if isinstance(t, ast.Name)}
+        return any(isinstance(c, ast.Call) and (ast.unparse(c.func) in rows | bound
+                                                or ast.unparse(c.func).startswith("METHODS["))
+                   for c in ast.walk(fn))
+
+    assert [name for name, fn in funcs.items() if runs_a_row(fn)] == ["_records"]
+    # the pipeline is entered through the rows alone
+    for entry in ("propagate_extended_wkb", "propagate_thawed_gaussian"):
+        assert {name for name, fn in funcs.items() if _calls(fn, entry)} < rows
+    # every kind validate treats as a comparison kind reads the one record stream
+    kinds = {elt.value for n in ast.walk(funcs["validate"])
+             if isinstance(n, ast.Compare) and ast.unparse(n.left) == "self.kind"
+             and isinstance(n.ops[0], ast.In) for elt in n.comparators[0].elts}
+    assert {"exactness", "backward-profiles", "slope-sweep"} <= kinds
+    for kind in kinds:
+        assert _calls(funcs[experiments._ANALYSES[kind].__name__], "_records"), kind
+
+
+def test_backward_profiles_refine_the_seed_fan_once_per_time(tmp_path, monkeypatch):
+    # each backward test runs on its record as it arrives, so it finds the forward
+    # run's map in the pipeline's one-entry cache; records collected first would not
+    refined = []
+
+    def counting(*args, **kwargs):
+        refined.append(args[3])  # t
+        return transport.refined_transport_map(*args, **kwargs)
+
+    monkeypatch.setattr(metaplectic, "refined_transport_map", counting)
+    metaplectic._core.cache_clear()
+    spec = ExperimentSpec(
+        name="backward-small", kind="backward-profiles", model="free", hbar=0.05,
+        times=(0.5, 1.0), grid=sw.GridSpec(-8.0, 16.0, 2048),
+        cases=(Case("tilted", 0.5, (1.0, 0.0)),))
+    report = run_experiment(spec, tmp_path)
+    assert refined == [0.5, 1.0]
+    assert [e["t"] for e in report["results"]["per_time"]] == [0.5, 1.0]
 
 def test_failures_carry_the_stage_name(tmp_path):
     # a grid too coarse for the profile sampler fails in the extwkb stage

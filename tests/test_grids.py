@@ -165,6 +165,33 @@ def test_band_mass_rejects_hopeless_slope():
         sw.band_mass(psi, 1e6, 0.1)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((1.0, math.nan), "width"), ((1.0, -1.0), "width"), ((1.0, 0.0), "width"),
+    ((1.0, math.inf), "width"), ((math.nan, 0.1), "slope"), ((math.inf, 0.1), "slope"),
+    ((1.0, 0.1, (math.nan, 0.0)), "centre"), ((1.0, 0.1, (0.0, -math.inf)), "centre"),
+], ids=["nan-width", "negative-width", "zero-width", "inf-width", "nan-slope", "inf-slope",
+        "nan-center", "inf-center"])
+def test_band_mass_refuses_a_degenerate_band(args, match):
+    psi = coherent(sw.GridSpec(-6.0, 6.0, 256), HBAR)
+    with pytest.raises(InvalidInputError, match=match):
+        sw.band_mass(psi, *args)
+
+
+def test_fidelity_refuses_a_zero_state():
+    g = sw.GridSpec(-6.0, 6.0, 256)
+    psi, zero = coherent(g, HBAR), sw.WaveFunction(g, np.zeros(g.n_points), HBAR)
+    for a, b in ((zero, psi), (psi, zero), (zero, zero)):
+        with pytest.raises(InvalidInputError, match="nonzero norm"):
+            sw.fidelity(a, b)
+
+
+@pytest.mark.parametrize("factor", [math.nan, 2.0, 3, 0], ids=["nan", "float", "three", "zero"])
+def test_refine_refuses_a_factor_that_is_no_power_of_two(factor):
+    psi = coherent(sw.GridSpec(-6.0, 6.0, 256), HBAR)
+    with pytest.raises(InvalidInputError, match="refinement factor"):
+        sw.refine_wavefunction(psi, factor)
+
+
 def test_refine_preserves_values_and_norm():
     g = sw.GridSpec(-8.0, 8.0, 512)
     psi = coherent(g, HBAR, p0=0.4)

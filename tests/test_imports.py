@@ -1,6 +1,6 @@
-"""Package layout: no module of the package imports another's private name
-or branches on a model class, and the closed forms of tests/oracles.py call
-no model method."""
+"""Package layout: no module of the package imports another's private name,
+names its own package or branches on a model class, and the closed forms of
+tests/oracles.py call no model method."""
 import ast
 from pathlib import Path
 
@@ -9,6 +9,9 @@ SRC = TESTS.parent / "src" / "semiwkb"
 
 CLOSED_FORMS = ("closed_form_flow", "closed_form_transport_map", "closed_form_phase",
                 "closed_form_kernel")
+# importlib and pkgutil calls that look a package or its data up by name
+LOOKUPS = {"files", "import_module", "find_spec", "get_data", "read_text", "read_binary",
+           "open_text", "open_binary", "path", "contents", "is_resource"}
 MODEL_METHODS = {"segment_flow", "shear_pair", "kick", "kick_times", "kick_impulse",
                  "kick_phase_jump", "kinetic_energy", "hess", "grad", "energy"}
 
@@ -26,6 +29,28 @@ def test_no_module_imports_a_private_name():
                 found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
                           f"import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_no_module_names_its_own_package():
+    # relative imports and __package__ keep a copy under another name on its own data
+    def own(name):
+        return name == SRC.name or name.startswith(f"{SRC.name}.")
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for a in node.names if own(a.name)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and own(node.module):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and (
+                    node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None)) in LOOKUPS:
+                found += [f"{path.name}:{node.lineno}"
+                          for arg in (*node.args, *(k.value for k in node.keywords))
+                          if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                          and own(arg.value)]
     assert found == []
 
 

@@ -242,6 +242,16 @@ def test_kho_sample_time_validation():
             metaplectic_evolve(sw.ParabolicBarrier(1.0), wide, 1.0, splits=bad)
 
 
+@pytest.mark.parametrize("model", [sw.ParabolicBarrier(1.0), sw.KickedHarmonic(2.0)],
+                         ids=["barrier", "kicked"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_metaplectic_evolve_refuses_a_time_that_is_not_finite(model, t):
+    # on the barrier a NaN time would run no segment and return the input state
+    psi = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 1024), HBAR, (0.0, 0.0))
+    with pytest.raises(InvalidInputError, match=f"finite time, got t={t}$"):
+        metaplectic_evolve(model, psi, t)
+
+
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 WALK_GRID = sw.GridSpec(-8.0, 8.0, 512)
 # model, start and end time, short enough for one-piece segments

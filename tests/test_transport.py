@@ -79,6 +79,20 @@ def test_bundle_seed_minimum():
         build_bundle(sw.FreeParticle(), QuadraticPhase(0, 0, 0), (1.0, -1.0), 65, 0.5)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda amp: refined_transport_map(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                       (math.nan, 0.1), 1.0, amp), "x_window"),
+    (lambda amp: build_transport_map(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                     (-math.inf, 0.1), 65, 1.0), "x_window"),
+    (lambda amp: build_transport_map(sw.FreeParticle(), QuadraticPhase(0, 0, 0),
+                                     (-1.0, 1.0), math.nan, 1.0), "n_seeds"),
+], ids=["refined-nan-window", "inf-window", "nan-seeds"])
+def test_map_builders_refuse_bad_input_by_name(build, name):
+    amp = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 1024), 0.05, (0.0, 0.0))
+    with pytest.raises(sw.InvalidInputError, match=f"^{name} "):
+        build(amp)
+
+
 def test_map_values_match_oracle():
     barrier = sw.ParabolicBarrier(1.0)
     ph = QuadraticPhase(0.2, 0.0, 0.5)
