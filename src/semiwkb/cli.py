@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ehrenfest_time, flow_bundle, lyapunov_exponent
-from .errors import InvalidInputError, SemiwkbError
+from .errors import SemiwkbError
 from .experiments import (METHODS, MODEL_NAMES, Case, build_model, builtin_specs,
                           get_builtin_spec, initial_coherent_state, load_spec_file,
                           output_root, resolve_outdir, run_experiment, write_table)
@@ -59,9 +59,6 @@ def _phase_args(p: argparse.ArgumentParser) -> None:
                        help="initial manifold slope at the center")
     slope.add_argument("--theta-over-halfpi", type=float, default=None,
                        help="slope given as tan(theta), theta in units of pi/2")
-    p.add_argument("--side", choices=("minus", "plus"), default="minus",
-                   help="for kicked models: sample integer times before "
-                        "or after that instant's kick")
 
 
 def _grid_args(p: argparse.ArgumentParser) -> None:
@@ -102,17 +99,12 @@ def _model(args):
 
 
 def _model_and_grid(args):
-    """Model and grid of a run to --t, which the model's kick schedule checks."""
+    """Model and grid of a run to --t."""
     if not args.hbar > 0:
         raise SemiwkbError(f"--hbar must be positive, got {args.hbar}")
     if not (math.isfinite(args.t) and args.t >= 0):
         raise SemiwkbError(f"--t must be finite and >= 0 (runs go forward), got {args.t}")
-    model = _model(args)
-    try:
-        model.kick_times(args.t, args.side)
-    except InvalidInputError:
-        raise SemiwkbError(f"--side plus needs an integer --t, got {args.t}") from None
-    return model, _parse_grid(args.grid)
+    return _model(args), _parse_grid(args.grid)
 
 
 def _outdir(args) -> Path:
@@ -133,8 +125,7 @@ def _cmd_propagate(args) -> int:
     alpha = _slope(args)
     out = _outdir(args)
     r = METHODS[args.method](model, Case(args.prefix, alpha, (args.p0, args.q0)),
-                             profile_for_slope(alpha), args.hbar, args.t, grid,
-                             side=args.side)
+                             profile_for_slope(alpha), args.hbar, args.t, grid)
     meta = {"method": args.method, "model": args.model, "t": args.t,
             "hbar": args.hbar, "center": [args.p0, args.q0], "slope": alpha,
             "metadata": _jsonable(r.metadata)}
@@ -150,7 +141,7 @@ def _cmd_propagate(args) -> int:
 def _cmd_exact(args) -> int:
     model, grid = _model_and_grid(args)
     psi0 = initial_coherent_state(grid, args.hbar, (args.p0, args.q0))
-    res = exact_state(model, psi0, args.t, tol=args.tol, side=args.side)
+    res = exact_state(model, psi0, args.t, tol=args.tol)
     out = _outdir(args)
     meta = {"method": "exact", "model": args.model, "t": args.t,
             "hbar": args.hbar, "center": [args.p0, args.q0],
@@ -173,7 +164,7 @@ def _cmd_manifold(args) -> int:
     seeds = np.linspace(lo, hi, args.n_seeds)
     phase0 = QuadraticPhase(args.p0, args.q0, alpha)
     p_seed = phase0.grad(seeds)
-    fb = flow_bundle(model, p_seed, seeds, args.t, side=args.side)
+    fb = flow_bundle(model, p_seed, seeds, args.t)
     # position-map derivative along the manifold: row q of the tangent
     # contracted with the seed direction (alpha, 1)
     dphi = fb.tangent[:, 1, 0] * alpha + fb.tangent[:, 1, 1]

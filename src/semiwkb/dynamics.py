@@ -13,7 +13,7 @@ sample is bit for bit the walk to that time alone.  flow_bundle is the walk
 with one sample.  A model without kicks may also walk backward, through
 times falling from 0.
 
-The kicks and their convention are the model's (its kick_times).
+The kicks are the model's (its kick_times); a sample at a kick precedes it.
 """
 
 from __future__ import annotations
@@ -120,15 +120,16 @@ def _advance(fb: FlowBundle, segment) -> None:
 def _kick(model, fb: FlowBundle) -> None:
     fb.p, slope, jump = model.kick(fb.p, fb.q)
     fb.action += jump
-    fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
-    fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # flow_samples refuses the result
+        fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
+        fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
 
 
 def _copy(fb: FlowBundle) -> FlowBundle:
     return FlowBundle(fb.p.copy(), fb.q.copy(), fb.tangent.copy(), fb.action.copy())
 
 
-def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
+def flow_samples(model, p, q, times) -> list:
     """Flow a batch of seeds to each of the non-decreasing ``times`` in one
     walk over the kicks; returns one FlowBundle per time.  Times that fall
     from 0 (non-increasing, none positive) walk backward, which only models
@@ -137,8 +138,9 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
     The walk fires the model's kicks at its kick times and runs the model's
     closed-form segment flow between them.  A sample is taken from a copy of
     the walk after the last kick before it, running its own segment on the
-    copy, so each equals, bit for bit, a walk to that time alone.  ``side``
-    applies to the last time; earlier ones sample "minus".
+    copy, so each equals, bit for bit, a walk to that time alone.  The walk
+    stops with InvalidInputError at the first sample whose tangent has left
+    the floating-point range.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -162,7 +164,7 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
     prev, fired, out = 0.0, 0, []
     last = len(times) - 1
     for i, t in enumerate(times):
-        kicks = model.kick_times(t, side if i == last else "minus")
+        kicks = model.kick_times(t)
         for n in kicks[fired:]:
             if n > prev:
                 _advance(fb, segment(n - prev, fb.p, fb.q))
@@ -172,17 +174,20 @@ def flow_samples(model, p, q, times, *, side: str = "minus") -> list:
         sample = fb if i == last else _copy(fb)
         if t != prev:
             _advance(sample, segment(t - prev, sample.p, sample.q))
+        if not np.isfinite(sample.tangent).all():
+            raise InvalidInputError(f"the tangent map is not finite at t={t:g}: "
+                                    "the flow leaves the floating-point range")
         out.append(sample)
     return out
 
 
-def flow_bundle(model, p, q, t, *, side: str = "minus") -> FlowBundle:
+def flow_bundle(model, p, q, t) -> FlowBundle:
     """Flow a batch of seeds for time t: flow_samples with the one time t."""
-    return flow_samples(model, p, q, [t], side=side)[0]
+    return flow_samples(model, p, q, [t])[0]
 
 
-def flow(model, start: PhasePoint, t, *, side: str = "minus") -> FlowResult:
-    fb = flow_bundle(model, [start.p], [start.q], t, side=side)
+def flow(model, start: PhasePoint, t) -> FlowResult:
+    fb = flow_bundle(model, [start.p], [start.q], t)
     return fb.at(0)
 
 
@@ -191,7 +196,7 @@ def period_tangent(model, fixed_point: PhasePoint, period: float = 1.0) -> np.nd
     opens with its kick, so sampling at t=period stays just before the next."""
     if not (math.isfinite(period) and period > 0):
         raise InvalidInputError(f"period must be finite and positive, got {period}")
-    fr = flow(model, fixed_point, period, side="minus")
+    fr = flow(model, fixed_point, period)
     drift = math.hypot(fr.end_point.p - fixed_point.p, fr.end_point.q - fixed_point.q)
     scale = 1.0 + math.hypot(fixed_point.p, fixed_point.q)
     if drift > 1e-8 * scale:

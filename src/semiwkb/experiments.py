@@ -79,17 +79,16 @@ MODEL_NAMES = {name: tuple(defaults) for name, (defaults, _) in _MODELS.items()}
 Case = namedtuple("Case", "label slope center")
 
 
-def _extwkb(model, case, profile, hbar, t, grid, side="minus"):
+def _extwkb(model, case, profile, hbar, t, grid):
     return propagate_extended_wkb(model, QuadraticPhase(*case.center, case.slope),
-                                  profile, hbar, t, grid, side=side)
+                                  profile, hbar, t, grid)
 
 
-def _thawed(model, case, profile, hbar, t, grid, side="minus"):
-    return propagate_thawed_gaussian(model, PhasePoint(*case.center), 1j, hbar, t, grid,
-                                     side=side)
+def _thawed(model, case, profile, hbar, t, grid):
+    return propagate_thawed_gaussian(model, PhasePoint(*case.center), 1j, hbar, t, grid)
 
 
-# method name -> propagate(model, case, profile, hbar, t, grid, side="minus") ->
+# method name -> propagate(model, case, profile, hbar, t, grid) ->
 # PropagationResult, run on the caller's profile object, which the pipeline's
 # cache knows by identity.  "exact", the reference, is no row; a spec may list it
 METHODS = {"extwkb": _extwkb, "thawed": _thawed}

@@ -91,12 +91,12 @@ class HamiltonianModel:
       does not depend on the seed, else (n, 2, 2).  The Hessian must stay
       constant along each such stretch of a trajectory, which the caustic
       certificate relies on.  A model without one cannot be flowed.
-    - ``kick_times(t, side)``, the one kick schedule every caller reads,
-      lists the impulsive kicks a flow over [0, t] fires, at integer times,
-      and ``kick(p, q)`` gives the momentum after one kick, its slope dp/dq
-      and the phase jump; ``kick_phase_jump`` is the kick as a multiplier
-      phase.  Models without kicks list none; every model refuses a
-      ``side`` other than "minus" or "plus" here.
+    - ``kick_times(t)``, the one kick schedule every caller reads, lists
+      the impulsive kicks a flow over [0, t] fires, at integer times, an
+      integer t being sampled just before its own kick; ``kick(p, q)``
+      gives the momentum after one kick, its slope dp/dq and the phase
+      jump, and ``kick_phase_jump`` is the kick as a multiplier phase.
+      Models without kicks list none.
     - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
       for models diagonal in momentum, which then give the multiplier's
       symbol ``kinetic_energy(xi)``, and ``"metaplectic-shear"`` for linear
@@ -122,9 +122,7 @@ class HamiltonianModel:
     def segment_flow(self, t, p, q) -> tuple:
         raise InvalidInputError(f"{self.name} has no closed-form segment flow")
 
-    def kick_times(self, t: float, side: str = "minus") -> list:
-        if side not in ("minus", "plus"):
-            raise InvalidInputError(f"side must be 'minus' or 'plus', got {side!r}")
+    def kick_times(self, t: float) -> list:
         return []
 
     def shear_pair(self, s: float) -> tuple:
@@ -264,25 +262,17 @@ class KickedHarmonic(HamiltonianModel):
     def shear_pair(self, s):
         return math.tan(0.5 * s), math.sin(s)
 
-    def kick_times(self, t: float, side: str = "minus") -> list:
+    def kick_times(self, t: float) -> list:
         """Integer kick times a flow over [0, t] must apply, in order.
 
         The kick at integer n belongs to the start of the interval (n, n+1],
         so any forward evolution fires the kick at 0 first and an integer end
-        time samples just before that instant's kick ("t = n minus").
-        side="plus" also applies the kick at t, which then must be an integer
-        >= 0; a time within 1e-9 of an integer counts as that integer.
+        time samples just before that instant's kick ("t = n minus"); a time
+        within 1e-9 past an integer counts as that integer.
         """
         if not (math.isfinite(t) and t >= 0):
             raise InvalidInputError(f"the kick schedule covers a finite time t >= 0, got t={t}")
-        # the smooth part fires no kick but checks the side
-        kicks = super().kick_times(t, side) + list(range(max(int(math.ceil(t - 1e-9)), 0)))
-        if side == "plus":
-            r = round(t)
-            if abs(t - r) > 1e-9 or r < 0:
-                raise InvalidInputError(f"side='plus' needs an integer end time, got t={t}")
-            kicks.append(int(r))
-        return kicks
+        return list(range(max(int(math.ceil(t - 1e-9)), 0)))
 
     def kick(self, p, q):
         return p + self.kick_impulse(q), self.k * np.cos(q), self.kick_phase_jump(q)

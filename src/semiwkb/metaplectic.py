@@ -16,8 +16,8 @@ The forward run and the backward test share one computed core: the
 dispersed amplitude M_q(t) L_q a, the map T(t) and the phase factor
 exp(i S/hbar) on the map's image.  The core is a one-entry
 functools.lru_cache on the chain's arguments, so a backward test that
-follows the forward run on the same model, phase, profile, hbar, t, grid,
-window and side reuses it instead of refining the seed fan again.  The
+follows the forward run on the same model, phase, profile, hbar, t, grid
+and window reuses it instead of refining the seed fan again.  The
 model and the profile are keyed by identity and taken as pure functions;
 the profile's samples have a one-entry cache of their own, so the same
 object at the same q, hbar and grid is not sampled again, at any t.  The
@@ -131,9 +131,10 @@ def _interior_minimum(f: float, g: float, kappa: float, length: float):
 
 
 def _kick_stops(model, t: float) -> tuple:
-    """The model's kick times over [0, t], and a walk's stops: those inside (0, t), then t."""
+    """The set of the model's kick times over [0, t], and a walk's stops:
+    those inside (0, t), then t."""
     kicks = model.kick_times(t)
-    return kicks, [float(n) for n in kicks if 0 < n < t] + [float(t)]
+    return set(kicks), [float(n) for n in kicks if 0 < n < t] + [float(t)]
 
 
 def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> np.ndarray:
@@ -161,7 +162,7 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> n
                                 h[0, 0] * h[1, 1] - h[0, 1] ** 2, s - prev)
         if dip is not None:
             low, at = dip[0], prev + dip[1]
-        if low < CAUSTIC_THRESHOLD:
+        if not low >= CAUSTIC_THRESHOLD:  # NaN included
             raise CausticError(at, start.q)
         prev, w0 = s, w
     return walk[-1].tangent[0]
@@ -303,7 +304,7 @@ def _scaled(profile: _Same, q: float, hbar: float, grid: GridSpec) -> WaveFuncti
 
 @lru_cache(maxsize=1)
 def _core(model: _Same, phase0: QuadraticPhase, profile: _Same, hbar: float, t: float,
-          grid: GridSpec, window, side: str) -> tuple:
+          grid: GridSpec, window) -> tuple:
     """The chain _semiclassical shares, cached on its argument list."""
     q = phase0.q0
     a0 = _scaled(profile, q, hbar, grid)
@@ -315,7 +316,7 @@ def _core(model: _Same, phase0: QuadraticPhase, profile: _Same, hbar: float, t: 
     outside = (x < win[0]) | (x > win[1])
     deficit = float(np.sum(np.abs(dispersed.values[outside]) ** 2) * grid.dx)
     deficit /= dispersed.norm_sq
-    tmap = refined_transport_map(model.obj, phase0, win, t, dispersed, side=side)
+    tmap = refined_transport_map(model.obj, phase0, win, t, dispersed)
     img_lo, img_hi = tmap.image_interval
     inside = (x >= img_lo) & (x <= img_hi)
     phase_factor = np.exp(1j * evolved_phase(tmap, x[inside]) / hbar)
@@ -332,7 +333,7 @@ def _core(model: _Same, phase0: QuadraticPhase, profile: _Same, hbar: float, t: 
 
 
 def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: float,
-                   grid: GridSpec, window, side: str, deficit_tol=None) -> tuple:
+                   grid: GridSpec, window, deficit_tol=None) -> tuple:
     """The chain both pipelines share.  Scale the profile to the packet
     width, disperse it by the center kernel, choose the seed window (the mass
     quantiles of the dispersed amplitude unless a window is given), refine
@@ -351,7 +352,7 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
     if window is not None:
         window = (float(window[0]), float(window[1]))
     a0, dispersed, deficit, tmap, inside, phase_factor, metadata = _core(
-        _Same(model), phase0, _Same(profile_a), hbar, t, grid, window, side)
+        _Same(model), phase0, _Same(profile_a), hbar, t, grid, window)
     if deficit_tol is not None and deficit > deficit_tol:
         raise BoundaryMassError(
             f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
@@ -360,8 +361,7 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
 
 def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float,
                            t: float, grid: GridSpec, *, window=None,
-                           deficit_tol: float = 1e-10,
-                           side: str = "minus") -> PropagationResult:
+                           deficit_tol: float = 1e-10) -> PropagationResult:
     """Full pipeline: scale, dispersion-correct, transport, rephase.
 
     Returns the state together with the diagnostics the scheme is obliged
@@ -372,7 +372,7 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
     when the map's image leaves the grid.
     """
     a0, _, deficit, tmap, inside, phase_factor, metadata = _semiclassical(
-        model, phase0, profile_a, hbar, t, grid, window, side, deficit_tol)
+        model, phase0, profile_a, hbar, t, grid, window, deficit_tol)
     img_lo, img_hi = tmap.image_interval
     if img_lo < grid.x_min or img_hi > grid.x_max:
         raise BoundaryMassError(
@@ -412,8 +412,7 @@ def _tracked_sqrt(w: np.ndarray, pieces) -> complex:
 
 
 def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
-                              t: float, grid: GridSpec, *,
-                              side: str = "minus") -> PropagationResult:
+                              t: float, grid: GridSpec) -> PropagationResult:
     """Single-trajectory Gaussian propagation via the tangent flow.
 
     The complex width follows the Moebius action of the tangent matrix,
@@ -421,15 +420,15 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
     (M_qq + M_qp b0)^(-1/2) takes the branch continuous along the path (the
     Maslov phase; Littlejohn, Phys. Rep. 138, 193 (1986)).  One walk stops
     at _kick_stops, each stop before its kick, where each piece's Hessian is
-    read; side "plus" adds the end point after the kick at t.  Valid while
+    read.  Valid while
     the reported indicator sqrt(hbar)*||dPhi|| stays small.
     """
     if not (np.isfinite(b0) and b0.imag > 0):
         raise InvalidInputError(f"initial width must be finite with Im b0 > 0, got {b0}")
     check_hbar(hbar)
     _, stops = _kick_stops(model, t)
-    times = [0.0] + stops + ([float(t)] if side == "plus" else [])
-    walk = flow_samples(model, [z0.p], [z0.q], times, side=side)
+    times = [0.0] + stops
+    walk = flow_samples(model, [z0.p], [z0.q], times)
     w_path = [fb.tangent[0, 1, 1] + fb.tangent[0, 1, 0] * b0 for fb in walk]
     root = _tracked_sqrt(w_path, [(model.hess(fb.p[0], fb.q[0]), s - prev)
                                   for prev, s, fb in zip(times, stops, walk[1:])])
@@ -460,7 +459,7 @@ class BackwardTestResult:
 
 def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
                       t: float, grid: GridSpec, psi_exact: WaveFunction, *,
-                      window=None, side: str = "minus") -> BackwardTestResult:
+                      window=None) -> BackwardTestResult:
     """Undo transport and phase on an exactly propagated state and compare
     the surviving profile with the dispersion-corrected initial profile.
 
@@ -478,7 +477,7 @@ def backward_wkb_test(model, phase0: QuadraticPhase, profile_a, hbar: float,
     if not math.isclose(psi_exact.hbar, hbar, rel_tol=1e-12):
         raise InvalidInputError(f"psi_exact is at hbar={psi_exact.hbar}, not {hbar}")
     _, dispersed, _, tmap, inside, phase_factor, metadata = _semiclassical(
-        model, phase0, profile_a, hbar, t, grid, window, side)
+        model, phase0, profile_a, hbar, t, grid, window)
     stripped = np.zeros_like(psi_exact.values)
     stripped[inside] = psi_exact.values[inside] * np.conj(phase_factor)
     pulled = transport_operator_adjoint(tmap, WaveFunction(grid, stripped, hbar))

@@ -69,6 +69,8 @@ def _apply_checked(vals: np.ndarray, multiplier) -> np.ndarray:
 
 def momentum_evolve(model, psi: WaveFunction, t: float) -> WaveFunction:
     """Exact one-shot evolution for momentum-only models (diagonal in xi)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
     xi = psi.grid.xi(psi.hbar)
     mult = np.exp(-1j * np.asarray(model.kinetic_energy(xi), dtype=float) * t / psi.hbar)
     vals = np.fft.ifft(mult * np.fft.fft(psi.values))
@@ -86,7 +88,7 @@ def _sample_times(t: float, sample_times) -> list:
 
 
 def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
-                       side: str = "minus", sample_times=()):
+                       sample_times=()):
     """Exact evolution of a linear flow in one pass along the kick schedule.
 
     The walk stops at the model's kick times, the sample times and t.  At
@@ -95,18 +97,18 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     counts as before it.  Every segment between consecutive stops is cut into
     ``splits`` equal pieces, each applied as Q(a) P(b) Q(a).  Returns
     (final_state, samples), samples mapping each requested time to the
-    state there; a sample at t is the final state, post-kick when
-    side="plus".  Raises BoundaryMassError when a stop finds mass at the
-    domain edges, and BandwidthError when a chirp or kick pushes the local
-    momentum past Nyquist or a chirped spectrum reaches the Nyquist edge,
-    where the momentum multiplier would alias.
+    state there; a sample at t is the final state.  Raises
+    BoundaryMassError when a stop finds mass at the domain edges, and
+    BandwidthError when a chirp or kick pushes the local momentum past
+    Nyquist or a chirped spectrum reaches the Nyquist edge, where the
+    momentum multiplier would alias.
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidInputError(f"the reference runs forward over a finite time, got t={t}")
     if not isinstance(splits, numbers.Integral) or splits < 1:
         raise InvalidInputError(f"splits must be a positive integer, got {splits!r}")
     grid, hbar = psi.grid, psi.hbar
-    kicks = [float(n) for n in model.kick_times(t, side)]
+    kicks = [float(n) for n in model.kick_times(t)]
     want = _sample_times(t, sample_times)
     early = [s for s in want if s < t]
     late = {s for s in early for n in kicks if n < s <= n + 1e-9}
@@ -181,7 +183,7 @@ def _gap(fine, coarse) -> float:
 
 
 def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
-                side: str = "minus", sample_times=()) -> ExactResult:
+                sample_times=()) -> ExactResult:
     """Ground-truth evolution of psi over [0, t], sampled at sample_times.
 
     The model's ``exact_path`` picks the route.  Momentum-only models take
@@ -198,24 +200,22 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     want = _sample_times(t, sample_times)
-    model.kick_times(t, side)  # refuses a bad side on every route
     if model.exact_path == "momentum-multiplier":
         final = momentum_evolve(model, psi, t)
         samples = {s: momentum_evolve(model, psi, s) for s in want}
         return ExactResult(final, samples, 0.0, {"method": "momentum-multiplier"})
     if model.exact_path == "metaplectic-shear":
-        return _shear_reference(model, psi, t, tol, side, want)
+        return _shear_reference(model, psi, t, tol, want)
     raise InvalidInputError(f"{model.name} has no exact reference path")
 
 
-def _shear_reference(model, psi, t, tol, side, sample_times) -> ExactResult:
+def _shear_reference(model, psi, t, tol, sample_times) -> ExactResult:
     # passes at 1, 2, 4, ... pieces per segment until two in a row clear the
     # bandwidth guards; their gap is the certificate
     coarse, n = None, 1
     while True:
         try:
-            fine = metaplectic_evolve(model, psi, t, splits=n, side=side,
-                                      sample_times=sample_times)
+            fine = metaplectic_evolve(model, psi, t, splits=n, sample_times=sample_times)
         except BandwidthError:
             if n >= MAX_SPLITS:
                 raise

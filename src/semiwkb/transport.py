@@ -97,8 +97,8 @@ class TrajectoryBundle:
         return self.seeds.size
 
 
-def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float, *,
-                 side: str = "minus") -> TrajectoryBundle:
+def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int,
+                 t: float) -> TrajectoryBundle:
     """Flow a uniform fan of seeds on the initial manifold to time t.
 
     Raises CausticError carrying (t, x) at the seed whose map derivative
@@ -107,7 +107,7 @@ def build_bundle(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float
     if not isinstance(n_seeds, numbers.Integral) or n_seeds < 33:
         raise InvalidInputError(f"n_seeds must be an integer, at least 33 for a trustworthy "
                                 f"tabulation, got {n_seeds!r}")
-    return _flowed(model, phase0, np.linspace(*_window(x_window), n_seeds), float(t), side)
+    return _flowed(model, phase0, np.linspace(*_window(x_window), n_seeds), float(t))
 
 
 def _window(x_window) -> tuple:
@@ -119,14 +119,15 @@ def _window(x_window) -> tuple:
     return lo, hi
 
 
-def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
-    """The bundle of ``seeds`` flowed to t; a ``coarse`` bundle, flowed on
-    the same side from every other seed, lends its trajectories so only the
-    midpoints are flowed.  Raises CausticError carrying (t, x) at the seed
-    whose map derivative is smallest if it drops below the caustic threshold.
+def _flowed(model, phase0, seeds, t, coarse=None) -> TrajectoryBundle:
+    """The bundle of ``seeds`` flowed to t; a ``coarse`` bundle, flowed from
+    every other seed, lends its trajectories so only the midpoints are
+    flowed.  Raises CausticError carrying (t, x) at the seed whose map
+    derivative is smallest if it drops below the caustic threshold, or is
+    NaN.
     """
     fresh = seeds if coarse is None else seeds[1::2]
-    fb = flow_bundle(model, phase0.grad(fresh), fresh, t, side=side)
+    fb = flow_bundle(model, phase0.grad(fresh), fresh, t)
     flowed = [fb.q, fb.p, fb.action, fb.tangent]
     if coarse is not None:
         for i, even in enumerate((coarse.q_t, coarse.p_t, coarse.action_t, coarse.tangent_t)):
@@ -134,7 +135,7 @@ def _flowed(model, phase0, seeds, t, side, coarse=None) -> TrajectoryBundle:
             merged[::2], merged[1::2] = even, flowed[i]
             flowed[i] = merged
     dphi = flowed[3][:, 1, 0] * phase0.alpha + flowed[3][:, 1, 1]
-    if np.min(dphi) < CAUSTIC_THRESHOLD:
+    if not np.min(dphi) >= CAUSTIC_THRESHOLD:
         raise CausticError(t, float(seeds[np.argmin(dphi)]))
     return TrajectoryBundle(phase0, seeds, t, *flowed, dphi)
 
@@ -263,9 +264,9 @@ class TransportMap:
         return self._phi(x, 1)
 
 
-def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int, t: float, *,
-                        side: str = "minus") -> TransportMap:
-    return TransportMap(build_bundle(model, phase0, x_window, n_seeds, t, side=side))
+def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int,
+                        t: float) -> TransportMap:
+    return TransportMap(build_bundle(model, phase0, x_window, n_seeds, t))
 
 
 def _invert(phi: _Hermite, y: np.ndarray) -> tuple:
@@ -402,7 +403,7 @@ def _node_residual(coarse: TrajectoryBundle, fine: TrajectoryBundle, interp: _Qu
 
 
 def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
-                          amplitude: WaveFunction, *, side: str = "minus") -> TransportMap:
+                          amplitude: WaveFunction) -> TransportMap:
     """Halve the seed spacing until the transported amplitude settles.
 
     The convergence measure is the L2 change of the transported amplitude
@@ -416,12 +417,12 @@ def refined_transport_map(model, phase0: QuadraticPhase, x_window, t: float,
     """
     interp = _amplitude_interpolator(amplitude, _window(x_window))
     norm_sq = amplitude.norm_sq
-    tmap = build_transport_map(model, phase0, x_window, FIRST_SEEDS, t, side=side)
+    tmap = build_transport_map(model, phase0, x_window, FIRST_SEEDS, t)
     for _ in range(MAX_ROUNDS):
         # linspace(lo, hi, 2n-1)[::2] is linspace(lo, hi, n) bit for bit
         b = tmap.bundle
         seeds = np.linspace(b.seeds[0], b.seeds[-1], 2 * b.n_seeds - 1)
-        tmap = TransportMap(_flowed(model, phase0, seeds, b.t, side, coarse=b))
+        tmap = TransportMap(_flowed(model, phase0, seeds, b.t, coarse=b))
         residual = _node_residual(b, tmap.bundle, interp, norm_sq)
         if residual < REFINE_TOL:
             tmap.refinement_residual = residual

@@ -91,13 +91,13 @@ def _rk4_stretch(model, p, q, m, action, length, dt):
     return p, q, m, action
 
 
-def rk4_flow(model, p, q, t, *, side="minus", dt=2e-3) -> sw.FlowBundle:
+def rk4_flow(model, p, q, t, *, dt=2e-3) -> sw.FlowBundle:
     """Flow a batch of seeds over [0, t] by RK4 steps of at most dt between
     the model's kicks; each kick moves p, the tangent's p row and the action."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     m, action, prev = np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p), 0.0
-    for n in model.kick_times(t, side):
+    for n in model.kick_times(t):
         p, q, m, action = _rk4_stretch(model, p, q, m, action, n - prev, dt)
         p, slope, jump = model.kick(p, q)
         m[:, 0, :] += slope[:, None] * m[:, 1, :]
@@ -110,7 +110,7 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))  # triple-jump weights: w1, w0, w1 sum to
 _W0 = 1.0 - 2.0 * _W1
 
 
-def split_step_evolve(model, psi, t, *, steps_per_unit, side="minus", sample_times=()):
+def split_step_evolve(model, psi, t, *, steps_per_unit, sample_times=()):
     """Split stepping over [0, t] through the stops at the model's kicks, the
     sample times and t, each segment in ceil(length * steps_per_unit) equal
     steps.  A sample at a kick time is taken before the kick.  Returns
@@ -118,7 +118,7 @@ def split_step_evolve(model, psi, t, *, steps_per_unit, side="minus", sample_tim
     grid, hbar = psi.grid, psi.hbar
     kinetic, potential = split_parts(model)
     v, kin = potential(grid.x), kinetic(grid.xi(hbar))
-    kicks = [float(n) for n in model.kick_times(t, side)]
+    kicks = [float(n) for n in model.kick_times(t)]
     want = {float(s) for s in sample_times}
     vals, prev, samples = psi.values.copy(), 0.0, {}
     for stop in sorted({*kicks, *want, float(t)}):
@@ -146,14 +146,14 @@ def split_step_evolve(model, psi, t, *, steps_per_unit, side="minus", sample_tim
 THAWED_DT = 0.02  # the dense rule's time step, about 50 samples per unit time
 
 
-def dense_thawed_gaussian(model, z0, b0, hbar, t, grid, *, side="minus") -> np.ndarray:
+def dense_thawed_gaussian(model, z0, b0, hbar, t, grid) -> np.ndarray:
     """Thawed-Gaussian values whose prefactor (M_qq + M_qp b0)^(-1/2) takes
     the branch tracked over samples THAWED_DT apart, all from one walk: the
     argument of w = M_qq + M_qp b0 sums its wrapped steps.  A step of pi/2
     or more raises ValueError: the sampling no longer vouches for
     continuity."""
     ts = np.linspace(0.0, t, max(2, math.ceil(abs(t) / THAWED_DT) + 1))
-    path = flow_samples(model, [z0.p], [z0.q], ts, side=side)
+    path = flow_samples(model, [z0.p], [z0.q], ts)
     m = np.array([fb.tangent[0] for fb in path])
     w = m[:, 1, 1] + m[:, 1, 0] * b0
     steps = (np.diff(np.angle(w)) + np.pi) % (2 * np.pi) - np.pi

@@ -279,23 +279,17 @@ def test_negative_time_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["propagate", "exact"])
-def test_side_plus_at_fractional_time_exits_2(tmp_path, capsys, command):
-    code, _, err = run_cli(
-        [command, "--model", "kho", "--hbar", "0.05", "--grid=-4,4,1024",
-         "--t", "1.5", "--side", "plus", "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert err.startswith("error:") and "--side plus" in err
-    assert "Traceback" not in err
-
-
-def test_side_plus_takes_the_schedules_integer_rule(tmp_path, capsys):
-    # the kick schedule counts a time within 1e-9 of an integer as that integer
-    code, out, err = run_cli(
-        ["exact", "--model", "kho", "--hbar", "0.05", "--grid=-4,4,1024",
-         "--t", "1.0000000001", "--side", "plus", "--out", str(tmp_path)], capsys)
-    assert code == 0 and err == ""
-    assert (tmp_path / "exact_state.csv").exists()
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--hbar", "0.05", "--grid=-4,4,1024"],
+    ["exact", "--hbar", "0.05", "--grid=-4,4,1024"],
+    ["manifold"]], ids=["propagate", "exact", "manifold"])
+def test_there_is_no_side_flag(tmp_path, capsys, argv):
+    # integer times sample just before that instant's kick, the only convention
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--model", "kho", "--t", "1", "--side", "plus", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --side plus" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 SPEC_CONFIG = """\

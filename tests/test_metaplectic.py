@@ -1,6 +1,8 @@
 """Profile scaling, the dispersion multiplier, and the two propagation
 pipelines against closed forms and the exact reference."""
 import math
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -319,8 +321,6 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: sw.exact_state(sw.FreeParticle(), psi, -1.0),
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), psi, -1.0),
                 lambda: sw.KickedHarmonic(2.0).kick_times(-1.0),
-                lambda: sw.KickedHarmonic(2.0).kick_times(2.0, "both"),
-                lambda: sw.KickedHarmonic(2.0).kick_times(3.5, "plus"),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, 1.0], [0.0], 1.0),
                 lambda: sw.period_tangent(sw.KickedHarmonic(2.0), sw.PhasePoint(0.2, 0.3)),
                 # a period that is not finite and positive, fixed point or not
@@ -451,6 +451,29 @@ def test_caustic_inside_the_path_is_refused():
     assert math.pi / 2 <= info.value.t <= 3 * math.pi / 2
     with pytest.raises(CausticError):
         quadrature_kernel(model, ph, 0.0, t)
+
+
+def test_an_overflowing_tangent_is_refused_at_its_time():
+    # at the origin of the kicked oscillator the tangent grows like e^(lambda t)
+    # and leaves the floating-point range at t = 837; the walk stops there
+    model, ph = sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0)
+    assert center_kernel(model, ph, 0.0, 836.0) == 0.4687751302128102
+    for call in (lambda: center_kernel(model, ph, 0.0, 837.0),
+                 lambda: propagate_extended_wkb(model, ph, gaussian_profile, 8e-4, 837.0,
+                                                sw.GridSpec(-4.0, 4.0, 8192)),
+                 lambda: propagate_thawed_gaussian(model, sw.PhasePoint(0.0, 0.0), 1j,
+                                                   HBAR, 900.0, GRID)):
+        with pytest.raises(sw.InvalidInputError, match="tangent map is not finite at t=837:"):
+            call()
+
+
+def test_a_long_walk_is_refused_fast_and_quietly():
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sw.InvalidInputError, match="tangent map is not finite at t=837:"):
+            center_kernel(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0), 0.0, 1e5)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_barrier_dip_between_stops_is_refused():
@@ -589,10 +612,10 @@ def test_thawed_gaussian_barrier_is_exact():
         math.sqrt(HBAR) * float(np.linalg.norm(fr.tangent, 2)), rel=1e-9)
 
 
-def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
+def thawed_by_sample(model, z0, b0, hbar, t, grid):
     """(state values, b_t) from a lone flow per stop: the walk's oracle.  The
     stops are 0, the model's kicks inside (0, t) and t, each before its kick;
-    the end point is the flow to t on the given side."""
+    the end point is the flow to t."""
     stops = [0.0] + [float(n) for n in model.kick_times(t) if 0 < n < t] + [float(t)]
     flows = [sw.flow(model, z0, s) for s in stops]
     w_path = np.array([f.tangent for f in flows])
@@ -600,7 +623,7 @@ def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
     root = metaplectic._tracked_sqrt(w_path, [
         (model.hess(f.end_point.p, f.end_point.q), s - prev)
         for prev, s, f in zip(stops, stops[1:], flows[1:])])
-    fr = sw.flow(model, z0, t, side=side)
+    fr = sw.flow(model, z0, t)
     m = fr.tangent
     b_t = (m[0, 1] + m[0, 0] * b0) / (m[1, 1] + m[1, 0] * b0)
     dxc = grid.x - fr.end_point.q
@@ -608,16 +631,18 @@ def thawed_by_sample(model, z0, b0, hbar, t, grid, side):
     return (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar), b_t
 
 
-@pytest.mark.parametrize("model,t,side", [
-    (sw.KickedHarmonic(2.0), 0.5, "minus"), (sw.KickedHarmonic(2.0), 2.0, "minus"),
-    (sw.KickedHarmonic(2.0), 3.7, "minus"), (sw.KickedHarmonic(2.0), 1.0, "plus"),
-    (sw.KickedHarmonic(2.0), 3.0, "plus"), (sw.ParabolicBarrier(1.0), 1.3, "minus"),
-    (sw.FreeParticle(), 2.2, "minus"), (sw.FreeParticle(), -1.3, "minus"),
-    (sw.ParabolicBarrier(1.0), -0.7, "minus")])
-def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t, side):
+# the ids keep their "minus": every sample is taken before its kick
+@pytest.mark.parametrize("model,t", [
+    (sw.KickedHarmonic(2.0), 0.5), (sw.KickedHarmonic(2.0), 2.0),
+    (sw.KickedHarmonic(2.0), 3.7), (sw.ParabolicBarrier(1.0), 1.3),
+    (sw.FreeParticle(), 2.2), (sw.FreeParticle(), -1.3),
+    (sw.ParabolicBarrier(1.0), -0.7)],
+    ids=["model0-0.5-minus", "model1-2.0-minus", "model2-3.7-minus", "model5-1.3-minus",
+         "model6-2.2-minus", "model7--1.3-minus", "model8--0.7-minus"])
+def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t):
     z0, b0 = sw.PhasePoint(0.1, 0.05), 0.3 + 1j
-    got = propagate_thawed_gaussian(model, z0, b0, HBAR, t, GRID, side=side)
-    values, b_t = thawed_by_sample(model, z0, b0, HBAR, t, GRID, side)
+    got = propagate_thawed_gaussian(model, z0, b0, HBAR, t, GRID)
+    values, b_t = thawed_by_sample(model, z0, b0, HBAR, t, GRID)
     assert got.metadata["b_t"] == b_t
     assert np.array_equal(got.state.values, values)
 
@@ -633,11 +658,6 @@ def test_thawed_walk_stops_at_the_kicks_only(monkeypatch):
     propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 1j,
                               HBAR, 4.0, GRID)
     assert walks == [[0.0, 1.0, 2.0, 3.0, 4.0]]
-    # "plus" fires the kick at t as one more sample after the stops
-    walks.clear()
-    propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.0), 1j,
-                              HBAR, 2.0, GRID, side="plus")
-    assert walks == [[0.0, 1.0, 2.0, 2.0]]
 
 
 def test_thawed_gaussian_backward_on_a_kicked_model_names_its_t():
@@ -758,11 +778,11 @@ def test_backward_test_reuses_the_forward_core_bit_for_bit(refinements):
 
 
 @pytest.mark.parametrize("change", [
-    {"t": 1.0}, {"hbar": 0.04}, {"side": "plus"}, {"window": (-1.5, 1.5)},
+    {"t": 1.0}, {"hbar": 0.04}, {"window": (-1.5, 1.5)},
     {"grid": sw.GridSpec(-8.0, 8.0, 4096)}, {"phase0": QuadraticPhase(0.35, 0.0, 0.5)},
     {"model": sw.FreeParticle()},  # equal by value, but another object
     {"profile_a": profile_for_slope(0.4)},
-], ids=["t", "hbar", "side", "window", "grid", "phase0", "model", "profile"])
+], ids=["t", "hbar", "window", "grid", "phase0", "model", "profile"])
 def test_one_refinement_per_state_and_time(refinements, change):
     model = sw.FreeParticle()
     propagate_extended_wkb(**_shared_args(model=model))
@@ -836,7 +856,7 @@ def test_the_memo_aliases_nothing(refinements):
     assert len(refinements) == 2
 
     a0, dispersed, _, tmap, inside, phases, _ = metaplectic._semiclassical(
-        model, SHARED_PHASE, profile_for_slope(0.5), HBAR, SHARED_T, GRID, None, "minus")
+        model, SHARED_PHASE, profile_for_slope(0.5), HBAR, SHARED_T, GRID, None)
     assert len(refinements) == 3
     for shared in (a0.values, dispersed.values, tmap.transported.values, inside, phases):
         with pytest.raises(ValueError, match="read-only"):

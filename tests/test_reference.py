@@ -126,10 +126,6 @@ def test_shear_kicked_oscillator_matches_yoshida_ladder():
     assert l2_distance(ex.state, final) < 1e-9
     for t in times:
         assert l2_distance(ex.samples[t], ladder[t]) < 1e-9
-    plus = sw.exact_state(sw.KickedHarmonic(2.0), psi0, 2.0, side="plus")
-    final, _ = split_step_evolve(sw.KickedHarmonic(2.0), psi0, 2.0,
-                                 steps_per_unit=2048, side="plus")
-    assert l2_distance(plus.state, final) < 1e-9
 
 
 def _chirp_probe(center):
@@ -213,19 +209,10 @@ def test_kho_step_reduces_to_harmonic_without_kick():
     # kick schedule is one period of the plain harmonic well
     grid = sw.GridSpec(-4.0, 4.0, 512)
     psi = sw.initial_coherent_state(grid, HBAR, (0.3, 0.2))
-    stepped, _ = metaplectic_evolve(sw.KickedHarmonic(0.0), psi, 1.0, side="plus")
+    stepped, _ = metaplectic_evolve(sw.KickedHarmonic(0.0), psi, 1.0)
     plain, _ = metaplectic_evolve(HarmonicWell(1.0), psi, 1.0)
     assert l2_distance(stepped, plain) < 1e-14
     assert abs(stepped.norm - psi.norm) < 1e-10
-
-
-def test_post_kick_state_is_kicked_pre_kick_state():
-    grid = sw.GridSpec(-4.0, 4.0, 512)
-    psi = sw.initial_coherent_state(grid, HBAR, (0.0, 0.0))
-    minus, _ = metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="minus")
-    plus, _ = metaplectic_evolve(sw.KickedHarmonic(2.0), psi, 1.0, side="plus")
-    kicked = minus.values * np.exp(-2.0j * np.cos(grid.x) / HBAR)
-    assert np.max(np.abs(plus.values - kicked)) < 1e-14
 
 
 def test_kho_sample_time_validation():
@@ -250,6 +237,16 @@ def test_metaplectic_evolve_refuses_a_time_that_is_not_finite(model, t):
     psi = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 1024), HBAR, (0.0, 0.0))
     with pytest.raises(InvalidInputError, match=f"finite time, got t={t}$"):
         metaplectic_evolve(model, psi, t)
+
+
+@pytest.mark.parametrize("name", ["free", "quartic"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_momentum_evolve_refuses_a_time_that_is_not_finite_and_forward(name, t):
+    # NaN gave an all-NaN state, inf a numpy warning, and -1 ran backward
+    psi = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 1024), HBAR, (0.0, 0.0))
+    with pytest.raises(InvalidInputError, match=f"finite time, got t={t}$"):
+        momentum_evolve(sw.build_model(name), psi, t)
 
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
@@ -287,19 +284,6 @@ def test_steppers_are_unitary(k, t):
     for model, end in ((sw.KickedHarmonic(k), t), (sw.ParabolicBarrier(1.0), 0.4 * t)):
         final, _ = metaplectic_evolve(model, psi0, end, sample_times=(0.5 * end,))
         assert abs(final.norm - psi0.norm) < 1e-12
-
-
-@PROPERTY
-@example(2.0, 3)
-@given(KICKS, st.integers(0, 3))
-def test_side_plus_is_the_kicked_minus_state(k, t):
-    psi0 = sw.initial_coherent_state(WALK_GRID, HBAR, (0.2, 0.5))
-    kick = np.exp(-1j * k * np.cos(WALK_GRID.x) / HBAR)
-    minus, _ = metaplectic_evolve(sw.KickedHarmonic(k), psi0, t)
-    plus, samples = metaplectic_evolve(sw.KickedHarmonic(k), psi0, t, side="plus",
-                                       sample_times=(t,))
-    assert np.max(np.abs(plus.values - minus.values * kick)) < 1e-13
-    assert samples[t] is plus
 
 
 def test_reference_is_grid_converged():

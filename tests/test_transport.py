@@ -463,7 +463,7 @@ def test_one_map_inversion_per_forward_run(monkeypatch):
     sw.propagate_extended_wkb(model, phase0, sw.gaussian_profile, 8e-4, 4.0, grid)
     # the same arguments hit the core the forward run cached
     inside = metaplectic._semiclassical(model, phase0, sw.gaussian_profile, 8e-4, 4.0,
-                                        grid, None, "minus")[4]
+                                        grid, None)[4]
     assert sizes == [np.count_nonzero(inside)] == [5611]
 
 
@@ -488,7 +488,7 @@ def test_nested_round_matches_a_fresh_bundle(name):
     bundle = build_bundle(model, phase0, window, 65, t)
     for _ in range(2):
         seeds = np.linspace(bundle.seeds[0], bundle.seeds[-1], 2 * bundle.n_seeds - 1)
-        nested = _flowed(model, phase0, seeds, t, "minus", coarse=bundle)
+        nested = _flowed(model, phase0, seeds, t, coarse=bundle)
         fresh = build_bundle(model, phase0, window, nested.n_seeds, t)
         assert np.array_equal(nested.seeds, fresh.seeds)
         assert np.array_equal(nested.seeds[::2], bundle.seeds)
@@ -547,7 +547,7 @@ def _round_residuals(model, phase0, window, t, amp):
     for _ in range(MAX_ROUNDS):
         b = tmap.bundle
         seeds = np.linspace(b.seeds[0], b.seeds[-1], 2 * b.n_seeds - 1)
-        tmap = TransportMap(_flowed(model, phase0, seeds, t, "minus", coarse=b))
+        tmap = TransportMap(_flowed(model, phase0, seeds, t, coarse=b))
         cur = transport_operator(tmap, amp, interpolant=interp)
         change = math.sqrt(float(np.sum(np.abs(cur.values - prev.values) ** 2) * amp.grid.dx))
         rounds.append((_node_residual(b, tmap.bundle, interp, amp.norm_sq), change / amp.norm))
