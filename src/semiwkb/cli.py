@@ -23,7 +23,7 @@ from .errors import SemiwkbError
 from .experiments import (METHODS, MODEL_NAMES, Case, build_model, builtin_specs,
                           get_builtin_spec, initial_coherent_state, load_spec_file,
                           output_root, resolve_outdir, run_experiment, write_table)
-from .grids import GridSpec
+from .grids import GridSpec, check_packet_band
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .metaplectic import profile_for_slope
 from .reference import exact_state
@@ -104,7 +104,9 @@ def _model_and_grid(args):
         raise SemiwkbError(f"--hbar must be positive, got {args.hbar}")
     if not (math.isfinite(args.t) and args.t >= 0):
         raise SemiwkbError(f"--t must be finite and >= 0 (runs go forward), got {args.t}")
-    return _model(args), _parse_grid(args.grid)
+    model, grid = _model(args), _parse_grid(args.grid)
+    check_packet_band(grid, args.hbar, args.p0)  # the packet either method starts from
+    return model, grid
 
 
 def _outdir(args) -> Path:

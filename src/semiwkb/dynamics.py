@@ -6,14 +6,13 @@ serves every model: it fires the model's kicks and runs the model's
 closed-form segment flow between them.  A model without a segment flow is
 refused with InvalidInputError.
 
-The walker samples a path at an increasing list of times in one pass over
-the kicks (flow_samples): at each sample it copies the walk after the last
-kick before the sample and runs the sample's own segment on the copy, so a
+Every walk starts at 0 and runs forward.  The walker samples a path at a
+non-decreasing list of finite times t >= 0 in one pass over the kicks
+(flow_samples): it reads the model's kick schedule (its kick_times) once,
+for the last time, and at each sample copies the walk after the last kick
+before the sample and runs the sample's own segment on the copy, so a
 sample is bit for bit the walk to that time alone.  flow_bundle is the walk
-with one sample.  A model without kicks may also walk backward, through
-times falling from 0.
-
-The kicks are the model's (its kick_times); a sample at a kick precedes it.
+with one sample.  A sample up to KICK_SLACK past a kick precedes it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
-from .hamiltonians import PhasePoint
+from .hamiltonians import KICK_SLACK, PhasePoint
 
 __all__ = [
     "FlowResult",
@@ -130,15 +129,15 @@ def _copy(fb: FlowBundle) -> FlowBundle:
 
 
 def flow_samples(model, p, q, times) -> list:
-    """Flow a batch of seeds to each of the non-decreasing ``times`` in one
-    walk over the kicks; returns one FlowBundle per time.  Times that fall
-    from 0 (non-increasing, none positive) walk backward, which only models
-    without kicks allow.
+    """Flow a batch of seeds from 0 to each of the finite, non-negative,
+    non-decreasing ``times`` in one walk; returns one FlowBundle per time.
+    The first time that breaks this rule is refused with InvalidInputError.
 
-    The walk fires the model's kicks at its kick times and runs the model's
-    closed-form segment flow between them.  A sample is taken from a copy of
-    the walk after the last kick before it, running its own segment on the
-    copy, so each equals, bit for bit, a walk to that time alone.  The walk
+    The walk reads the model's kick schedule once, for the last time, fires
+    before each sample the kicks more than KICK_SLACK before it, and runs the
+    model's closed-form segment flow between them.  Each sample is taken from
+    a copy of the walk after its last kick, running its own segment on the
+    copy, so it equals, bit for bit, a walk to that time alone.  The walk
     stops with InvalidInputError at the first sample whose tangent has left
     the floating-point range.
     """
@@ -150,28 +149,25 @@ def flow_samples(model, p, q, times) -> list:
         raise InvalidInputError("the seeds of a flow must be finite")
     try:
         times = [float(t) for t in times]
-    except (TypeError, ValueError):
+        end = times[-1]
+    except (TypeError, ValueError, IndexError):
         raise InvalidInputError(f"sample times must be a list of numbers, got {times}") from None
-    if not times or not all(map(math.isfinite, times)):
-        raise InvalidInputError(f"sample times must be finite, got {times}")
-    backward = times[-1] < 0  # flows of models without kicks also run backward
-    if times != sorted(times, reverse=backward) or (backward and times[0] > 0):
+    bad = [t for t, before in zip(times, [0.0] + times) if not (math.isfinite(t) and t >= before)]
+    if bad:
         raise InvalidInputError(
-            f"sample times must be non-decreasing, or fall from 0, got {times}")
-    segment = model.segment_flow
+            f"a walk runs forward from 0 through finite, non-decreasing times, got t={bad[0]}")
+    kicks, segment = model.kick_times(end), model.segment_flow
 
     fb = FlowBundle(p.copy(), q.copy(), np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p))
     prev, fired, out = 0.0, 0, []
-    last = len(times) - 1
     for i, t in enumerate(times):
-        kicks = model.kick_times(t)
-        for n in kicks[fired:]:
+        while fired < len(kicks) and kicks[fired] < t - KICK_SLACK:
+            n = kicks[fired]
             if n > prev:
                 _advance(fb, segment(n - prev, fb.p, fb.q))
             _kick(model, fb)
-            prev = float(n)
-        fired = len(kicks)
-        sample = fb if i == last else _copy(fb)
+            prev, fired = float(n), fired + 1
+        sample = fb if i == len(times) - 1 else _copy(fb)
         if t != prev:
             _advance(sample, segment(t - prev, sample.p, sample.q))
         if not np.isfinite(sample.tangent).all():

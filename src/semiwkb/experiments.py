@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import ehrenfest_time, flow, lyapunov_exponent, period_tangent
 from .errors import InvalidInputError, SpecError, SpecNotFoundError
-from .grids import GridSpec, WaveFunction, band_mass, check_hbar
+from .grids import GridSpec, WaveFunction, band_mass, check_hbar, check_packet_band
 from .hamiltonians import (FreeParticle, IntegrableMomentum, KickedHarmonic,
                            ParabolicBarrier, PhasePoint, QuadraticPhase)
 from .metaplectic import (backward_wkb_test, profile_for_slope,
@@ -142,6 +142,7 @@ class ExperimentSpec:
         for c in self.cases:
             if not all(map(math.isfinite, (*c.center, c.slope))):
                 raise SpecError(f"case {c.label!r} needs a finite p0, q0 and slope")
+            check_packet_band(self.grid, self.hbar, c.center[0], SpecError, f"case {c.label!r}")
         if self.kind == "slope-sweep" and all(c.slope != 0.0 for c in self.cases):
             raise SpecError("slope sweep needs a slope-zero reference case")
         if self.kind == "backward-profiles" and len(self.cases) > 1:
@@ -172,12 +173,15 @@ def initial_coherent_state(grid: GridSpec, hbar: float, center) -> WaveFunction:
 
     This is the state every slope case represents: pairing the quadratic
     phase of slope alpha with profile_for_slope(alpha) cancels the chirp,
-    so all methods start from this one function.
+    so all methods start from this one function.  A packet whose momentum
+    band passes the grid's Nyquist momentum would alias and is refused
+    (grids.check_packet_band).
     """
     p0, q0 = center
     if not (math.isfinite(p0) and math.isfinite(q0)):
         raise InvalidInputError(f"the packet's center must be finite, got ({p0}, {q0})")
     check_hbar(hbar)
+    check_packet_band(grid, hbar, p0)
     x = grid.x
     vals = (np.pi * hbar) ** -0.25 * np.exp(
         1j * p0 * (x - q0) / hbar - (x - q0) ** 2 / (2.0 * hbar))

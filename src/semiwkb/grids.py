@@ -14,13 +14,15 @@ with ``k`` centred about zero, so the transform is realised exactly by a DFT
 plus an ``exp(-i*x_min*xi/hbar)`` phase; round trips are exact to rounding,
 and the inverse returns the very position grid the forward transform read.
 
-Three grid guards are coded here and nowhere else.  Edge amplitude: a block
+Four grid guards are coded here and nowhere else.  Edge amplitude: a block
 closes once its edge cells, the N_EDGE cells at each end (edge_cells), hold
 at most SEAM_TOL = 1e-14 of its peak.  Edge mass: a state has wrapped around
 once its edge cells hold more than EDGE_MASS_TOL = 1e-12 of its mass
 (edge_mass_fraction).  Band limit: a spectrum is band-limited while its
 2*N_EDGE cells about Nyquist (nyquist_cells) stay at most BAND_TOL = 1e-8
-of its peak.
+of its peak.  Packet band: a coherent packet at momentum p0 fits the grid
+while |p0| + PACKET_WIDTHS*sqrt(hbar) stays within the Nyquist momentum
+(check_packet_band); past it, its samples are a packet at p0 - 2 p_N.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 N_EDGE = 4  # the cells at each end of a grid that the edge guards read
 SEAM_TOL = 1e-14  # edge-cell amplitude, relative to the peak, that closes a sub-grid
 BAND_TOL = 1e-8  # Nyquist-cell spectrum, relative to its peak, of a band-limited state
+# a coherent packet's momentum density exp(-(p - p0)^2/hbar) falls below 1e-13 of its
+# peak at sqrt(13 ln 10) = 5.47 widths sqrt(hbar) from p0; its band is this many widths
+PACKET_WIDTHS = 5.5
 EDGE_MASS_TOL = 1e-12  # edge-cell mass, relative to the total, of a state that has not wrapped
 
 
@@ -60,6 +65,17 @@ def check_hbar(hbar: float, error=InvalidInputError) -> None:
     """Raise ``error`` unless hbar is finite and positive."""
     if not (math.isfinite(hbar) and hbar > 0):
         raise error(f"hbar must be finite and positive, got {hbar}")
+
+
+def check_packet_band(grid: GridSpec, hbar: float, p0: float, error=BandwidthError,
+                      what: str = "a packet") -> None:
+    """Raise ``error`` if a coherent packet at momentum p0 does not fit the
+    grid: |p0| + PACKET_WIDTHS*sqrt(hbar) past the Nyquist momentum p_N.  A
+    NaN is left to the caller's finiteness checks."""
+    p_n = grid.nyquist_momentum(hbar)
+    if abs(p0) + PACKET_WIDTHS * math.sqrt(hbar) > p_n:
+        raise error(f"{what} at p0={p0} aliases: its momentum band passes the Nyquist "
+                    f"momentum p_N={p_n:.6g} of the grid's N={grid.n_points} points")
 
 
 def edge_cells(a: np.ndarray):

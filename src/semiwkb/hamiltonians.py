@@ -29,6 +29,8 @@ __all__ = [
     "KickedHarmonic",
 ]
 
+KICK_SLACK = 1e-9  # a time up to this far past a kick is sampled before it
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -91,12 +93,12 @@ class HamiltonianModel:
       does not depend on the seed, else (n, 2, 2).  The Hessian must stay
       constant along each such stretch of a trajectory, which the caustic
       certificate relies on.  A model without one cannot be flowed.
-    - ``kick_times(t)``, the one kick schedule every caller reads, lists
-      the impulsive kicks a flow over [0, t] fires, at integer times, an
-      integer t being sampled just before its own kick; ``kick(p, q)``
-      gives the momentum after one kick, its slope dp/dq and the phase
-      jump, and ``kick_phase_jump`` is the kick as a multiplier phase.
-      Models without kicks list none.
+    - ``kick_times(t)``, the one kick schedule, lists in order the kicks a
+      walk from 0 to a finite t >= 0 fires, a time up to KICK_SLACK past a
+      kick being sampled before it; a walk reads it once, for its last time.
+      ``kick(p, q)`` gives the momentum after one kick, its slope dp/dq and
+      the phase jump, and ``kick_phase_jump`` is the kick as a multiplier
+      phase.  Models without kicks list none.
     - ``exact_path`` names the exact reference: ``"momentum-multiplier"``
       for models diagonal in momentum, which then give the multiplier's
       symbol ``kinetic_energy(xi)``, and ``"metaplectic-shear"`` for linear
@@ -217,9 +219,13 @@ class ParabolicBarrier(HamiltonianModel):
 
     def segment_flow(self, t, p, q):
         lam = self.lam
-        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
+        try:
+            ch, sh, sh2 = math.cosh(lam * t), math.sinh(lam * t), math.sinh(2 * lam * t)
+        except OverflowError:
+            raise InvalidInputError(f"the barrier's piece of length t={t:g} leaves the "
+                                    "floating-point range") from None
         mat = np.array([[ch, lam * sh], [sh / lam, ch]])
-        action = (p * p + lam * lam * q * q) * math.sinh(2 * lam * t) / (4 * lam) + p * q * sh * sh
+        action = (p * p + lam * lam * q * q) * sh2 / (4 * lam) + p * q * sh * sh
         return mat[0, 0] * p + mat[0, 1] * q, mat[1, 0] * p + mat[1, 1] * q, mat, action
 
     def shear_pair(self, s):
@@ -268,11 +274,11 @@ class KickedHarmonic(HamiltonianModel):
         The kick at integer n belongs to the start of the interval (n, n+1],
         so any forward evolution fires the kick at 0 first and an integer end
         time samples just before that instant's kick ("t = n minus"); a time
-        within 1e-9 past an integer counts as that integer.
+        up to KICK_SLACK past an integer counts as that integer.
         """
         if not (math.isfinite(t) and t >= 0):
             raise InvalidInputError(f"the kick schedule covers a finite time t >= 0, got t={t}")
-        return list(range(max(int(math.ceil(t - 1e-9)), 0)))
+        return list(range(max(int(math.ceil(t - KICK_SLACK)), 0)))
 
     def kick(self, p, q):
         return p + self.kick_impulse(q), self.k * np.cos(q), self.kick_phase_jump(q)

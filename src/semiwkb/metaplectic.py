@@ -153,7 +153,11 @@ def _certify_caustic_free(model, start: PhasePoint, alpha: float, t: float) -> n
     prev, z, w0 = 0.0, start, np.array([alpha, 1.0])
     for s, sample in zip(stops, walk):
         if prev in kicks:
-            w0[0] += model.kick(z.p, z.q)[1] * w0[1]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                w0[0] += model.kick(z.p, z.q)[1] * w0[1]
+            if not np.isfinite(w0[0]):
+                raise InvalidInputError(f"the manifold's tangent is not finite after the kick "
+                                        f"at t={prev:g}: the flow leaves the floating-point range")
         fr = sample.at(0)
         z, w = fr.end_point, fr.tangent @ np.array([alpha, 1.0])
         h = model.hess(z.p, z.q)
@@ -397,16 +401,16 @@ def propagate_extended_wkb(model, phase0: QuadraticPhase, profile_a, hbar: float
 
 def _tracked_sqrt(w: np.ndarray, pieces) -> complex:
     """Square root of w[-1], w = M_qq + M_qp b0 (Im b0 > 0, w[0] = 1), on the
-    branch continuous over pieces of given (Hessian H, length).  w never
+    branch continuous over pieces of given (Hessian H, length >= 0).  w never
     vanishes, kicks leave it alone, and on a piece w'' = -det(H) w runs along
     a line or a ray, turning by less than pi, or (det H = omega^2 > 0) an
-    ellipse about 0, turning by pi per half period in the sense of H_pp *
-    length.  Whole half-turns plus the wrapped rest give the exact branch."""
+    ellipse about 0, turning by pi per half period in the sense of H_pp.
+    Whole half-turns plus the wrapped rest give the exact branch."""
     arg = 0.0
     for (h, length), w0, w1 in zip(pieces, w, w[1:]):
         kappa = h[0, 0] * h[1, 1] - h[0, 1] ** 2
-        turns = math.floor(abs(length) * math.sqrt(kappa) / math.pi) if kappa > 0 else 0
-        turns = int(math.copysign(turns, h[0, 0] * length))
+        turns = math.floor(length * math.sqrt(kappa) / math.pi) if kappa > 0 else 0
+        turns = int(math.copysign(turns, h[0, 0]))
         arg += turns * math.pi + float(np.angle((-1) ** turns * w1 / w0))
     return abs(w[-1]) ** 0.5 * np.exp(0.5j * arg)
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
 from .grids import (BAND_TOL, EDGE_MASS_TOL, WaveFunction, edge_mass_fraction, nyquist_cells,
                     overlap, spectral_edge_fraction)
+from .hamiltonians import KICK_SLACK
 
 __all__ = [
     "ExactResult",
@@ -79,10 +80,10 @@ def momentum_evolve(model, psi: WaveFunction, t: float) -> WaveFunction:
 
 def _sample_times(t: float, sample_times) -> list:
     """The distinct sample times in order, each finite and inside [0, t] up
-    to the 1e-9 past t that KickedHarmonic.kick_times allows."""
+    to the KICK_SLACK past t at which a sample still precedes a kick at t."""
     want = sorted({float(s) for s in sample_times})
     for s in want:
-        if not 0 <= s <= t + 1e-9:
+        if not 0 <= s <= t + KICK_SLACK:
             raise InvalidInputError(f"sample time {s} outside [0, {t}]")
     return want
 
@@ -93,8 +94,8 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
 
     The walk stops at the model's kick times, the sample times and t.  At
     each stop the edge mass is checked, the samples are taken, then the kick
-    fires.  Like KickedHarmonic.kick_times, a sample up to 1e-9 past a kick
-    counts as before it.  Every segment between consecutive stops is cut into
+    fires.  A sample up to KICK_SLACK past a kick counts as before it, as in
+    the kick schedule.  Every segment between consecutive stops is cut into
     ``splits`` equal pieces, each applied as Q(a) P(b) Q(a).  Returns
     (final_state, samples), samples mapping each requested time to the
     state there; a sample at t is the final state.  Raises
@@ -111,7 +112,7 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     kicks = [float(n) for n in model.kick_times(t)]
     want = _sample_times(t, sample_times)
     early = [s for s in want if s < t]
-    late = {s for s in early for n in kicks if n < s <= n + 1e-9}
+    late = {s for s in early for n in kicks if n < s <= n + KICK_SLACK}
     kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicks else None
     x2, xi2 = grid.x ** 2, grid.xi(hbar) ** 2
     shears = {}
@@ -149,7 +150,7 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
             samples[stop] = WaveFunction(grid, vals.copy(), hbar)
         if stop in kicks:
             for s in late:
-                if stop < s <= stop + 1e-9:
+                if stop < s <= stop + KICK_SLACK:
                     samples[s] = WaveFunction(grid, segment(vals.copy(), s - stop), hbar)
             vals = _apply_checked(vals, kick)
     final = WaveFunction(grid, vals, hbar)

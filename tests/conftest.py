@@ -46,6 +46,14 @@ def barrier_reference():
     return res
 
 
+def packet_samples(grid: sw.GridSpec, hbar: float, p0: float) -> sw.WaveFunction:
+    """initial_coherent_state's formula at (p0, 0), sampled whatever p0: that
+    function refuses a packet whose band passes the Nyquist momentum."""
+    x = grid.x
+    vals = (np.pi * hbar) ** -0.25 * np.exp(1j * p0 * x / hbar - x ** 2 / (2.0 * hbar))
+    return sw.WaveFunction(grid, vals, hbar)
+
+
 def l2_distance(a: sw.WaveFunction, b: sw.WaveFunction) -> float:
     return math.sqrt(float(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.dx))
 

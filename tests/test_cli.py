@@ -280,6 +280,33 @@ def test_negative_time_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
+    ["exact", "--model", "free"],
+    ["propagate", "--model", "free", "--method", "extwkb"],
+    ["propagate", "--model", "kho", "--method", "thawed"]], ids=["exact", "extwkb", "thawed"])
+def test_an_aliased_packet_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    code, out, err = run_cli(argv + ["--hbar", "8e-4", "--grid=-4,4,8192", "--t", "0.5",
+                                     "--p0", "4", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err.startswith("error: a packet at p0=4.0 aliases:") and err.count("\n") == 1
+
+
+def test_a_barrier_run_past_the_floating_point_range_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["propagate", "--model", "barrier", "--hbar", "8e-4",
+                              "--grid=-4,4,8192", "--t", "400", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err == "error: the barrier's piece of length t=400 leaves the floating-point range\n"
+
+
+@pytest.mark.parametrize("model", ["free", "kho"])
+def test_manifold_negative_time_exits_2_whatever_the_model(tmp_path, capsys, model):
+    # a walk runs forward on every model, kicked or not
+    code, out, err = run_cli(["manifold", "--model", model, "--t=-1", "--out", str(tmp_path)],
+                             capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err.startswith("error:") and err.endswith("got t=-1.0\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["propagate", "--hbar", "0.05", "--grid=-4,4,1024"],
     ["exact", "--hbar", "0.05", "--grid=-4,4,1024"],
     ["manifold"]], ids=["propagate", "exact", "manifold"])

@@ -9,6 +9,7 @@ import semiwkb as sw
 from semiwkb.dynamics import LagrangianLine, flow_samples, shear_from_lagrangians
 from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
 from semiwkb.hamiltonians import QuadraticPhase
+from semiwkb.reference import metaplectic_evolve, momentum_evolve
 
 from oracles import closed_form_flow, rk4_flow
 from test_model_plugin import HarmonicWell
@@ -76,16 +77,6 @@ def test_kicked_flow_composition_at_integer_split():
     assert whole.end_point.q == pytest.approx(second.end_point.q, abs=1e-12)
     assert np.allclose(whole.tangent, second.tangent @ first.tangent, atol=1e-10)
     assert whole.action == pytest.approx(first.action + second.action, abs=1e-12)
-
-
-def test_free_backward_flow_inverts_forward():
-    model = sw.FreeParticle()
-    z0 = sw.PhasePoint(0.7, -0.1)
-    fwd = sw.flow(model, z0, 1.3)
-    back = sw.flow(model, fwd.end_point, -1.3)
-    assert back.end_point.p == pytest.approx(z0.p, abs=1e-14)
-    assert back.end_point.q == pytest.approx(z0.q, abs=1e-14)
-    assert back.action == pytest.approx(-fwd.action, abs=1e-14)
 
 
 def test_bundle_symplectic_defects():
@@ -188,18 +179,6 @@ def test_sampled_walk_rejections():
             flow_samples(free, [0.0], [0.0], times)
     with pytest.raises(sw.InvalidInputError):  # kicks fire forward only
         flow_samples(sw.KickedHarmonic(2.0), [0.0], [0.0], [0.0, -0.5])
-
-
-@pytest.mark.parametrize("model", [sw.FreeParticle(), sw.ParabolicBarrier(1.3),
-                                   HarmonicWell(1.5)], ids=["free", "barrier", "plugin"])
-def test_backward_sampled_walk_equals_lone_walks_bit_for_bit(model):
-    # a model without kicks walks backward through times falling from 0
-    p, q = np.array([0.45, -0.2]), np.array([-0.35, 0.6])
-    times = [0.0, -0.25, -1.0, -1.0, -2.5]
-    for t, fb in zip(times, flow_samples(model, p, q, times)):
-        alone = sw.flow_bundle(model, p, q, t)
-        for field in ("p", "q", "tangent", "action"):
-            assert np.array_equal(getattr(fb, field), getattr(alone, field)), (t, field)
 
 
 def kho_period_matrix(k: float) -> np.ndarray:
@@ -363,3 +342,52 @@ def test_shear_p_pq_settles_geometrically(model, rate):
     assert diffs[1] < 2.0 * contraction * diffs[0]
     assert diffs[2] < 2.0 * contraction * diffs[1]
     assert diffs[2] < 1e-2
+
+
+# one time rule for every entry point: a walk starts at 0 and runs forward
+FLAT, HBAR, GRID = QuadraticPhase(0.0, 0.0, 0.0), 0.05, sw.GridSpec(-4.0, 4.0, 1024)
+
+
+def coherent():
+    return sw.initial_coherent_state(GRID, HBAR, (0.0, 0.0))
+
+
+TIME_ENTRIES = {
+    "flow": lambda m, t: sw.flow(m, sw.PhasePoint(0.0, 0.0), t),
+    "flow_bundle": lambda m, t: sw.flow_bundle(m, [0.0], [0.0], t),
+    "flow_samples": lambda m, t: flow_samples(m, [0.0], [0.0], [0.5, t]),
+    "center_kernel": lambda m, t: sw.center_kernel(m, FLAT, 0.0, t),
+    "propagate_extended_wkb": lambda m, t: sw.propagate_extended_wkb(
+        m, FLAT, sw.gaussian_profile, HBAR, t, GRID),
+    "backward_wkb_test": lambda m, t: sw.backward_wkb_test(
+        m, FLAT, sw.gaussian_profile, HBAR, t, GRID, coherent()),
+    "propagate_thawed_gaussian": lambda m, t: sw.propagate_thawed_gaussian(
+        m, sw.PhasePoint(0.0, 0.0), 1j, HBAR, t, GRID),
+    "build_bundle": lambda m, t: sw.build_bundle(m, FLAT, (-1.0, 1.0), 33, t),
+    "refined_transport_map": lambda m, t: sw.refined_transport_map(
+        m, FLAT, (-1.0, 1.0), t, coherent()),
+    "exact_state": lambda m, t: sw.exact_state(m, coherent(), t),
+    "metaplectic_evolve": lambda m, t: metaplectic_evolve(m, coherent(), t),
+    "momentum_evolve": lambda m, t: momentum_evolve(m, coherent(), t),
+    "kick_times": lambda m, t: m.kick_times(t),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf],
+                         ids=["negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry,model", [
+    (entry, model) for entry in TIME_ENTRIES for model in ("kicked", "free")
+    if (entry, model) != ("kick_times", "free")])  # only a kicked model has a schedule to refuse
+def test_every_entry_point_refuses_a_time_off_the_forward_axis(entry, model, t):
+    model = {"kicked": sw.KickedHarmonic(2.0), "free": sw.FreeParticle()}[model]
+    with pytest.raises(sw.InvalidInputError) as info:
+        TIME_ENTRIES[entry](model, t)
+    assert str(info.value).endswith(f"got t={t}")
+
+
+def test_a_walk_reads_its_kick_schedule_once(monkeypatch):
+    model, reads = sw.KickedHarmonic(0.5), []
+    schedule = model.kick_times
+    monkeypatch.setattr(model, "kick_times", lambda t: reads.append(t) or schedule(t))
+    assert len(flow_samples(model, [0.0], [0.0], [0.0, 0.5, 1.0, 2.5, 40.0])) == 5
+    assert reads == [40.0]

@@ -414,3 +414,13 @@ def test_lyapunov_experiment(tmp_path):
     header, cols = read_table(tmp_path / "lyapunov_convergence.csv")
     assert list(cols["n"]) == list(range(1, 26))
     assert abs(cols["lambda_n"][-1] - res["lyapunov_exponent"]) < 0.05
+
+
+def test_a_case_whose_packet_would_alias_is_refused_by_name():
+    # hbar = 8e-4 on [-4, 4] x 8192: the Nyquist momentum is 2.574, and the
+    # samples of a packet at p0 = 4 are a packet at p0 - 2 p_N moving left
+    spec = ExperimentSpec(name="fast", kind="exactness", model="free", hbar=8e-4,
+                          times=(0.5,), grid=sw.GridSpec(-4.0, 4.0, 8192),
+                          cases=(Case("slow", 0.0, (1.0, 0.0)), Case("fast", 0.0, (4.0, 0.0))))
+    with pytest.raises(sw.SpecError, match=r"^case 'fast' at p0=4\.0 aliases: .* p_N=2\.57359 "):
+        spec.validate()

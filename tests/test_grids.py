@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import semiwkb as sw
 from semiwkb.errors import BandwidthError, GridMismatchError, InvalidInputError
 from semiwkb.grids import conjugate_grid
+from conftest import packet_samples
 from wigner import wigner_function
 
 HBAR = 0.05
@@ -208,7 +209,7 @@ def test_edge_fractions_flag_wraparound_risk():
     at_edge = coherent(g, HBAR, q0=-3.9)
     assert sw.edge_mass_fraction(centered) < 1e-14
     assert sw.edge_mass_fraction(at_edge) > 1e-3
-    fast = coherent(g, HBAR, p0=0.95 * g.nyquist_momentum(HBAR))
+    fast = packet_samples(g, HBAR, 0.95 * g.nyquist_momentum(HBAR))
     assert sw.spectral_edge_fraction(fast) > 1e-6
 
 

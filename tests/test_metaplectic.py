@@ -27,6 +27,7 @@ from semiwkb.metaplectic import (
     propagate_thawed_gaussian,
 )
 
+from conftest import packet_samples
 from oracles import Potential, closed_form_kernel
 
 HBAR = 0.05
@@ -97,8 +98,7 @@ def test_metaplectic_guards():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(sw.InvalidInputError, match="finite and nonnegative"):
             apply_metaplectic(bad, amp)
-    racing = sw.initial_coherent_state(GRID, HBAR,
-                                       (0.97 * GRID.nyquist_momentum(HBAR), 0.0))
+    racing = packet_samples(GRID, HBAR, 0.97 * GRID.nyquist_momentum(HBAR))
     with pytest.raises(BandwidthError):
         apply_metaplectic(0.5, racing)
     zero = sw.WaveFunction(GRID, np.zeros(GRID.n_points), HBAR)
@@ -467,6 +467,23 @@ def test_an_overflowing_tangent_is_refused_at_its_time():
             call()
 
 
+def test_the_certificates_kicked_tangent_is_refused_where_it_overflows():
+    # with slope 5, w = M (5, 1) leaves the floating-point range at the kick
+    # at t = 835, one kick before the tangent itself does
+    with pytest.raises(sw.InvalidInputError, match="not finite after the kick at t=835:"):
+        center_kernel(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 5.0), 0.0, 836.0)
+
+
+@pytest.mark.parametrize("call,t", [
+    (lambda: sw.flow(sw.ParabolicBarrier(1.0), sw.PhasePoint(0.1, 0.0), 400.0), 400),
+    (lambda: center_kernel(sw.ParabolicBarrier(1.0), QuadraticPhase(0.0, 0.0, 0.0), 0.0, 800.0),
+     800)], ids=["flow", "center_kernel"])
+def test_a_barrier_piece_past_the_floating_point_range_is_refused_by_name(call, t):
+    with pytest.raises(sw.InvalidInputError,
+                       match=f"^the barrier's piece of length t={t} leaves the floating-point"):
+        call()
+
+
 def test_a_long_walk_is_refused_fast_and_quietly():
     start = time.perf_counter()
     with warnings.catch_warnings():
@@ -635,10 +652,9 @@ def thawed_by_sample(model, z0, b0, hbar, t, grid):
 @pytest.mark.parametrize("model,t", [
     (sw.KickedHarmonic(2.0), 0.5), (sw.KickedHarmonic(2.0), 2.0),
     (sw.KickedHarmonic(2.0), 3.7), (sw.ParabolicBarrier(1.0), 1.3),
-    (sw.FreeParticle(), 2.2), (sw.FreeParticle(), -1.3),
-    (sw.ParabolicBarrier(1.0), -0.7)],
+    (sw.FreeParticle(), 2.2)],
     ids=["model0-0.5-minus", "model1-2.0-minus", "model2-3.7-minus", "model5-1.3-minus",
-         "model6-2.2-minus", "model7--1.3-minus", "model8--0.7-minus"])
+         "model6-2.2-minus"])
 def test_thawed_walk_matches_flows_per_sample_bit_for_bit(model, t):
     z0, b0 = sw.PhasePoint(0.1, 0.05), 0.3 + 1j
     got = propagate_thawed_gaussian(model, z0, b0, HBAR, t, GRID)

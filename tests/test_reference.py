@@ -352,3 +352,14 @@ def test_kho_reference_ladder_metadata(kho_reference):
     assert set(kho_reference.samples) == {1.0, 2.0, 3.0, 4.0}
     for state in kho_reference.samples.values():
         assert abs(state.norm - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("p0", [3.0, 4.0])
+@pytest.mark.parametrize("name", ["free", "kho", "barrier"])
+def test_an_aliased_packet_is_refused_where_it_is_built(name, p0):
+    # hbar = 8e-4 on [-4, 4] x 8192: p_N = 2.574, so the samples of a packet
+    # at p0 are one at p0 - 2 p_N, which every later guard and the split
+    # certificate accept
+    grid = sw.GridSpec(-4.0, 4.0, 8192)
+    with pytest.raises(BandwidthError, match=rf"p0={p0} aliases: .* p_N=2\.57359 .* N=8192 "):
+        sw.exact_state(sw.build_model(name), sw.initial_coherent_state(grid, 8e-4, (p0, 0.0)), 0.5)
