@@ -119,9 +119,8 @@ def _advance(fb: FlowBundle, segment) -> None:
 def _kick(model, fb: FlowBundle) -> None:
     fb.p, slope, jump = model.kick(fb.p, fb.q)
     fb.action += jump
-    with np.errstate(over="ignore", invalid="ignore"):  # flow_samples refuses the result
-        fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
-        fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
+    fb.tangent[:, 0, 0] += slope * fb.tangent[:, 1, 0]
+    fb.tangent[:, 0, 1] += slope * fb.tangent[:, 1, 1]
 
 
 def _copy(fb: FlowBundle) -> FlowBundle:
@@ -138,8 +137,10 @@ def flow_samples(model, p, q, times) -> list:
     model's closed-form segment flow between them.  Each sample is taken from
     a copy of the walk after its last kick, running its own segment on the
     copy, so it equals, bit for bit, a walk to that time alone.  The walk
-    stops with InvalidInputError at the first sample whose tangent has left
-    the floating-point range.
+    runs with numpy's overflow and invalid-value warnings off.  It stops with
+    InvalidInputError at the first sample whose tangent has left the
+    floating-point range, and once done refuses the first sample whose end
+    point or action has.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -160,20 +161,28 @@ def flow_samples(model, p, q, times) -> list:
 
     fb = FlowBundle(p.copy(), q.copy(), np.tile(np.eye(2), (p.size, 1, 1)), np.zeros_like(p))
     prev, fired, out = 0.0, 0, []
-    for i, t in enumerate(times):
-        while fired < len(kicks) and kicks[fired] < t - KICK_SLACK:
-            n = kicks[fired]
-            if n > prev:
-                _advance(fb, segment(n - prev, fb.p, fb.q))
-            _kick(model, fb)
-            prev, fired = float(n), fired + 1
-        sample = fb if i == len(times) - 1 else _copy(fb)
-        if t != prev:
-            _advance(sample, segment(t - prev, sample.p, sample.q))
-        if not np.isfinite(sample.tangent).all():
-            raise InvalidInputError(f"the tangent map is not finite at t={t:g}: "
-                                    "the flow leaves the floating-point range")
-        out.append(sample)
+    with np.errstate(over="ignore", invalid="ignore"):  # each sample is checked below
+        for i, t in enumerate(times):
+            while fired < len(kicks) and kicks[fired] < t - KICK_SLACK:
+                n = kicks[fired]
+                if n > prev:
+                    _advance(fb, segment(n - prev, fb.p, fb.q))
+                _kick(model, fb)
+                prev, fired = float(n), fired + 1
+            sample = fb if i == len(times) - 1 else _copy(fb)
+            if t != prev:
+                _advance(sample, segment(t - prev, sample.p, sample.q))
+            if not np.isfinite(sample.tangent).all():
+                raise InvalidInputError(f"the tangent map is not finite at t={t:g}: "
+                                        "the flow leaves the floating-point range")
+            out.append(sample)
+    # the end points and actions of all samples at once: the first sample
+    # with one that is not finite is refused
+    ends = np.isfinite(np.concatenate([a for smp in out for a in (smp.p, smp.q, smp.action)]))
+    if not ends.all():
+        t = times[int(np.argmin(ends)) // (3 * p.size)]
+        raise InvalidInputError(f"the end point or action is not finite at t={t:g}: "
+                                "the flow leaves the floating-point range")
     return out
 
 

@@ -57,6 +57,20 @@ PACKET_WIDTHS = 5.5
 EDGE_MASS_TOL = 1e-12  # edge-cell mass, relative to the total, of a state that has not wrapped
 
 
+class Same:
+    """Hashes and compares by identity, whatever the object's own equality:
+    the cache key of a model or profile."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, Same) and other.obj is self.obj
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 

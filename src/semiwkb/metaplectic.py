@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BandwidthError, BoundaryMassError, CausticError, InvalidInputError
 from .dynamics import flow_samples
-from .grids import (BAND_TOL, EDGE_MASS_TOL, N_EDGE, SEAM_TOL, GridSpec, WaveFunction,
+from .grids import (BAND_TOL, EDGE_MASS_TOL, N_EDGE, SEAM_TOL, GridSpec, Same, WaveFunction,
                     check_hbar, edge_cells, edge_mass_fraction, nyquist_cells, seam_block)
 from .hamiltonians import PhasePoint, QuadraticPhase
 from .transport import (CAUSTIC_THRESHOLD, evolved_phase, refined_transport_map,
@@ -128,6 +128,27 @@ def _interior_minimum(f: float, g: float, kappa: float, length: float):
     r = g / (lam * f)
     s = math.atanh(-r) / lam
     return (f * math.sqrt(1.0 - r * r), s) if 0.0 < s < length else None
+
+
+def _check_thawed_band(grid: GridSpec, hbar: float, p: float, q: float, b: complex) -> None:
+    """Refuse a Gaussian exp(i (p u + b u^2/2)/hbar), u = x - q, whose
+    momentum passes the Nyquist momentum p_N on the grid: the largest |p'|,
+    over the grid's u, on the ellipse Im b u^2 + (p' - p - Re b u)^2/Im b
+    <= 13 ln 10 hbar where its Wigner function exceeds 1e-13 of its peak.
+    A steep chirp Re b or a width sqrt(hbar/Im b) under about 1.7 cells
+    takes it past p_N; for b = i it is |p| + 5.47 sqrt(hbar), check_packet_band's band."""
+    h = math.sqrt(13 * math.log(10) * hbar / b.imag)
+    lo, hi = max(grid.x_min - q, -h), min(grid.x_max - q, h)
+
+    def top(sign):  # the largest sign * p' on the ellipse over [lo, hi]
+        u = min(max(sign * h * b.real / abs(b), lo), hi)
+        return sign * (p + b.real * u) + b.imag * math.sqrt(max(h * h - u * u, 0.0))
+
+    reach, p_n = max(top(1.0), top(-1.0)), grid.nyquist_momentum(hbar)
+    if reach > p_n:
+        raise BandwidthError(
+            f"the thawed packet at p0={p} aliases: its momentum reaches {reach:.6g}, past "
+            f"the Nyquist momentum p_N={p_n:.6g} of the grid's N={grid.n_points} points")
 
 
 def _kick_stops(model, t: float) -> tuple:
@@ -285,21 +306,8 @@ def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
     return x_lo, x_hi
 
 
-class _Same:
-    """Hashes and compares by identity, whatever the object's own equality."""
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return isinstance(other, _Same) and other.obj is self.obj
-
-
 @lru_cache(maxsize=1)
-def _scaled(profile: _Same, q: float, hbar: float, grid: GridSpec) -> WaveFunction:
+def _scaled(profile: Same, q: float, hbar: float, grid: GridSpec) -> WaveFunction:
     """apply_L of the profile; one profile object is sampled once at any t."""
     a0 = apply_L(profile.obj, q, hbar, grid)
     a0.values.flags.writeable = False
@@ -307,7 +315,7 @@ def _scaled(profile: _Same, q: float, hbar: float, grid: GridSpec) -> WaveFuncti
 
 
 @lru_cache(maxsize=1)
-def _core(model: _Same, phase0: QuadraticPhase, profile: _Same, hbar: float, t: float,
+def _core(model: Same, phase0: QuadraticPhase, profile: Same, hbar: float, t: float,
           grid: GridSpec, window) -> tuple:
     """The chain _semiclassical shares, cached on its argument list."""
     q = phase0.q0
@@ -356,7 +364,7 @@ def _semiclassical(model, phase0: QuadraticPhase, profile_a, hbar: float, t: flo
     if window is not None:
         window = (float(window[0]), float(window[1]))
     a0, dispersed, deficit, tmap, inside, phase_factor, metadata = _core(
-        _Same(model), phase0, _Same(profile_a), hbar, t, grid, window)
+        Same(model), phase0, Same(profile_a), hbar, t, grid, window)
     if deficit_tol is not None and deficit > deficit_tol:
         raise BoundaryMassError(
             f"dispersed amplitude leaves the seed window (deficit {deficit:.2e})")
@@ -425,11 +433,14 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
     Maslov phase; Littlejohn, Phys. Rep. 138, 193 (1986)).  One walk stops
     at _kick_stops, each stop before its kick, where each piece's Hessian is
     read.  Valid while
-    the reported indicator sqrt(hbar)*||dPhi|| stays small.
+    the reported indicator sqrt(hbar)*||dPhi|| stays small.  Raises
+    BandwidthError when the initial packet's momentum passes the grid's
+    Nyquist momentum (_check_thawed_band).
     """
     if not (np.isfinite(b0) and b0.imag > 0):
         raise InvalidInputError(f"initial width must be finite with Im b0 > 0, got {b0}")
     check_hbar(hbar)
+    _check_thawed_band(grid, hbar, z0.p, z0.q, b0)
     _, stops = _kick_stops(model, t)
     times = [0.0] + stops
     walk = flow_samples(model, [z0.p], [z0.q], times)
@@ -441,7 +452,10 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
 
     dxc = grid.x - fr.end_point.q
     phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc**2
-    vals = (np.pi * hbar) ** -0.25 / root * np.exp(1j * phase / hbar)
+    vals = 1j * phase
+    vals /= hbar
+    np.exp(vals, out=vals)
+    np.multiply((np.pi * hbar) ** -0.25 / root, vals, out=vals)
     state = WaveFunction(grid, vals, hbar)
     metadata = {
         "center": (fr.end_point.p, fr.end_point.q),

@@ -15,6 +15,15 @@ The model's ``exact_path`` names the route, and there are two:
   between n and 2n pieces and by guards on chirps and kicks driving
   momentum past Nyquist.
 
+The multiplier tables are built once per grid and kept read-only:
+_shear_tables on the grid, hbar and the exact (a, b) that ``shear_pair``
+returns, so a table never depends on which call built it, and _kick_table
+on the model's identity, the grid and hbar.  A shear entry holds about
+40 B x N (5 MB at N = 131072) and a kick entry 24 B x N.  The caches keep
+the last four shear entries, the n- and 2n-piece tables of up to two
+segment lengths, and the last kick.  A table that leaves the
+floating-point range (an absurd hbar) is refused with InvalidInputError.
+
 A model with neither route is refused with InvalidInputError.
 """
 
@@ -23,12 +32,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
-from .grids import (BAND_TOL, EDGE_MASS_TOL, WaveFunction, edge_mass_fraction, nyquist_cells,
-                    overlap, spectral_edge_fraction)
+from .grids import (BAND_TOL, EDGE_MASS_TOL, GridSpec, Same, WaveFunction,
+                    edge_mass_fraction, nyquist_cells, overlap, spectral_edge_fraction)
 from .hamiltonians import KICK_SLACK
 
 __all__ = [
@@ -47,6 +57,33 @@ def _multiplier(phase: np.ndarray) -> tuple:
     return np.exp(1j * phase), np.diff(phase)
 
 
+def _frozen(grid: GridSpec, hbar: float, *tables) -> tuple:
+    """The tables, read-only; refused when one leaves the floating-point range."""
+    if not all(np.isfinite(a).all() for a in tables):
+        raise InvalidInputError(f"the reference's multipliers at hbar={hbar:g} leave the "
+                                f"floating-point range on the grid's N={grid.n_points} points")
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=4)
+def _shear_tables(grid: GridSpec, hbar: float, a: float, b: float) -> tuple:
+    """(chirp of Q(a) with its phase steps, multiplier of P(b)) on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _frozen refuses the result
+        chirp, dphase = _multiplier(-0.5 * a * grid.x ** 2 / hbar)
+        mom = np.exp(-0.5j * b * grid.xi(hbar) ** 2 / hbar)
+    chirp, dphase, mom = _frozen(grid, hbar, chirp, dphase, mom)
+    return (chirp, dphase), mom
+
+
+@lru_cache(maxsize=1)
+def _kick_table(model: Same, grid: GridSpec, hbar: float) -> tuple:
+    """The model's kick as a multiplier with its phase steps on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _frozen refuses the result
+        return _frozen(grid, hbar, *_multiplier(model.obj.kick_phase_jump(grid.x) / hbar))
+
+
 def _apply_checked(vals: np.ndarray, multiplier) -> np.ndarray:
     """vals * exp(i phase), refused where the product passes Nyquist.
 
@@ -54,13 +91,14 @@ def _apply_checked(vals: np.ndarray, multiplier) -> np.ndarray:
     momentum times dx/hbar, inside (-pi, pi) for a resolved state.  Adding
     the multiplier's own step gives the product's local momentum, which must
     stay under Nyquist wherever vals has mass (density above EDGE_MASS_TOL
-    of the peak); a product past it would fold cleanly onto the other side
-    of the spectrum, out of reach of any edge probe.
+    of the peak, the live cells, where alone the step is computed); a
+    product past it would fold cleanly onto the other side of the spectrum,
+    out of reach of any edge probe.
     """
     mult, dphase = multiplier
     dens = np.abs(vals) ** 2
     live = np.minimum(dens[1:], dens[:-1]) > EDGE_MASS_TOL * dens.max()
-    step = np.abs(np.angle(vals[1:] * np.conj(vals[:-1])) + dphase)[live]
+    step = np.abs(np.angle(vals[1:][live] * np.conj(vals[:-1][live])) + dphase[live])
     if step.size and step.max() >= math.pi:
         raise BandwidthError(
             f"a multiplier drives the local momentum to {step.max() / math.pi:.3g} "
@@ -113,17 +151,13 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     want = _sample_times(t, sample_times)
     early = [s for s in want if s < t]
     late = {s for s in early for n in kicks if n < s <= n + KICK_SLACK}
-    kick = _multiplier(model.kick_phase_jump(grid.x) / hbar) if kicks else None
-    x2, xi2 = grid.x ** 2, grid.xi(hbar) ** 2
-    shears = {}
+    kick = _kick_table(Same(model), grid, hbar) if kicks else None
 
-    def segment(vals, s):
-        key = round(s, 12)
-        if key not in shears:
-            a, b = model.shear_pair(s / splits)
-            shears[key] = (_multiplier(-0.5 * a * x2 / hbar),
-                           np.exp(-0.5j * b * xi2 / hbar))
-        q, p = shears[key]
+    def tables(s):
+        return _shear_tables(grid, hbar, *model.shear_pair(s / splits))
+
+    def segment(vals, pieces):
+        q, p = pieces
         for _ in range(splits):
             hat = np.fft.fft(_apply_checked(vals, q))
             spec = np.abs(hat)
@@ -135,13 +169,18 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
             vals = _apply_checked(np.fft.ifft(p * hat), q)
         return vals
 
+    # the walk's tables are built before its first stop, so a grid that
+    # cannot hold them is refused before any edge check
+    walk, prev = [], 0.0
+    for stop in sorted({*kicks, *early, float(t)} - late):
+        moves = stop - prev > 1e-12
+        walk.append((stop, tables(stop - prev) if moves else None))
+        prev = stop if moves else prev
     samples = {}
     vals = psi.values.copy()
-    prev = 0.0
-    for stop in sorted({*kicks, *early, float(t)} - late):
-        if stop - prev > 1e-12:
-            vals = segment(vals, stop - prev)
-            prev = stop
+    for stop, pieces in walk:
+        if pieces:
+            vals = segment(vals, pieces)
         m = edge_mass_fraction(WaveFunction(grid, vals, hbar))
         if m > EDGE_MASS_TOL:
             raise BoundaryMassError(
@@ -151,7 +190,7 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
         if stop in kicks:
             for s in late:
                 if stop < s <= stop + KICK_SLACK:
-                    samples[s] = WaveFunction(grid, segment(vals.copy(), s - stop), hbar)
+                    samples[s] = WaveFunction(grid, segment(vals.copy(), tables(s - stop)), hbar)
             vals = _apply_checked(vals, kick)
     final = WaveFunction(grid, vals, hbar)
     for s in want:

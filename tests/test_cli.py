@@ -297,6 +297,14 @@ def test_a_barrier_run_past_the_floating_point_range_exits_2(tmp_path, capsys):
     assert err == "error: the barrier's piece of length t=400 leaves the floating-point range\n"
 
 
+def test_a_reference_at_an_absurd_hbar_exits_2_and_writes_nothing(tmp_path, capsys):
+    code, out, err = run_cli(["exact", "--model", "kho", "--hbar", "1e300", "--grid=-4,4,8192",
+                              "--t", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err == ("error: the reference's multipliers at hbar=1e+300 leave the "
+                   "floating-point range on the grid's N=8192 points\n")
+
+
 @pytest.mark.parametrize("model", ["free", "kho"])
 def test_manifold_negative_time_exits_2_whatever_the_model(tmp_path, capsys, model):
     # a walk runs forward on every model, kicked or not

@@ -391,3 +391,22 @@ def test_a_walk_reads_its_kick_schedule_once(monkeypatch):
     monkeypatch.setattr(model, "kick_times", lambda t: reads.append(t) or schedule(t))
     assert len(flow_samples(model, [0.0], [0.0], [0.0, 0.5, 1.0, 2.5, 40.0])) == 5
     assert reads == [40.0]
+
+
+@pytest.mark.parametrize("model, start, t", [
+    (sw.KickedHarmonic(2.0), sw.PhasePoint(1e300, 0.0), 1.5),
+    (sw.ParabolicBarrier(1.0), sw.PhasePoint(1e200, 0.0), 300.0)], ids=["kicked", "barrier"])
+def test_a_huge_seed_is_refused_where_its_flow_overflows(model, start, t):
+    # the walk runs with overflow warnings off and checks every sample
+    with pytest.raises(sw.InvalidInputError, match=rf"^the end point or action is not finite at "
+                                                   rf"t={t:g}: the flow leaves the floating-point "
+                                                   "range$"):
+        sw.flow(model, start, t)
+
+
+def test_the_first_sample_whose_action_overflows_is_named():
+    # the second seed's action, p^2 sinh(2t)/4, overflows from t = 300 on;
+    # the tangent, cosh(t) at most, never does
+    with pytest.raises(sw.InvalidInputError, match=r"^the end point or action is not finite "
+                                                   r"at t=300: "):
+        flow_samples(sw.ParabolicBarrier(1.0), [0.0, 1e150], [0.0, 0.0], [0.5, 300.0, 350.0])

@@ -366,11 +366,24 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: QuadraticPhase(0.0, 0.0, math.inf),
                 lambda: QuadraticPhase.from_theta(math.nan),
                 lambda: sw.flow_bundle(sw.FreeParticle(), [0.0, math.nan], [0.0, 1.0], 1.0),
-                lambda: sw.initial_coherent_state(GRID, HBAR, (0.0, math.inf))):
+                lambda: sw.initial_coherent_state(GRID, HBAR, (0.0, math.inf)),
+                # an hbar whose momentum table overflows, and seeds whose flows do
+                lambda: sw.exact_state(sw.KickedHarmonic(2.0), sw.initial_coherent_state(
+                    sw.GridSpec(-4.0, 4.0, 8192), 1e300, (0.0, 0.0)), 1.0),
+                lambda: sw.flow(sw.KickedHarmonic(2.0), sw.PhasePoint(1e300, 0.0), 1.5),
+                lambda: sw.flow(sw.ParabolicBarrier(1.0), sw.PhasePoint(1e200, 0.0), 300.0)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
         assert isinstance(info.value, ValueError)
+    # a thawed packet past the Nyquist momentum, or narrower than a grid cell
+    fine = sw.GridSpec(-4.0, 4.0, 8192)
+    for aliased in (lambda: propagate_thawed_gaussian(sw.FreeParticle(), sw.PhasePoint(4.0, 0.0),
+                                                      1j, 8e-4, 0.5, fine),
+                    lambda: propagate_thawed_gaussian(sw.FreeParticle(), sw.PhasePoint(0.0, 0.0),
+                                                      1e300j, 8e-4, 0.5, fine)):
+        with pytest.raises(BandwidthError, match=r"aliases: .* p_N=2\.57359 .* N=8192 "):
+            aliased()
     # a model with no closed-form flow and no exact path is refused by name
     rough = Potential(np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q))
     for refused in (lambda: sw.flow(rough, sw.PhasePoint(0.0, 0.0), 1.0),

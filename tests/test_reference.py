@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semiwkb as sw
+from semiwkb import cli, reference
 from semiwkb.errors import BandwidthError, BoundaryMassError, InvalidInputError, StepSizeError
+from semiwkb.grids import EDGE_MASS_TOL, Same
 from semiwkb.metaplectic import propagate_thawed_gaussian
 from semiwkb.reference import metaplectic_evolve, momentum_evolve
 
@@ -363,3 +365,148 @@ def test_an_aliased_packet_is_refused_where_it_is_built(name, p0):
     grid = sw.GridSpec(-4.0, 4.0, 8192)
     with pytest.raises(BandwidthError, match=rf"p0={p0} aliases: .* p_N=2\.57359 .* N=8192 "):
         sw.exact_state(sw.build_model(name), sw.initial_coherent_state(grid, 8e-4, (p0, 0.0)), 0.5)
+
+
+def _full_grid_guard(vals, multiplier):
+    # the guard over the whole grid: the phase step at every cell pair, then
+    # the live cells kept
+    mult, dphase = multiplier
+    dens = np.abs(vals) ** 2
+    live = np.minimum(dens[1:], dens[:-1]) > EDGE_MASS_TOL * dens.max()
+    step = np.abs(np.angle(vals[1:] * np.conj(vals[:-1])) + dphase)[live]
+    if step.size and step.max() >= math.pi:
+        raise BandwidthError(
+            f"a multiplier drives the local momentum to {step.max() / math.pi:.3g} "
+            "times the Nyquist momentum")
+    return vals * mult
+
+
+def _guard_case(kind, p0, q0, a):
+    """(state, one shear piece's chirp table) on the chirp probe's grid: a
+    packet at (p0, q0), the same with a phase step of 0.99 pi per cell in
+    its far dead tail, or a lone spike at q0 whose every cell pair is dead."""
+    grid, hbar = sw.GridSpec(-1.6, 1.6, 16384), 1e-4
+    x = grid.x
+    vals = (np.pi * hbar) ** -0.25 * np.exp(
+        1j * p0 * (x - q0) / hbar - (x - q0) ** 2 / (2.0 * hbar))
+    if kind == "dead-step":
+        vals[-64:] = 1e-9 * np.abs(vals).max() * np.exp(0.99j * math.pi * np.arange(64))
+    elif kind == "all-dead":
+        vals = np.zeros_like(vals)
+        vals[np.searchsorted(x, q0)] = 1.0
+    return vals, reference._shear_tables(grid, hbar, a, 0.5)[0]
+
+
+def _guard_outcome(guard, vals, multiplier):
+    try:
+        return "product", guard(vals, multiplier).tobytes()
+    except BandwidthError as err:
+        return "refused", str(err)
+
+
+# test_chirp_guard_splits_further's packet under one unit piece of the rotation
+PROBE = (1.5 / math.hypot(1.0, math.tan(0.5)),
+         -1.5 * math.tan(0.5) / math.hypot(1.0, math.tan(0.5)), math.tan(0.5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["packet", "dead-step", "all-dead"]), p0=st.floats(-2.5, 2.5),
+       q0=st.floats(-0.5, 0.5), a=st.floats(-3.0, 3.0))
+@example(kind="packet", p0=PROBE[0], q0=PROBE[1], a=PROBE[2])
+@example(kind="dead-step", p0=0.3, q0=0.1, a=-0.5)
+@example(kind="all-dead", p0=0.0, q0=0.2, a=PROBE[2])
+def test_the_live_cell_guard_decides_as_the_full_grid_guard(kind, p0, q0, a):
+    # same refusals with the same message, and bit-identical products
+    vals, chirp = _guard_case(kind, p0, q0, a)
+    assert (_guard_outcome(reference._apply_checked, vals, chirp)
+            == _guard_outcome(_full_grid_guard, vals, chirp))
+
+
+def test_the_guard_pins_fold_skip_a_dead_step_and_pass_an_all_dead_state():
+    # the three pinned examples above each show the case they stand for
+    kind, message = _guard_outcome(reference._apply_checked, *_guard_case("packet", *PROBE))
+    assert kind == "refused" and message.startswith("a multiplier drives the local momentum")
+    vals, chirp = _guard_case("dead-step", 0.3, 0.1, -0.5)
+    tail = np.abs(np.angle(vals[-63:] * np.conj(vals[-64:-1])) + chirp[1][-63:])
+    assert tail.min() >= math.pi  # steep enough to refuse, were these cells live
+    assert _guard_outcome(reference._apply_checked, vals, chirp)[0] == "product"
+    assert _guard_outcome(reference._apply_checked,
+                          *_guard_case("all-dead", 0.0, 0.2, PROBE[2]))[0] == "product"
+
+
+def test_cached_tables_are_read_only_and_equal_a_fresh_build():
+    grid, model = KHO_GRID, sw.KickedHarmonic(2.0)
+    a, b = model.shear_pair(0.5)
+    reference._shear_tables.cache_clear()
+    (chirp, dphase), mom = reference._shear_tables(grid, KHO_HBAR, a, b)
+    kick = reference._kick_table(Same(model), grid, KHO_HBAR)
+    for table in (chirp, dphase, mom, *kick):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    hit = reference._shear_tables(grid, KHO_HBAR, a, b)
+    assert reference._shear_tables.cache_info().hits == 1
+    assert hit[1] is mom
+    (fresh_chirp, fresh_dphase), fresh_mom = reference._shear_tables.__wrapped__(
+        grid, KHO_HBAR, a, b)
+    for cached, fresh in ((chirp, fresh_chirp), (dphase, fresh_dphase), (mom, fresh_mom)):
+        assert cached.tobytes() == fresh.tobytes()
+    fresh_kick = reference._kick_table.__wrapped__(Same(model), grid, KHO_HBAR)
+    assert all(c.tobytes() == f.tobytes() for c, f in zip(kick, fresh_kick))
+
+
+BARRIER_SWEEP = """[experiment]
+name = barrier-sweep
+kind = barrier-sweep
+model = barrier
+hbar = 0.05
+times = 1.0, 2.0
+grid = -12.0, 12.0, 2048
+methods = exact
+
+[model]
+v0 = 1.0
+
+[case reflected]
+p0 = 0.3
+q0 = -0.5
+slope = 0
+
+[case critical]
+p0 = 0.5
+q0 = -0.5
+slope = 0
+
+[case transmitted]
+p0 = 0.7
+q0 = -0.5
+slope = 0
+"""
+
+
+def test_a_three_case_barrier_sweep_builds_each_shear_table_once(tmp_path, capsys):
+    # every case walks two segments of length 1 in each of its n- and
+    # 2n-piece passes: two tables for the whole run, not two per case, and
+    # the other 10 of the 12 lookups hit
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BARRIER_SWEEP)
+    reference._shear_tables.cache_clear()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    info = reference._shear_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 10)
+
+
+def test_case_order_does_not_move_a_bit():
+    model, grid, times = sw.ParabolicBarrier(1.0), sw.GridSpec(-12.0, 12.0, 2048), (1.0, 2.0)
+    cases = {p0: sw.initial_coherent_state(grid, HBAR, (p0, -0.5)) for p0 in (0.3, 0.7)}
+
+    def run(order):
+        reference._shear_tables.cache_clear()
+        out = {}
+        for p0 in order:
+            ex = sw.exact_state(model, cases[p0], 2.0, sample_times=times)
+            out[p0] = [ex.state.values.tobytes()] + [ex.samples[t].values.tobytes()
+                                                     for t in times]
+        return out
+
+    assert run((0.3, 0.7)) == run((0.7, 0.3))
