@@ -222,15 +222,23 @@ class ParabolicBarrier(HamiltonianModel):
         try:
             ch, sh, sh2 = math.cosh(lam * t), math.sinh(lam * t), math.sinh(2 * lam * t)
         except OverflowError:
-            raise InvalidInputError(f"the barrier's piece of length t={t:g} leaves the "
-                                    "floating-point range") from None
+            raise _off_range(t) from None
         mat = np.array([[ch, lam * sh], [sh / lam, ch]])
         action = (p * p + lam * lam * q * q) * sh2 / (4 * lam) + p * q * sh * sh
         return mat[0, 0] * p + mat[0, 1] * q, mat[1, 0] * p + mat[1, 1] * q, mat, action
 
     def shear_pair(self, s):
         lam = self.lam
-        return -lam * math.tanh(0.5 * lam * s), math.sinh(lam * s) / lam
+        try:
+            sh = math.sinh(lam * s)
+        except OverflowError:
+            raise _off_range(s) from None
+        return -lam * math.tanh(0.5 * lam * s), sh / lam
+
+
+def _off_range(t) -> InvalidInputError:
+    return InvalidInputError(f"the barrier's piece of length t={t:g} leaves the "
+                             "floating-point range")
 
 
 class KickedHarmonic(HamiltonianModel):
@@ -281,7 +289,8 @@ class KickedHarmonic(HamiltonianModel):
         return list(range(max(int(math.ceil(t - KICK_SLACK)), 0)))
 
     def kick(self, p, q):
-        return p + self.kick_impulse(q), self.k * np.cos(q), self.kick_phase_jump(q)
+        c = np.cos(np.asarray(q, dtype=float))  # one cosine for the slope and the jump
+        return p + self.kick_impulse(q), self.k * c, -self.k * c
 
     def kick_impulse(self, q):
         return self.k * np.sin(np.asarray(q, dtype=float))

@@ -30,7 +30,9 @@ trajectories.  Interpolation between nodes is cubic Hermite
 with those exact derivatives, so the tabulated map and its inverse agree
 with the flow to interpolation order and monotonicity can be certified one
 interval at a time (the derivative of each cubic piece is a quadratic).
-The inverse solves on the one piece whose node images bracket its target.
+Every piece's coefficients are built once, with the interpolant, for the
+certificate; a query, the inverse included, gathers its piece's.  The
+inverse solves on the one piece whose node images bracket its target.
 
 The amplitude moved along the map is interpolated on nodes OVERSAMPLE
 times finer than its grid, over the span a caller queries (the seed window
@@ -143,23 +145,31 @@ def _flowed(model, phase0, seeds, t, coarse=None) -> TrajectoryBundle:
 class _Hermite:
     """Cubic Hermite interpolant with values ``y`` and slopes ``d`` at the
     increasing nodes ``x``, located by binary search.  Outside the nodes the
-    end pieces extrapolate."""
+    end pieces extrapolate.  Every piece is built once, here: (h, y0, m0, c2,
+    c3), the cubic y0 + s*(m0 + s*(c2 + s*c3)) in its local coordinate s."""
 
     def __init__(self, x, y, d):
-        self.x, self.y, self.d = x, y, d
+        self.x, self.y = x, y
+        h = x[1:] - x[:-1]
+        y0, y1 = y[:-1], y[1:]
+        m0, m1 = h * d[:-1], h * d[1:]
+        self.pieces = (h, y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1)
 
     def _piece(self, j):
-        """(h, y0, m0, c2, c3) of the pieces ``j``, each the cubic
-        y0 + s*(m0 + s*(c2 + s*c3)) in its local coordinate s."""
-        h = self.x[j + 1] - self.x[j]
-        y0, y1 = self.y[j], self.y[j + 1]
-        m0, m1 = h * self.d[j], h * self.d[j + 1]
-        return h, y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1
+        """(h, y0, m0, c2, c3) of the pieces ``j``."""
+        return tuple(a[j] for a in self.pieces)
+
+    def _locate(self, xq):
+        """(s, h, y0, m0, c2, c3) at ``xq``: the local coordinate s in its piece, and the piece."""
+        xq = np.asarray(xq, dtype=float)
+        j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.y.size - 2)
+        h, y0, m0, c2, c3 = self._piece(j)
+        return (xq - self.x[j]) / h, h, y0, m0, c2, c3
 
     def min_slope(self) -> float:
         """Exact minimum of the derivative over the nodes: on each piece the
         quadratic (m0 + 2*c2*s + 3*c3*s^2)/h, smallest at an end or its vertex."""
-        h, _, m0, c2, c3 = self._piece(np.arange(self.y.size - 1))
+        h, _, m0, c2, c3 = self.pieces
         a, b = 3.0 * c3, 2.0 * c2
         vals = np.minimum(m0, a + b + m0)
         s_star = -b / (2.0 * np.where(a == 0.0, 1.0, a))
@@ -169,15 +179,15 @@ class _Hermite:
 
     def value_and_slope(self, xq):
         """Values and first derivatives at ``xq`` from one location."""
-        xq = np.asarray(xq, dtype=float)
-        j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.y.size - 2)
-        h, y0, m0, c2, c3 = self._piece(j)
-        s = (xq - self.x[j]) / h
+        s, h, y0, m0, c2, c3 = self._locate(xq)
         return y0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
 
     def __call__(self, xq, nu: int = 0):
         """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
-        return self.value_and_slope(xq)[nu]
+        if nu:
+            return self.value_and_slope(xq)[1]
+        s, _, y0, m0, c2, c3 = self._locate(xq)
+        return y0 + s * (m0 + s * (c2 + s * c3))
 
 
 class _Quintic:
@@ -335,13 +345,14 @@ def _amplitude_interpolator(amplitude: WaveFunction, span, factor: int = OVERSAM
     block = amplitude.values[start:start + m]
     spec = np.fft.fft(block)
     ik = 2j * np.pi * np.fft.fftfreq(m, d=grid.dx)
+    ik2 = ik * ik
     h = grid.dx / factor
     nodes = np.empty((3, factor * m + 1), dtype=np.complex128)
     for r in range(factor):
         shifted = spec * np.exp(ik * (r * h)) if r else spec
         nodes[0, r:-1:factor] = np.fft.ifft(shifted) if r else block
         nodes[1, r:-1:factor] = np.fft.ifft(ik * shifted)
-        nodes[2, r:-1:factor] = np.fft.ifft(ik * ik * shifted)
+        nodes[2, r:-1:factor] = np.fft.ifft(ik2 * shifted)
     # the periodic wrap closes the last piece at the block's right end
     nodes[:, -1] = nodes[:, 0]
     return _Quintic(grid.x_min + start * grid.dx, h, *nodes)

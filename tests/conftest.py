@@ -11,6 +11,8 @@ import pytest
 
 import semiwkb as sw
 
+import golden
+
 KHO_K = 2.0
 KHO_HBAR = 8e-4
 KHO_GRID = sw.GridSpec(-4.0, 4.0, 8192)
@@ -19,6 +21,20 @@ KHO_TIMES = (1.0, 2.0, 3.0, 4.0)
 BARRIER_HBAR = 0.05
 BARRIER_GRID = sw.GridSpec(-24.0, 32.0, 8192)
 BARRIER_CENTER = (0.2, 0.2)  # on the unstable line p = q
+
+
+def pytest_runtest_logreport(report):
+    """Gather the values behind each acceptance line, which test_acceptance.py
+    records as the user property "acceptance" (test_golden.py pins them)."""
+    if report.when == "call":
+        for name, values in report.user_properties:
+            if name == "acceptance":
+                golden.ACCEPTANCE.update(values)
+
+
+def pytest_collection_modifyitems(items):
+    """Compare the acceptance values last, once every acceptance line has run."""
+    items.sort(key=lambda item: item.name == "test_acceptance_values_reproduce_the_manifest")
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,16 @@
 tests/data/builtin_outputs.json records, for each builtin spec, each CSV's
 sha256, row count and per-column sums of its positive and of its negative
 entries, and the report's "results" at full precision, together with the
-numpy version, Python version and machine they were made on.  test_golden.py reruns the builtins and compares them with it:
-exactly when the environment matches the recorded one, and within a relative
-1e-9 otherwise (a CSV then by its row count and column sums, not its bytes).
+numpy version, Python version and machine they were made on.  It also records
+the values behind each line tests/test_acceptance.py prints, which conftest's
+pytest_runtest_logreport hook gathers into ACCEPTANCE as those tests run.
+test_golden.py reruns the builtins and compares them with it, and compares the
+acceptance values the session gathered: exactly when the environment matches
+the recorded one, and within a relative 1e-9 otherwise (a CSV then by its row
+count and column sums, not its bytes).
 
-After a deliberate change of numbers, rewrite the manifest with
+After a deliberate change of numbers, rewrite the manifest (which also runs
+the acceptance tests) with
 
     python tests/golden.py --update
 """
@@ -26,6 +31,7 @@ import numpy as np
 
 MANIFEST = Path(__file__).parent / "data" / "builtin_outputs.json"
 RTOL = 1e-9
+ACCEPTANCE: dict = {}  # acceptance line -> {name: value}, of the tests run in this process
 
 
 def environment() -> dict:
@@ -65,6 +71,17 @@ def collect() -> dict:
     return {"environment": environment(), "specs": specs}
 
 
+def collect_acceptance() -> dict:
+    """Run tests/test_acceptance.py in this process; the values behind its lines."""
+    import pytest
+    import golden  # the module conftest's hook fills, also when this file runs as a script
+    golden.ACCEPTANCE.clear()
+    acceptance = Path(__file__).parent / "test_acceptance.py"
+    if pytest.main(["-q", "-p", "no:cacheprovider", str(acceptance)]):
+        raise SystemExit("the acceptance tests failed; the manifest is left as it was")
+    return dict(golden.ACCEPTANCE)
+
+
 def _close(old, new) -> bool:
     return abs(new - old) <= RTOL * max(abs(old), abs(new))
 
@@ -91,12 +108,13 @@ def _diff(old, new, path: str, exact: bool, out: list) -> None:
             out.append(f"{path}: {old!r} -> {new!r}")
 
 
-def compare(recorded: dict, current: dict) -> tuple:
-    """(exact, differences): each difference names the spec and the file or
-    dotted path, with the recorded and the new value."""
+def compare(recorded: dict, current: dict, section: str = "specs") -> tuple:
+    """(exact, differences) over one section of the manifest: each difference
+    names the spec and the file or dotted path, with the recorded and the new
+    value."""
     exact = recorded["environment"] == current["environment"]
     out: list = []
-    _diff(recorded["specs"], current["specs"], "specs", exact, out)
+    _diff(recorded[section], current[section], section, exact, out)
     return exact, out
 
 
@@ -106,7 +124,9 @@ def main(argv) -> int:
         return 2
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     MANIFEST.parent.mkdir(exist_ok=True)
-    MANIFEST.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
+    manifest = collect()
+    manifest["acceptance"] = collect_acceptance()
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}")
     return 0
 

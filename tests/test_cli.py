@@ -297,6 +297,13 @@ def test_a_barrier_run_past_the_floating_point_range_exits_2(tmp_path, capsys):
     assert err == "error: the barrier's piece of length t=400 leaves the floating-point range\n"
 
 
+def test_a_barrier_reference_past_the_floating_point_range_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["exact", "--model", "barrier", "--hbar", "0.05", "--grid=-8,8,2048",
+                              "--t", "800", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err == "error: the barrier's piece of length t=800 leaves the floating-point range\n"
+
+
 def test_a_reference_at_an_absurd_hbar_exits_2_and_writes_nothing(tmp_path, capsys):
     code, out, err = run_cli(["exact", "--model", "kho", "--hbar", "1e300", "--grid=-4,4,8192",
                               "--t", "1", "--out", str(tmp_path)], capsys)

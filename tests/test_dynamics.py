@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semiwkb as sw
-from semiwkb.dynamics import LagrangianLine, flow_samples, shear_from_lagrangians
+from semiwkb.dynamics import (FlowBundle, LagrangianLine, _advance, flow_samples,
+                              shear_from_lagrangians)
 from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
 from semiwkb.hamiltonians import QuadraticPhase
 from semiwkb.reference import metaplectic_evolve, momentum_evolve
@@ -410,3 +412,38 @@ def test_the_first_sample_whose_action_overflows_is_named():
     with pytest.raises(sw.InvalidInputError, match=r"^the end point or action is not finite "
                                                    r"at t=300: "):
         flow_samples(sw.ParabolicBarrier(1.0), [0.0, 1e150], [0.0, 0.0], [0.5, 300.0, 350.0])
+
+
+# entries whose products and sums of two stay inside the floating-point range
+ENTRIES = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def compositions(draw):
+    """(segment tangent, bundle tangent): the segment's one (2, 2) matrix shared
+    by every seed, or (n, 2, 2), one per seed as IntegrableMomentum's."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from([(2, 2), (n, 2, 2)]))
+    return (draw(arrays(np.float64, shape, elements=ENTRIES)),
+            draw(arrays(np.float64, (n, 2, 2), elements=ENTRIES)))
+
+
+NEGATIVE_ZERO_PRODUCTS = (np.array([[-0.0, 1.0], [1.0, -0.0]]),
+                          np.array([[[0.0, 1.0], [-0.0, 2.0]]]))  # entry (0, 0): -0.0 + -0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(NEGATIVE_ZERO_PRODUCTS)
+@example((NEGATIVE_ZERO_PRODUCTS[0][None], NEGATIVE_ZERO_PRODUCTS[1]))
+@given(compositions())
+def test_tangent_composition_is_einsum_byte_for_byte(pair):
+    # the walker composes m M by two broadcast products and one sum; einsum,
+    # which it replaced, sums from +0.0, so two -0.0 products give +0.0
+    m, tangent = pair
+    n = tangent.shape[0]
+    fb = FlowBundle(np.zeros(n), np.zeros(n), tangent.copy(), np.zeros(n))
+    _advance(fb, (fb.p, fb.q, m, np.zeros(n)))
+    einsum = np.einsum("ab,nbc->nac" if m.ndim == 2 else "nab,nbc->nac", m, tangent)
+    assert fb.tangent.tobytes() == einsum.tobytes()
+    if m is NEGATIVE_ZERO_PRODUCTS[0]:
+        assert fb.tangent[0, 0, 0] == 0.0 and not np.signbit(fb.tangent[0, 0, 0])

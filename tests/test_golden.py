@@ -1,5 +1,8 @@
-"""The builtin experiments reproduce the numbers pinned in tests/data/builtin_outputs.json."""
+"""The builtin experiments and the acceptance lines reproduce the numbers
+pinned in tests/data/builtin_outputs.json."""
 import json
+
+import pytest
 
 import golden
 
@@ -14,6 +17,20 @@ def test_builtins_reproduce_the_manifest():
               f"and column sums: recorded on {recorded['environment']}, "
               f"running on {golden.environment()}")
     assert not diffs, "builtin outputs differ from the manifest:\n" + "\n".join(diffs)
+
+
+def test_acceptance_values_reproduce_the_manifest():
+    # runs last (conftest), on the values of the acceptance tests this session ran
+    if not golden.ACCEPTANCE:
+        pytest.skip("no acceptance test ran in this session")
+    recorded = json.loads(golden.MANIFEST.read_text())
+    recorded["acceptance"] = {tag: values for tag, values in recorded["acceptance"].items()
+                              if tag in golden.ACCEPTANCE}
+    current = {"environment": golden.environment(), "acceptance": golden.ACCEPTANCE}
+    exact, diffs = golden.compare(recorded, current, "acceptance")
+    print(f"{len(golden.ACCEPTANCE)} acceptance lines compared "
+          f"{'exactly' if exact else f'within a relative {golden.RTOL:g}'}")
+    assert not diffs, "acceptance values differ from the manifest:\n" + "\n".join(diffs)
 
 
 def test_the_comparison_names_the_spec_path_and_both_values():

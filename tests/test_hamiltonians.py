@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 import semiwkb as sw
@@ -227,3 +229,18 @@ def test_unsupported_oracles_raise():
     kicked = sw.KickedHarmonic(2.0)
     with pytest.raises(TypeError):
         closed_form_transport_map(kicked, QuadraticPhase(0, 0, 0), 1.0, np.zeros(1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(2.0, np.array([0.4]), np.array([0.0, math.pi / 2, math.pi, -0.0]))
+@example(-0.0, np.array([-0.0]), np.array([1.0]))
+@given(st.floats(-10.0, 10.0), arrays(np.float64, 1, elements=st.floats(-10.0, 10.0)),
+       arrays(np.float64, st.integers(1, 9), elements=st.floats(-1e3, 1e3)))
+def test_kick_takes_one_cosine_for_the_same_products(k, p, q):
+    # (p + k sin q, k cos q, -k cos q), byte for byte, on arrays and on the
+    # scalars the caustic certificate passes
+    model = sw.KickedHarmonic(k)
+    for pp, qq in ((p, q), (float(p[0]), float(q[0]))):
+        want = (pp + k * np.sin(qq), k * np.cos(qq), -k * np.cos(qq))
+        for got, expected in zip(model.kick(pp, qq), want):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semiwkb as sw
 from semiwkb import dynamics, grids, metaplectic, transport
@@ -371,7 +372,9 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: sw.exact_state(sw.KickedHarmonic(2.0), sw.initial_coherent_state(
                     sw.GridSpec(-4.0, 4.0, 8192), 1e300, (0.0, 0.0)), 1.0),
                 lambda: sw.flow(sw.KickedHarmonic(2.0), sw.PhasePoint(1e300, 0.0), 1.5),
-                lambda: sw.flow(sw.ParabolicBarrier(1.0), sw.PhasePoint(1e200, 0.0), 300.0)):
+                lambda: sw.flow(sw.ParabolicBarrier(1.0), sw.PhasePoint(1e200, 0.0), 300.0),
+                # a barrier reference whose one shear piece overflows
+                lambda: sw.exact_state(sw.ParabolicBarrier(1.0), psi, 800.0)):
         with pytest.raises(sw.InvalidInputError) as info:
             bad()
         assert isinstance(info.value, sw.SemiwkbError)
@@ -490,7 +493,10 @@ def test_the_certificates_kicked_tangent_is_refused_where_it_overflows():
 @pytest.mark.parametrize("call,t", [
     (lambda: sw.flow(sw.ParabolicBarrier(1.0), sw.PhasePoint(0.1, 0.0), 400.0), 400),
     (lambda: center_kernel(sw.ParabolicBarrier(1.0), QuadraticPhase(0.0, 0.0, 0.0), 0.0, 800.0),
-     800)], ids=["flow", "center_kernel"])
+     800),
+    (lambda: sw.exact_state(sw.ParabolicBarrier(1.0),
+                            sw.initial_coherent_state(GRID, HBAR, (0.0, 0.0)), 800.0), 800)],
+    ids=["flow", "center_kernel", "exact_state"])
 def test_a_barrier_piece_past_the_floating_point_range_is_refused_by_name(call, t):
     with pytest.raises(sw.InvalidInputError,
                        match=f"^the barrier's piece of length t={t} leaves the floating-point"):
@@ -550,6 +556,50 @@ def test_mass_quantile_window_properties():
         mass_quantile_window(sw.initial_coherent_state(GRID, HBAR, (0.0, -7.95)))
     with pytest.raises(ValueError):
         mass_quantile_window(sw.WaveFunction(GRID, np.zeros(GRID.n_points), HBAR))
+
+
+def window_with_two_densities(psi, tail_mass=1e-13):
+    """mass_quantile_window as it was: edge_mass_fraction builds its own density."""
+    if grids.edge_mass_fraction(psi) > grids.EDGE_MASS_TOL:
+        raise BoundaryMassError(
+            "state carries mass at the grid edge (wraparound); enlarge the grid")
+    w = np.abs(psi.values) ** 2
+    total = w.sum()
+    if total == 0.0:
+        raise sw.InvalidInputError("cannot size a window for the zero function")
+    lo_idx = int(np.searchsorted(np.cumsum(w), tail_mass * total))
+    upper_tails = np.cumsum(w[::-1])
+    hi_idx = w.size - 1 - int(np.searchsorted(upper_tails, tail_mass * total, side="right"))
+    x = psi.grid.x
+    x_lo, x_hi = float(x[lo_idx]), float(x[hi_idx])
+    pad = metaplectic.WINDOW_PAD * (x_hi - x_lo)
+    return (max(psi.grid.x_min, x_lo - pad),
+            min(psi.grid.x_max - psi.grid.dx, x_hi + pad))
+
+
+def _window_or_refusal(window, psi):
+    try:
+        return window(psi)
+    except (BoundaryMassError, sw.InvalidInputError) as err:
+        return type(err), str(err)
+
+
+SMALL_GRID = sw.GridSpec(-1.0, 1.0, 32)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(np.zeros(32))                     # the zero function: InvalidInputError
+@example(np.eye(32)[0])                    # all its mass in an edge cell: BoundaryMassError
+@example(np.eye(32)[-4] + 1e6 * np.eye(32)[16])  # edge mass just under EDGE_MASS_TOL
+@example(np.eye(32)[-4] + 1e5 * np.eye(32)[16])  # and just over it
+@given(arrays(np.float64, 32,
+              elements=st.sampled_from([0.0, 1e-7, 1e-3, 1.0]) | st.floats(0.0, 10.0)))
+def test_window_refuses_and_sizes_as_with_two_densities(mags):
+    # one density serves the edge check and the quantiles: BoundaryMassError
+    # still comes first, and on the same inputs, and the window is the same
+    psi = sw.WaveFunction(SMALL_GRID, mags * np.exp(1j * np.arange(32)), HBAR)
+    assert (_window_or_refusal(mass_quantile_window, psi)
+            == _window_or_refusal(window_with_two_densities, psi))
 
 
 def test_window_edges_ignore_rounding_level_perturbations():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semiwkb as sw
 from semiwkb.errors import CausticError, OutOfDomainError
@@ -619,3 +620,55 @@ def test_hermite_reproduces_cubics_and_their_slopes():
     value, slope = lattice.value_and_slope(x)
     assert np.array_equal(value, lattice(x))
     assert np.allclose(slope, quintic.deriv()(x), rtol=0, atol=1e-11)
+
+
+class PerQueryHermite:
+    """_Hermite as it was: each query builds its pieces from the nodes."""
+
+    def __init__(self, x, y, d):
+        self.x, self.y, self.d = x, y, d
+
+    def piece(self, j):
+        h = self.x[j + 1] - self.x[j]
+        y0, y1 = self.y[j], self.y[j + 1]
+        m0, m1 = h * self.d[j], h * self.d[j + 1]
+        return h, y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1
+
+    def value_and_slope(self, xq):
+        j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.y.size - 2)
+        h, y0, m0, c2, c3 = self.piece(j)
+        s = (xq - self.x[j]) / h
+        return y0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
+
+
+@st.composite
+def hermite_cases(draw):
+    """(x, y, d, xq): increasing nodes with values and slopes, and queries
+    that reach past both end nodes."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    d = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    xq = draw(arrays(np.float64, draw(st.integers(1, 20)),
+                     elements=st.floats(x[0] - 5.0, x[-1] + 5.0)))
+    return x, y, d, np.concatenate([xq, x])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example((np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+          np.array([-1.0, 0.0, 0.5, 1.0, 2.0])))
+@example((np.array([-1.0, -0.3, 0.2, 1.5]), np.array([-0.0, 0.3, -2.0, 4.0]),
+          np.array([2.0, -0.0, 1e-3, -5.0]), np.array([-1.0, -0.3, 0.2, 1.5, 0.0])))
+@given(hermite_cases())
+def test_hermite_pieces_built_once_match_the_per_query_formulas(case):
+    x, y, d, xq = case
+    spline, old = _Hermite(x, y, d), PerQueryHermite(x, y, d)
+    j = np.arange(x.size - 1)
+    for got, want in zip(spline._piece(j), old.piece(j)):
+        assert got.tobytes() == want.tobytes()
+    value, slope = old.value_and_slope(xq)
+    assert spline(xq).tobytes() == value.tobytes()
+    assert spline(xq, 1).tobytes() == slope.tobytes()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(spline.value_and_slope(xq), (value, slope)))
