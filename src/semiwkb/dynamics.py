@@ -54,9 +54,6 @@ class FlowResult:
     tangent: np.ndarray
     action: float
 
-    def symplectic_defect(self) -> float:
-        return abs(float(np.linalg.det(self.tangent)) - 1.0)
-
 
 @dataclass
 class FlowBundle:
@@ -95,14 +92,6 @@ class LagrangianLine:
         if norm == 0.0:
             raise InvalidInputError("direction must be nonzero")
         object.__setattr__(self, "direction", (dp / norm, dq / norm))
-
-    @classmethod
-    def from_slope(cls, alpha: float, base: PhasePoint = PhasePoint(0.0, 0.0)):
-        return cls(base, (alpha, 1.0))
-
-    @classmethod
-    def vertical(cls, base: PhasePoint = PhasePoint(0.0, 0.0)):
-        return cls(base, (1.0, 0.0))
 
     @property
     def direction_array(self) -> np.ndarray:

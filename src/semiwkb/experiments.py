@@ -308,15 +308,15 @@ def _ehrenfest_diagnostic(model, center, t: float, hbar: float) -> float:
     return math.sqrt(hbar) * float(np.linalg.norm(fr.tangent, 2))
 
 
-def _phase_derivative(u, vals, floor: float = 0.1):
-    """d(arg)/du where the amplitude clears floor*peak, NaN elsewhere.
+def _phase_derivative(u, vals):
+    """d(arg)/du where the amplitude clears 0.1 of its peak, NaN elsewhere.
 
     The phase is unwrapped across the contiguous span between the first
     and last point above the floor; outside it the phase is noise.
     """
     amp = np.abs(vals)
     out = np.full(u.shape, math.nan)
-    mask = amp >= floor * float(amp.max())
+    mask = amp >= 0.1 * float(amp.max())
     idx = np.nonzero(mask)[0]
     if idx.size < 3:
         return out

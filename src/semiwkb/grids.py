@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -204,20 +204,11 @@ class WaveFunction:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
 
-    def normalized(self) -> "WaveFunction":
-        n = self.norm
-        if n == 0.0:
-            raise InvalidInputError("cannot normalize the zero function")
-        return replace(self, values=self.values / n)
-
     def to_csv(self, path) -> None:
         header = (
             f"# hbar={self.hbar!r} x_min={self.grid.x_min!r} "
             f"x_max={self.grid.x_max!r} n_points={self.grid.n_points}"
         )
-        if self.position_grid is not None:
-            header += (f" position_x_min={self.position_grid.x_min!r}"
-                       f" position_x_max={self.position_grid.x_max!r}")
         x = self.grid.x
         with open(path, "w") as f:
             f.write(header + "\n")
@@ -241,9 +232,7 @@ class WaveFunction:
             rows = np.loadtxt(f, delimiter=",")
         grid = GridSpec(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_points"]))
         values = rows[:, 1] + 1j * rows[:, 2]
-        position = (GridSpec(float(meta["position_x_min"]), float(meta["position_x_max"]),
-                             grid.n_points) if "position_x_min" in meta else None)
-        wf = cls(grid, values, float(meta["hbar"]), position_grid=position)
+        wf = cls(grid, values, float(meta["hbar"]))
         if not np.allclose(rows[:, 0], grid.x, rtol=0, atol=1e-12 * max(1.0, abs(grid.x_max))):
             raise InvalidInputError(f"{path}: x column inconsistent with grid metadata")
         return wf
@@ -322,30 +311,22 @@ def refine_wavefunction(psi: WaveFunction, factor: int) -> WaveFunction:
     return WaveFunction(fine_grid, fine_vals, psi.hbar)
 
 
-def band_mass(
-    psi: WaveFunction,
-    slope: float,
-    width: float,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """Wigner mass inside the band ``|p - p_c - slope*(q - q_c)| < width``.
+def band_mass(psi: WaveFunction, slope: float, width: float) -> float:
+    """Wigner mass inside the band ``|p - slope*q| < width`` through the origin.
 
     Uses the shear covariance of the Wigner function: multiplying by
-    ``exp(-i*(p_c*x + slope*(x-q_c)^2/2)/hbar)`` maps the band onto a
-    horizontal momentum strip, whose mass is a momentum-marginal integral.
-    The state is upsampled first so the chirped function stays below the
-    working Nyquist momentum.  A slope or centre that is not finite, or a
-    width that is not finite and positive, is refused.
+    ``exp(-i*slope*x^2/(2*hbar))`` maps the band onto a horizontal momentum
+    strip, whose mass is a momentum-marginal integral.  The state is
+    upsampled first so the chirped function stays below the working Nyquist
+    momentum.  A slope that is not finite, or a width that is not finite and
+    positive, is refused.
     """
-    p_c, q_c = center
-    if not all(map(math.isfinite, (slope, p_c, q_c))):
-        raise InvalidInputError(f"band_mass needs a finite slope and centre, "
-                                f"got slope={slope}, center={center}")
+    if not math.isfinite(slope):
+        raise InvalidInputError(f"band_mass needs a finite slope, got slope={slope}")
     if not (math.isfinite(width) and width > 0):
         raise InvalidInputError(f"band width must be finite and positive, got {width}")
     grid = psi.grid
-    edge = max(abs(grid.x_min - q_c), abs(grid.x_max - q_c))
-    chirp_max = abs(p_c) + abs(slope) * edge
+    chirp_max = abs(slope) * max(abs(grid.x_min), abs(grid.x_max))
     nyq = grid.nyquist_momentum(psi.hbar)
     factor = 1
     while factor * nyq < 1.05 * (chirp_max + nyq):
@@ -354,7 +335,7 @@ def band_mass(
             raise BandwidthError("band slope too steep for a practical refinement")
     work = refine_wavefunction(psi, factor)
     x = work.grid.x
-    phase = p_c * x + 0.5 * slope * (x - q_c) ** 2
+    phase = 0.5 * slope * x ** 2
     sheared = WaveFunction(work.grid, work.values * np.exp(-1j * phase / psi.hbar), psi.hbar)
     spec = hbar_fourier_transform(sheared, "forward")
     xi = spec.grid.x

@@ -55,11 +55,12 @@ class QuadraticPhase:
             raise InvalidInputError(f"a quadratic phase must be finite, got {self}")
 
     @classmethod
-    def from_theta(cls, theta: float, p0: float = 0.0, q0: float = 0.0) -> "QuadraticPhase":
-        """Slope parametrised as alpha = tan(theta); theta = +-pi/2 is vertical."""
+    def from_theta(cls, theta: float) -> "QuadraticPhase":
+        """The phase through the origin with slope alpha = tan(theta); theta =
+        +-pi/2 is vertical."""
         if abs(abs(theta) - math.pi / 2) < 1e-12 or abs(theta) > math.pi / 2:
             raise InvalidInputError(f"theta={theta} does not define a transversal slope")
-        return cls(p0=p0, q0=q0, alpha=math.tan(theta))
+        return cls(p0=0.0, q0=0.0, alpha=math.tan(theta))
 
     def phase(self, x):
         dx = np.asarray(x) - self.q0
@@ -67,10 +68,6 @@ class QuadraticPhase:
 
     def grad(self, x):
         return self.p0 + self.alpha * (np.asarray(x) - self.q0)
-
-    @property
-    def center(self) -> PhasePoint:
-        return PhasePoint(self.p0, self.q0)
 
 
 def _hessian(p, q, hpp=1.0, hpq=0.0, hqq=0.0) -> np.ndarray:
@@ -245,7 +242,7 @@ class KickedHarmonic(HamiltonianModel):
     """Harmonic oscillator (p^2 + q^2)/2 with unit-period impulsive kicks.
 
     The kick derives from the potential k*cos(q) applied at integer times,
-    so each kick shifts momentum by ``kick_impulse(q) = k*sin(q)`` and the
+    so each kick shifts momentum by ``k*sin(q)`` and the
     phase jumps by ``-k*cos(q)``.  The smooth part is what energy/grad/hess
     report.
     """
@@ -289,11 +286,9 @@ class KickedHarmonic(HamiltonianModel):
         return list(range(max(int(math.ceil(t - KICK_SLACK)), 0)))
 
     def kick(self, p, q):
-        c = np.cos(np.asarray(q, dtype=float))  # one cosine for the slope and the jump
-        return p + self.kick_impulse(q), self.k * c, -self.k * c
-
-    def kick_impulse(self, q):
-        return self.k * np.sin(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        c = np.cos(q)  # one cosine for the slope and the jump
+        return p + self.k * np.sin(q), self.k * c, -self.k * c
 
     def kick_phase_jump(self, q):
         return -self.k * np.cos(np.asarray(q, dtype=float))

@@ -147,7 +147,7 @@ def _check_thawed_band(grid: GridSpec, hbar: float, p: float, q: float, b: compl
     reach, p_n = max(top(1.0), top(-1.0)), grid.nyquist_momentum(hbar)
     if reach > p_n:
         raise BandwidthError(
-            f"the thawed packet at p0={p} aliases: its momentum reaches {reach:.6g}, past "
+            f"the thawed packet at p={p} aliases: its momentum reaches {reach:.6g}, past "
             f"the Nyquist momentum p_N={p_n:.6g} of the grid's N={grid.n_points} points")
 
 
@@ -271,10 +271,6 @@ def apply_metaplectic(c_t: float, amplitude: WaveFunction) -> WaveFunction:
 class PropagationResult:
     state: WaveFunction
     metadata: dict
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.state.grid
 
 
 def mass_quantile_window(psi: WaveFunction, tail_mass: float = 1e-13):
@@ -436,8 +432,8 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
     at _kick_stops, each stop before its kick, where each piece's Hessian is
     read.  Valid while
     the reported indicator sqrt(hbar)*||dPhi|| stays small.  Raises
-    BandwidthError when the initial packet's momentum passes the grid's
-    Nyquist momentum (_check_thawed_band).
+    BandwidthError when the initial or the final packet's momentum passes
+    the grid's Nyquist momentum (_check_thawed_band).
     """
     if not (np.isfinite(b0) and b0.imag > 0):
         raise InvalidInputError(f"initial width must be finite with Im b0 > 0, got {b0}")
@@ -451,6 +447,7 @@ def propagate_thawed_gaussian(model, z0: PhasePoint, b0: complex, hbar: float,
                                   for prev, s, fb in zip(times, stops, walk[1:])])
     fr = walk[-1].at(0)
     b_t = (fr.tangent[0, 1] + fr.tangent[0, 0] * b0) / w_path[-1]
+    _check_thawed_band(grid, hbar, fr.end_point.p, fr.end_point.q, b_t)
 
     dxc = grid.x - fr.end_point.q
     phase = fr.action + fr.end_point.p * dxc + 0.5 * b_t * dxc**2

@@ -22,7 +22,8 @@ on the model's identity, the grid and hbar.  A shear entry holds about
 40 B x N (5 MB at N = 131072) and a kick entry 24 B x N.  The caches keep
 the last four shear entries, the n- and 2n-piece tables of up to two
 segment lengths, and the last kick.  A table that leaves the
-floating-point range (an absurd hbar) is refused with InvalidInputError.
+floating-point range (an absurd hbar, or a barrier piece so long that
+P(b) does) is refused with InvalidInputError, naming hbar, N and the piece.
 
 A model with neither route is refused with InvalidInputError.
 """
@@ -154,7 +155,11 @@ def metaplectic_evolve(model, psi: WaveFunction, t: float, *, splits: int = 1,
     kick = _kick_table(Same(model), grid, hbar) if kicks else None
 
     def tables(s):
-        return _shear_tables(grid, hbar, *model.shear_pair(s / splits))
+        a, b = model.shear_pair(s / splits)
+        try:
+            return _shear_tables(grid, hbar, a, b)
+        except InvalidInputError as err:  # P(b) scales with the piece, so name it too
+            raise InvalidInputError(f"{err} with a piece of length t={s / splits:g}") from None
 
     def segment(vals, pieces):
         q, p = pieces

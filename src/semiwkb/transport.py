@@ -182,10 +182,8 @@ class _Hermite:
         s, h, y0, m0, c2, c3 = self._locate(xq)
         return y0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
 
-    def __call__(self, xq, nu: int = 0):
-        """Values (nu=0) or first derivatives (nu=1) at ``xq``."""
-        if nu:
-            return self.value_and_slope(xq)[1]
+    def __call__(self, xq):
+        """Values at ``xq``."""
         s, _, y0, m0, c2, c3 = self._locate(xq)
         return y0 + s * (m0 + s * (c2 + s * c3))
 
@@ -269,9 +267,6 @@ class TransportMap:
 
     def map_values(self, x):
         return self._phi(x)
-
-    def map_derivative(self, x):
-        return self._phi(x, 1)
 
 
 def build_transport_map(model, phase0: QuadraticPhase, x_window, n_seeds: int,

@@ -5,11 +5,13 @@ sha256, row count and per-column sums of its positive and of its negative
 entries, and the report's "results" at full precision, together with the
 numpy version, Python version and machine they were made on.  It also records
 the values behind each line tests/test_acceptance.py prints, which conftest's
-pytest_runtest_logreport hook gathers into ACCEPTANCE as those tests run.
+pytest_runtest_logreport hook gathers into ACCEPTANCE as those tests run, and
+the text each demo prints, its temporary directory masked.
 test_golden.py reruns the builtins and compares them with it, and compares the
 acceptance values the session gathered: exactly when the environment matches
 the recorded one, and within a relative 1e-9 otherwise (a CSV then by its row
-count and column sums, not its bytes).
+count and column sums, not its bytes).  test_demos.py compares each demo's
+text exactly, in the recorded environment only.
 
 After a deliberate change of numbers, rewrite the manifest (which also runs
 the acceptance tests) with
@@ -22,7 +24,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +37,8 @@ import numpy as np
 MANIFEST = Path(__file__).parent / "data" / "builtin_outputs.json"
 RTOL = 1e-9
 ACCEPTANCE: dict = {}  # acceptance line -> {name: value}, of the tests run in this process
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_TMPDIR = re.compile(r"\S*semiwkb-demo-[^\s:]+")  # demo 05's temporary directory
 
 
 def environment() -> dict:
@@ -82,6 +89,33 @@ def collect_acceptance() -> dict:
     return dict(golden.ACCEPTANCE)
 
 
+def run_demo(demo: Path, outdir: Path) -> subprocess.CompletedProcess:
+    """Run one demo as a script in outdir, writing under SEMIWKB_OUTDIR=outdir."""
+    import semiwkb
+    env = dict(os.environ, SEMIWKB_OUTDIR=str(outdir))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(semiwkb.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(demo)], cwd=outdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def demo_text(stdout: str) -> str:
+    return DEMO_TMPDIR.sub("<tmpdir>", stdout)
+
+
+def collect_demos() -> dict:
+    """Run every demo in a scratch directory; the text each prints."""
+    texts = {}
+    for demo in DEMOS:
+        with tempfile.TemporaryDirectory() as tmp:
+            done = run_demo(demo, Path(tmp))
+        if done.returncode or done.stderr:
+            raise SystemExit(f"{demo.name} failed; the manifest is left as it was\n{done.stderr}")
+        texts[demo.stem] = demo_text(done.stdout)
+    return texts
+
+
 def _close(old, new) -> bool:
     return abs(new - old) <= RTOL * max(abs(old), abs(new))
 
@@ -126,6 +160,7 @@ def main(argv) -> int:
     MANIFEST.parent.mkdir(exist_ok=True)
     manifest = collect()
     manifest["acceptance"] = collect_acceptance()
+    manifest["demos"] = collect_demos()
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}")
     return 0

@@ -304,12 +304,21 @@ def test_a_barrier_reference_past_the_floating_point_range_exits_2(tmp_path, cap
     assert err == "error: the barrier's piece of length t=800 leaves the floating-point range\n"
 
 
+def test_a_barrier_reference_whose_multiplier_overflows_names_the_piece(tmp_path, capsys):
+    # sinh(705) is finite, but the momentum multiplier's b xi^2 / hbar is not
+    code, out, err = run_cli(["exact", "--model", "barrier", "--hbar", "0.05", "--grid=-8,8,2048",
+                              "--t", "705", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and not any(tmp_path.iterdir())
+    assert err == ("error: the reference's multipliers at hbar=0.05 leave the floating-point "
+                   "range on the grid's N=2048 points with a piece of length t=705\n")
+
+
 def test_a_reference_at_an_absurd_hbar_exits_2_and_writes_nothing(tmp_path, capsys):
     code, out, err = run_cli(["exact", "--model", "kho", "--hbar", "1e300", "--grid=-4,4,8192",
                               "--t", "1", "--out", str(tmp_path)], capsys)
     assert code == 2 and out == "" and not any(tmp_path.iterdir())
     assert err == ("error: the reference's multipliers at hbar=1e+300 leave the "
-                   "floating-point range on the grid's N=8192 points\n")
+                   "floating-point range on the grid's N=8192 points with a piece of length t=1\n")
 
 
 @pytest.mark.parametrize("model", ["free", "kho"])

@@ -169,9 +169,7 @@ def test_band_mass_rejects_hopeless_slope():
 @pytest.mark.parametrize("args, match", [
     ((1.0, math.nan), "width"), ((1.0, -1.0), "width"), ((1.0, 0.0), "width"),
     ((1.0, math.inf), "width"), ((math.nan, 0.1), "slope"), ((math.inf, 0.1), "slope"),
-    ((1.0, 0.1, (math.nan, 0.0)), "centre"), ((1.0, 0.1, (0.0, -math.inf)), "centre"),
-], ids=["nan-width", "negative-width", "zero-width", "inf-width", "nan-slope", "inf-slope",
-        "nan-center", "inf-center"])
+], ids=["nan-width", "negative-width", "zero-width", "inf-width", "nan-slope", "inf-slope"])
 def test_band_mass_refuses_a_degenerate_band(args, match):
     psi = coherent(sw.GridSpec(-6.0, 6.0, 256), HBAR)
     with pytest.raises(InvalidInputError, match=match):
@@ -244,12 +242,6 @@ def test_wavefunction_csv_round_trip(tmp_path):
     assert back.grid == psi.grid
     assert back.hbar == psi.hbar
     assert np.array_equal(back.values, psi.values)
-    # a spectrum's header carries the position grid its inverse returns to
-    spec = sw.hbar_fourier_transform(psi, "forward")
-    spec.to_csv(path)
-    back = sw.WaveFunction.from_csv(path)
-    assert back.grid == spec.grid and back.position_grid == psi.grid
-    assert np.array_equal(back.values, spec.values)
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -91,12 +91,11 @@ def test_quadratic_phase_closed_forms():
     x = np.linspace(-2, 2, 7)
     assert np.allclose(ph.phase(x), 0.7 * (x + 0.2) + 0.75 * (x + 0.2) ** 2)
     assert np.allclose(ph.grad(x), 0.7 + 1.5 * (x + 0.2))
-    assert ph.center == sw.PhasePoint(0.7, -0.2)
 
 
 def test_quadratic_phase_from_theta():
-    ph = QuadraticPhase.from_theta(math.pi / 4, p0=0.1)
-    assert ph.alpha == pytest.approx(1.0)
+    ph = QuadraticPhase.from_theta(math.pi / 4)
+    assert (ph.p0, ph.q0) == (0.0, 0.0) and ph.alpha == pytest.approx(1.0)
     for bad in (math.pi / 2, -math.pi / 2, 2.0):
         with pytest.raises(ValueError):
             QuadraticPhase.from_theta(bad)
@@ -105,11 +104,10 @@ def test_quadratic_phase_from_theta():
 def test_kick_trio_consistency():
     model = sw.KickedHarmonic(2.0)
     for q in (-1.3, 0.0, 0.9):
-        imp = float(model.kick_impulse(q))
-        assert imp == pytest.approx(2.0 * math.sin(q))
-        # one kick moves p by the impulse; its tangent map is [[1, slope], [0, 1]]
+        # one kick moves p by the impulse k sin q; its tangent map is [[1, slope], [0, 1]]
         p_kicked, slope, _ = model.kick(0.4, q)
-        assert sw.PhasePoint(float(p_kicked), q) == sw.PhasePoint(0.4 + imp, q)
+        imp = float(p_kicked) - 0.4
+        assert imp == pytest.approx(2.0 * math.sin(q))
         tan = np.array([[1.0, slope], [0.0, 1.0]])
         # d(impulse)/dq sits in the p-q slot; the kick leaves q untouched
         assert tan[0, 1] == pytest.approx(2.0 * math.cos(q))

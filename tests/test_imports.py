@@ -1,7 +1,10 @@
 """Package layout: no module of the package imports another's private name,
 names its own package or branches on a model class, no function takes a
-``side``, and the closed forms of tests/oracles.py call no model method."""
+``side``, every exported name exists and the package re-exports only
+exported names, and the closed forms of tests/oracles.py call no model
+method."""
 import ast
+import importlib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -12,7 +15,7 @@ CLOSED_FORMS = ("closed_form_flow", "closed_form_transport_map", "closed_form_ph
 # importlib and pkgutil calls that look a package or its data up by name
 LOOKUPS = {"files", "import_module", "find_spec", "get_data", "read_text", "read_binary",
            "open_text", "open_binary", "path", "contents", "is_resource"}
-MODEL_METHODS = {"segment_flow", "shear_pair", "kick", "kick_times", "kick_impulse",
+MODEL_METHODS = {"segment_flow", "shear_pair", "kick", "kick_times",
                  "kick_phase_jump", "kinetic_energy", "hess", "grad", "energy"}
 
 
@@ -78,6 +81,24 @@ def test_no_function_takes_a_side():
              for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
              if arg.arg == "side"]
     assert found == []
+
+
+def test_exports_exist_and_the_package_reexports_only_exports():
+    # a deletion that leaves its name in __all__ or in __init__.py fails here
+    exports, missing = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # importing it runs the CLI
+        mod = importlib.import_module(f"{SRC.name}.{path.stem}")
+        if hasattr(mod, "__all__"):
+            exports[path.stem] = set(mod.__all__)
+            missing += [f"{path.stem}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
+    assert len(exports) > 1 and missing == []
+    unlisted = [f"{node.module}.{alias.name}"
+                for node in _parse(SRC / "__init__.py").body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name not in exports.get(node.module, ())]
+    assert unlisted == []
 
 
 def test_closed_forms_call_no_model_method():

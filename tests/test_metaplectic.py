@@ -311,7 +311,6 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: QuadraticPhase.from_theta(math.pi / 2),
                 lambda: LagrangianLine(sw.PhasePoint(0.0, 0.0), (0.0, 0.0)),
                 lambda: sw.WaveFunction(GRID, psi.values[:-1], HBAR),
-                lambda: zero.normalized(),
                 lambda: sw.WaveFunction.from_csv(headless),
                 lambda: sw.hbar_fourier_transform(psi, "sideways"),
                 lambda: sw.hbar_fourier_transform(psi, "inverse"),
@@ -387,6 +386,11 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                                                       1e300j, 8e-4, 0.5, fine)):
         with pytest.raises(BandwidthError, match=r"aliases: .* p_N=2\.57359 .* N=8192 "):
             aliased()
+    # a start inside the band whose output reaches past it: p_t = -1.19 with
+    # Re b_t = 1.90 reaches momentum 12.7 against p_N = 10.05
+    with pytest.raises(BandwidthError, match=r"p=-1\.19\d* aliases: .* 12\.67.* p_N=10\.0531 "):
+        propagate_thawed_gaussian(sw.KickedHarmonic(2.0), sw.PhasePoint(0.0, 0.25), 2j, 0.05,
+                                  4.0, sw.GridSpec(-8.0, 8.0, 1024))
     # a model with no closed-form flow and no exact path is refused by name
     rough = Potential(np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q))
     for refused in (lambda: sw.flow(rough, sw.PhasePoint(0.0, 0.0), 1.0),
@@ -414,7 +418,7 @@ def test_kernel_walks_only_the_models_kicks(monkeypatch):
     model, ph, t = sw.FreeParticle(), QuadraticPhase(0.3, 0.0, 0.5), 8.94
     got = center_kernel(model, ph, 0.0, t)
     assert stops == [[t]]
-    m = sw.flow(model, ph.center, t).tangent
+    m = sw.flow(model, sw.PhasePoint(ph.p0, ph.q0), t).tangent
     assert got == float(m[1, 0] / (m[1, 0] * ph.alpha + m[1, 1]))
     stops.clear()
     center_kernel(sw.KickedHarmonic(2.0), QuadraticPhase(0.0, 0.0, 0.0), 0.0, 4.0)
@@ -648,7 +652,7 @@ def test_extended_wkb_free_particle_is_numerically_exact():
     assert result.metadata["caustic_margin"] > 1.0
     assert result.metadata["window_mass_deficit"] < 1e-10
     assert result.metadata["boundary_mass"] < 1e-12
-    assert result.grid == GRID
+    assert result.state.grid == GRID
 
 
 def test_pipeline_gates_the_window_forward_only():

@@ -64,7 +64,7 @@ def test_plugin_flow_matches_the_integrated_well():
         assert num.end_point.q == pytest.approx(fr.end_point.q, abs=1e-9)
         assert np.max(np.abs(num.tangent - fr.tangent)) < 1e-8
         assert num.action == pytest.approx(fr.action, abs=1e-8)
-        assert fr.symplectic_defect() < 1e-12
+        assert abs(float(np.linalg.det(fr.tangent)) - 1.0) < 1e-12
 
 
 def test_plugin_center_kernel_and_its_exact_certificate():
@@ -135,5 +135,8 @@ def test_thawed_branch_matches_the_dense_rule(name, omega, frac, re, im, p0, q0)
         want = dense_thawed_gaussian(model, z0, b0, HBAR, t, grid)
     except ValueError:
         assume(False)
-    got = sw.propagate_thawed_gaussian(model, z0, b0, HBAR, t, grid).state.values
+    try:
+        got = sw.propagate_thawed_gaussian(model, z0, b0, HBAR, t, grid).state.values
+    except sw.BandwidthError:  # an output past the Nyquist momentum is refused
+        assume(False)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

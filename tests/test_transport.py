@@ -47,7 +47,7 @@ def curvature_matrix_A(tmap, x):
     edge = 1e-9 * (1.0 + max(abs(w_lo), abs(w_hi)))
     if np.any(x_arr < w_lo - edge) or np.any(x_arr > w_hi + edge):
         raise OutOfDomainError(f"position outside the seeded window [{w_lo:.6g}, {w_hi:.6g}]")
-    vals = tmap.map_derivative(np.clip(x_arr, w_lo, w_hi)) ** -2
+    vals = tmap._phi.value_and_slope(np.clip(x_arr, w_lo, w_hi))[1] ** -2
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals
@@ -101,7 +101,7 @@ def test_map_values_match_oracle():
     x = np.linspace(-1.4, 1.4, 41)
     phi, dphi = closed_form_transport_map(barrier, ph, 0.8, x)
     assert np.max(np.abs(tmap.map_values(x) - phi)) < 1e-10
-    assert np.max(np.abs(tmap.map_derivative(x) - dphi)) < 1e-8
+    assert np.max(np.abs(tmap._phi.value_and_slope(x)[1] - dphi)) < 1e-8
     assert tmap.non_contraction_certificate > 1.0  # expanding, no contraction
 
 
@@ -420,7 +420,7 @@ def test_invert_transport_round_trip_property(name, alpha, t, fractions):
     # the piece-local slope is the map's derivative at the root
     again, slope = _invert(tmap._phi, y)
     assert np.array_equal(again, back)
-    assert np.allclose(slope, tmap.map_derivative(back), rtol=1e-12, atol=0)
+    assert np.allclose(slope, tmap._phi.value_and_slope(back)[1], rtol=1e-12, atol=0)
 
 
 def test_inversion_bisects_where_newton_leaves_the_bracket():
@@ -435,12 +435,14 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
     y = phi(roots)
     j = np.searchsorted(nodes, roots, side="right") - 1
     secant = nodes[j] + (nodes[j + 1] - nodes[j]) * (y - phi.y[j]) / (phi.y[j + 1] - phi.y[j])
-    newton = secant - (phi(secant) - y) / phi(secant, 1)
+    value, slope = phi.value_and_slope(secant)
+    newton = secant - (value - y) / slope
     assert np.sum((newton < nodes[j]) | (newton > nodes[j + 1])) >= 5
     back, slope = _invert(phi, y)
-    assert np.allclose(slope, phi(back, 1), rtol=1e-12, atol=0)
+    assert np.allclose(slope, phi.value_and_slope(back)[1], rtol=1e-12, atol=0)
     assert np.all(np.abs(phi(back) - y) < 1e-10 * (1.0 + np.abs(y)))
-    assert np.all(np.abs(back - roots) * phi(roots, 1) < 2e-10 * (1.0 + np.abs(y)))
+    assert np.all(np.abs(back - roots) * phi.value_and_slope(roots)[1]
+                  < 2e-10 * (1.0 + np.abs(y)))
 
 
 def test_one_map_inversion_per_forward_run(monkeypatch):
@@ -608,9 +610,9 @@ def test_hermite_reproduces_cubics_and_their_slopes():
     spline = _Hermite(nodes, cubic(nodes), cubic.deriv()(nodes))
     x = np.linspace(-1.2, 1.7, 31)  # extrapolates past both ends
     assert np.allclose(spline(x), cubic(x), rtol=0, atol=1e-12)
-    assert np.allclose(spline(x, 1), cubic.deriv()(x), rtol=0, atol=1e-12)
-    value, slope = spline.value_and_slope(x)  # one location, the digits of two calls
-    assert np.array_equal(value, spline(x)) and np.array_equal(slope, spline(x, 1))
+    value, slope = spline.value_and_slope(x)  # one location, the digits of the value call
+    assert np.array_equal(value, spline(x))
+    assert np.allclose(slope, cubic.deriv()(x), rtol=0, atol=1e-12)
     # the lattice interpolant of the amplitude reproduces quintics
     quintic = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7, 0.4])
     lattice_nodes = np.linspace(-1.0, 1.0, 9)
@@ -669,6 +671,5 @@ def test_hermite_pieces_built_once_match_the_per_query_formulas(case):
         assert got.tobytes() == want.tobytes()
     value, slope = old.value_and_slope(xq)
     assert spline(xq).tobytes() == value.tobytes()
-    assert spline(xq, 1).tobytes() == slope.tobytes()
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(spline.value_and_slope(xq), (value, slope)))
