@@ -8,7 +8,6 @@ from .errors import (
     BoundaryMassError,
     CausticError,
     NotHyperbolicError,
-    DegenerateLinesError,
     OutOfDomainError,
     ConvergenceError,
     StepSizeError,

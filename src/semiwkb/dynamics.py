@@ -1,4 +1,4 @@
-"""Classical flows with tangent (variational) dynamics and shear maps.
+"""Classical flows with tangent (variational) dynamics.
 
 Flows return the end point, the 2x2 tangent matrix of the flow in (p, q)
 ordering, and the accumulated action integral of p*dq - H dt.  One walker
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLinesError, InvalidInputError, NotHyperbolicError
+from .errors import InvalidInputError, NotHyperbolicError
 from .hamiltonians import KICK_SLACK, PhasePoint
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "ehrenfest_time",
     "hyperbolic_subspaces",
 ]
-
-_OMEGA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,6 @@ class LagrangianLine:
         if norm == 0.0:
             raise InvalidInputError("direction must be nonzero")
         object.__setattr__(self, "direction", (dp / norm, dq / norm))
-
-    @property
-    def direction_array(self) -> np.ndarray:
-        return np.array(self.direction)
 
     @property
     def slope(self) -> float:
@@ -241,29 +235,3 @@ def hyperbolic_subspaces(model, fixed_point: PhasePoint, period: float = 1.0):
         lines.append(LagrangianLine(fixed_point, (dp, dq)))
     return lines[0], lines[1]
 
-
-def _omega(z1: np.ndarray, z2: np.ndarray) -> float:
-    # symplectic form on (p, q): omega(z1, z2) = p1*q2 - q1*p2
-    return float(z1[0] * z2[1] - z1[1] * z2[0])
-
-
-def shear_from_lagrangians(l1: LagrangianLine, l2: LagrangianLine,
-                           l: LagrangianLine) -> np.ndarray:
-    """Unique symplectic map fixing l1 pointwise and taking l2 into l.
-
-    Works in the symplectic basis (u1, u2) with u1 spanning l1 and
-    omega(u1, u2) = 1; there the map is the elementary shear [[1, a/b], [0, 1]]
-    where (a, b) are the coordinates of l's direction.
-    """
-    d1 = l1.direction_array
-    d2 = l2.direction_array
-    d = l.direction_array
-    w12 = _omega(d1, d2)
-    if abs(w12) < _OMEGA_TOL:
-        raise DegenerateLinesError("l1 and l2 are parallel")
-    basis = np.column_stack([d1, d2 / w12])  # det = omega(u1, u2) = 1
-    a, b = np.linalg.solve(basis, d)
-    if abs(b) < _OMEGA_TOL * math.hypot(a, b):
-        raise DegenerateLinesError("target line is parallel to the fixed line l1")
-    shear = np.array([[1.0, a / b], [0.0, 1.0]])
-    return basis @ shear @ np.linalg.inv(basis)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets its own class so
-that experiment drivers can map breaches to exit codes without string
-matching.
+Every failure mode that callers are expected to handle gets its own class,
+so a caller catches it by type rather than by matching its message;
+CausticError also carries where the fold was found, its ``t`` and ``x``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "BoundaryMassError",
     "CausticError",
     "NotHyperbolicError",
-    "DegenerateLinesError",
     "OutOfDomainError",
     "ConvergenceError",
     "StepSizeError",
@@ -57,10 +56,6 @@ class CausticError(SemiwkbError):
 
 class NotHyperbolicError(SemiwkbError):
     """The one-period tangent map has no eigenvalue off the unit circle."""
-
-
-class DegenerateLinesError(SemiwkbError):
-    """Lagrangian line configuration violates the transversality premises."""
 
 
 class OutOfDomainError(SemiwkbError):

@@ -6,13 +6,11 @@ Position grids are uniform and periodic for FFT purposes: ``x_j = x_min +
 j*dx`` with ``dx = (x_max - x_min)/n_points`` and ``x_max`` itself excluded.
 The scaled transform used throughout is
 
-    A_hat(xi) = integral exp(-i*x*xi/hbar) * A(x) dx,
+    A_hat(xi) = integral exp(-i*x*xi/hbar) * A(x) dx.
 
-with inverse ``A(x) = (2*pi*hbar)**-1 * integral exp(+i*x*xi/hbar) A_hat dxi``.
 On the grid the conjugate momenta are ``xi_k = 2*pi*hbar*k/(x_max - x_min)``
 with ``k`` centred about zero, so the transform is realised exactly by a DFT
-plus an ``exp(-i*x_min*xi/hbar)`` phase; round trips are exact to rounding,
-and the inverse returns the very position grid the forward transform read.
+plus an ``exp(-i*x_min*xi/hbar)`` phase.
 
 Four grid guards are coded here and nowhere else.  Edge amplitude: a block
 closes once its edge cells, the N_EDGE cells at each end (edge_cells), hold
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,17 +173,11 @@ def conjugate_grid(grid: GridSpec, hbar: float) -> GridSpec:
 
 @dataclass(eq=False)
 class WaveFunction:
-    """Complex samples on a :class:`GridSpec` with an attached hbar.
-
-    ``position_grid`` is set on momentum-side functions produced by the
-    forward transform; it is the position grid transformed, which the
-    inverse transform returns to.
-    """
+    """Complex samples on a :class:`GridSpec` with an attached hbar."""
 
     grid: GridSpec
     values: np.ndarray
     hbar: float
-    position_grid: GridSpec | None = field(default=None)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -216,27 +208,6 @@ class WaveFunction:
             for xj, vj in zip(x, self.values):
                 f.write(f"{xj:.17g},{vj.real:.17g},{vj.imag:.17g}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "WaveFunction":
-        with open(path) as f:
-            meta_line = f.readline().strip()
-            if not meta_line.startswith("#"):
-                raise InvalidInputError(f"{path}: missing metadata header")
-            meta = {}
-            for token in meta_line[1:].split():
-                key, _, val = token.partition("=")
-                meta[key] = val
-            header = f.readline().strip()
-            if header != "x,re,im":
-                raise InvalidInputError(f"{path}: unexpected column header {header!r}")
-            rows = np.loadtxt(f, delimiter=",")
-        grid = GridSpec(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_points"]))
-        values = rows[:, 1] + 1j * rows[:, 2]
-        wf = cls(grid, values, float(meta["hbar"]))
-        if not np.allclose(rows[:, 0], grid.x, rtol=0, atol=1e-12 * max(1.0, abs(grid.x_max))):
-            raise InvalidInputError(f"{path}: x column inconsistent with grid metadata")
-        return wf
-
 
 def _check_same_grid(a: WaveFunction, b: WaveFunction) -> None:
     if a.grid != b.grid:
@@ -251,33 +222,14 @@ def overlap(a: WaveFunction, b: WaveFunction) -> complex:
     return complex(np.sum(np.conj(a.values) * b.values) * a.grid.dx)
 
 
-def hbar_fourier_transform(psi: WaveFunction, direction: str = "forward") -> WaveFunction:
-    """Scaled Fourier transform between position and momentum grids.
-
-    The forward direction maps a position-side function to its spectrum on
-    the centred conjugate grid (monotone ordering).  The inverse direction
-    requires a momentum-side function carrying ``position_grid`` and
-    reverses the forward map exactly, onto that grid.
-    """
-    if direction == "forward":
-        grid = psi.grid
-        xi = grid.xi(psi.hbar)
-        vals = np.fft.fft(psi.values)
-        vals *= grid.dx * np.exp(-1j * grid.x_min * xi / psi.hbar)
-        return WaveFunction(
-            conjugate_grid(grid, psi.hbar),
-            np.fft.fftshift(vals),
-            psi.hbar,
-            position_grid=grid,
-        )
-    if direction == "inverse":
-        grid = psi.position_grid
-        if grid is None:
-            raise InvalidInputError("inverse transform needs position_grid metadata")
-        xi = grid.xi(psi.hbar)
-        vals = np.fft.ifftshift(psi.values) * np.exp(1j * grid.x_min * xi / psi.hbar)
-        return WaveFunction(grid, np.fft.ifft(vals) / grid.dx, psi.hbar)
-    raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+def hbar_fourier_transform(psi: WaveFunction) -> WaveFunction:
+    """Scaled Fourier transform of a position-side function: its spectrum
+    on the centred conjugate grid (monotone ordering)."""
+    grid = psi.grid
+    xi = grid.xi(psi.hbar)
+    vals = np.fft.fft(psi.values)
+    vals *= grid.dx * np.exp(-1j * grid.x_min * xi / psi.hbar)
+    return WaveFunction(conjugate_grid(grid, psi.hbar), np.fft.fftshift(vals), psi.hbar)
 
 
 def _padded_spectrum(values: np.ndarray, factor: int) -> np.ndarray:
@@ -337,7 +289,7 @@ def band_mass(psi: WaveFunction, slope: float, width: float) -> float:
     x = work.grid.x
     phase = 0.5 * slope * x ** 2
     sheared = WaveFunction(work.grid, work.values * np.exp(-1j * phase / psi.hbar), psi.hbar)
-    spec = hbar_fourier_transform(sheared, "forward")
+    spec = hbar_fourier_transform(sheared)
     xi = spec.grid.x
     inside = np.abs(xi) <= width
     mass = np.sum(np.abs(spec.values[inside]) ** 2) * spec.grid.dx / (2.0 * math.pi * psi.hbar)

@@ -246,9 +246,10 @@ def exact_state(model, psi: WaveFunction, t: float, *, tol: float = 1e-9,
         raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     want = _sample_times(t, sample_times)
     if model.exact_path == "momentum-multiplier":
-        final = momentum_evolve(model, psi, t)
-        samples = {s: momentum_evolve(model, psi, s) for s in want}
-        return ExactResult(final, samples, 0.0, {"method": "momentum-multiplier"})
+        # one multiplier per distinct time: a sample at t is the final state
+        states = {s: momentum_evolve(model, psi, s) for s in {*want, float(t)}}
+        return ExactResult(states[float(t)], {s: states[s] for s in want}, 0.0,
+                           {"method": "momentum-multiplier"})
     if model.exact_path == "metaplectic-shear":
         return _shear_reference(model, psi, t, tol, want)
     raise InvalidInputError(f"{model.name} has no exact reference path")

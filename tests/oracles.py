@@ -16,6 +16,12 @@ barrier and kicked models: plain scalar expressions that read the models'
 parameters and call none of their methods, so tests can pit them against
 the models' segment flows.  A quantity past a caustic raises ValueError; a
 model without the closed form raises TypeError.
+
+shear_from_lagrangians is the paper's Lagrangian-geometry form of the
+metaplectic shear, and inverse_hbar_transform undoes the package's scaled
+transform: second constructions that call no model method and no package
+function, so the shear post-conditions and the transform round trip check
+the package against arithmetic of their own.
 """
 import math
 
@@ -260,3 +266,34 @@ def closed_form_kernel(model, phase0, t) -> float:
     if denom <= 0:
         raise ValueError(f"the {model.name} kernel is past the caustic at t={t}")
     return num / denom
+
+
+def shear_from_lagrangians(l1, l2, l) -> np.ndarray:
+    """Unique symplectic map fixing the line l1 pointwise and taking l2 into l.
+
+    Works in the symplectic basis (u1, u2) with u1 spanning l1 and
+    omega(u1, u2) = 1, omega((p1, q1), (p2, q2)) = p1*q2 - q1*p2; there the
+    map is the elementary shear [[1, a/b], [0, 1]] where (a, b) are the
+    coordinates of l's direction.  Parallel l1 and l2, or l parallel to l1,
+    raise ValueError.
+    """
+    d1, d2, d = (np.array(line.direction) for line in (l1, l2, l))
+    w12 = float(d1[0] * d2[1] - d1[1] * d2[0])
+    if abs(w12) < 1e-12:
+        raise ValueError("l1 and l2 are parallel")
+    basis = np.column_stack([d1, d2 / w12])  # det = omega(u1, u2) = 1
+    a, b = np.linalg.solve(basis, d)
+    if abs(b) < 1e-12 * math.hypot(a, b):
+        raise ValueError("target line is parallel to the fixed line l1")
+    shear = np.array([[1.0, a / b], [0.0, 1.0]])
+    return basis @ shear @ np.linalg.inv(basis)
+
+
+def inverse_hbar_transform(spec, grid) -> sw.WaveFunction:
+    """The position-side function on ``grid`` whose scaled transform is the
+    spectrum ``spec``: A(x) = (2 pi hbar)^-1 integral exp(+i x xi/hbar) A_hat dxi,
+    an inverse DFT with the conjugate phase exp(+i x_min xi/hbar)."""
+    hbar = spec.hbar
+    xi = 2.0 * math.pi * hbar * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    vals = np.fft.ifftshift(spec.values) * np.exp(1j * grid.x_min * xi / hbar)
+    return sw.WaveFunction(grid, np.fft.ifft(vals) / grid.dx, hbar)

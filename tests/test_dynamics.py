@@ -7,13 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import semiwkb as sw
-from semiwkb.dynamics import (FlowBundle, LagrangianLine, _advance, flow_samples,
-                              shear_from_lagrangians)
-from semiwkb.errors import DegenerateLinesError, NotHyperbolicError
+from semiwkb.dynamics import FlowBundle, LagrangianLine, _advance, flow_samples
+from semiwkb.errors import NotHyperbolicError
 from semiwkb.hamiltonians import QuadraticPhase
 from semiwkb.reference import metaplectic_evolve, momentum_evolve
 
-from oracles import closed_form_flow, rk4_flow
+from oracles import closed_form_flow, rk4_flow, shear_from_lagrangians
 from test_model_plugin import HarmonicWell
 
 
@@ -240,7 +239,7 @@ def test_hyperbolic_subspaces_are_eigendirections():
     m = sw.period_tangent(model, origin)
     lam = sw.lyapunov_exponent(model, origin)
     for line, mu in ((stable, math.exp(-lam)), (unstable, math.exp(lam))):
-        d = line.direction_array
+        d = np.array(line.direction)
         assert np.allclose(m @ d, mu * d, atol=1e-10)
         assert d[1] > 0  # normalized to point toward increasing q
         assert math.hypot(*d) == pytest.approx(1.0, abs=1e-12)
@@ -276,17 +275,17 @@ def test_shear_from_lagrangians_postconditions(rng):
     checked = 0
     while checked < 1000:
         l1, l2, l = (random_line(rng) for _ in range(3))
-        if abs(omega(l1.direction_array, l2.direction_array)) < 1e-3:
+        if abs(omega(l1.direction, l2.direction)) < 1e-3:
             continue
-        if abs(omega(l1.direction_array, l.direction_array)) < 1e-3:
+        if abs(omega(l1.direction, l.direction)) < 1e-3:
             continue
         m = shear_from_lagrangians(l1, l2, l)
         assert abs(float(np.linalg.det(m)) - 1.0) < 1e-10
         # l1 is fixed pointwise, not merely as a set
-        assert np.allclose(m @ l1.direction_array, l1.direction_array, atol=1e-10)
+        assert np.allclose(m @ l1.direction, l1.direction, atol=1e-10)
         # the image of l2 lies on l
-        image = m @ l2.direction_array
-        assert abs(omega(image, l.direction_array)) < 1e-10
+        image = m @ l2.direction
+        assert abs(omega(image, l.direction)) < 1e-10
         checked += 1
 
 
@@ -303,20 +302,20 @@ def test_shear_from_lagrangians_postconditions_property(d1, d2, d):
     # the post-conditions of the loop above, at the same bounds, for any
     # three directions with l1 transverse to both l2 and l
     l1, l2, l = (LagrangianLine(sw.PhasePoint(0.0, 0.0), v) for v in (d1, d2, d))
-    assume(abs(omega(l1.direction_array, l2.direction_array)) >= 1e-3)
-    assume(abs(omega(l1.direction_array, l.direction_array)) >= 1e-3)
+    assume(abs(omega(l1.direction, l2.direction)) >= 1e-3)
+    assume(abs(omega(l1.direction, l.direction)) >= 1e-3)
     m = shear_from_lagrangians(l1, l2, l)
     assert abs(float(np.linalg.det(m)) - 1.0) < 1e-10
-    assert np.allclose(m @ l1.direction_array, l1.direction_array, rtol=0, atol=1e-10)
-    assert abs(omega(m @ l2.direction_array, l.direction_array)) < 1e-10
+    assert np.allclose(m @ l1.direction, l1.direction, rtol=0, atol=1e-10)
+    assert abs(omega(m @ l2.direction, l.direction)) < 1e-10
 
 
 def test_shear_from_lagrangians_degeneracies():
     origin = sw.PhasePoint(0.0, 0.0)
     l1, vertical = LagrangianLine(origin, (0.5, 1.0)), LagrangianLine(origin, (1.0, 0.0))
-    with pytest.raises(DegenerateLinesError):
+    with pytest.raises(ValueError):
         shear_from_lagrangians(l1, LagrangianLine(origin, (0.5, 1.0)), vertical)
-    with pytest.raises(DegenerateLinesError):
+    with pytest.raises(ValueError):
         shear_from_lagrangians(l1, vertical, LagrangianLine(origin, (0.5, 1.0)))
 
 

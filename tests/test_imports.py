@@ -1,9 +1,10 @@
 """Package layout: no module of the package imports another's private name,
 names its own package or branches on a model class, no function takes a
 ``side``, every exported name exists and the package re-exports only
-exported names, and the closed forms of tests/oracles.py call no model
-method."""
+exported names, the closed forms of tests/oracles.py call no model
+method, and its second constructions call no package function either."""
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -12,6 +13,7 @@ SRC = TESTS.parent / "src" / "semiwkb"
 
 CLOSED_FORMS = ("closed_form_flow", "closed_form_transport_map", "closed_form_phase",
                 "closed_form_kernel")
+SECOND_CONSTRUCTIONS = ("shear_from_lagrangians", "inverse_hbar_transform")
 # importlib and pkgutil calls that look a package or its data up by name
 LOOKUPS = {"files", "import_module", "find_spec", "get_data", "read_text", "read_binary",
            "open_text", "open_binary", "path", "contents", "is_resource"}
@@ -111,4 +113,26 @@ def test_closed_forms_call_no_model_method():
              for name in CLOSED_FORMS for node in ast.walk(funcs[name])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in MODEL_METHODS]
+    assert found == []
+
+
+def test_second_constructions_call_no_package_function():
+    # the oracles that the shear post-conditions and the transform round trip
+    # check the package against compute with numpy, math and builtins alone;
+    # they read GridSpec attributes and build the WaveFunction they return
+    funcs = {node.name: node for node in _parse(TESTS / "oracles.py").body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(SECOND_CONSTRUCTIONS) <= set(funcs)
+
+    def allowed(func):
+        root = func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        return (isinstance(func, ast.Name) and hasattr(builtins, func.id)
+                or isinstance(root, ast.Name) and root.id in ("np", "math")
+                or ast.unparse(func) == "sw.WaveFunction")
+
+    found = [f"{name}: {ast.unparse(node.func)}()"
+             for name in SECOND_CONSTRUCTIONS for node in ast.walk(funcs[name])
+             if isinstance(node, ast.Call) and not allowed(node.func)]
     assert found == []

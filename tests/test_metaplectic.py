@@ -29,7 +29,7 @@ from semiwkb.metaplectic import (
 )
 
 from conftest import packet_samples
-from oracles import Potential, closed_form_kernel
+from oracles import Potential, closed_form_kernel, inverse_hbar_transform
 
 HBAR = 0.05
 GRID = sw.GridSpec(-8.0, 8.0, 2048)
@@ -115,10 +115,10 @@ def whole_grid_dispersion(c_t: float, amp: sw.WaveFunction) -> np.ndarray:
     points, but rounded as the block's are, so a phase C_t xi^2 / (2 hbar)
     of hundreds of radians does not put its own rounding into the comparison.
     """
-    hat = sw.hbar_fourier_transform(amp, "forward")
+    hat = sw.hbar_fourier_transform(amp)
     xi = np.fft.fftshift(amp.grid.xi(amp.hbar))
     hat = replace(hat, values=hat.values * np.exp(-0.5j * c_t * xi ** 2 / amp.hbar))
-    return sw.hbar_fourier_transform(hat, "inverse").values
+    return inverse_hbar_transform(hat, amp.grid).values
 
 
 @pytest.mark.parametrize("alpha,c_t", [(0.0, 0.3), (0.8, 0.05), (-0.4, 0.6)])
@@ -296,11 +296,9 @@ def test_center_kernel_edge_cases():
         center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0)
 
 
-def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
+def test_invalid_inputs_raise_a_typed_library_error():
     psi = sw.initial_coherent_state(GRID, HBAR, (0.0, 0.0))
     zero = sw.WaveFunction(GRID, np.zeros(GRID.n_points), HBAR)
-    headless = tmp_path / "headless.csv"
-    headless.write_text("x,re,im\n0.0,1.0,0.0\n")
     for bad in (lambda: center_kernel(sw.FreeParticle(), QuadraticPhase(0, 0, 0), 0.0, -1.0),
                 lambda: apply_metaplectic(-0.1, psi),
                 lambda: apply_metaplectic(math.nan, psi),
@@ -311,9 +309,6 @@ def test_invalid_inputs_raise_a_typed_library_error(tmp_path):
                 lambda: QuadraticPhase.from_theta(math.pi / 2),
                 lambda: LagrangianLine(sw.PhasePoint(0.0, 0.0), (0.0, 0.0)),
                 lambda: sw.WaveFunction(GRID, psi.values[:-1], HBAR),
-                lambda: sw.WaveFunction.from_csv(headless),
-                lambda: sw.hbar_fourier_transform(psi, "sideways"),
-                lambda: sw.hbar_fourier_transform(psi, "inverse"),
                 lambda: sw.GridSpec(-1.0, 1.0, 1000),
                 lambda: sw.WaveFunction(GRID, psi.values, 0.0),
                 lambda: sw.WaveFunction(GRID, psi.values, -HBAR),

@@ -90,6 +90,19 @@ def test_momentum_models_skip_the_ladder():
     assert l2_distance(ex.state, momentum_evolve(model, psi0, 2.0)) == 0.0
 
 
+@pytest.mark.parametrize("name", ["free", "barrier"])
+def test_a_sample_at_the_end_time_is_the_final_state(name, monkeypatch):
+    # the momentum route takes one multiplier per distinct time, the shear
+    # route none; both return the state at t once, as the sample there too
+    calls = []
+    monkeypatch.setattr(reference, "momentum_evolve",
+                        lambda model, psi, t: calls.append(t) or momentum_evolve(model, psi, t))
+    psi0 = sw.initial_coherent_state(sw.GridSpec(-8.0, 8.0, 512), HBAR, (0.2, 0.2))
+    res = sw.exact_state(sw.build_model(name), psi0, 1.0, sample_times=(0.5, 1.0, 1.0))
+    assert sorted(calls) == ([0.5, 1.0] if name == "free" else [])
+    assert res.state is res.samples[1.0]
+
+
 def test_shear_rotation_by_two_pi_is_minus_identity():
     # every oscillator level picks up exp(-i (n + 1/2) 2 pi) = -1, so the
     # three-shear product must carry the metaplectic sign, not only |psi|
